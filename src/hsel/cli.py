@@ -23,11 +23,9 @@ from .combine import META_KINDS, fit_stack, predict_stack, stack_to_json
 from .core import (
     METRIC_NAMES,
     ClassifierId,
-    EvalEntry,
     LabeledCorpus,
     PredictionMatrix,
     Split,
-    derive_seed,
     evaluate,
     evaluate_matrix,
     load_corpus_csv,
@@ -40,7 +38,7 @@ from .diversity import (
     read_dissimilarity_csv,
     write_dissimilarity_csv,
 )
-from .hiercluster import LINKAGE_METHODS, linkage, write_dendrogram
+from .hiercluster import LINKAGE_METHODS, Dendrogram, linkage, write_dendrogram
 from .pool import predict_matrix, read_prediction_matrix, train_pool, write_prediction_matrix
 from .selection import (
     FINAL_RULES,
@@ -113,10 +111,6 @@ def _emit_report(doc: dict, schema_name: str, path: str) -> None:
         fh.write("\n")
 
 
-def _metrics_dict(entry: EvalEntry) -> dict[str, float]:
-    return entry.as_dict()
-
-
 def _candidate_doc(candidate: EnsembleCandidate) -> dict:
     return {
         "level_k": candidate.level_k,
@@ -132,7 +126,6 @@ def _score_candidates(
     vpm: PredictionMatrix,
     meta_kind: str,
     metric: str,
-    seed: int,
     cache: dict,
 ) -> list[EnsembleCandidate]:
     """Stack each candidate on validation and record its metric there.
@@ -144,12 +137,7 @@ def _score_candidates(
     for candidate in candidates:
         key = tuple(m.canonical for m in candidate.members)
         if key not in cache:
-            ensemble = fit_stack(
-                vpm,
-                candidate.members,
-                meta_kind=meta_kind,
-                seed=derive_seed(seed, "stack", candidate.level_k),
-            )
+            ensemble = fit_stack(vpm, candidate.members, meta_kind=meta_kind)
             cache[key] = predict_stack(ensemble, vpm)
         entry = evaluate(cache[key], vpm.truth, vpm.num_classes)
         scored.append(candidate.with_score(entry.metric(metric)))
@@ -159,7 +147,7 @@ def _score_candidates(
 def _selection_sweep(
     vpm: PredictionMatrix,
     config: RunConfig,
-) -> tuple[DissimilarityMatrix, object, dict, dict[str, list[EnsembleCandidate]], int | None]:
+) -> tuple[DissimilarityMatrix, Dendrogram, dict, dict[str, list[EnsembleCandidate]], int | None]:
     """Shared middle of the pipeline: matrix, dendrogram, scored sweeps."""
     with _stage("evaluate-pool"):
         scores = evaluate_matrix(vpm)
@@ -175,7 +163,7 @@ def _selection_sweep(
     with _stage("stack-candidates"):
         for metric in config.metrics:
             sweeps[metric] = _score_candidates(
-                sweeps[metric], vpm, config.meta_kind, metric, config.seed, cache
+                sweeps[metric], vpm, config.meta_kind, metric, cache
             )
     with _stage("elbow"):
         elbow_k = elbow_select(dendro, matrix) if dendro.num_leaves >= 3 else None
@@ -240,12 +228,7 @@ def cmd_run(config: RunConfig) -> dict:
     with _stage("choose-final"):
         final = choose_final(sweeps[primary_metric], rule=config.rule, alpha=config.alpha)
     with _stage("stack-final"):
-        ensemble = fit_stack(
-            vpm,
-            final.members,
-            meta_kind=config.meta_kind,
-            seed=derive_seed(config.seed, "stack-final"),
-        )
+        ensemble = fit_stack(vpm, final.members, meta_kind=config.meta_kind)
         test_restricted = tpm.select(final.members)
         test_preds = predict_stack(ensemble, test_restricted)
     with _stage("evaluate-final"):
@@ -280,7 +263,7 @@ def cmd_run(config: RunConfig) -> dict:
         "label_mapping": mapping,
         "split_sizes": corpus.split_sizes(),
         "pool": [
-            {"id": name, **_metrics_dict(entry)} for name, entry in scores.items()
+            {"id": name, **entry.as_dict()} for name, entry in scores.items()
         ],
         "candidates": [_candidate_doc(c) for c in sweeps[primary_metric]],
         "selection": {
@@ -290,7 +273,7 @@ def cmd_run(config: RunConfig) -> dict:
             "level_k": final.level_k,
             "members": [m.canonical for m in final.members],
         },
-        "final_test_eval": _metrics_dict(final_eval),
+        "final_test_eval": final_eval.as_dict(),
         "artifacts": artifacts,
     }
     with _stage("write-report"):
@@ -341,14 +324,14 @@ def cmd_compare(
     rows: list[dict] = []
 
     def _stacked_row(display: str, kind: str, members: Sequence[ClassifierId]) -> dict:
-        ensemble = fit_stack(vpm, members, meta_kind=meta, seed=derive_seed(config.seed, kind))
+        ensemble = fit_stack(vpm, members, meta_kind=meta)
         entry = evaluate(predict_stack(ensemble, tpm), tpm.truth, tpm.num_classes)
         return {
             "display": f"{display} ({len(members)})",
             "kind": kind,
             "members": [m.canonical for m in members],
             "members_count": len(members),
-            **_metrics_dict(entry),
+            **entry.as_dict(),
         }
 
     with _stage("compare-monolithic"):
@@ -360,7 +343,7 @@ def cmd_compare(
                     "kind": "monolithic",
                     "members": [cid.canonical],
                     "members_count": 1,
-                    **_metrics_dict(entry),
+                    **entry.as_dict(),
                 }
             )
     with _stage("compare-groups"):
@@ -603,8 +586,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 vpm = read_prediction_matrix(args.validation_matrix)
                 tpm = read_prediction_matrix(args.test_matrix)
             with _stage("stack"):
-                ensemble = fit_stack(vpm, list(args.members), meta_kind=args.meta.upper(),
-                                     seed=args.seed)
+                ensemble = fit_stack(vpm, list(args.members), meta_kind=args.meta.upper())
                 preds = predict_stack(ensemble, tpm)
             entry = evaluate(preds, tpm.truth, tpm.num_classes)
             out = args.out or os.path.join(outdir, "stack.json")

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClassifierId, PredictionMatrix, derive_seed
+from .core import ClassifierId, PredictionMatrix
 from .learners import SoftmaxRegression, _log_softmax
 
 META_KINDS = ("LR", "NB", "VOTE")
@@ -125,17 +125,14 @@ def fit_stack(
     validation_pm: PredictionMatrix,
     members: Sequence[ClassifierId | str],
     meta_kind: str = "LR",
-    seed: int = 0,
 ) -> StackedEnsemble:
     """Train the meta-classifier on validation predictions of the members.
 
     LR is softmax regression on the one-hot meta-features (step 0.1, 500
     epochs, L2 1e-4, zero init); NB is categorical naive Bayes over the
-    member predictions; VOTE has no parameters. All three are deterministic
-    for a fixed seed; the current meta-learners consume no randomness, the
-    seed is threaded for forward compatibility.
+    member predictions; VOTE has no parameters. None of the three consumes
+    randomness, so a fit is a pure function of its inputs.
     """
-    del seed
     meta_kind = meta_kind.strip().upper()
     if meta_kind not in META_KINDS:
         raise ValueError(f"unsupported meta_kind {meta_kind!r}; expected one of {META_KINDS}")

@@ -312,6 +312,7 @@ class PredictionMatrix:
         object.__setattr__(self, "predictions", preds)
         object.__setattr__(self, "truth", truth)
         object.__setattr__(self, "classifier_ids", tuple(self.classifier_ids))
+        object.__setattr__(self, "_columns", {name: j for j, name in enumerate(canon)})
 
     @property
     def n_instances(self) -> int:
@@ -323,10 +324,9 @@ class PredictionMatrix:
 
     def index_of(self, cid: ClassifierId | str) -> int:
         canonical = cid.canonical if isinstance(cid, ClassifierId) else str(cid).upper()
-        for i, candidate in enumerate(self.classifier_ids):
-            if candidate.canonical == canonical:
-                return i
-        raise ValueError(f"classifier {canonical!r} not present in the matrix")
+        if canonical not in self._columns:
+            raise ValueError(f"classifier {canonical!r} not present in the matrix")
+        return self._columns[canonical]
 
     def column(self, cid: ClassifierId | str) -> np.ndarray:
         return self.predictions[:, self.index_of(cid)]

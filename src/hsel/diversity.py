@@ -77,16 +77,11 @@ class DissimilarityMatrix:
     def mean_pairwise(self, indices: Sequence[int]) -> float:
         """Average distance over unordered pairs of the given members; 0 for
         fewer than two members."""
-        idx = list(indices)
-        if len(idx) < 2:
+        idx = np.asarray(indices, dtype=np.intp)
+        if idx.size < 2:
             return 0.0
-        total = 0.0
-        count = 0
-        for i in range(len(idx)):
-            for j in range(i + 1, len(idx)):
-                total += float(self.values[idx[i], idx[j]])
-                count += 1
-        return total / count
+        block = self.values[np.ix_(idx, idx)]
+        return float(block[np.triu_indices(idx.size, k=1)].mean())
 
 
 def dissimilarity_matrix(
@@ -96,8 +91,9 @@ def dissimilarity_matrix(
     """Pairwise distances over a prediction matrix's classifier columns.
 
     Each off-diagonal entry is ``conversion(double_fault(col_i, col_j))``;
-    the diagonal is 0 by construction. Each unordered pair is computed once
-    and mirrored, so the result is exactly symmetric. Alternate conversion
+    the diagonal is 0 by construction. Co-failure counts come from one exact
+    integer product ``wrong.T @ wrong``; each unordered pair is converted
+    once and mirrored, so the result is exactly symmetric. Alternate conversion
     strategies can be passed as a callable mapping a DF fraction to a
     distance in [0, 1].
     """
@@ -111,13 +107,12 @@ def dissimilarity_matrix(
         convert = CONVERSIONS[conversion]
     else:
         convert = conversion
-    n = pm.n_classifiers
-    wrong = pm.predictions != pm.truth[:, None]
-    values = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            df = int((wrong[:, i] & wrong[:, j]).sum()) / pm.n_instances
-            values[i, j] = values[j, i] = float(convert(df))
+    wrong = (pm.predictions != pm.truth[:, None]).astype(np.int64)
+    co_failures = wrong.T @ wrong
+    upper = np.triu_indices(pm.n_classifiers, k=1)
+    values = np.zeros_like(co_failures, dtype=np.float64)
+    values[upper] = [float(convert(int(c) / pm.n_instances)) for c in co_failures[upper]]
+    values.T[upper] = values[upper]
     return DissimilarityMatrix(ids=pm.classifier_ids, values=values)
 
 

@@ -209,24 +209,34 @@ def write_dendrogram(dendrogram: Dendrogram, path: str) -> None:
 
 
 def read_dendrogram(path: str) -> Dendrogram:
+    """Parse a ``write_dendrogram`` file. Malformed input raises ``ValueError``
+    naming ``path: line N``; a file that ends early names the line after its
+    last one."""
     with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines or lines[0] != DENDROGRAM_FORMAT:
-        raise ValueError(f"{path}: not a {DENDROGRAM_FORMAT} file")
-    if not lines[1].startswith("leaves "):
-        raise ValueError(f"{path}: line 2: expected 'leaves <count>'")
-    n_leaves = int(lines[1].split()[1])
-    leaf_ids = []
-    for i in range(n_leaves):
-        _, name = lines[2 + i].split(" ", 1)
-        leaf_ids.append(ClassifierId.parse(name))
-    merge_header = lines[2 + n_leaves]
-    if not merge_header.startswith("merges "):
-        raise ValueError(f"{path}: expected 'merges <count>' after the leaf table")
-    merges = []
-    for line in lines[3 + n_leaves :]:
-        _, left, right, distance, size = line.split()
-        merges.append(
-            MergeStep(left=int(left), right=int(right), distance=float(distance), size=int(size))
-        )
-    return Dendrogram(leaf_ids=tuple(leaf_ids), merges=tuple(merges))
+        numbered = [(n, line.split()) for n, line in enumerate(fh, start=1) if line.strip()]
+    end = numbered[-1][0] + 1 if numbered else 1
+    rows = iter(numbered)
+    lineno = end
+
+    def row(expected: str, width: int, head: Sequence[str] = ()) -> list[str]:
+        nonlocal lineno
+        lineno, fields = next(rows, (end, []))
+        if len(fields) != width or fields[: len(head)] != list(head):
+            raise ValueError(f"expected {expected}")
+        return fields
+
+    try:
+        row(repr(DENDROGRAM_FORMAT), 2, DENDROGRAM_FORMAT.split())
+        count = int(row("'leaves <count>'", 2, ["leaves"])[1])
+        leaf_ids = [ClassifierId.parse(row("'<index> <id>'", 2)[1]) for _ in range(count)]
+        count = int(row("'merges <count>' after the leaf table", 2, ["merges"])[1])
+        merges = []
+        for _ in range(count):
+            _, left, right, distance, size = row("'<node> <left> <right> <distance> <size>'", 5)
+            merges.append(
+                MergeStep(left=int(left), right=int(right), distance=float(distance), size=int(size))
+            )
+        row("the end of the file", 0)
+        return Dendrogram(leaf_ids=tuple(leaf_ids), merges=tuple(merges))
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {lineno}: {exc}") from None

@@ -1,22 +1,25 @@
 """Ensemble candidate selection over the clustered pool.
 
-``hierarchy_select`` sweeps every hierarchy level k, cutting the dendrogram
-into k flat clusters and keeping the best-scoring classifier of each
-cluster, which yields one candidate ensemble per level. ``choose_final``
-turns the candidate list into a single deployed ensemble under a
-configurable rule. The elbow heuristic, per-token groups, and the random
-baseline provide the comparison points.
+``hierarchy_select`` sweeps every hierarchy level k and keeps the
+best-scoring classifier of each of the k clusters, which yields one
+candidate ensemble per level; the levels are nested prefixes of one merge
+sequence, so a single replay of ``Dendrogram.merges`` visits all of them.
+``choose_final`` turns the candidate list into a single deployed ensemble
+under a configurable rule. The elbow heuristic, per-token groups, and the
+random baseline provide the comparison points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .core import METRIC_NAMES, ClassifierId, EvalEntry
 from .diversity import DissimilarityMatrix
-from .hiercluster import Dendrogram, f_cluster
+from .hiercluster import Dendrogram
 
 FINAL_RULES = ("max-validation", "max-diversity", "weighted")
 
@@ -40,18 +43,31 @@ class EnsembleCandidate:
         return replace(self, validation_score=score)
 
 
+def _merge_pairs(dendrogram: Dendrogram) -> Iterator[tuple[int, int]]:
+    """Replay the merges naming each cluster by its smallest leaf: yields the
+    merged cluster's name and the name it retires. After ``P - k`` steps the
+    surviving names, ascending, order the level-k clusters as ``f_cluster``."""
+    names = list(range(dendrogram.num_leaves))
+    for step in dendrogram.merges:
+        kept, retired = sorted((names[step.left], names[step.right]))
+        names.append(kept)
+        yield kept, retired
+
+
 def hierarchy_select(
     dendrogram: Dendrogram,
     matrix: DissimilarityMatrix,
     scores: Mapping[str, EvalEntry],
     metric: str = "accuracy",
 ) -> list[EnsembleCandidate]:
-    """One candidate ensemble per hierarchy level k = 1..P.
+    """One candidate ensemble per hierarchy level k = 1..P, ascending in k.
 
-    At each level the pool is partitioned into k flat clusters and the
-    classifier maximizing the chosen metric is kept from each cluster, ties
-    broken toward the lexicographically smallest canonical id. Candidate
-    members are ordered by cluster label (ascending smallest leaf index).
+    At each level the classifier maximizing the chosen metric is kept from
+    each of the k clusters, ties broken toward the lexicographically smallest
+    canonical id. Candidate members are ordered by cluster label (ascending
+    smallest leaf index). One replay of the merges, starting from singletons
+    at k = P, gives every level: a merged cluster's best member is the better
+    of its two children's best members.
     """
     if metric not in METRIC_NAMES:
         raise ValueError(f"metric {metric!r} absent from scores; expected one of {METRIC_NAMES}")
@@ -63,27 +79,24 @@ def hierarchy_select(
     if missing:
         raise ValueError(f"scores missing for classifiers: {missing}")
 
-    p = dendrogram.num_leaves
-    candidates = []
-    for k in range(1, p + 1):
-        labels = f_cluster(dendrogram, k)
-        member_indices = []
-        for label in range(1, k + 1):
-            cluster = [i for i in range(p) if labels[i] == label]
-            best = min(
-                cluster,
-                key=lambda i: (-scores[dendro_ids[i]].metric(metric), dendro_ids[i]),
-            )
-            member_indices.append(best)
-        candidates.append(
-            EnsembleCandidate(
-                level_k=k,
-                metric_name=metric,
-                members=tuple(dendrogram.leaf_ids[i] for i in member_indices),
-                mean_pairwise_distance=matrix.mean_pairwise(member_indices),
-            )
+    keys = [(-scores[name].metric(metric), name) for name in dendro_ids]
+    best = np.arange(dendrogram.num_leaves)
+    alive = np.ones(dendrogram.num_leaves, dtype=bool)
+    levels = [best.copy()]
+    for kept, retired in _merge_pairs(dendrogram):
+        if keys[best[retired]] < keys[best[kept]]:
+            best[kept] = best[retired]
+        alive[retired] = False
+        levels.append(best[alive])
+    return [
+        EnsembleCandidate(
+            level_k=len(members),
+            metric_name=metric,
+            members=tuple(dendrogram.leaf_ids[i] for i in members),
+            mean_pairwise_distance=matrix.mean_pairwise(members),
         )
-    return candidates
+        for members in reversed(levels)
+    ]
 
 
 def _rule_key(candidate: EnsembleCandidate, rule: str, alpha: float):
@@ -148,18 +161,17 @@ def _chord_knee(w: Sequence[float]) -> int:
 
 
 def within_cluster_totals(dendrogram: Dendrogram, matrix: DissimilarityMatrix) -> list[float]:
-    """W(k) for k = 1..P: total within-cluster pairwise distance at level k."""
-    p = dendrogram.num_leaves
-    totals = []
-    for k in range(1, p + 1):
-        labels = f_cluster(dendrogram, k)
-        w = 0.0
-        for i in range(p):
-            for j in range(i + 1, p):
-                if labels[i] == labels[j]:
-                    w += float(matrix.values[i, j])
-        totals.append(w)
-    return totals
+    """W(k) for k = 1..P: total within-cluster pairwise distance at level k.
+
+    One replay of the merges: W(P) = 0 and W(k - 1) = W(k) plus the
+    cross-sum between the two clusters merged at that step."""
+    leaves = [[i] for i in range(dendrogram.num_leaves)]
+    totals = [0.0]
+    for kept, retired in _merge_pairs(dendrogram):
+        cross = float(matrix.values[np.ix_(leaves[kept], leaves[retired])].sum())
+        totals.append(totals[-1] + cross)
+        leaves[kept] += leaves[retired]
+    return totals[::-1]
 
 
 def elbow_select(dendrogram: Dendrogram, matrix: DissimilarityMatrix) -> int:

@@ -3,13 +3,16 @@
 Everything here is deliberately brute force and shares no code with the
 implementations under test: the agglomerator recomputes inter-cluster
 distances from the original matrix at every step instead of using the
-Lance-Williams recursion, and the metric oracle builds its confusion matrix
-with plain loops.
+Lance-Williams recursion, the metric oracle builds its confusion matrix
+with plain loops, and the level-sweep oracle cuts the dendrogram afresh at
+every level instead of replaying the merges once.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from hsel.hiercluster import f_cluster
 
 
 def double_fault_oracle(pred_a, pred_b, truth) -> float:
@@ -100,3 +103,37 @@ def random_symmetric_matrix(rng: np.random.Generator, p: int) -> np.ndarray:
         for j in range(i + 1, p):
             values[i, j] = values[j, i] = float(rng.random())
     return values
+
+
+def level_sweep_oracle(dendrogram, values, leaf_scores, leaf_names):
+    """Per level k = 1..P: (members, W(k), mean pairwise distance of members).
+
+    One ``f_cluster`` cut per k; each cluster keeps its highest-scoring leaf,
+    ties to the smallest name; members follow the cut's labels. W(k) and the
+    mean distance come from plain pair loops over the original matrix.
+    """
+    p = len(leaf_names)
+    levels = []
+    for k in range(1, p + 1):
+        labels = f_cluster(dendrogram, k)
+        members = []
+        for label in range(1, k + 1):
+            best = None
+            for i in range(p):
+                if labels[i] != label:
+                    continue
+                if (
+                    best is None
+                    or leaf_scores[i] > leaf_scores[best]
+                    or (leaf_scores[i] == leaf_scores[best] and leaf_names[i] < leaf_names[best])
+                ):
+                    best = i
+            members.append(best)
+        w = 0.0
+        for i in range(p):
+            for j in range(i + 1, p):
+                if labels[i] == labels[j]:
+                    w += float(values[i, j])
+        pairs = [float(values[a, b]) for x, a in enumerate(members) for b in members[x + 1 :]]
+        levels.append((members, w, sum(pairs) / len(pairs) if pairs else 0.0))
+    return levels

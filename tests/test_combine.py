@@ -96,8 +96,8 @@ class TestFitStack:
 
     def test_deterministic_for_fixed_seed(self):
         pm = _correct_wrong_pm()
-        a = fit_stack(pm, ["GOOD-A", "BAD-A"], meta_kind="LR", seed=4)
-        b = fit_stack(pm, ["GOOD-A", "BAD-A"], meta_kind="LR", seed=4)
+        a = fit_stack(pm, ["GOOD-A", "BAD-A"], meta_kind="LR")
+        b = fit_stack(pm, ["GOOD-A", "BAD-A"], meta_kind="LR")
         assert np.array_equal(a.model.weights_, b.model.weights_)
         assert np.array_equal(a.model.bias_, b.model.bias_)
 

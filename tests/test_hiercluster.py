@@ -1,5 +1,7 @@
 """Agglomerative clustering: linkage methods, flat cuts, exports."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,34 @@ class TestDendrogramExport:
         assert "merges 2" in text
         back = read_dendrogram(path)
         assert back == dendro
+
+    @pytest.mark.parametrize(
+        "edit, lineno",
+        [
+            (lambda lines: lines[:1], 2),
+            (lambda lines: lines[:4], 5),
+            (lambda lines: lines[:5] + lines[6:], 6),
+            (lambda lines: lines[:6] + ["3 0 1 0.25"] + lines[7:], 7),
+            (lambda lines: lines[:7] + [lines[7].replace("0.75", "far")], 8),
+        ],
+        ids=[
+            "header-only",
+            "short-leaf-table",
+            "missing-merges-header",
+            "merge-field-count",
+            "non-numeric-distance",
+        ],
+    )
+    def test_malformed_file_names_path_and_line(self, tmp_path, edit, lineno):
+        ids = tuple(ClassifierId.parse(s) for s in ("CV-NB", "CV-LR", "TFIDF-NB"))
+        path = str(tmp_path / "dendro.txt")
+        write_dendrogram(linkage(_matrix3(0.25, 0.5, 0.75), "complete", leaf_ids=ids), path)
+        lines = open(path).read().splitlines()
+        assert lines[7] == "4 2 3 0.75 3"
+        with open(path, "w") as fh:
+            fh.write("\n".join(edit(lines)) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: line {lineno}: "):
+            read_dendrogram(path)
 
     def test_structural_validation(self):
         ids = (ClassifierId("A", "X"), ClassifierId("B", "X"))

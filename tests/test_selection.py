@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hsel.core import ClassifierId, EvalEntry, evaluate_matrix
-from hsel.diversity import dissimilarity_matrix
-from hsel.hiercluster import linkage
+from hsel.diversity import DissimilarityMatrix, dissimilarity_matrix
+from hsel.hiercluster import LINKAGE_METHODS, linkage
 from hsel.selection import (
     EnsembleCandidate,
     _chord_knee,
@@ -17,7 +17,7 @@ from hsel.selection import (
     within_cluster_totals,
 )
 
-from oracles import random_symmetric_matrix
+from oracles import level_sweep_oracle, random_symmetric_matrix
 
 
 def _entry(value: float) -> EvalEntry:
@@ -87,8 +87,6 @@ class TestHierarchySelect:
             p = int(rng.integers(3, 9))
             values = random_symmetric_matrix(rng, p)
             ids = tuple(ClassifierId(f"E{i:02d}", "A") for i in range(p))
-            from hsel.diversity import DissimilarityMatrix
-
             matrix = DissimilarityMatrix(ids=ids, values=values)
             dendro = linkage(matrix, "average")
             scores = {
@@ -107,6 +105,35 @@ class TestHierarchySelect:
         incomplete.pop("CV-NB")
         with pytest.raises(ValueError, match="CV-NB"):
             hierarchy_select(dendro, matrix, incomplete)
+
+    @pytest.mark.parametrize("method", LINKAGE_METHODS)
+    def test_matches_per_level_cut_oracle(self, method):
+        # Coarse distances and scores drawn from three values make linkage ties
+        # and score ties common; shuffled names make the id tie-break matter.
+        rng = np.random.default_rng(2024)
+        for trial in range(60):
+            p = int(rng.integers(2, 13))
+            values = random_symmetric_matrix(rng, p)
+            if trial % 2:
+                values = np.round(values * 4) / 4
+            ids = tuple(ClassifierId(f"E{n}", "A") for n in rng.permutation(p))
+            matrix = DissimilarityMatrix(ids=ids, values=values)
+            dendro = linkage(matrix, method)
+            leaf_scores = [float(v) for v in rng.choice([0.5, 0.6, 0.7], size=p)]
+            names = [cid.canonical for cid in ids]
+            scores = {name: _entry(v) for name, v in zip(names, leaf_scores)}
+
+            oracle = level_sweep_oracle(dendro, matrix.values, leaf_scores, names)
+            candidates = hierarchy_select(dendro, matrix, scores)
+            totals = within_cluster_totals(dendro, matrix)
+            assert [c.level_k for c in candidates] == list(range(1, p + 1))
+            assert len(totals) == p
+            for candidate, total, (members, w, mean) in zip(candidates, totals, oracle):
+                assert candidate.members == tuple(ids[i] for i in members)
+                assert candidate.mean_pairwise_distance == pytest.approx(mean, abs=1e-12)
+                assert total == pytest.approx(w, abs=1e-12)
+            if p >= 3:
+                assert elbow_select(dendro, matrix) == _chord_knee([w for _, w, _ in oracle])
 
 
 def _candidate(k, dist, score, names=None):
@@ -172,8 +199,6 @@ class TestElbow:
     def test_zero_matrix_elbow_is_two(self):
         values = np.zeros((4, 4))
         ids = tuple(ClassifierId(f"E{i}", "A") for i in range(4))
-        from hsel.diversity import DissimilarityMatrix
-
         matrix = DissimilarityMatrix(ids=ids, values=values)
         dendro = linkage(matrix, "complete")
         assert elbow_select(dendro, matrix) == 2
@@ -205,8 +230,6 @@ class TestElbow:
     def test_requires_three_classifiers(self):
         values = np.array([[0.0, 0.5], [0.5, 0.0]])
         ids = (ClassifierId("E0", "A"), ClassifierId("E1", "A"))
-        from hsel.diversity import DissimilarityMatrix
-
         matrix = DissimilarityMatrix(ids=ids, values=values)
         dendro = linkage(matrix, "complete")
         with pytest.raises(ValueError):
