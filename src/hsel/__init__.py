@@ -11,6 +11,7 @@ from .combine import (
     META_KINDS,
     StackedEnsemble,
     fit_stack,
+    fit_stacks,
     meta_features,
     predict_stack,
     stack_from_json,

@@ -18,8 +18,16 @@ from importlib import resources
 from typing import Sequence
 
 import jsonschema
+import numpy as np
 
-from .combine import META_KINDS, fit_stack, predict_stack, stack_to_json
+from .combine import (
+    META_KINDS,
+    StackedEnsemble,
+    fit_stack,
+    fit_stacks,
+    predict_stack,
+    stack_to_json,
+)
 from .core import (
     METRIC_NAMES,
     ClassifierId,
@@ -121,53 +129,67 @@ def _candidate_doc(candidate: EnsembleCandidate) -> dict:
     }
 
 
+Stacks = dict[tuple[str, ...], tuple[StackedEnsemble, np.ndarray]]
+
+
+def _member_key(members: Sequence[ClassifierId]) -> tuple[str, ...]:
+    return tuple(m.canonical for m in members)
+
+
 def _score_candidates(
-    candidates: list[EnsembleCandidate],
+    sweeps: dict[str, list[EnsembleCandidate]],
     vpm: PredictionMatrix,
     meta_kind: str,
-    metric: str,
-    cache: dict,
-) -> list[EnsembleCandidate]:
-    """Stack each candidate on validation and record its metric there.
+) -> tuple[dict[str, list[EnsembleCandidate]], Stacks]:
+    """Stack every distinct candidate of every metric's sweep on validation
+    and record each metric there.
 
-    Validation data is reused for base scoring and meta-training by design;
-    held-out measurement happens on TEST only.
+    The distinct member tuples are fitted in one ``fit_stacks`` call. The
+    returned cache maps each tuple to its ensemble and its validation
+    predictions, so the deployed ensembles reuse these fits. Validation data
+    is reused for base scoring and meta-training by design; held-out
+    measurement happens on TEST only.
     """
-    scored = []
-    for candidate in candidates:
-        key = tuple(m.canonical for m in candidate.members)
-        if key not in cache:
-            ensemble = fit_stack(vpm, candidate.members, meta_kind=meta_kind)
-            cache[key] = predict_stack(ensemble, vpm)
-        entry = evaluate(cache[key], vpm.truth, vpm.num_classes)
-        scored.append(candidate.with_score(entry.metric(metric)))
-    return scored
+    distinct = {
+        _member_key(c.members): c.members for candidates in sweeps.values() for c in candidates
+    }
+    ensembles = fit_stacks(vpm, list(distinct.values()), meta_kind=meta_kind)
+    stacks: Stacks = {}
+    entries = {}
+    for key, ensemble in zip(distinct, ensembles):
+        stacks[key] = (ensemble, predict_stack(ensemble, vpm))
+        entries[key] = evaluate(stacks[key][1], vpm.truth, vpm.num_classes)
+    scored = {
+        metric: [c.with_score(entries[_member_key(c.members)].metric(metric)) for c in candidates]
+        for metric, candidates in sweeps.items()
+    }
+    return scored, stacks
 
 
 def _selection_sweep(
     vpm: PredictionMatrix,
     config: RunConfig,
-) -> tuple[DissimilarityMatrix, Dendrogram, dict, dict[str, list[EnsembleCandidate]], int | None]:
-    """Shared middle of the pipeline: matrix, dendrogram, scored sweeps."""
+) -> tuple[
+    DissimilarityMatrix, Dendrogram, dict, dict[str, list[EnsembleCandidate]], Stacks, int | None
+]:
+    """Shared middle of the pipeline: matrix, dendrogram, scored sweeps and
+    the stacked ensemble of every candidate."""
     with _stage("evaluate-pool"):
         scores = evaluate_matrix(vpm)
     with _stage("dissimilarity"):
         matrix = dissimilarity_matrix(vpm, conversion=config.conversion)
     with _stage("linkage"):
         dendro = linkage(matrix, method=config.linkage)
-    sweeps: dict[str, list[EnsembleCandidate]] = {}
-    cache: dict = {}
     with _stage("hierarchy-select"):
-        for metric in config.metrics:
-            sweeps[metric] = hierarchy_select(dendro, matrix, scores, metric=metric)
+        sweeps = {
+            metric: hierarchy_select(dendro, matrix, scores, metric=metric)
+            for metric in config.metrics
+        }
     with _stage("stack-candidates"):
-        for metric in config.metrics:
-            sweeps[metric] = _score_candidates(
-                sweeps[metric], vpm, config.meta_kind, metric, cache
-            )
+        sweeps, stacks = _score_candidates(sweeps, vpm, config.meta_kind)
     with _stage("elbow"):
         elbow_k = elbow_select(dendro, matrix) if dendro.num_leaves >= 3 else None
-    return matrix, dendro, scores, sweeps, elbow_k
+    return matrix, dendro, scores, sweeps, stacks, elbow_k
 
 
 def _selection_report_doc(
@@ -222,15 +244,14 @@ def cmd_run(config: RunConfig) -> dict:
     os.makedirs(config.outdir, exist_ok=True)
     corpus, mapping = _build_corpus(config)
     vpm, tpm = _build_matrices(config, corpus)
-    matrix, dendro, scores, sweeps, elbow_k = _selection_sweep(vpm, config)
+    matrix, dendro, scores, sweeps, stacks, elbow_k = _selection_sweep(vpm, config)
 
     primary_metric = config.metrics[0]
     with _stage("choose-final"):
         final = choose_final(sweeps[primary_metric], rule=config.rule, alpha=config.alpha)
     with _stage("stack-final"):
-        ensemble = fit_stack(vpm, final.members, meta_kind=config.meta_kind)
-        test_restricted = tpm.select(final.members)
-        test_preds = predict_stack(ensemble, test_restricted)
+        ensemble, _ = stacks[_member_key(final.members)]
+        test_preds = predict_stack(ensemble, tpm)
     with _stage("evaluate-final"):
         final_eval = evaluate(test_preds, tpm.truth, tpm.num_classes)
 
@@ -311,28 +332,22 @@ def cmd_compare(
                 c.canonical for c in tpm.classifier_ids
             ]:
                 raise ValueError("validation and test matrices must share one column order")
+            if vpm.num_classes != tpm.num_classes:
+                raise ValueError(
+                    f"{validation_matrix} has {vpm.num_classes} classes but {test_matrix}"
+                    f" has {tpm.num_classes}"
+                )
     else:
         corpus, _ = _build_corpus(config)
         vpm, tpm = _build_matrices(config, corpus)
 
-    matrix, dendro, scores, sweeps, elbow_k = _selection_sweep(vpm, config)
+    matrix, dendro, scores, sweeps, stacks, elbow_k = _selection_sweep(vpm, config)
     primary_metric = config.metrics[0]
     with _stage("choose-final"):
         final = choose_final(sweeps[primary_metric], rule=config.rule, alpha=config.alpha)
 
     meta = config.meta_kind.upper()
     rows: list[dict] = []
-
-    def _stacked_row(display: str, kind: str, members: Sequence[ClassifierId]) -> dict:
-        ensemble = fit_stack(vpm, members, meta_kind=meta)
-        entry = evaluate(predict_stack(ensemble, tpm), tpm.truth, tpm.num_classes)
-        return {
-            "display": f"{display} ({len(members)})",
-            "kind": kind,
-            "members": [m.canonical for m in members],
-            "members_count": len(members),
-            **entry.as_dict(),
-        }
 
     with _stage("compare-monolithic"):
         for cid in vpm.classifier_ids:
@@ -348,15 +363,39 @@ def cmd_compare(
             )
     with _stage("compare-groups"):
         ids = list(vpm.classifier_ids)
-        for token in _ordered_unique([cid.algorithm for cid in ids]):
-            rows.append(_stacked_row(f"A-{token}-{meta}", "group_a", group_members(ids, "A", token)))
-        for token in _ordered_unique([cid.extractor for cid in ids]):
-            rows.append(_stacked_row(f"B-{token}-{meta}", "group_b", group_members(ids, "B", token)))
-        rows.append(_stacked_row(f"C-{meta}", "group_c", group_members(ids, "C")))
-        rows.append(_stacked_row(f"D-{meta}", "group_d", list(final.members)))
+        groups = [
+            (f"A-{token}-{meta}", "group_a", group_members(ids, "A", token))
+            for token in _ordered_unique([cid.algorithm for cid in ids])
+        ]
+        groups += [
+            (f"B-{token}-{meta}", "group_b", group_members(ids, "B", token))
+            for token in _ordered_unique([cid.extractor for cid in ids])
+        ]
+        groups.append((f"C-{meta}", "group_c", group_members(ids, "C")))
+        groups.append((f"D-{meta}", "group_d", list(final.members)))
         if elbow_k is not None:
-            elbow_members = sweeps[primary_metric][elbow_k - 1].members
-            rows.append(_stacked_row(f"ELBOW-{meta}", "elbow", list(elbow_members)))
+            elbow_members = list(sweeps[primary_metric][elbow_k - 1].members)
+            groups.append((f"ELBOW-{meta}", "elbow", elbow_members))
+        # Sweep candidates (always D and ELBOW) reuse the sweep's fits.
+        ensembles = {key: ensemble for key, (ensemble, _) in stacks.items()}
+        missing = {
+            _member_key(members): members
+            for _, _, members in groups
+            if _member_key(members) not in ensembles
+        }
+        ensembles.update(zip(missing, fit_stacks(vpm, list(missing.values()), meta_kind=meta)))
+        for display, kind, members in groups:
+            preds = predict_stack(ensembles[_member_key(members)], tpm)
+            entry = evaluate(preds, tpm.truth, tpm.num_classes)
+            rows.append(
+                {
+                    "display": f"{display} ({len(members)})",
+                    "kind": kind,
+                    "members": [m.canonical for m in members],
+                    "members_count": len(members),
+                    **entry.as_dict(),
+                }
+            )
     with _stage("compare-baseline"):
         base = random_baseline(vpm.num_classes)
         rows.append(
@@ -572,7 +611,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             os.makedirs(config.outdir, exist_ok=True)
             with _stage("ingest"):
                 vpm = read_prediction_matrix(args.matrix, args.meta_file)
-            _, _, _, sweeps, elbow_k = _selection_sweep(vpm, config)
+            _, _, _, sweeps, _, elbow_k = _selection_sweep(vpm, config)
             out = os.path.join(config.outdir, "selection_report.json")
             with _stage("write-report"):
                 _emit_report(_selection_report_doc(config, sweeps, elbow_k),

@@ -1,6 +1,12 @@
 """Stacking combination: one-hot meta-features from member predictions, a
 meta-classifier trained on validation outputs, and final test predictions.
-A parameterless plurality vote is available as the fallback combiner."""
+A parameterless plurality vote is available as the fallback combiner.
+
+``fit_stacks`` fits many member lists at once: LR meta-classifiers over one
+one-hot matrix of the union of their members, trained together in one
+gradient descent (``learners.fit_softmax_models``). The CLI fits every
+distinct candidate of a level sweep this way and keeps the ensembles, so
+the deployed and compared ensembles reuse those fits."""
 
 from __future__ import annotations
 
@@ -11,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ClassifierId, PredictionMatrix
-from .learners import SoftmaxRegression, _log_softmax
+from .learners import SoftmaxRegression, _log_softmax, fit_softmax_models
 
 META_KINDS = ("LR", "NB", "VOTE")
 
@@ -121,40 +127,66 @@ class StackedEnsemble:
         return len(self.members) * self.num_classes
 
 
+def fit_stacks(
+    validation_pm: PredictionMatrix,
+    member_lists: Sequence[Sequence[ClassifierId | str]],
+    meta_kind: str = "LR",
+) -> list[StackedEnsemble]:
+    """Train one meta-classifier per member list on validation predictions.
+
+    LR is softmax regression on the one-hot meta-features (step 0.1, 500
+    epochs, L2 1e-4, zero init). All LR lists are fitted together by
+    ``fit_softmax_models`` over one one-hot matrix of the union of their
+    members, each list on its own members' blocks in its own order. NB is
+    categorical naive Bayes over the member predictions; VOTE has no
+    parameters. None of the three consumes randomness, so each fit is a
+    pure function of its inputs.
+    """
+    meta_kind = meta_kind.strip().upper()
+    if meta_kind not in META_KINDS:
+        raise ValueError(f"unsupported meta_kind {meta_kind!r}; expected one of {META_KINDS}")
+    lists = [_normalize_members(members) for members in member_lists]
+    if not all(lists):
+        raise ValueError("need at least one member")
+    for members in lists:
+        validation_pm.select(members)  # rejects unknown and repeated members
+    num_classes = validation_pm.num_classes
+    if validation_pm.n_instances < num_classes:
+        raise ValueError(
+            f"need at least {num_classes} validation rows, got {validation_pm.n_instances}"
+        )
+    if not lists:
+        return []
+    if meta_kind == "LR":
+        union = list(dict.fromkeys(m for members in lists for m in members))
+        block = {m: j * num_classes for j, m in enumerate(union)}
+        classes = np.arange(num_classes)
+        columns = [np.concatenate([block[m] + classes for m in members]) for members in lists]
+        models = [SoftmaxRegression(step=0.1, epochs=500, l2=1e-4) for _ in lists]
+        X = meta_features(validation_pm, union, num_classes)
+        fit_softmax_models(models, X, validation_pm.truth, num_classes, columns)
+    elif meta_kind == "NB":
+        models = [
+            CategoricalNB().fit(
+                validation_pm.select(members).predictions, validation_pm.truth, num_classes
+            )
+            for members in lists
+        ]
+    else:
+        models = [None] * len(lists)
+    return [
+        StackedEnsemble(members=members, meta_kind=meta_kind, num_classes=num_classes, model=model)
+        for members, model in zip(lists, models)
+    ]
+
+
 def fit_stack(
     validation_pm: PredictionMatrix,
     members: Sequence[ClassifierId | str],
     meta_kind: str = "LR",
 ) -> StackedEnsemble:
-    """Train the meta-classifier on validation predictions of the members.
-
-    LR is softmax regression on the one-hot meta-features (step 0.1, 500
-    epochs, L2 1e-4, zero init); NB is categorical naive Bayes over the
-    member predictions; VOTE has no parameters. None of the three consumes
-    randomness, so a fit is a pure function of its inputs.
-    """
-    meta_kind = meta_kind.strip().upper()
-    if meta_kind not in META_KINDS:
-        raise ValueError(f"unsupported meta_kind {meta_kind!r}; expected one of {META_KINDS}")
-    members = _normalize_members(members)
-    if not members:
-        raise ValueError("need at least one member")
-    sub = validation_pm.select(members)
-    if sub.n_instances < sub.num_classes:
-        raise ValueError(
-            f"need at least {sub.num_classes} validation rows, got {sub.n_instances}"
-        )
-    if meta_kind == "LR":
-        X = meta_features(sub, members, sub.num_classes)
-        model = SoftmaxRegression(step=0.1, epochs=500, l2=1e-4)
-        model.fit(X, sub.truth, sub.num_classes)
-    elif meta_kind == "NB":
-        model = CategoricalNB().fit(sub.predictions, sub.truth, sub.num_classes)
-    else:
-        model = None
-    return StackedEnsemble(
-        members=members, meta_kind=meta_kind, num_classes=sub.num_classes, model=model
-    )
+    """``fit_stacks`` for a single member list."""
+    return fit_stacks(validation_pm, [members], meta_kind)[0]
 
 
 def predict_stack(ensemble: StackedEnsemble, pm: PredictionMatrix) -> np.ndarray:

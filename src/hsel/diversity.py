@@ -136,18 +136,31 @@ def read_dissimilarity_csv(path: str) -> DissimilarityMatrix:
         if not header or header[0].strip().lower() != "id":
             raise ValueError(f"{path}: line 1: first header field must be 'id'")
         names = [h.strip() for h in header[1:]]
+        try:
+            ids = tuple(ClassifierId.parse(name) for name in names)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line 1: {exc}") from None
         rows = []
+        lineno = 1
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(rows) == len(names):
+                raise ValueError(f"{path}: line {lineno}: more rows than the {len(names)} ids")
             if len(row) != len(names) + 1:
                 raise ValueError(
                     f"{path}: line {lineno}: expected {len(names) + 1} fields, found {len(row)}"
                 )
-            if row[0].strip() != names[lineno - 2]:
+            if row[0].strip() != names[len(rows)]:
                 raise ValueError(
                     f"{path}: line {lineno}: row id {row[0]!r} does not match header order"
                 )
-            rows.append([float(v) for v in row[1:]])
-    ids = tuple(ClassifierId.parse(name) for name in names)
+            try:
+                rows.append([float(v) for v in row[1:]])
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: non-numeric distance") from None
+    if len(rows) != len(names):
+        raise ValueError(
+            f"{path}: line {lineno + 1}: expected {len(names)} rows, found {len(rows)}"
+        )
     return DissimilarityMatrix(ids=ids, values=np.array(rows, dtype=np.float64))

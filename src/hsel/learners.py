@@ -3,9 +3,17 @@
 All four are deterministic: none consumes randomness, softmax regression
 starts from zero weights, and every tie is broken toward the smallest class
 index.
+
+Softmax regression has one training routine, ``fit_softmax_models``: it
+trains any number of models that share one design matrix, each on its own
+column subset, in one class-major gradient descent. A single fit is the
+batch of one; the stacking layer fits every meta-classifier of a sweep as
+one batch.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -64,7 +72,8 @@ class SoftmaxRegression:
     The regularized cross-entropy objective is tracked per epoch; if a step
     ever increases it, the step is reverted and training halts with the
     ``diverged`` flag set, so callers can diagnose a bad step size instead of
-    silently training on garbage.
+    silently training on garbage. ``fit`` is ``fit_softmax_models`` with one
+    model over all columns.
     """
 
     def __init__(self, step: float = 0.1, epochs: int = 300, l2: float = 1e-4):
@@ -73,56 +82,133 @@ class SoftmaxRegression:
         self.l2 = l2
         self.weights_: np.ndarray | None = None
         self.bias_: np.ndarray | None = None
-        self.loss_history_: list[float] = []
+        self.loss_history_ = np.empty(0)
         self.diverged = False
         self.diverged_epoch: int | None = None
 
-    def _loss_and_grads(self, X, Y, y):
-        scores = X @ self.weights_ + self.bias_
-        log_probs = _log_softmax(scores)
-        n = X.shape[0]
-        loss = -log_probs[np.arange(n), y].mean() + 0.5 * self.l2 * float(
-            (self.weights_ ** 2).sum()
-        )
-        delta = (np.exp(log_probs) - Y) / n
-        grad_w = X.T @ delta + self.l2 * self.weights_
-        grad_b = delta.sum(axis=0)
-        return loss, grad_w, grad_b
-
     def fit(self, X: np.ndarray, y: np.ndarray, num_classes: int) -> "SoftmaxRegression":
         X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        n, d = X.shape
-        Y = np.zeros((n, num_classes), dtype=np.float64)
-        Y[np.arange(n), y] = 1.0
-        self.weights_ = np.zeros((d, num_classes), dtype=np.float64)
-        self.bias_ = np.zeros(num_classes, dtype=np.float64)
-        self.loss_history_ = []
-        self.diverged = False
-        self.diverged_epoch = None
-
-        prev_w = prev_b = None
-        for epoch in range(self.epochs):
-            loss, grad_w, grad_b = self._loss_and_grads(X, Y, y)
-            if self.loss_history_ and loss > self.loss_history_[-1] + 1e-12:
-                self.weights_, self.bias_ = prev_w, prev_b
-                self.diverged = True
-                self.diverged_epoch = epoch
-                break
-            self.loss_history_.append(float(loss))
-            prev_w, prev_b = self.weights_.copy(), self.bias_.copy()
-            self.weights_ = self.weights_ - self.step * grad_w
-            self.bias_ = self.bias_ - self.step * grad_b
+        fit_softmax_models([self], X, y, num_classes, [np.arange(X.shape[1])])
         return self
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=np.float64) @ self.weights_ + self.bias_
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.decision_scores(X), axis=1)
+        """Highest-scoring class; scores within ``1e-12 * max(1, |top|)`` of
+        the top score tie, and a tie goes to the smallest class index, so
+        rounding noise in the weights does not decide a prediction."""
+        scores = self.decision_scores(X)
+        top = scores.max(axis=1, keepdims=True)
+        near_top = scores >= top - 1e-12 * np.maximum(1.0, np.abs(top))
+        return np.argmax(near_top, axis=1)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return np.exp(_log_softmax(self.decision_scores(X)))
+
+
+def fit_softmax_models(
+    models: Sequence[SoftmaxRegression],
+    X: np.ndarray,
+    y: np.ndarray,
+    num_classes: int,
+    columns: Sequence[np.ndarray],
+) -> None:
+    """Train ``models[m]`` on ``X[:, columns[m]]`` for every m, together.
+
+    All models share one design matrix and one gradient-descent loop, so
+    the per-epoch cost of numpy calls is paid once for the batch. Arrays
+    are class-major, shape (C, M, N) for scores and (C, M, D) for weights:
+    the softmax max, sum and log over classes run elementwise across C
+    contiguous slabs. Model m's weights outside ``columns[m]`` get a step
+    size of zero and stay zero, so it computes what a fit on its own
+    columns computes, up to float summation order.
+
+    Each model keeps its own divergence rule: when its loss rises by more
+    than 1e-12, its weights revert to the previous epoch's, ``diverged``
+    and ``diverged_epoch`` are set, and it stops updating while the others
+    continue. The models must share ``step``, ``epochs`` and ``l2``. Each
+    gets ``weights_`` of shape (len(columns[m]), C) in column order and
+    ``loss_history_``, an array with the loss of every epoch it kept.
+    """
+    if not models:
+        return
+    step, epochs, l2 = models[0].step, models[0].epochs, models[0].l2
+    if any((model.step, model.epochs, model.l2) != (step, epochs, l2) for model in models):
+        raise ValueError("models trained together must share step, epochs and l2")
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n, d = X.shape
+    c, m = num_classes, len(models)
+    rows = np.arange(n)
+    # Step size per model and column: 0 outside the model's own columns,
+    # and 0 everywhere once the model has stopped.
+    rates = np.zeros((1, m, d))
+    for i, cols in enumerate(columns):
+        rates[0, i, cols] = step
+    bias_rates = np.full((1, m, 1), step)
+    onehot = np.zeros((c, 1, n))
+    onehot[y, 0, rows] = 1.0
+
+    # Preallocated buffers, updated in place every epoch.
+    weights, prev_weights, grad, scratch = (np.zeros((c, m, d)) for _ in range(4))
+    bias, prev_bias, grad_b = (np.zeros((c, m, 1)) for _ in range(3))
+    scores = np.empty((c, m, n))
+    top, log_norm = np.empty((m, n)), np.empty((m, n))
+    flat_w, flat_s, flat_g = (a.reshape(c * m, -1) for a in (weights, scores, grad))
+    losses = np.empty((epochs, m))
+    kept = np.zeros(m, dtype=np.int64)
+    stopped_at = np.full(m, -1)
+    active = np.ones(m, dtype=bool)
+
+    for epoch in range(epochs):
+        np.matmul(flat_w, X.T, out=flat_s)
+        scores += bias
+        np.max(scores, axis=0, out=top)
+        scores -= top
+        # Sum of exp over the class slabs, one slab at a time (``top`` is
+        # free now), so no second (C, M, N) buffer is needed.
+        np.exp(scores[0], out=log_norm)
+        for slab in scores[1:]:
+            log_norm += np.exp(slab, out=top)
+        np.log(log_norm, out=log_norm)
+        scores -= log_norm
+        np.square(weights, out=scratch)
+        loss = -scores[y, :, rows].mean(axis=0) + 0.5 * l2 * scratch.sum(axis=(0, 2))
+        # scores becomes delta = (probabilities - one-hot labels) / n.
+        np.exp(scores, out=scores)
+        scores -= onehot
+        scores /= n
+        np.matmul(flat_s, X, out=flat_g)
+        np.multiply(weights, l2, out=scratch)
+        grad += scratch
+        np.sum(scores, axis=2, keepdims=True, out=grad_b)
+        if epoch:
+            rising = active & (loss > losses[epoch - 1] + 1e-12)
+            if rising.any():
+                weights[:, rising] = prev_weights[:, rising]
+                bias[:, rising] = prev_bias[:, rising]
+                rates[:, rising] = 0.0
+                bias_rates[:, rising] = 0.0
+                stopped_at[rising] = epoch
+                active &= ~rising
+                if not active.any():
+                    break
+        losses[epoch] = loss
+        kept += active
+        np.copyto(prev_weights, weights)
+        np.copyto(prev_bias, bias)
+        grad *= rates
+        grad_b *= bias_rates
+        weights -= grad
+        bias -= grad_b
+
+    for i, (model, cols) in enumerate(zip(models, columns)):
+        model.weights_ = weights[:, i, cols].T.copy()
+        model.bias_ = bias[:, i, 0].copy()
+        model.loss_history_ = losses[: kept[i], i].copy()
+        model.diverged = bool(stopped_at[i] >= 0)
+        model.diverged_epoch = int(stopped_at[i]) if model.diverged else None
 
 
 class CosineKNN:

@@ -171,12 +171,22 @@ def read_prediction_matrix(path: str, meta_path: str | None = None) -> Predictio
     """Parse and validate a prediction-matrix file; errors carry line numbers."""
     meta_path = meta_path or path + ".meta.json"
     with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"{meta_path}: line {exc.lineno}: malformed sidecar: {exc.msg}"
+            ) from None
     for key in ("num_classes", "split"):
         if key not in meta:
             raise ValueError(f"{meta_path}: missing required key {key!r}")
-    num_classes = int(meta["num_classes"])
-    split = Split(meta["split"])
+    if meta.get("format", MATRIX_FORMAT) != MATRIX_FORMAT:
+        raise ValueError(f"{meta_path}: format {meta['format']!r} is not {MATRIX_FORMAT!r}")
+    try:
+        num_classes = int(meta["num_classes"])
+        split = Split(meta["split"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -219,6 +229,11 @@ def read_prediction_matrix(path: str, meta_path: str | None = None) -> Predictio
             pred_rows.append(values[1:])
     if not pred_rows:
         raise ValueError(f"{path}: matrix has no instance rows")
+    if meta.get("instances", len(pred_rows)) != len(pred_rows):
+        raise ValueError(
+            f"{meta_path}: instances is {meta['instances']!r} but {path} has"
+            f" {len(pred_rows)} rows"
+        )
 
     return PredictionMatrix(
         classifier_ids=ids,

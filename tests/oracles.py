@@ -5,7 +5,8 @@ implementations under test: the agglomerator recomputes inter-cluster
 distances from the original matrix at every step instead of using the
 Lance-Williams recursion, the metric oracle builds its confusion matrix
 with plain loops, and the level-sweep oracle cuts the dendrogram afresh at
-every level instead of replaying the merges once.
+every level instead of replaying the merges once, and the gradient-descent
+oracle fits one softmax regression at a time in row-major layout.
 """
 
 from __future__ import annotations
@@ -137,3 +138,44 @@ def level_sweep_oracle(dendrogram, values, leaf_scores, leaf_names):
         pairs = [float(values[a, b]) for x, a in enumerate(members) for b in members[x + 1 :]]
         levels.append((members, w, sum(pairs) / len(pairs) if pairs else 0.0))
     return levels
+
+
+def _log_softmax_rows(scores: np.ndarray) -> np.ndarray:
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def softmax_gd_oracle(X, y, num_classes, step, epochs, l2):
+    """One softmax regression by full-batch gradient descent, N x C layout.
+
+    Returns (weights (D, C), bias (C,), loss history, diverged epoch or
+    None). On a loss rise of more than 1e-12 the step is reverted and
+    training stops.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n, d = X.shape
+    Y = np.zeros((n, num_classes), dtype=np.float64)
+    Y[np.arange(n), y] = 1.0
+    weights = np.zeros((d, num_classes), dtype=np.float64)
+    bias = np.zeros(num_classes, dtype=np.float64)
+    history: list[float] = []
+    diverged_epoch = None
+
+    prev_w = prev_b = None
+    for epoch in range(epochs):
+        scores = X @ weights + bias
+        log_probs = _log_softmax_rows(scores)
+        loss = -log_probs[np.arange(n), y].mean() + 0.5 * l2 * float((weights ** 2).sum())
+        delta = (np.exp(log_probs) - Y) / n
+        grad_w = X.T @ delta + l2 * weights
+        grad_b = delta.sum(axis=0)
+        if history and loss > history[-1] + 1e-12:
+            weights, bias = prev_w, prev_b
+            diverged_epoch = epoch
+            break
+        history.append(float(loss))
+        prev_w, prev_b = weights.copy(), bias.copy()
+        weights = weights - step * grad_w
+        bias = bias - step * grad_b
+    return weights, bias, history, diverged_epoch

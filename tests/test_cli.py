@@ -129,6 +129,19 @@ class TestCompare:
         assert d_row["members_count"] < c_row["members_count"]
         assert d_row["accuracy"] >= c_row["accuracy"] - 0.02
 
+    def test_matrix_mode_rejects_class_count_mismatch(self, tmp_path, capsys):
+        val_path, test_path = tmp_path / "val.csv", tmp_path / "test.csv"
+        for path, num_classes in ((val_path, 2), (test_path, 3)):
+            path.write_text("truth,CV-NB,CV-LR\n0,0,1\n1,1,1\n")
+            (tmp_path / f"{path.name}.meta.json").write_text(
+                f'{{"num_classes": {num_classes}, "split": "TEST"}}'
+            )
+        rc = main(["compare", "--validation-matrix", str(val_path), "--test-matrix",
+                   str(test_path), "--outdir", str(tmp_path / "cmp")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert str(val_path) in err and str(test_path) in err
+
 
 class TestIngest:
     def test_valid_file_summary(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ from hsel.combine import (
     CategoricalNB,
     StackedEnsemble,
     fit_stack,
+    fit_stacks,
     meta_features,
     predict_stack,
     stack_from_json,
@@ -100,6 +101,32 @@ class TestFitStack:
         b = fit_stack(pm, ["GOOD-A", "BAD-A"], meta_kind="LR")
         assert np.array_equal(a.model.weights_, b.model.weights_)
         assert np.array_equal(a.model.bias_, b.model.bias_)
+
+    def test_fit_stacks_matches_standalone_fits(self):
+        # Sixty members that always say 0 make a step of 0.1 overshoot, so
+        # that list diverges while the others train on in the same batch.
+        rng = np.random.default_rng(3)
+        truth = rng.integers(0, 2, 40)
+        columns = [truth, 1 - truth] + [np.where(rng.random(40) < 0.8, 0, 1) for _ in range(3)]
+        columns += [np.zeros(40, dtype=np.int64)] * 60
+        names = [f"E{j}-A" for j in range(len(columns))]
+        pm = _pm(columns, truth, names=names)
+        lists = [names[:1], names[:3], names[5:], names[4:1:-1], names[1:2] + names[3:5]]
+        batch = fit_stacks(pm, lists)
+        assert [e.model.diverged for e in batch] == [False, False, True, False, False]
+        for members, ensemble in zip(lists, batch):
+            alone = fit_stack(pm, members)
+            assert ensemble.members == alone.members
+            assert np.allclose(ensemble.model.weights_, alone.model.weights_, rtol=0, atol=1e-12)
+            assert np.allclose(ensemble.model.bias_, alone.model.bias_, rtol=0, atol=1e-12)
+            assert ensemble.model.diverged_epoch == alone.model.diverged_epoch
+            assert len(ensemble.model.loss_history_) == len(alone.model.loss_history_)
+            assert np.array_equal(predict_stack(ensemble, pm), predict_stack(alone, pm))
+
+    def test_fit_stacks_rejects_repeated_member(self):
+        pm = _correct_wrong_pm()
+        with pytest.raises(ValueError, match="duplicate"):
+            fit_stacks(pm, [["GOOD-A"], ["GOOD-A", "GOOD-A"]])
 
 
 class TestPredictStack:

@@ -138,3 +138,18 @@ class TestDissimilarityMatrix:
         back = read_dissimilarity_csv(path)
         assert back.ids == matrix.ids
         assert np.array_equal(back.values, matrix.values)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("id,A-X,B-X\nA-X,0,1\nB-X,1,0\nC-X,1,1\n", 4),  # extra row
+            ("id,A-X,B-X\nA-X,0,x\nB-X,1,0\n", 2),  # non-numeric cell
+            ("id,A-X,B-X\nA-X,0,1\n", 3),  # fewer rows than ids
+            ("id,A-X,BX\nA-X,0,1\nBX,1,0\n", 1),  # unparseable id
+        ],
+    )
+    def test_malformed_csv_names_path_and_line(self, tmp_path, text, line):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"m.csv: line {line}:"):
+            read_dissimilarity_csv(str(path))

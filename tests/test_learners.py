@@ -8,8 +8,10 @@ from hsel.learners import (
     MultinomialNB,
     NearestCentroid,
     SoftmaxRegression,
+    fit_softmax_models,
     make_learner,
 )
+from oracles import softmax_gd_oracle
 
 
 def _separable_data(n=60, seed=2):
@@ -65,6 +67,60 @@ class TestSoftmaxRegression:
         assert model.diverged
         assert model.diverged_epoch is not None
         assert len(model.loss_history_) == model.diverged_epoch
+
+    def test_matches_row_major_oracle(self):
+        # Dense and one-hot designs; steps 2.0 and 50.0 diverge on many of
+        # them. Each case fits one model alone, and on the stable steps also
+        # a batch of three over random column subsets, each checked against
+        # the oracle on its own columns. Past the stable range, rounding
+        # noise along a direction with zero gradient can grow until it trips
+        # the divergence rule, at an epoch that depends on summation order;
+        # test_combine checks a batch with a genuine overshoot.
+        rng = np.random.default_rng(13)
+        diverged = 0
+        for case in range(120):
+            n, d, c = int(rng.integers(4, 50)), int(rng.integers(1, 10)), int(rng.integers(2, 5))
+            if case % 2:
+                X = np.zeros((n, d * c))
+                for j in range(d):
+                    X[np.arange(n), j * c + rng.integers(0, c, n)] = 1.0
+            else:
+                X = rng.random((n, d))
+            y = rng.integers(0, c, n)
+            step = float(rng.choice([0.1, 0.5, 2.0, 50.0]))
+            epochs = int(rng.integers(1, 120))
+            single = SoftmaxRegression(step=step, epochs=epochs).fit(X, y, c)
+            checks = [(single, np.arange(X.shape[1]))]
+            if step <= 0.5:
+                columns = [rng.permutation(X.shape[1])[: rng.integers(1, X.shape[1] + 1)]
+                           for _ in range(3)]
+                batch = [SoftmaxRegression(step=step, epochs=epochs) for _ in columns]
+                fit_softmax_models(batch, X, y, c, columns)
+                checks += list(zip(batch, columns))
+            for model, cols in checks:
+                weights, bias, history, diverged_epoch = softmax_gd_oracle(
+                    X[:, cols], y, c, step, epochs, 1e-4
+                )
+                assert np.allclose(model.weights_, weights, rtol=0, atol=1e-12), case
+                assert np.allclose(model.bias_, bias, rtol=0, atol=1e-12), case
+                assert model.diverged_epoch == diverged_epoch, case
+                assert model.diverged == (diverged_epoch is not None), case
+                assert len(model.loss_history_) == len(history), case
+            diverged += single.diverged
+        assert diverged >= 20
+
+    def test_score_ties_break_to_smallest_class(self):
+        model = SoftmaxRegression()
+        model.weights_ = np.zeros((2, 3))
+        X = np.ones((1, 2))
+        # 1e-17 apart: a tie, decided by rule and not by rounding noise.
+        model.bias_ = np.array([0.0, 1e-17, -1.0])
+        assert model.predict(X).tolist() == [0]
+        model.bias_ = np.array([-1.0, 1e5, 1e5 + 1e-8])
+        assert model.predict(X).tolist() == [1]
+        # A real margin still wins.
+        model.bias_ = np.array([0.0, 1e-9, -1.0])
+        assert model.predict(X).tolist() == [1]
 
 
 class TestCosineKNN:

@@ -180,6 +180,23 @@ class TestWireFormat:
         with pytest.raises(ValueError, match="duplicate"):
             read_prediction_matrix(str(path))
 
+    @pytest.mark.parametrize(
+        "sidecar, message",
+        [
+            ('{"num_classes": 2, "split": "TEST", "format": "nope"}', "format"),
+            ('{"num_classes": 2, "split": "TEST", "instances": 7}', "instances"),
+            ('{"num_classes": 2', "line 1"),
+            ('{"num_classes": "two", "split": "TEST"}', "two"),
+            ('{"num_classes": 2, "split": "BOGUS"}', "BOGUS"),
+        ],
+    )
+    def test_bad_sidecar_names_sidecar_path(self, tmp_path, sidecar, message):
+        path = tmp_path / "pm.csv"
+        path.write_text("truth,CV-NB\n0,0\n1,1\n")
+        (tmp_path / "pm.csv.meta.json").write_text(sidecar)
+        with pytest.raises(ValueError, match=rf"pm\.csv\.meta\.json: .*{message}"):
+            read_prediction_matrix(str(path))
+
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_roundtrip_property(self, tmp_path_factory, data):
