@@ -12,7 +12,7 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from importlib import resources
 from typing import Sequence
@@ -302,14 +302,6 @@ def cmd_run(config: RunConfig) -> dict:
     return report
 
 
-def _ordered_unique(values: Sequence[str]) -> list[str]:
-    seen: list[str] = []
-    for v in values:
-        if v not in seen:
-            seen.append(v)
-    return seen
-
-
 def cmd_compare(
     config: RunConfig,
     validation_matrix: str | None = None,
@@ -365,11 +357,11 @@ def cmd_compare(
         ids = list(vpm.classifier_ids)
         groups = [
             (f"A-{token}-{meta}", "group_a", group_members(ids, "A", token))
-            for token in _ordered_unique([cid.algorithm for cid in ids])
+            for token in dict.fromkeys(cid.algorithm for cid in ids)
         ]
         groups += [
             (f"B-{token}-{meta}", "group_b", group_members(ids, "B", token))
-            for token in _ordered_unique([cid.extractor for cid in ids])
+            for token in dict.fromkeys(cid.extractor for cid in ids)
         ]
         groups.append((f"C-{meta}", "group_c", group_members(ids, "C")))
         groups.append((f"D-{meta}", "group_d", list(final.members)))
@@ -451,46 +443,45 @@ def _parse_metrics(text: str) -> tuple[str, ...]:
     return tokens
 
 
-def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ratios", type=_parse_ratios, default=(0.6, 0.2, 0.2),
-                        help="train,validation,test fractions (default: 0.6,0.2,0.2)")
-    parser.add_argument("--extractors", type=_parse_tokens, default=("COUNT", "TFIDF", "HASHED"),
-                        help="feature extractor tokens (default: COUNT,TFIDF,HASHED)")
-    parser.add_argument("--algorithms", type=_parse_tokens, default=("NB", "LR", "KNN", "NC"),
-                        help="learning algorithm tokens (default: NB,LR,KNN,NC)")
+_DEFAULTS = RunConfig(corpus="")
+
+# Options that set a RunConfig field: field -> (flag, help, argparse keywords).
+# Each takes the field's default and names it in its help.
+_FIELD_OPTIONS = {
+    "ratios": ("--ratios", "train,validation,test fractions", {"type": _parse_ratios}),
+    "extractors": ("--extractors", "feature extractor tokens", {"type": _parse_tokens}),
+    "algorithms": ("--algorithms", "learning algorithm tokens", {"type": _parse_tokens}),
+    "linkage": ("--linkage", "inter-cluster distance rule", {"choices": LINKAGE_METHODS}),
+    "conversion": ("--conversion", "double-fault to distance conversion",
+                   {"choices": sorted(CONVERSIONS)}),
+    "metrics": ("--metrics", "per-cluster selection metrics; the first one drives the "
+                "deployed ensemble", {"type": _parse_metrics}),
+    "rule": ("--rule", "final candidate choice rule", {"choices": FINAL_RULES}),
+    "alpha": ("--alpha", "score weight for the weighted rule", {"type": float}),
+    "meta_kind": ("--meta", "stacking meta-classifier",
+                  {"type": str.upper, "choices": META_KINDS}),
+    "seed": ("--seed", "global random seed", {"type": int}),
+    "outdir": ("--outdir", f"output directory, overridden by ${OUTPUT_DIR_ENV}", {}),
+}
+_COMMON_FIELDS = ("seed", "outdir")
+_PIPELINE_FIELDS = ("ratios", "extractors", "algorithms")
+_SELECTION_FIELDS = ("linkage", "conversion", "metrics", "rule", "alpha", "meta_kind")
 
 
-def _add_selection_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--linkage", choices=LINKAGE_METHODS, default="complete",
-                        help="inter-cluster distance rule (default: complete)")
-    parser.add_argument("--conversion", choices=sorted(CONVERSIONS), default="complement",
-                        help="double-fault to distance conversion (default: complement)")
-    parser.add_argument("--metrics", type=_parse_metrics, default=METRIC_NAMES,
-                        help="per-cluster selection metrics; the first one drives the "
-                             "deployed ensemble (default: accuracy,precision,recall,f1)")
-    parser.add_argument("--rule", choices=FINAL_RULES, default="max-validation",
-                        help="final candidate choice rule (default: max-validation)")
-    parser.add_argument("--alpha", type=float, default=0.5,
-                        help="score weight for the weighted rule (default: 0.5)")
-    parser.add_argument("--meta", choices=META_KINDS + tuple(m.lower() for m in META_KINDS),
-                        default="LR", help="stacking meta-classifier (default: LR)")
+def _add_field_options(parser: argparse.ArgumentParser, names: Sequence[str]) -> None:
+    for name in names:
+        flag, text, kwargs = _FIELD_OPTIONS[name]
+        default = getattr(_DEFAULTS, name)
+        shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+        parser.add_argument(flag, dest=name, default=default, help=f"{text} (default: {shown})",
+                            **kwargs)
 
 
-def _config_from_args(args: argparse.Namespace, corpus: str = "") -> RunConfig:
-    return RunConfig(
-        corpus=corpus,
-        ratios=getattr(args, "ratios", (0.6, 0.2, 0.2)),
-        seed=args.seed,
-        extractors=getattr(args, "extractors", ("COUNT", "TFIDF", "HASHED")),
-        algorithms=getattr(args, "algorithms", ("NB", "LR", "KNN", "NC")),
-        linkage=getattr(args, "linkage", "complete"),
-        conversion=getattr(args, "conversion", "complement"),
-        metrics=getattr(args, "metrics", METRIC_NAMES),
-        rule=getattr(args, "rule", "max-validation"),
-        alpha=getattr(args, "alpha", 0.5),
-        meta_kind=getattr(args, "meta", "LR").upper(),
-        outdir=os.environ.get(OUTPUT_DIR_ENV) or args.outdir,
-    )
+def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The subcommand's own options; ``RunConfig``'s defaults fill the rest."""
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    given["corpus"] = given.get("corpus") or ""
+    return RunConfig(**given)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,58 +493,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=7, help="global random seed (default: 7)")
-        p.add_argument("--outdir", default="hsel-out",
-                       help=f"output directory (default: hsel-out; ${OUTPUT_DIR_ENV} overrides)")
-
     p_run = sub.add_parser("run", help="full pipeline over a corpus file")
     p_run.add_argument("--corpus", required=True, help="text,label corpus file")
-    _add_pipeline_options(p_run)
-    _add_selection_options(p_run)
-    common(p_run)
+    _add_field_options(p_run, _PIPELINE_FIELDS + _SELECTION_FIELDS + _COMMON_FIELDS)
 
     p_cmp = sub.add_parser("compare", help="selection strategies side by side on TEST")
     p_cmp.add_argument("--corpus", help="text,label corpus file (native pool mode)")
     p_cmp.add_argument("--validation-matrix", help="ingested validation prediction matrix")
     p_cmp.add_argument("--test-matrix", help="ingested test prediction matrix")
-    _add_pipeline_options(p_cmp)
-    _add_selection_options(p_cmp)
-    common(p_cmp)
+    _add_field_options(p_cmp, _PIPELINE_FIELDS + _SELECTION_FIELDS + _COMMON_FIELDS)
 
     p_ing = sub.add_parser("ingest", help="validate a prediction-matrix file")
     p_ing.add_argument("matrix", help="prediction-matrix file")
     p_ing.add_argument("--meta-file", help="sidecar metadata (default: <matrix>.meta.json)")
-    common(p_ing)
+    _add_field_options(p_ing, _COMMON_FIELDS)
 
     p_div = sub.add_parser("diversity", help="dissimilarity matrix from a prediction matrix")
     p_div.add_argument("--matrix", required=True)
     p_div.add_argument("--meta-file")
-    p_div.add_argument("--conversion", choices=sorted(CONVERSIONS), default="complement")
     p_div.add_argument("--out", help="output path (default: <outdir>/dissimilarity.csv)")
-    common(p_div)
+    _add_field_options(p_div, ("conversion",) + _COMMON_FIELDS)
 
     p_clu = sub.add_parser("cluster", help="dendrogram from a dissimilarity matrix")
     p_clu.add_argument("--dissimilarity", required=True)
-    p_clu.add_argument("--linkage", choices=LINKAGE_METHODS, default="complete")
     p_clu.add_argument("--out", help="output path (default: <outdir>/dendrogram.txt)")
-    common(p_clu)
+    _add_field_options(p_clu, ("linkage",) + _COMMON_FIELDS)
 
     p_sel = sub.add_parser("select", help="hierarchy-level sweep over an ingested matrix")
     p_sel.add_argument("--matrix", required=True, help="validation prediction matrix")
     p_sel.add_argument("--meta-file")
-    _add_selection_options(p_sel)
-    common(p_sel)
+    _add_field_options(p_sel, _SELECTION_FIELDS + _COMMON_FIELDS)
 
     p_stk = sub.add_parser("stack", help="fit a stacked ensemble from ingested matrices")
     p_stk.add_argument("--validation-matrix", required=True)
     p_stk.add_argument("--test-matrix", required=True)
     p_stk.add_argument("--members", required=True, type=_parse_tokens,
                        help="comma-separated canonical classifier ids")
-    p_stk.add_argument("--meta", choices=META_KINDS + tuple(m.lower() for m in META_KINDS),
-                       default="LR")
     p_stk.add_argument("--out", help="output path (default: <outdir>/stack.json)")
-    common(p_stk)
+    _add_field_options(p_stk, ("meta_kind",) + _COMMON_FIELDS)
 
     return parser
 
@@ -561,20 +538,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.outdir = os.environ.get(OUTPUT_DIR_ENV) or args.outdir
     try:
         if args.command == "run":
-            config = _config_from_args(args, corpus=args.corpus)
-            report = cmd_run(config)
-            print(json.dumps(report["final_test_eval"], indent=2, sort_keys=True))
-            return 0
-        if args.command == "compare":
+            report = cmd_run(_config_from_args(args))
+            shown = json.dumps(report["final_test_eval"], indent=2, sort_keys=True)
+        elif args.command == "compare":
             if not args.corpus and not args.validation_matrix:
                 parser.error("compare needs --corpus or --validation-matrix/--test-matrix")
-            config = _config_from_args(args, corpus=args.corpus or "")
+            config = _config_from_args(args)
             cmd_compare(config, args.validation_matrix, args.test_matrix)
-            print(os.path.join(config.outdir, "compare_report.json"))
-            return 0
-        if args.command == "ingest":
+            shown = os.path.join(config.outdir, "compare_report.json")
+        elif args.command == "ingest":
             pm = cmd_ingest(args.matrix, args.meta_file)
             summary = {
                 "classifiers": [c.canonical for c in pm.classifier_ids],
@@ -582,64 +557,52 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "num_classes": pm.num_classes,
                 "split": pm.split_tag.value,
             }
-            print(json.dumps(summary, indent=2, sort_keys=True))
-            return 0
-        if args.command == "diversity":
-            outdir = os.environ.get(OUTPUT_DIR_ENV) or args.outdir
-            os.makedirs(outdir, exist_ok=True)
+            shown = json.dumps(summary, indent=2, sort_keys=True)
+        elif args.command == "diversity":
+            os.makedirs(args.outdir, exist_ok=True)
             with _stage("ingest"):
                 pm = read_prediction_matrix(args.matrix, args.meta_file)
             with _stage("dissimilarity"):
                 matrix = dissimilarity_matrix(pm, conversion=args.conversion)
-            out = args.out or os.path.join(outdir, "dissimilarity.csv")
-            write_dissimilarity_csv(matrix, out)
-            print(out)
-            return 0
-        if args.command == "cluster":
-            outdir = os.environ.get(OUTPUT_DIR_ENV) or args.outdir
-            os.makedirs(outdir, exist_ok=True)
+            shown = args.out or os.path.join(args.outdir, "dissimilarity.csv")
+            write_dissimilarity_csv(matrix, shown)
+        elif args.command == "cluster":
+            os.makedirs(args.outdir, exist_ok=True)
             with _stage("read-dissimilarity"):
                 matrix = read_dissimilarity_csv(args.dissimilarity)
             with _stage("linkage"):
                 dendro = linkage(matrix, method=args.linkage)
-            out = args.out or os.path.join(outdir, "dendrogram.txt")
-            write_dendrogram(dendro, out)
-            print(out)
-            return 0
-        if args.command == "select":
+            shown = args.out or os.path.join(args.outdir, "dendrogram.txt")
+            write_dendrogram(dendro, shown)
+        elif args.command == "select":
             config = _config_from_args(args)
             os.makedirs(config.outdir, exist_ok=True)
             with _stage("ingest"):
                 vpm = read_prediction_matrix(args.matrix, args.meta_file)
             _, _, _, sweeps, _, elbow_k = _selection_sweep(vpm, config)
-            out = os.path.join(config.outdir, "selection_report.json")
+            shown = os.path.join(config.outdir, "selection_report.json")
             with _stage("write-report"):
                 _emit_report(_selection_report_doc(config, sweeps, elbow_k),
-                             "selection_report", out)
-            print(out)
-            return 0
-        if args.command == "stack":
-            outdir = os.environ.get(OUTPUT_DIR_ENV) or args.outdir
-            os.makedirs(outdir, exist_ok=True)
+                             "selection_report", shown)
+        else:  # stack
+            os.makedirs(args.outdir, exist_ok=True)
             with _stage("ingest"):
                 vpm = read_prediction_matrix(args.validation_matrix)
                 tpm = read_prediction_matrix(args.test_matrix)
             with _stage("stack"):
-                ensemble = fit_stack(vpm, list(args.members), meta_kind=args.meta.upper())
+                ensemble = fit_stack(vpm, list(args.members), meta_kind=args.meta_kind)
                 preds = predict_stack(ensemble, tpm)
             entry = evaluate(preds, tpm.truth, tpm.num_classes)
-            out = args.out or os.path.join(outdir, "stack.json")
+            out = args.out or os.path.join(args.outdir, "stack.json")
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(stack_to_json(ensemble))
-            print(json.dumps({"stack": out, "test_eval": entry.as_dict()},
-                             indent=2, sort_keys=True))
-            return 0
-        parser.error(f"unknown command {args.command!r}")
+            shown = json.dumps({"stack": out, "test_eval": entry.as_dict()},
+                               indent=2, sort_keys=True)
     except StageError as exc:
         print(f"error [{exc.stage}]: {exc}", file=sys.stderr)
         return 1
+    print(shown)
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,6 +1,12 @@
 """Stacking combination: one-hot meta-features from member predictions, a
 meta-classifier trained on validation outputs, and final test predictions.
-A parameterless plurality vote is available as the fallback combiner.
+
+Over the one-hot blocks every meta-classifier is one linear scorer: row i
+scores ``bias + sum_j weights[j * C + pred_ij]`` and the top class wins,
+ties to the smallest class. The kinds differ only in the weights, kept in a
+``SoftmaxRegression``: LR learns them by gradient descent; NB's are the
+closed-form log likelihoods of categorical naive Bayes, with the log class
+prior as bias; VOTE's are identity blocks with zero bias (plurality vote).
 
 ``fit_stacks`` fits many member lists at once: LR meta-classifiers over one
 one-hot matrix of the union of their members, trained together in one
@@ -17,18 +23,17 @@ from typing import Sequence
 import numpy as np
 
 from .core import ClassifierId, PredictionMatrix
-from .learners import SoftmaxRegression, _log_softmax, fit_softmax_models
+from .learners import SoftmaxRegression, fit_softmax_models, top_class
 
 META_KINDS = ("LR", "NB", "VOTE")
 
 STACK_FORMAT = "hsel-stack"
 
+_NB_ALPHA = 1.0  # add-one smoothing of the NB counts
+
 
 def _normalize_members(members: Sequence[ClassifierId | str]) -> tuple[ClassifierId, ...]:
-    out = []
-    for m in members:
-        out.append(m if isinstance(m, ClassifierId) else ClassifierId.parse(str(m)))
-    return tuple(out)
+    return tuple(m if isinstance(m, ClassifierId) else ClassifierId.parse(str(m)) for m in members)
 
 
 def meta_features(
@@ -44,63 +49,10 @@ def meta_features(
     members = _normalize_members(members)
     if not members:
         raise ValueError("need at least one member")
-    columns = [pm.column(m) for m in members]
-    n = pm.n_instances
-    out = np.zeros((n, len(members) * num_classes), dtype=np.float64)
-    rows = np.arange(n)
-    for j, col in enumerate(columns):
-        out[rows, j * num_classes + col] = 1.0
-    return out
-
-
-class CategoricalNB:
-    """Naive Bayes over the member-prediction categories with add-one
-    smoothing; equivalent to multinomial counts over the one-hot blocks."""
-
-    def __init__(self, alpha: float = 1.0):
-        self.alpha = alpha
-        self.class_log_prior_: np.ndarray | None = None
-        self.log_likelihood_: np.ndarray | None = None
-
-    def fit(self, columns: np.ndarray, y: np.ndarray, num_classes: int) -> "CategoricalNB":
-        columns = np.asarray(columns, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
-        n, j_members = columns.shape
-        counts = np.bincount(y, minlength=num_classes).astype(np.float64)
-        priors = np.where(counts > 0, counts, 1e-12) / n
-        self.class_log_prior_ = np.log(priors)
-        like = np.zeros((j_members, num_classes, num_classes), dtype=np.float64)
-        for j in range(j_members):
-            for c in range(num_classes):
-                mask = y == c
-                value_counts = np.bincount(columns[mask, j], minlength=num_classes).astype(
-                    np.float64
-                )
-                smoothed = value_counts + self.alpha
-                like[j, c] = np.log(smoothed / smoothed.sum())
-        self.log_likelihood_ = like
-        return self
-
-    def _joint(self, columns: np.ndarray) -> np.ndarray:
-        columns = np.asarray(columns, dtype=np.int64)
-        n, j_members = columns.shape
-        joint = np.tile(self.class_log_prior_, (n, 1))
-        for j in range(j_members):
-            joint += self.log_likelihood_[j, :, columns[:, j]]
-        return joint
-
-    def predict(self, columns: np.ndarray) -> np.ndarray:
-        return np.argmax(self._joint(columns), axis=1)
-
-    def predict_proba(self, columns: np.ndarray) -> np.ndarray:
-        return np.exp(_log_softmax(self._joint(columns)))
-
-
-def _plurality(columns: np.ndarray, num_classes: int) -> np.ndarray:
-    out = np.empty(columns.shape[0], dtype=np.int64)
-    for i, row in enumerate(columns):
-        votes = np.bincount(row, minlength=num_classes)
-        out[i] = int(np.argmax(votes))
+    out = np.zeros((pm.n_instances, len(members) * num_classes), dtype=np.float64)
+    rows = np.arange(pm.n_instances)
+    for j, member in enumerate(members):
+        out[rows, j * num_classes + pm.column(member)] = 1.0
     return out
 
 
@@ -110,13 +62,14 @@ class StackedEnsemble:
 
     The meta-feature layout is one one-hot block of width ``num_classes``
     per member, in member order; ``layout`` lists each member's block
-    offset.
+    offset. ``model`` holds the linear scorer for every meta kind:
+    ``weights_`` of shape (members * C, C) and ``bias_`` of shape (C,).
     """
 
     members: tuple[ClassifierId, ...]
     meta_kind: str
     num_classes: int
-    model: object | None
+    model: SoftmaxRegression
 
     @property
     def layout(self) -> list[tuple[str, int]]:
@@ -125,6 +78,29 @@ class StackedEnsemble:
     @property
     def meta_feature_dimension(self) -> int:
         return len(self.members) * self.num_classes
+
+
+def _nb_weights(pm: PredictionMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Categorical naive Bayes as a linear scorer over the one-hot blocks.
+
+    Row ``j * C + v``, column c holds log P(member j says v | class c), from
+    exact integer counts with add-one smoothing. The bias is log P(c); a
+    class absent from the truth keeps a 1e-12 prior so log() stays finite.
+    """
+    predictions, truth, c = pm.predictions, pm.truth, pm.num_classes
+    n, members = predictions.shape
+    cells = (np.arange(members) * c + predictions) * c + truth[:, None]
+    counts = np.bincount(cells.ravel(), minlength=members * c * c).reshape(members, c, c)
+    smoothed = counts + _NB_ALPHA
+    weights = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
+    class_counts = np.bincount(truth, minlength=c)
+    bias = np.log(np.where(class_counts > 0, class_counts, 1e-12) / n)
+    return weights.reshape(members * c, c), bias
+
+
+def _vote_weights(members: int, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Plurality vote as a linear scorer: each member adds 1 to its class."""
+    return np.tile(np.eye(num_classes), (members, 1)), np.zeros(num_classes)
 
 
 def fit_stacks(
@@ -137,10 +113,11 @@ def fit_stacks(
     LR is softmax regression on the one-hot meta-features (step 0.1, 500
     epochs, L2 1e-4, zero init). All LR lists are fitted together by
     ``fit_softmax_models`` over one one-hot matrix of the union of their
-    members, each list on its own members' blocks in its own order. NB is
-    categorical naive Bayes over the member predictions; VOTE has no
-    parameters. None of the three consumes randomness, so each fit is a
-    pure function of its inputs.
+    members, each list on its own members' blocks in its own order. NB
+    (categorical naive Bayes) and VOTE (plurality) weights are closed-form
+    and computed once for the union; each list takes its members' rows.
+    None of the three consumes randomness, so each fit is a pure function
+    of its inputs.
     """
     meta_kind = meta_kind.strip().upper()
     if meta_kind not in META_KINDS:
@@ -157,23 +134,26 @@ def fit_stacks(
         )
     if not lists:
         return []
+    union = list(dict.fromkeys(m for members in lists for m in members))
+    block = {m: j * num_classes for j, m in enumerate(union)}
+    classes = np.arange(num_classes)
+    rows = [np.concatenate([block[m] + classes for m in members]) for members in lists]
+    models = [SoftmaxRegression(step=0.1, epochs=500, l2=1e-4) for _ in lists]
     if meta_kind == "LR":
-        union = list(dict.fromkeys(m for members in lists for m in members))
-        block = {m: j * num_classes for j, m in enumerate(union)}
-        classes = np.arange(num_classes)
-        columns = [np.concatenate([block[m] + classes for m in members]) for members in lists]
-        models = [SoftmaxRegression(step=0.1, epochs=500, l2=1e-4) for _ in lists]
         X = meta_features(validation_pm, union, num_classes)
-        fit_softmax_models(models, X, validation_pm.truth, num_classes, columns)
+        fit_softmax_models(models, X, validation_pm.truth, num_classes, rows)
     elif meta_kind == "NB":
-        models = [
-            CategoricalNB().fit(
-                validation_pm.select(members).predictions, validation_pm.truth, num_classes
-            )
-            for members in lists
-        ]
+        weights, bias = _nb_weights(validation_pm.select(union))
+        for model, model_rows in zip(models, rows):
+            model.weights_, model.bias_ = weights[model_rows], bias.copy()
     else:
-        models = [None] * len(lists)
+        # VOTE rows do not depend on the member, so every list shares the
+        # leading rows of one read-only array: views, not copies.
+        weights, bias = _vote_weights(len(union), num_classes)
+        weights.setflags(write=False)
+        bias.setflags(write=False)
+        for model, model_rows in zip(models, rows):
+            model.weights_, model.bias_ = weights[: len(model_rows)], bias
     return [
         StackedEnsemble(members=members, meta_kind=meta_kind, num_classes=num_classes, model=model)
         for members, model in zip(lists, models)
@@ -190,67 +170,92 @@ def fit_stack(
 
 
 def predict_stack(ensemble: StackedEnsemble, pm: PredictionMatrix) -> np.ndarray:
-    """Apply the trained meta-classifier to another prediction matrix."""
+    """Apply the trained meta-classifier to another prediction matrix.
+
+    Each row scores ``bias + sum_j weights[j * C + pred_j]``, added from the
+    bias through the members in order: the linear scorer applied to the
+    one-hot meta-features without building them. The top class wins, with
+    ``learners.top_class``'s tie rule.
+    """
     sub = pm.select(ensemble.members)
     if sub.num_classes != ensemble.num_classes:
         raise ValueError("prediction matrix class count does not match the ensemble")
-    if ensemble.meta_kind == "LR":
-        X = meta_features(sub, ensemble.members, ensemble.num_classes)
-        return np.asarray(ensemble.model.predict(X), dtype=np.int64)
-    if ensemble.meta_kind == "NB":
-        return np.asarray(ensemble.model.predict(sub.predictions), dtype=np.int64)
-    return _plurality(sub.predictions, ensemble.num_classes)
+    c = ensemble.num_classes
+    scores = np.tile(ensemble.model.bias_, (sub.n_instances, 1))
+    for j, column in enumerate(sub.predictions.T):
+        scores += ensemble.model.weights_[j * c + column]
+    return top_class(scores)
 
 
 def stack_to_json(ensemble: StackedEnsemble) -> str:
     """Full-precision export; ``stack_from_json`` restores an identical
-    predictor (json float repr round-trips exactly)."""
+    predictor (json float repr round-trips exactly). NB keeps its
+    generative parameters: the class log prior and ``log_likelihood``
+    indexed (member, class, predicted value)."""
+    model, c = ensemble.model, ensemble.num_classes
     doc = {
         "format": STACK_FORMAT,
         "version": 1,
         "members": [m.canonical for m in ensemble.members],
         "meta_kind": ensemble.meta_kind,
-        "num_classes": ensemble.num_classes,
+        "num_classes": c,
         "layout": [{"id": name, "offset": offset} for name, offset in ensemble.layout],
+        "params": {},
     }
     if ensemble.meta_kind == "LR":
         doc["params"] = {
-            "weights": ensemble.model.weights_.tolist(),
-            "bias": ensemble.model.bias_.tolist(),
-            "step": ensemble.model.step,
-            "epochs": ensemble.model.epochs,
-            "l2": ensemble.model.l2,
+            "weights": model.weights_.tolist(),
+            "bias": model.bias_.tolist(),
+            "step": model.step,
+            "epochs": model.epochs,
+            "l2": model.l2,
         }
     elif ensemble.meta_kind == "NB":
+        like = model.weights_.reshape(len(ensemble.members), c, c).transpose(0, 2, 1)
         doc["params"] = {
-            "class_log_prior": ensemble.model.class_log_prior_.tolist(),
-            "log_likelihood": ensemble.model.log_likelihood_.tolist(),
-            "alpha": ensemble.model.alpha,
+            "class_log_prior": model.bias_.tolist(),
+            "log_likelihood": like.tolist(),
+            "alpha": _NB_ALPHA,
         }
-    else:
-        doc["params"] = {}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def stack_from_json(text: str) -> StackedEnsemble:
+    """Restore a ``stack_to_json`` document. A missing key, an unknown
+    format, version or meta kind, and parameters of the wrong shape raise
+    ``ValueError``."""
     doc = json.loads(text)
-    if doc.get("format") != STACK_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != STACK_FORMAT:
         raise ValueError(f"not a {STACK_FORMAT} document")
-    members = tuple(ClassifierId.parse(name) for name in doc["members"])
-    meta_kind = doc["meta_kind"]
-    num_classes = int(doc["num_classes"])
-    params = doc.get("params", {})
-    model: object | None = None
-    if meta_kind == "LR":
-        model = SoftmaxRegression(
-            step=params["step"], epochs=params["epochs"], l2=params["l2"]
-        )
-        model.weights_ = np.array(params["weights"], dtype=np.float64)
-        model.bias_ = np.array(params["bias"], dtype=np.float64)
-    elif meta_kind == "NB":
-        model = CategoricalNB(alpha=params["alpha"])
-        model.class_log_prior_ = np.array(params["class_log_prior"], dtype=np.float64)
-        model.log_likelihood_ = np.array(params["log_likelihood"], dtype=np.float64)
-    return StackedEnsemble(
-        members=members, meta_kind=meta_kind, num_classes=num_classes, model=model
-    )
+    try:
+        if doc["version"] != 1:
+            raise ValueError(f"unsupported {STACK_FORMAT} version {doc['version']!r}")
+        meta_kind = doc["meta_kind"]
+        if meta_kind not in META_KINDS:
+            raise ValueError(f"unsupported meta_kind {meta_kind!r}; expected one of {META_KINDS}")
+        members = _normalize_members(doc["members"])
+        if not members:
+            raise ValueError("need at least one member")
+        j, c = len(members), int(doc["num_classes"])
+        params = doc["params"]
+        model = SoftmaxRegression()
+        if meta_kind == "LR":
+            model = SoftmaxRegression(step=params["step"], epochs=params["epochs"], l2=params["l2"])
+            model.weights_ = _param(params, "weights", (j * c, c))
+            model.bias_ = _param(params, "bias", (c,))
+        elif meta_kind == "NB":
+            like = _param(params, "log_likelihood", (j, c, c))
+            model.weights_ = like.transpose(0, 2, 1).reshape(j * c, c)
+            model.bias_ = _param(params, "class_log_prior", (c,))
+        else:
+            model.weights_, model.bias_ = _vote_weights(j, c)
+    except KeyError as exc:
+        raise ValueError(f"{STACK_FORMAT} document is missing key {exc.args[0]!r}") from None
+    return StackedEnsemble(members=members, meta_kind=meta_kind, num_classes=c, model=model)
+
+
+def _param(params: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    value = np.array(params[key], dtype=np.float64)
+    if value.shape != shape:
+        raise ValueError(f"params {key!r} has shape {value.shape}, expected {shape}")
+    return value

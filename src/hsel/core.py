@@ -73,6 +73,22 @@ class ClassifierId:
             )
         return cls(head, tail)
 
+    @classmethod
+    def parse_header(cls, path: str, names: Sequence[str]) -> tuple[ClassifierId, ...]:
+        """Ids from line 1 of a wire file. An unparseable id, or one that
+        repeats another (also only in case), raises ``ValueError`` naming
+        ``path: line 1``."""
+        ids: dict[str, ClassifierId] = {}
+        try:
+            for name in names:
+                cid = cls.parse(name)
+                if cid.canonical in ids:
+                    raise ValueError(f"duplicate classifier id {cid.canonical!r}")
+                ids[cid.canonical] = cid
+        except ValueError as exc:
+            raise ValueError(f"{path}: line 1: {exc}") from None
+        return tuple(ids.values())
+
     def __str__(self) -> str:
         return self.canonical
 

@@ -136,11 +136,8 @@ def read_dissimilarity_csv(path: str) -> DissimilarityMatrix:
         if not header or header[0].strip().lower() != "id":
             raise ValueError(f"{path}: line 1: first header field must be 'id'")
         names = [h.strip() for h in header[1:]]
-        try:
-            ids = tuple(ClassifierId.parse(name) for name in names)
-        except ValueError as exc:
-            raise ValueError(f"{path}: line 1: {exc}") from None
-        rows = []
+        ids = ClassifierId.parse_header(path, names)
+        rows, linenos = [], []
         lineno = 1
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -159,8 +156,17 @@ def read_dissimilarity_csv(path: str) -> DissimilarityMatrix:
                 rows.append([float(v) for v in row[1:]])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric distance") from None
+            linenos.append(lineno)
     if len(rows) != len(names):
         raise ValueError(
             f"{path}: line {lineno + 1}: expected {len(names)} rows, found {len(rows)}"
         )
-    return DissimilarityMatrix(ids=ids, values=np.array(rows, dtype=np.float64))
+    values = np.array(rows, dtype=np.float64)
+    try:
+        return DissimilarityMatrix(ids=ids, values=values)
+    except ValueError as exc:
+        # Shape and ids passed above: name the first row with a bad value.
+        bad = (values != values.T) | (values < 0.0) | (values > 1.0)
+        bad |= np.diag(np.diag(values) != 0.0)
+        lineno = linenos[int(np.argmax(bad.any(axis=1)))]
+        raise ValueError(f"{path}: line {lineno}: {exc}") from None

@@ -7,8 +7,10 @@ index.
 Softmax regression has one training routine, ``fit_softmax_models``: it
 trains any number of models that share one design matrix, each on its own
 column subset, in one class-major gradient descent. A single fit is the
-batch of one; the stacking layer fits every meta-classifier of a sweep as
-one batch.
+batch of one; the stacking layer fits every LR meta-classifier of a sweep
+as one batch. ``SoftmaxRegression`` also holds the closed-form NB and VOTE
+meta-classifier weights, and ``top_class`` is the one tie rule for linear
+scores.
 """
 
 from __future__ import annotations
@@ -23,6 +25,15 @@ ALGORITHM_TOKENS = ("NB", "LR", "KNN", "NC")
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def top_class(scores: np.ndarray) -> np.ndarray:
+    """Highest-scoring class of each row. Scores within
+    ``1e-12 * max(1, |top|)`` of the top score tie, and a tie goes to the
+    smallest class index, so rounding noise does not decide a prediction."""
+    top = scores.max(axis=1, keepdims=True)
+    near_top = scores >= top - 1e-12 * np.maximum(1.0, np.abs(top))
+    return np.argmax(near_top, axis=1)
 
 
 class MultinomialNB:
@@ -95,13 +106,7 @@ class SoftmaxRegression:
         return np.asarray(X, dtype=np.float64) @ self.weights_ + self.bias_
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Highest-scoring class; scores within ``1e-12 * max(1, |top|)`` of
-        the top score tie, and a tie goes to the smallest class index, so
-        rounding noise in the weights does not decide a prediction."""
-        scores = self.decision_scores(X)
-        top = scores.max(axis=1, keepdims=True)
-        near_top = scores >= top - 1e-12 * np.maximum(1.0, np.abs(top))
-        return np.argmax(near_top, axis=1)
+        return top_class(self.decision_scores(X))
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return np.exp(_log_softmax(self.decision_scores(X)))

@@ -182,6 +182,8 @@ def read_prediction_matrix(path: str, meta_path: str | None = None) -> Predictio
             raise ValueError(f"{meta_path}: missing required key {key!r}")
     if meta.get("format", MATRIX_FORMAT) != MATRIX_FORMAT:
         raise ValueError(f"{meta_path}: format {meta['format']!r} is not {MATRIX_FORMAT!r}")
+    if meta.get("version", 1) != 1:
+        raise ValueError(f"{meta_path}: unsupported version {meta['version']!r}")
     try:
         num_classes = int(meta["num_classes"])
         split = Split(meta["split"])
@@ -199,12 +201,7 @@ def read_prediction_matrix(path: str, meta_path: str | None = None) -> Predictio
         raw_ids = [h.strip() for h in header[1:]]
         if not raw_ids:
             raise ValueError(f"{path}: line 1: no classifier columns")
-        seen = set()
-        for rid in raw_ids:
-            if rid in seen:
-                raise ValueError(f"{path}: line 1: duplicate classifier id {rid!r}")
-            seen.add(rid)
-        ids = tuple(ClassifierId.parse(rid) for rid in raw_ids)
+        ids = ClassifierId.parse_header(path, raw_ids)
 
         truth_rows: list[int] = []
         pred_rows: list[list[int]] = []

@@ -5,8 +5,10 @@ implementations under test: the agglomerator recomputes inter-cluster
 distances from the original matrix at every step instead of using the
 Lance-Williams recursion, the metric oracle builds its confusion matrix
 with plain loops, and the level-sweep oracle cuts the dendrogram afresh at
-every level instead of replaying the merges once, and the gradient-descent
-oracle fits one softmax regression at a time in row-major layout.
+every level instead of replaying the merges once, the gradient-descent
+oracle fits one softmax regression at a time in row-major layout, and the
+stacking oracles count naive Bayes likelihoods and plurality votes per
+member and per row instead of reading weight rows of a linear scorer.
 """
 
 from __future__ import annotations
@@ -179,3 +181,41 @@ def softmax_gd_oracle(X, y, num_classes, step, epochs, l2):
         weights = weights - step * grad_w
         bias = bias - step * grad_b
     return weights, bias, history, diverged_epoch
+
+
+def categorical_nb_oracle(columns, y, num_classes, alpha=1.0):
+    """Categorical naive Bayes over member predictions, one (member, class)
+    count at a time.
+
+    Returns (class log prior (C,), log likelihood (J, C, C) indexed
+    [member, class, predicted value], joint log scores function).
+    """
+    columns = np.asarray(columns, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    n, j_members = columns.shape
+    counts = np.bincount(y, minlength=num_classes).astype(np.float64)
+    priors = np.where(counts > 0, counts, 1e-12) / n
+    log_prior = np.log(priors)
+    like = np.zeros((j_members, num_classes, num_classes), dtype=np.float64)
+    for j in range(j_members):
+        for c in range(num_classes):
+            value_counts = np.bincount(columns[y == c, j], minlength=num_classes)
+            smoothed = value_counts.astype(np.float64) + alpha
+            like[j, c] = np.log(smoothed / smoothed.sum())
+
+    def joint(rows):
+        rows = np.asarray(rows, dtype=np.int64)
+        scores = np.tile(log_prior, (rows.shape[0], 1))
+        for j in range(j_members):
+            scores += like[j, :, rows[:, j]]
+        return scores
+
+    return log_prior, like, joint
+
+
+def plurality_oracle(columns, num_classes):
+    """Most frequent label per row; a tie goes to the smallest label."""
+    out = np.empty(len(columns), dtype=np.int64)
+    for i, row in enumerate(np.asarray(columns, dtype=np.int64)):
+        out[i] = int(np.argmax(np.bincount(row, minlength=num_classes)))
+    return out

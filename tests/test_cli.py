@@ -1,5 +1,6 @@
 """CLI subcommands: pipeline runs, comparisons, ingestion, reports."""
 
+import argparse
 import json
 import os
 
@@ -7,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from hsel.cli import RunConfig, build_parser, cmd_compare, cmd_run, main
+from hsel.cli import RunConfig, _config_from_args, build_parser, cmd_compare, cmd_run, main
 from hsel.core import Split, write_corpus_csv
 from hsel.datasets import synthetic_news_corpus
 from hsel.pool import write_prediction_matrix
@@ -173,6 +174,14 @@ class TestSingleStageCommands:
         write_prediction_matrix(tpm, test_path)
         return val_path, test_path
 
+    def test_outdir_env_override_for_matrix_commands(self, tmp_path, capsys, monkeypatch):
+        val_path, _ = self._write_matrices(tmp_path)
+        override = tmp_path / "env-out"
+        monkeypatch.setenv("HSEL_OUTPUT_DIR", str(override))
+        assert main(["diversity", "--matrix", val_path, "--outdir", str(tmp_path / "x")]) == 0
+        assert capsys.readouterr().out.strip() == str(override / "dissimilarity.csv")
+        assert not (tmp_path / "x").exists()
+
     def test_diversity_then_cluster(self, tmp_path, capsys):
         val_path, _ = self._write_matrices(tmp_path)
         outdir = str(tmp_path / "out")
@@ -231,3 +240,20 @@ def test_parser_defaults_documented():
     parser = build_parser()
     help_text = parser.format_help()
     assert "run" in help_text and "compare" in help_text and "ingest" in help_text
+
+
+def test_option_defaults_come_from_run_config():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    defaults = RunConfig(corpus="")
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            if action.default in (None, argparse.SUPPRESS):
+                continue
+            assert action.default == getattr(defaults, action.dest), (name, action.dest)
+            assert "(default: " in action.help, (name, action.dest)
+    assert _config_from_args(parser.parse_args(["run", "--corpus", "c.csv"])) == RunConfig(
+        corpus="c.csv"
+    )
+    args = parser.parse_args(["select", "--matrix", "m.csv", "--meta", "vote", "--alpha", "0.25"])
+    assert _config_from_args(args) == RunConfig(corpus="", meta_kind="VOTE", alpha=0.25)

@@ -1,10 +1,11 @@
 """Stacking: meta-features, meta-learners, round-trip export."""
 
+import json
+
 import numpy as np
 import pytest
 
 from hsel.combine import (
-    CategoricalNB,
     StackedEnsemble,
     fit_stack,
     fit_stacks,
@@ -14,6 +15,7 @@ from hsel.combine import (
     stack_to_json,
 )
 from hsel.core import ClassifierId, PredictionMatrix, Split
+from oracles import categorical_nb_oracle, plurality_oracle
 
 
 def _pm(columns, truth, num_classes=2, names=None, split=Split.VALIDATION):
@@ -191,15 +193,57 @@ class TestCategoricalNB:
         rng = np.random.default_rng(2)
         columns = rng.integers(0, 3, (50, 4))
         y = rng.integers(0, 3, 50)
-        model = CategoricalNB().fit(columns, y, 3)
-        probs = model.predict_proba(columns)
+        pm = _pm(list(columns.T), y, num_classes=3)
+        ensemble = fit_stack(pm, pm.classifier_ids, meta_kind="NB")
+        probs = ensemble.model.predict_proba(meta_features(pm, ensemble.members, 3))
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+        # The softmax of the linear scores is NB's exact posterior.
+        joint = categorical_nb_oracle(columns, y, 3)[2](columns)
+        posterior = np.exp(joint - joint.max(axis=1, keepdims=True))
+        posterior /= posterior.sum(axis=1, keepdims=True)
+        assert np.allclose(probs, posterior, rtol=0, atol=1e-12)
 
     def test_learns_simple_mapping(self):
-        columns = np.array([[0], [0], [1], [1]])
-        y = np.array([0, 0, 1, 1])
-        model = CategoricalNB().fit(columns, y, 2)
-        assert model.predict(np.array([[0], [1]])).tolist() == [0, 1]
+        pm = _pm([[0, 0, 1, 1]], [0, 0, 1, 1])
+        ensemble = fit_stack(pm, ["E0-A"], meta_kind="NB")
+        test = _pm([[0, 1]], [0, 1], split=Split.TEST)
+        assert predict_stack(ensemble, test).tolist() == [0, 1]
+
+
+class TestLinearScorer:
+    def test_nb_and_vote_match_oracles(self):
+        ties = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            c, j = int(rng.integers(2, 5)), int(rng.integers(1, 7))
+            # Even seeds draw labels from one or two values only: low
+            # entropy, unseen classes and tied scores.
+            values = int(rng.integers(1, 3)) if seed % 2 == 0 else c
+            n = int(rng.integers(c, 40))
+            columns, truth = rng.integers(0, values, (n, j)), rng.integers(0, values, n)
+            test_columns = rng.integers(0, c, (50, j))
+            names = [f"E{i}-A" for i in range(j)]
+            val = _pm(list(columns.T), truth, num_classes=c, names=names)
+            test = _pm(list(test_columns.T), np.zeros(50), num_classes=c, names=names,
+                       split=Split.TEST)
+
+            vote = fit_stack(val, names, meta_kind="VOTE")
+            assert np.array_equal(predict_stack(vote, test),
+                                  plurality_oracle(test_columns, c)), seed
+
+            nb = fit_stack(val, names, meta_kind="NB")
+            log_prior, like, joint = categorical_nb_oracle(columns, truth, c)
+            expected_weights = like.transpose(0, 2, 1).reshape(j * c, c)
+            assert np.allclose(nb.model.weights_, expected_weights, rtol=0, atol=1e-12), seed
+            assert np.allclose(nb.model.bias_, log_prior, rtol=0, atol=1e-12), seed
+            # Oracle scores within 1e-12 * max(1, |top|) of the top tie, and
+            # the smallest tied class wins.
+            scores = joint(test_columns)
+            top = scores.max(axis=1, keepdims=True)
+            tied = scores >= top - 1e-12 * np.maximum(1.0, np.abs(top))
+            assert np.array_equal(predict_stack(nb, test), np.argmax(tied, axis=1)), seed
+            ties += int((tied.sum(axis=1) > 1).sum())
+        assert ties > 0
 
 
 class TestSerialization:
@@ -211,7 +255,44 @@ class TestSerialization:
         back = stack_from_json(text)
         assert back.members == ensemble.members
         assert back.meta_kind == ensemble.meta_kind
+        assert np.array_equal(back.model.weights_, ensemble.model.weights_)
+        assert np.array_equal(back.model.bias_, ensemble.model.bias_)
         assert np.array_equal(predict_stack(back, pm), predict_stack(ensemble, pm))
+        assert stack_to_json(back) == text
+
+    def test_nb_keeps_generative_parameters(self):
+        pm = _correct_wrong_pm()
+        doc = json.loads(stack_to_json(fit_stack(pm, ["GOOD-A", "BAD-A"], meta_kind="NB")))
+        log_prior, like, _ = categorical_nb_oracle(pm.predictions, pm.truth, 2)
+        assert np.allclose(doc["params"]["class_log_prior"], log_prior, rtol=0, atol=1e-12)
+        assert np.allclose(doc["params"]["log_likelihood"], like, rtol=0, atol=1e-12)
+        assert doc["params"]["alpha"] == 1.0
+
+    @pytest.mark.parametrize(
+        "meta_kind, mutate, message",
+        [
+            ("LR", lambda d: d.pop("members"), "missing key 'members'"),
+            ("VOTE", lambda d: d.pop("version"), "missing key 'version'"),
+            ("LR", lambda d: d["params"].pop("weights"), "missing key 'weights'"),
+            ("NB", lambda d: d["params"].pop("log_likelihood"), "missing key 'log_likelihood'"),
+            ("VOTE", lambda d: d.update(format="other"), "not a hsel-stack document"),
+            ("VOTE", lambda d: d.update(meta_kind="XGB"), "XGB"),
+            ("NB", lambda d: d.update(version=2), "version 2"),
+            ("LR", lambda d: d["params"]["weights"].pop(), r"'weights' has shape \(3, 2\)"),
+            ("LR", lambda d: d["params"].update(bias=[0.0]), r"'bias' has shape \(1,\)"),
+            ("NB", lambda d: d["params"]["log_likelihood"].pop(), r"'log_likelihood' has shape"),
+        ],
+        ids=[
+            "no-members", "no-version", "no-weights", "no-log-likelihood", "format",
+            "meta-kind", "version", "weights-shape", "bias-shape", "log-likelihood-shape",
+        ],
+    )
+    def test_malformed_document_rejected(self, meta_kind, mutate, message):
+        pm = _correct_wrong_pm()
+        doc = json.loads(stack_to_json(fit_stack(pm, ["GOOD-A", "BAD-A"], meta_kind=meta_kind)))
+        mutate(doc)
+        with pytest.raises(ValueError, match=message):
+            stack_from_json(json.dumps(doc))
 
     def test_layout_matches_member_order(self):
         ensemble = StackedEnsemble(

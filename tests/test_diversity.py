@@ -146,6 +146,10 @@ class TestDissimilarityMatrix:
             ("id,A-X,B-X\nA-X,0,x\nB-X,1,0\n", 2),  # non-numeric cell
             ("id,A-X,B-X\nA-X,0,1\n", 3),  # fewer rows than ids
             ("id,A-X,BX\nA-X,0,1\nBX,1,0\n", 1),  # unparseable id
+            ("id,A-X,a-x\nA-X,0,1\na-x,1,0\n", 1),  # ids equal up to case
+            ("id,A-X,B-X,C-X\nA-X,0,1,1\nB-X,1,0,0.5\nC-X,1,0.25,0\n", 3),  # asymmetric
+            ("id,A-X,B-X\nA-X,0,-0.5\nB-X,-0.5,0\n", 2),  # outside [0, 1]
+            ("id,A-X,B-X,C-X\nA-X,0,1,1\nB-X,1,0,1\nC-X,1,1,0.5\n", 4),  # nonzero diagonal
         ],
     )
     def test_malformed_csv_names_path_and_line(self, tmp_path, text, line):

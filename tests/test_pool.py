@@ -181,6 +181,20 @@ class TestWireFormat:
             read_prediction_matrix(str(path))
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("truth,BAD\n0,0\n", "cannot parse classifier id 'BAD'"),
+            ("truth,CV-NB,cv-nb\n0,0,0\n", "duplicate classifier id 'CV-NB'"),
+        ],
+    )
+    def test_bad_header_names_path_and_line(self, tmp_path, text, message):
+        path = tmp_path / "pm.csv"
+        path.write_text(text)
+        (tmp_path / "pm.csv.meta.json").write_text('{"num_classes": 2, "split": "TEST"}')
+        with pytest.raises(ValueError, match=rf"pm\.csv: line 1: {message}"):
+            read_prediction_matrix(str(path))
+
+    @pytest.mark.parametrize(
         "sidecar, message",
         [
             ('{"num_classes": 2, "split": "TEST", "format": "nope"}', "format"),
@@ -188,6 +202,7 @@ class TestWireFormat:
             ('{"num_classes": 2', "line 1"),
             ('{"num_classes": "two", "split": "TEST"}', "two"),
             ('{"num_classes": 2, "split": "BOGUS"}', "BOGUS"),
+            ('{"num_classes": 2, "split": "TEST", "version": 99}', "version 99"),
         ],
     )
     def test_bad_sidecar_names_sidecar_path(self, tmp_path, sidecar, message):
