@@ -8,7 +8,12 @@ Softmax regression has one training routine, ``fit_softmax_models``: it
 trains any number of models that share one design matrix, each on its own
 column subset, in one class-major gradient descent. A single fit is the
 batch of one; the stacking layer fits every LR meta-classifier of a sweep
-as one batch. ``SoftmaxRegression`` also holds the closed-form NB and VOTE
+as one batch. The primal form descends in the weights W, two products with
+X per epoch. Descent from zero never leaves the row space of X, so the Gram
+form descends in A with W = A·X, one product with K = X·Xᵀ per epoch. It is
+used when every model trains on all columns and ``gram_form_pays`` (a flop
+count) says so: pool LR on a vocabulary wider than the training set.
+``SoftmaxRegression`` also holds the closed-form NB and VOTE
 meta-classifier weights, and ``top_class`` is the one tie rule for linear
 scores.
 """
@@ -112,6 +117,12 @@ class SoftmaxRegression:
         return np.exp(_log_softmax(self.decision_scores(X)))
 
 
+def gram_form_pays(n: int, d: int, c: int, m: int, epochs: int) -> bool:
+    """Whether the Gram form's flops (K, then a (C·M, N)·(N, N) product per
+    epoch) undercut the primal form's (two (C·M, D)·(D, N) per epoch)."""
+    return n * (d + epochs * c * m) < 2 * epochs * c * m * d
+
+
 def fit_softmax_models(
     models: Sequence[SoftmaxRegression],
     X: np.ndarray,
@@ -127,7 +138,8 @@ def fit_softmax_models(
     the softmax max, sum and log over classes run elementwise across C
     contiguous slabs. Model m's weights outside ``columns[m]`` get a step
     size of zero and stay zero, so it computes what a fit on its own
-    columns computes, up to float summation order.
+    columns computes, up to float summation order. The Gram form descends
+    in A (C, M, N) instead, and the weights are A·X in column order.
 
     Each model keeps its own divergence rule: when its loss rises by more
     than 1e-12, its weights revert to the previous epoch's, ``diverged``
@@ -146,17 +158,22 @@ def fit_softmax_models(
     n, d = X.shape
     c, m = num_classes, len(models)
     rows = np.arange(n)
-    # Step size per model and column: 0 outside the model's own columns,
-    # and 0 everywhere once the model has stopped.
-    rates = np.zeros((1, m, d))
+    gram = gram_form_pays(n, d, c, m, epochs) and all(
+        np.array_equal(np.sort(cols), np.arange(d)) for cols in columns
+    )
+    # ``weights`` holds W (primal) or A (Gram), and scores are weights·basis.
+    basis, width = (X @ X.T, n) if gram else (X.T, d)
+    # Step size per model and coefficient: 0 outside the model's own
+    # columns, and 0 everywhere once the model has stopped.
+    rates = np.zeros((1, m, width))
     for i, cols in enumerate(columns):
-        rates[0, i, cols] = step
+        rates[0, i, slice(None) if gram else cols] = step
     bias_rates = np.full((1, m, 1), step)
     onehot = np.zeros((c, 1, n))
     onehot[y, 0, rows] = 1.0
 
     # Preallocated buffers, updated in place every epoch.
-    weights, prev_weights, grad, scratch = (np.zeros((c, m, d)) for _ in range(4))
+    weights, prev_weights, grad, scratch = (np.zeros((c, m, width)) for _ in range(4))
     bias, prev_bias, grad_b = (np.zeros((c, m, 1)) for _ in range(3))
     scores = np.empty((c, m, n))
     top, log_norm = np.empty((m, n)), np.empty((m, n))
@@ -167,7 +184,9 @@ def fit_softmax_models(
     active = np.ones(m, dtype=bool)
 
     for epoch in range(epochs):
-        np.matmul(flat_w, X.T, out=flat_s)
+        np.matmul(flat_w, basis, out=flat_s)
+        # ‖W‖² per model: Σ W ⊙ W, or Σ A ⊙ (A·K) read before the bias.
+        np.multiply(weights, scores if gram else weights, out=scratch)
         scores += bias
         np.max(scores, axis=0, out=top)
         scores -= top
@@ -178,15 +197,18 @@ def fit_softmax_models(
             log_norm += np.exp(slab, out=top)
         np.log(log_norm, out=log_norm)
         scores -= log_norm
-        np.square(weights, out=scratch)
         loss = -scores[y, :, rows].mean(axis=0) + 0.5 * l2 * scratch.sum(axis=(0, 2))
         # scores becomes delta = (probabilities - one-hot labels) / n.
         np.exp(scores, out=scores)
         scores -= onehot
         scores /= n
-        np.matmul(flat_s, X, out=flat_g)
+        # The gradient is δ·X + λW in W, and δ + λA in A.
         np.multiply(weights, l2, out=scratch)
-        grad += scratch
+        if gram:
+            np.add(scores, scratch, out=grad)
+        else:
+            np.matmul(flat_s, X, out=flat_g)
+            grad += scratch
         np.sum(scores, axis=2, keepdims=True, out=grad_b)
         if epoch:
             rising = active & (loss > losses[epoch - 1] + 1e-12)
@@ -209,7 +231,7 @@ def fit_softmax_models(
         bias -= grad_b
 
     for i, (model, cols) in enumerate(zip(models, columns)):
-        model.weights_ = weights[:, i, cols].T.copy()
+        model.weights_ = (weights[:, i] @ X if gram else weights[:, i])[:, cols].T.copy()
         model.bias_ = bias[:, i, 0].copy()
         model.loss_history_ = losses[: kept[i], i].copy()
         model.diverged = bool(stopped_at[i] >= 0)
@@ -271,7 +293,8 @@ class NearestCentroid:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        d2 = ((X[:, None, :] - self._centroids[None, :, :]) ** 2).sum(axis=2)
+        # One (N, V) difference per centroid, never an (N, C, V) tensor.
+        d2 = np.stack([((X - centroid) ** 2).sum(axis=1) for centroid in self._centroids], axis=1)
         return self._classes[np.argmin(d2, axis=1)]
 
 

@@ -4,6 +4,7 @@ document-frequency filter fitted on training documents only."""
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -26,11 +27,13 @@ def _has_vowel(stem: str) -> bool:
     return any(ch in _VOWELS for ch in stem)
 
 
+@functools.lru_cache(maxsize=2**16)
 def stem(token: str) -> str:
     """Lightweight deterministic suffix stripper.
 
     Handles plural and participle endings only; this is intentionally much
-    smaller than a full stemmer but stable across runs and platforms.
+    smaller than a full stemmer but stable across runs and platforms. Pure,
+    so memoised: each distinct token is stemmed once.
     """
     t = token
     if t.endswith("sses"):

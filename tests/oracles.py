@@ -6,9 +6,11 @@ distances from the original matrix at every step instead of using the
 Lance-Williams recursion, the metric oracle builds its confusion matrix
 with plain loops, and the level-sweep oracle cuts the dendrogram afresh at
 every level instead of replaying the merges once, the gradient-descent
-oracle fits one softmax regression at a time in row-major layout, and the
-stacking oracles count naive Bayes likelihoods and plurality votes per
-member and per row instead of reading weight rows of a linear scorer.
+oracle fits one softmax regression at a time in row-major layout in the
+weights (never through the Gram matrix), the stacking oracles count naive
+Bayes likelihoods and plurality votes per member and per row instead of
+reading weight rows of a linear scorer, and the nearest-centroid oracle
+broadcasts one (N, C, V) difference tensor.
 """
 
 from __future__ import annotations
@@ -219,3 +221,11 @@ def plurality_oracle(columns, num_classes):
     for i, row in enumerate(np.asarray(columns, dtype=np.int64)):
         out[i] = int(np.argmax(np.bincount(row, minlength=num_classes)))
     return out
+
+
+def nearest_centroid_oracle(X, centroids, classes):
+    """Class of the Euclidean-nearest centroid of each row, from one
+    (N, C, V) difference tensor; a tie goes to the first centroid."""
+    X = np.asarray(X, dtype=np.float64)
+    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return classes[np.argmin(d2, axis=1)]

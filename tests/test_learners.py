@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
+from hsel import learners
 from hsel.learners import (
     CosineKNN,
     MultinomialNB,
     NearestCentroid,
     SoftmaxRegression,
     fit_softmax_models,
+    gram_form_pays,
     make_learner,
 )
-from oracles import softmax_gd_oracle
+from oracles import nearest_centroid_oracle, softmax_gd_oracle
 
 
 def _separable_data(n=60, seed=2):
@@ -109,6 +111,53 @@ class TestSoftmaxRegression:
             diverged += single.diverged
         assert diverged >= 20
 
+    def test_wide_design_matches_row_major_oracle(self, monkeypatch):
+        # Count-like designs with more columns than rows, as on a corpus:
+        # the Gram form pays for most of these fits and the primal form for
+        # the shortest ones. Every third case also fits a batch of three
+        # models over all columns in permuted orders.
+        shapes = []
+
+        def recording_rule(*shape):
+            shapes.append(shape)
+            return gram_form_pays(*shape)
+
+        monkeypatch.setattr(learners, "gram_form_pays", recording_rule)
+        rng = np.random.default_rng(29)
+        forms = {True: 0, False: 0}
+        diverged = 0
+        for case in range(60):
+            n, d, c = int(rng.integers(20, 61)), int(rng.integers(100, 401)), int(rng.integers(2, 6))
+            X = rng.poisson(rng.choice([0.05, 0.3, 1.0]), (n, d)).astype(np.float64)
+            y = rng.integers(0, c, n)
+            step = float(rng.choice([0.1, 0.5, 2.0, 50.0]))
+            epochs = int(rng.integers(1, 8) if case % 2 else rng.integers(8, 120))
+            gram = n * (d + epochs * c) < 2 * epochs * c * d
+            assert gram_form_pays(n, d, c, 1, epochs) == gram, case
+            forms[gram] += 1
+            del shapes[:]
+            single = SoftmaxRegression(step=step, epochs=epochs).fit(X, y, c)
+            assert shapes == [(n, d, c, 1, epochs)], case
+            checks = [(single, np.arange(d))]
+            if case % 3 == 0:
+                columns = [rng.permutation(d) for _ in range(3)]
+                batch = [SoftmaxRegression(step=step, epochs=epochs) for _ in columns]
+                fit_softmax_models(batch, X, y, c, columns)
+                checks += list(zip(batch, columns))
+                forms[gram_form_pays(n, d, c, 3, epochs)] += 1
+            for model, cols in checks:
+                weights, bias, history, diverged_epoch = softmax_gd_oracle(
+                    X[:, cols], y, c, step, epochs, 1e-4
+                )
+                assert np.allclose(model.weights_, weights, rtol=0, atol=1e-12), case
+                assert np.allclose(model.bias_, bias, rtol=0, atol=1e-12), case
+                assert model.diverged_epoch == diverged_epoch, case
+                assert len(model.loss_history_) == len(history), case
+                assert np.allclose(model.loss_history_, history, rtol=0, atol=1e-12), case
+            diverged += single.diverged
+        assert forms[True] >= 10 and forms[False] >= 10, forms
+        assert diverged >= 10
+
     def test_score_ties_break_to_smallest_class(self):
         model = SoftmaxRegression()
         model.weights_ = np.zeros((2, 3))
@@ -157,6 +206,25 @@ class TestNearestCentroid:
         y = np.array([0, 0, 1, 1])
         model = NearestCentroid().fit(X, y, 2)
         assert model.predict(np.array([[1.0, 1.0], [9.0, 9.0]])).tolist() == [0, 1]
+
+    def test_matches_broadcast_oracle(self):
+        # Small integer grids and midpoints between centroids make equal
+        # distances, so ties are decided by the exact bits of the
+        # distances; class 1 of 4 is absent from every other training set.
+        rng = np.random.default_rng(31)
+        for case in range(40):
+            n, v, c = int(rng.integers(2, 40)), int(rng.integers(1, 30)), 4
+            X = rng.integers(0, 3, (n, v)).astype(np.float64)
+            if case % 2:
+                X = X * rng.random(v)
+            y = rng.choice([0, 2, 3] if case % 2 else range(c), n)
+            model = NearestCentroid().fit(X, y, c)
+            centroids = model._centroids
+            a, b = rng.integers(0, len(centroids), (2, 20))
+            queries = np.vstack([X, rng.integers(0, 3, (20, v)) * rng.random(v),
+                                 (centroids[a] + centroids[b]) / 2])
+            expected = nearest_centroid_oracle(queries, centroids, model._classes)
+            assert np.array_equal(model.predict(queries), expected), case
 
 
 def test_make_learner_rejects_unknown_token():
