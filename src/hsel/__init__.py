@@ -56,7 +56,7 @@ from .pool import (
     train_pool,
     write_prediction_matrix,
 )
-from .preprocess import PreprocessConfig, TokenPipeline, fit_token_pipeline, preprocess
+from .preprocess import PreprocessConfig, TokenPipeline, fit_token_pipeline
 from .selection import (
     FINAL_RULES,
     EnsembleCandidate,

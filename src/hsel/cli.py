@@ -17,7 +17,6 @@ from datetime import datetime, timezone
 from importlib import resources
 from typing import Sequence
 
-import jsonschema
 import numpy as np
 
 from .combine import (
@@ -112,8 +111,119 @@ def _load_schema(name: str) -> dict:
     return json.loads(text)
 
 
+# The JSON Schema subset the shipped schemas use, with draft 2020-12 meaning:
+# bool is only "boolean", and an integral float is an "integer".
+_SCHEMA_KEYWORDS = frozenset({
+    "type", "required", "properties", "additionalProperties", "items", "minItems",
+    "minProperties", "minimum", "maximum", "const", "enum", "$ref",
+    "$schema", "$id", "title", "$defs",
+})
+_JSON_CLASSES = {"object": (dict,), "array": (list,), "string": (str,), "null": (type(None),),
+                 "number": (int, float), "integer": (int,), "boolean": ()}
+
+
+class _Invalid(Exception):
+    """A report value breaks its schema; ``where`` holds the JSON path, innermost first."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.where: list[str] = []
+
+
+def _type_test(names):
+    names = [names] if isinstance(names, str) else list(names)
+    if not set(names) <= _JSON_CLASSES.keys():
+        raise ValueError(f"schema type {names} not supported")
+    classes = tuple(c for name in names for c in _JSON_CLASSES[name])
+    boolean, integral = "boolean" in names, "integer" in names
+    return lambda v: boolean if isinstance(v, bool) else isinstance(v, classes) or (
+        integral and isinstance(v, float) and v.is_integer())
+
+
+def _same(a, b) -> bool:
+    """JSON equality of scalars: True is not 1."""
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _compile(schema: dict, root: dict):
+    """A function that raises ``_Invalid`` where a value breaks ``schema``.
+
+    A keyword outside the subset raises ``ValueError`` here, whether or not
+    any value ever reaches it."""
+    unknown = schema.keys() - _SCHEMA_KEYWORDS
+    if unknown:
+        raise ValueError(f"schema keyword(s) not supported: {sorted(unknown)}")
+    ref = None
+    if "$ref" in schema:
+        if not schema["$ref"].startswith("#/"):
+            raise ValueError(f"schema $ref {schema['$ref']!r} is not local")
+        target = root
+        for part in schema["$ref"][2:].split("/"):
+            target = target[part]
+        ref = _compile(target, root)
+    is_type = _type_test(schema["type"]) if "type" in schema else None
+    allowed = [schema["const"]] if "const" in schema else schema.get("enum")
+    if allowed is not None and any(isinstance(a, (list, dict)) for a in allowed):
+        raise ValueError("schema const/enum must be scalars")
+    props = {key: _compile(sub, root) for key, sub in schema.get("properties", {}).items()}
+    extra = schema.get("additionalProperties")
+    extra = _compile(extra, root) if extra is not None else None
+    items = schema.get("items")
+    item = _compile(items, root) if items is not None else None
+    # Fast path: an array of bare-typed items is one pass of the type test.
+    item_type = _type_test(items["type"]) if item is not None and items.keys() == {"type"} else None
+    required, low, high = schema.get("required", ()), schema.get("minimum"), schema.get("maximum")
+    min_props, min_items = schema.get("minProperties", 0), schema.get("minItems", 0)
+
+    def check(value) -> None:
+        if ref is not None:
+            ref(value)
+        if is_type is not None and not is_type(value):
+            raise _Invalid(f"{value!r:.60} is not of type {schema['type']}")
+        if allowed is not None and not any(_same(value, a) for a in allowed):
+            raise _Invalid(f"{value!r:.60} is not one of {allowed}")
+        if isinstance(value, dict):
+            missing = [key for key in required if key not in value]
+            if missing or len(value) < min_props:
+                raise _Invalid(f"missing {missing}" if missing else "too few properties")
+            for key, sub in value.items():
+                validate = props.get(key, extra)
+                if validate is not None:
+                    try:
+                        validate(sub)
+                    except _Invalid as exc:
+                        exc.where.append(f".{key}" if str(key).isidentifier() else f"[{key!r}]")
+                        raise
+        elif isinstance(value, list):
+            if len(value) < min_items:
+                raise _Invalid(f"fewer than {min_items} items")
+            if item is None or (item_type is not None and all(map(item_type, value))):
+                return
+            for i, sub in enumerate(value):
+                try:
+                    item(sub)
+                except _Invalid as exc:
+                    exc.where.append(f"[{i}]")
+                    raise
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            if low is not None and value < low:
+                raise _Invalid(f"{value!r} is below the minimum {low}")
+            if high is not None and value > high:
+                raise _Invalid(f"{value!r} is above the maximum {high}")
+
+    return check
+
+
+def _check_report(doc, schema: dict) -> None:
+    """Raise ``ValueError`` naming the JSON path where ``doc`` breaks ``schema``."""
+    try:
+        _compile(schema, schema)(doc)
+    except _Invalid as exc:
+        raise ValueError(f"${''.join(reversed(exc.where))}: {exc}") from None
+
+
 def _emit_report(doc: dict, schema_name: str, path: str) -> None:
-    jsonschema.validate(doc, _load_schema(schema_name))
+    _check_report(doc, _load_schema(schema_name))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

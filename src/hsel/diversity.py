@@ -42,6 +42,7 @@ def complement(df: float) -> float:
     return 1.0 - df
 
 
+# Named conversions take a float or an array of DF fractions alike.
 CONVERSIONS: dict[str, Callable[[float], float]] = {"complement": complement}
 
 
@@ -91,27 +92,27 @@ def dissimilarity_matrix(
     """Pairwise distances over a prediction matrix's classifier columns.
 
     Each off-diagonal entry is ``conversion(double_fault(col_i, col_j))``;
-    the diagonal is 0 by construction. Co-failure counts come from one exact
-    integer product ``wrong.T @ wrong``; each unordered pair is converted
-    once and mirrored, so the result is exactly symmetric. Alternate conversion
-    strategies can be passed as a callable mapping a DF fraction to a
-    distance in [0, 1].
+    the diagonal is 0 by construction. Co-failure counts come from one
+    float64 product ``wrong.T @ wrong``, exact while N < 2**53. A named
+    conversion maps the upper triangle as one array expression; a callable
+    (mapping a DF fraction to a distance in [0, 1]) is applied pair by pair.
+    Each unordered pair is converted once and mirrored, so the result is
+    exactly symmetric.
     """
     if pm.n_classifiers < 2:
         raise ValueError("need at least 2 classifiers to build a dissimilarity matrix")
-    if isinstance(conversion, str):
-        if conversion not in CONVERSIONS:
-            raise ValueError(
-                f"unknown conversion {conversion!r}; expected one of {sorted(CONVERSIONS)}"
-            )
-        convert = CONVERSIONS[conversion]
-    else:
-        convert = conversion
-    wrong = (pm.predictions != pm.truth[:, None]).astype(np.int64)
+    if isinstance(conversion, str) and conversion not in CONVERSIONS:
+        raise ValueError(
+            f"unknown conversion {conversion!r}; expected one of {sorted(CONVERSIONS)}"
+        )
+    wrong = (pm.predictions != pm.truth[:, None]).astype(np.float64)
     co_failures = wrong.T @ wrong
     upper = np.triu_indices(pm.n_classifiers, k=1)
-    values = np.zeros_like(co_failures, dtype=np.float64)
-    values[upper] = [float(convert(int(c) / pm.n_instances)) for c in co_failures[upper]]
+    values = np.zeros_like(co_failures)
+    if isinstance(conversion, str):
+        values[upper] = CONVERSIONS[conversion](co_failures[upper] / pm.n_instances)
+    else:
+        values[upper] = [float(conversion(float(c) / pm.n_instances)) for c in co_failures[upper]]
     values.T[upper] = values[upper]
     return DissimilarityMatrix(ids=pm.classifier_ids, values=values)
 

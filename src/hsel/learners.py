@@ -268,12 +268,10 @@ class CosineKNN:
     def predict(self, X: np.ndarray) -> np.ndarray:
         distances = 1.0 - self._unit_rows(X) @ self._unit_train.T
         k = min(self.k, self._unit_train.shape[0])
-        out = np.empty(distances.shape[0], dtype=np.int64)
-        for i, row in enumerate(distances):
-            order = np.argsort(row, kind="stable")[:k]
-            votes = np.bincount(self._labels[order], minlength=self._num_classes)
-            out[i] = int(np.argmax(votes))
-        return out
+        nearest = self._labels[np.argsort(distances, kind="stable", axis=1)[:, :k]]
+        votes = np.zeros((distances.shape[0], self._num_classes), dtype=np.int64)
+        np.add.at(votes, (np.arange(distances.shape[0])[:, None], nearest), 1)
+        return np.argmax(votes, axis=1).astype(np.int64)
 
 
 class NearestCentroid:

@@ -9,8 +9,9 @@ every level instead of replaying the merges once, the gradient-descent
 oracle fits one softmax regression at a time in row-major layout in the
 weights (never through the Gram matrix), the stacking oracles count naive
 Bayes likelihoods and plurality votes per member and per row instead of
-reading weight rows of a linear scorer, and the nearest-centroid oracle
-broadcasts one (N, C, V) difference tensor.
+reading weight rows of a linear scorer, the nearest-centroid oracle
+broadcasts one (N, C, V) difference tensor, and the k-nearest-neighbour
+oracle sorts and counts votes one query row at a time.
 """
 
 from __future__ import annotations
@@ -229,3 +230,23 @@ def nearest_centroid_oracle(X, centroids, classes):
     X = np.asarray(X, dtype=np.float64)
     d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     return classes[np.argmin(d2, axis=1)]
+
+
+def cosine_knn_oracle(X_train, y, num_classes, k, X):
+    """Plurality label of the k cosine-nearest training rows, one query row
+    at a time: a stable sort sends distance ties to the smaller training
+    index, and a vote tie goes to the smallest class."""
+    def unit(rows):
+        rows = np.asarray(rows, dtype=np.float64)
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        return rows / norms
+
+    distances = 1.0 - unit(X) @ unit(X_train).T
+    labels = np.asarray(y, dtype=np.int64)
+    k = min(k, labels.size)
+    out = np.empty(distances.shape[0], dtype=np.int64)
+    for i, row in enumerate(distances):
+        order = np.argsort(row, kind="stable")[:k]
+        out[i] = int(np.argmax(np.bincount(labels[order], minlength=num_classes)))
+    return out

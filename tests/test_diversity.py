@@ -122,6 +122,34 @@ class TestDissimilarityMatrix:
         half = dissimilarity_matrix(pm, conversion=lambda df: (1.0 - df) / 2.0)
         assert half.values[0, 1] == 0.25
 
+    def test_named_conversion_equals_per_pair_double_fault(self):
+        rng = np.random.default_rng(53)
+        for case in range(40):
+            p, n, c = int(rng.integers(2, 12)), int(rng.integers(1, 80)), int(rng.integers(2, 5))
+            truth = rng.integers(0, c, n)
+            cols = [np.where(rng.random(n) < rng.random(), truth, rng.integers(0, c, n))
+                    for _ in range(p)]
+            matrix = dissimilarity_matrix(_pm_from_columns(cols, truth, num_classes=c))
+            for i in range(p):
+                for j in range(p):
+                    expected = 0.0 if i == j else 1.0 - double_fault(cols[i], cols[j], truth)
+                    assert matrix.values[i, j] == expected, (case, i, j)
+
+    def test_callable_conversion_is_applied_per_pair(self):
+        rng = np.random.default_rng(54)
+        truth = rng.integers(0, 3, 50)
+        cols = [rng.integers(0, 3, 50) for _ in range(5)]
+        seen = []
+
+        def convert(df):
+            seen.append(df)
+            return 1.0 - df
+
+        matrix = dissimilarity_matrix(_pm_from_columns(cols, truth, num_classes=3), convert)
+        assert len(seen) == 10 and all(type(df) is float for df in seen)
+        named = dissimilarity_matrix(_pm_from_columns(cols, truth, num_classes=3))
+        assert np.array_equal(matrix.values, named.values)
+
     def test_constructor_rejects_asymmetric(self):
         ids = (ClassifierId("E0", "A"), ClassifierId("E1", "A"))
         bad = np.array([[0.0, 0.2], [0.3, 0.0]])

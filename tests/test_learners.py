@@ -13,7 +13,7 @@ from hsel.learners import (
     gram_form_pays,
     make_learner,
 )
-from oracles import nearest_centroid_oracle, softmax_gd_oracle
+from oracles import cosine_knn_oracle, nearest_centroid_oracle, softmax_gd_oracle
 
 
 def _separable_data(n=60, seed=2):
@@ -198,6 +198,29 @@ class TestCosineKNN:
         y = np.array([1])
         model = CosineKNN(k=5).fit(X, y, 2)
         assert model.predict(np.array([[0.5, 0.5]])).tolist() == [1]
+
+    def test_matches_per_row_oracle_on_integer_grids(self):
+        # Small integer rows repeat directions, so neighbour distances tie at
+        # the k-th place and votes tie between classes; zero rows occur too.
+        rng = np.random.default_rng(29)
+        distance_ties = vote_ties = 0
+        for case in range(60):
+            n, v, c = int(rng.integers(1, 25)), int(rng.integers(1, 5)), int(rng.integers(2, 5))
+            k = int(rng.integers(1, 9))
+            X = rng.integers(0, 3, (n, v)).astype(np.float64)
+            y = rng.integers(0, c, n)
+            queries = np.vstack([X, rng.integers(0, 3, (15, v)), np.zeros((1, v))])
+            model = CosineKNN(k=k).fit(X, y, c)
+            expected = cosine_knn_oracle(X, y, c, k, queries)
+            assert np.array_equal(model.predict(queries), expected), case
+            distances = 1.0 - model._unit_rows(queries) @ model._unit_rows(X).T
+            nearest = y[np.argsort(distances, kind="stable", axis=1)[:, :k]]
+            votes = np.stack([np.bincount(row, minlength=c) for row in nearest])
+            vote_ties += int(np.sum((votes == votes.max(axis=1, keepdims=True)).sum(axis=1) > 1))
+            if n > k:
+                d = np.sort(distances, axis=1)
+                distance_ties += int(np.sum(d[:, k - 1] == d[:, k]))
+        assert distance_ties > 0 and vote_ties > 0
 
 
 class TestNearestCentroid:

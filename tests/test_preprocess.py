@@ -1,9 +1,12 @@
 """Preprocessing pipeline stages and the corpus-level min-df filter."""
 
+import importlib
+
 import pytest
 
 from hsel.preprocess import (
     PreprocessConfig,
+    TokenPipeline,
     fit_token_pipeline,
     preprocess,
     stem,
@@ -79,3 +82,8 @@ class TestTokenPipeline:
         # 'spam' occurs 3 times but only in one document.
         pipeline = fit_token_pipeline(["spam spam spam", "egg ham", "egg toast"], config)
         assert pipeline("spam egg") == ["egg"]
+
+
+def test_package_attribute_is_the_submodule():
+    # The package must not shadow its submodule with the function of the same name.
+    assert importlib.import_module("hsel").preprocess.TokenPipeline is TokenPipeline
