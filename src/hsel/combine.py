@@ -80,14 +80,24 @@ class StackedEnsemble:
         return len(self.members) * self.num_classes
 
 
-def _nb_weights(pm: PredictionMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Categorical naive Bayes as a linear scorer over the one-hot blocks.
+def _member_columns(pm: PredictionMatrix, members: Sequence[ClassifierId]) -> list[int]:
+    """``pm``'s column of each member, read through its id map without a copy;
+    an unknown or repeated member raises ``ValueError`` as ``select`` would."""
+    columns = [pm.index_of(m) for m in members]
+    if len(set(columns)) < len(columns):
+        dupes = sorted({m.canonical for m in members if members.count(m) > 1})
+        raise ValueError(f"duplicate classifier ids: {dupes}")
+    return columns
+
+
+def _nb_weights(pm: PredictionMatrix, columns: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Categorical naive Bayes as a linear scorer over ``pm``'s ``columns``.
 
     Row ``j * C + v``, column c holds log P(member j says v | class c), from
     exact integer counts with add-one smoothing. The bias is log P(c); a
     class absent from the truth keeps a 1e-12 prior so log() stays finite.
     """
-    predictions, truth, c = pm.predictions, pm.truth, pm.num_classes
+    predictions, truth, c = pm.predictions[:, columns], pm.truth, pm.num_classes
     n, members = predictions.shape
     cells = (np.arange(members) * c + predictions) * c + truth[:, None]
     counts = np.bincount(cells.ravel(), minlength=members * c * c).reshape(members, c, c)
@@ -125,8 +135,7 @@ def fit_stacks(
     lists = [_normalize_members(members) for members in member_lists]
     if not all(lists):
         raise ValueError("need at least one member")
-    for members in lists:
-        validation_pm.select(members)  # rejects unknown and repeated members
+    columns = [_member_columns(validation_pm, members) for members in lists]
     num_classes = validation_pm.num_classes
     if validation_pm.n_instances < num_classes:
         raise ValueError(
@@ -134,16 +143,18 @@ def fit_stacks(
         )
     if not lists:
         return []
-    union = list(dict.fromkeys(m for members in lists for m in members))
-    block = {m: j * num_classes for j, m in enumerate(union)}
-    classes = np.arange(num_classes)
-    rows = [np.concatenate([block[m] + classes for m in members]) for members in lists]
+    # The lists' columns, first appearance first; rows pick their one-hot blocks.
+    union = list(dict.fromkeys(j for cols in columns for j in cols))
+    block = np.zeros(validation_pm.n_classifiers, dtype=np.intp)
+    block[union] = np.arange(len(union)) * num_classes
+    rows = [(block[cols][:, None] + np.arange(num_classes)).ravel() for cols in columns]
     models = [SoftmaxRegression(step=0.1, epochs=500, l2=1e-4) for _ in lists]
     if meta_kind == "LR":
-        X = meta_features(validation_pm, union, num_classes)
+        union_ids = [validation_pm.classifier_ids[j] for j in union]
+        X = meta_features(validation_pm, union_ids, num_classes)
         fit_softmax_models(models, X, validation_pm.truth, num_classes, rows)
     elif meta_kind == "NB":
-        weights, bias = _nb_weights(validation_pm.select(union))
+        weights, bias = _nb_weights(validation_pm, union)
         for model, model_rows in zip(models, rows):
             model.weights_, model.bias_ = weights[model_rows], bias.copy()
     else:
@@ -177,13 +188,14 @@ def predict_stack(ensemble: StackedEnsemble, pm: PredictionMatrix) -> np.ndarray
     one-hot meta-features without building them. The top class wins, with
     ``learners.top_class``'s tie rule.
     """
-    sub = pm.select(ensemble.members)
-    if sub.num_classes != ensemble.num_classes:
+    columns = _member_columns(pm, ensemble.members)
+    if pm.num_classes != ensemble.num_classes:
         raise ValueError("prediction matrix class count does not match the ensemble")
-    c = ensemble.num_classes
-    scores = np.tile(ensemble.model.bias_, (sub.n_instances, 1))
-    for j, column in enumerate(sub.predictions.T):
-        scores += ensemble.model.weights_[j * c + column]
+    # Row j holds member j's weight-row indices, j * C + its predicted label.
+    rows = pm.predictions.T[columns] + ensemble.num_classes * np.arange(len(columns))[:, None]
+    scores = np.tile(ensemble.model.bias_, (pm.n_instances, 1))
+    for member_rows in rows:
+        scores += ensemble.model.weights_.take(member_rows, axis=0)
     return top_class(scores)
 
 

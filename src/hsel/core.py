@@ -9,6 +9,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -60,7 +61,7 @@ class ClassifierId:
         object.__setattr__(self, "extractor", ext)
         object.__setattr__(self, "algorithm", alg)
 
-    @property
+    @cached_property
     def canonical(self) -> str:
         return f"{self.extractor}-{self.algorithm}"
 

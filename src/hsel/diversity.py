@@ -77,12 +77,13 @@ class DissimilarityMatrix:
 
     def mean_pairwise(self, indices: Sequence[int]) -> float:
         """Average distance over unordered pairs of the given members; 0 for
-        fewer than two members."""
+        fewer than two members. The block's upper triangle is summed in
+        row-major order (``np.triu_indices`` order)."""
         idx = np.asarray(indices, dtype=np.intp)
         if idx.size < 2:
             return 0.0
-        block = self.values[np.ix_(idx, idx)]
-        return float(block[np.triu_indices(idx.size, k=1)].mean())
+        order = np.arange(idx.size)
+        return float(self.values[idx[:, None], idx][order[:, None] < order].mean())
 
 
 def dissimilarity_matrix(

@@ -1,8 +1,9 @@
 """Agglomerative hierarchical clustering over a dissimilarity matrix.
 
 The agglomerator starts from singletons and repeatedly merges the closest
-pair of active clusters under the selected linkage, updating inter-cluster
-distances with the Lance-Williams coefficients:
+pair of active clusters, the full matrix's minimum found by array algebra,
+then updates their distances as one vector with these Lance-Williams
+coefficients of the selected linkage:
 
     single    d(k, ij) = min(d(k,i), d(k,j))
     complete  d(k, ij) = max(d(k,i), d(k,j))
@@ -92,6 +93,8 @@ def _validated_square(matrix: DissimilarityMatrix | np.ndarray) -> np.ndarray:
         raise ValueError(f"linkage needs a square matrix, got shape {values.shape}")
     if not np.array_equal(values, values.T):
         raise ValueError("linkage needs a symmetric matrix")
+    if not np.isfinite(values).all():
+        raise ValueError("linkage needs finite distances")
     return values
 
 
@@ -102,9 +105,11 @@ def linkage(
 ) -> Dendrogram:
     """Agglomerate the matrix into a dendrogram under the given linkage.
 
-    Naive O(P^3): pools here are at most a few hundred classifiers, so the
-    simple scan is both fast enough and easy to check against a reference
-    agglomerator.
+    Exact greedy agglomeration as array algebra: each of the P - 1 steps
+    takes the global minimum of the full matrix, breaks ties among its cells
+    with ``np.lexsort`` on (min node, max node), and applies Lance-Williams
+    to the kept slot's column as one vector expression. O(P^2) work per
+    step, O(P^3) in all, with no per-pair Python.
     """
     method = method.strip().lower()
     if method not in LINKAGE_METHODS:
@@ -121,48 +126,41 @@ def linkage(
     if len(leaf_ids) != p:
         raise ValueError("leaf_ids length must match the matrix size")
 
-    dist = values.astype(np.float64).copy()
-    nodes = list(range(p))
+    # Retired slots and the diagonal hold +inf, so the global minimum is the
+    # closest pair of active clusters.
+    dist = values.copy()
+    np.fill_diagonal(dist, np.inf)
+    nodes = np.arange(p)
     sizes = [1] * p
-    active = list(range(p))
     merges: list[MergeStep] = []
 
     for step_index in range(p - 1):
-        best = None
-        for a_pos in range(len(active)):
-            for b_pos in range(a_pos + 1, len(active)):
-                i, j = active[a_pos], active[b_pos]
-                d = dist[i, j]
-                pair_key = (min(nodes[i], nodes[j]), max(nodes[i], nodes[j]))
-                if best is None or d < best[0] or (d == best[0] and pair_key < best[1]):
-                    best = (d, pair_key, a_pos, b_pos)
-        d, pair_key, a_pos, b_pos = best
-        i, j = active[a_pos], active[b_pos]
+        d = dist.min()
+        rows, cols = np.nonzero(dist == d)
+        a, b = nodes[rows], nodes[cols]
+        first = np.lexsort((np.maximum(a, b), np.minimum(a, b)))[0]
+        i, j = sorted((int(rows[first]), int(cols[first])))
         ni, nj = sizes[i], sizes[j]
         new_size = ni + nj
 
-        for k in active:
-            if k in (i, j):
-                continue
-            if method == "single":
-                updated = min(dist[k, i], dist[k, j])
-            elif method == "complete":
-                updated = max(dist[k, i], dist[k, j])
-            elif method == "average":
-                updated = (ni * dist[k, i] + nj * dist[k, j]) / new_size
-            else:
-                updated = (ni * dist[k, i] + nj * dist[k, j]) / new_size - (
-                    ni * nj * dist[i, j]
-                ) / (new_size * new_size)
-            dist[k, i] = dist[i, k] = updated
+        di, dj = dist[:, i], dist[:, j]
+        if method == "single":
+            updated = np.minimum(di, dj)
+        elif method == "complete":
+            updated = np.maximum(di, dj)
+        elif method == "average":
+            updated = (ni * di + nj * dj) / new_size
+        else:
+            updated = (ni * di + nj * dj) / new_size - (ni * nj * d) / (new_size * new_size)
+        dist[:, i] = dist[i, :] = updated
+        dist[:, j] = dist[j, :] = np.inf
+        dist[i, i] = np.inf
 
-        merges.append(
-            MergeStep(left=pair_key[0], right=pair_key[1], distance=float(d), size=new_size)
-        )
-        # Slot i now carries the merged cluster; slot j retires.
+        left, right = sorted((int(nodes[i]), int(nodes[j])))
+        merges.append(MergeStep(left=left, right=right, distance=float(d), size=new_size))
+        # The lower slot i now carries the merged cluster; slot j retires.
         nodes[i] = p + step_index
         sizes[i] = new_size
-        active.pop(b_pos)
 
     return Dendrogram(leaf_ids=tuple(leaf_ids), merges=tuple(merges))
 

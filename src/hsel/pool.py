@@ -168,7 +168,8 @@ def write_prediction_matrix(
 
 
 def read_prediction_matrix(path: str, meta_path: str | None = None) -> PredictionMatrix:
-    """Parse and validate a prediction-matrix file; errors carry line numbers."""
+    """Parse and validate a prediction-matrix file; errors carry line numbers.
+    The label range is checked once, on the parsed array."""
     meta_path = meta_path or path + ".meta.json"
     with open(meta_path, encoding="utf-8") as fh:
         try:
@@ -203,8 +204,8 @@ def read_prediction_matrix(path: str, meta_path: str | None = None) -> Predictio
             raise ValueError(f"{path}: line 1: no classifier columns")
         ids = ClassifierId.parse_header(path, raw_ids)
 
-        truth_rows: list[int] = []
-        pred_rows: list[list[int]] = []
+        rows: list[list[int]] = []
+        linenos: list[int] = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -213,29 +214,33 @@ def read_prediction_matrix(path: str, meta_path: str | None = None) -> Predictio
                     f"{path}: line {lineno}: expected {len(raw_ids) + 1} fields, found {len(row)}"
                 )
             try:
-                values = [int(v) for v in row]
+                rows.append([int(v) for v in row])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-integer label") from None
-            for v in values:
-                if not 0 <= v < num_classes:
-                    raise ValueError(
-                        f"{path}: line {lineno}: label {v} out of range"
-                        f" (num_classes={num_classes})"
-                    )
-            truth_rows.append(values[0])
-            pred_rows.append(values[1:])
-    if not pred_rows:
+            linenos.append(lineno)
+    if not rows:
         raise ValueError(f"{path}: matrix has no instance rows")
-    if meta.get("instances", len(pred_rows)) != len(pred_rows):
+    try:
+        table = np.array(rows, dtype=np.int64)
+        bad = (table < 0) | (table >= num_classes)
+    except OverflowError:  # a label beyond int64 is out of range as well
+        bad = np.array([[not 0 <= v < num_classes for v in values] for values in rows])
+    if bad.any():
+        i = int(bad.any(axis=1).argmax())
+        raise ValueError(
+            f"{path}: line {linenos[i]}: label {rows[i][int(bad[i].argmax())]} out of range"
+            f" (num_classes={num_classes})"
+        )
+    if meta.get("instances", len(rows)) != len(rows):
         raise ValueError(
             f"{meta_path}: instances is {meta['instances']!r} but {path} has"
-            f" {len(pred_rows)} rows"
+            f" {len(rows)} rows"
         )
 
     return PredictionMatrix(
         classifier_ids=ids,
-        predictions=np.array(pred_rows, dtype=np.int64),
-        truth=np.array(truth_rows, dtype=np.int64),
+        predictions=table[:, 1:],
+        truth=table[:, 0],
         num_classes=num_classes,
         split_tag=split,
     )

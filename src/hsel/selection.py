@@ -67,7 +67,9 @@ def hierarchy_select(
     canonical id. Candidate members are ordered by cluster label (ascending
     smallest leaf index). One replay of the merges, starting from singletons
     at k = P, gives every level: a merged cluster's best member is the better
-    of its two children's best members.
+    of its two children's best members. Mean distances are block means from
+    ``DissimilarityMatrix.mean_pairwise``, not running sums: ``choose_final``
+    breaks score ties on distance, so their last bit must not move.
     """
     if metric not in METRIC_NAMES:
         raise ValueError(f"metric {metric!r} absent from scores; expected one of {METRIC_NAMES}")

@@ -3,8 +3,10 @@
 Everything here is deliberately brute force and shares no code with the
 implementations under test: the agglomerator recomputes inter-cluster
 distances from the original matrix at every step instead of using the
-Lance-Williams recursion, the metric oracle builds its confusion matrix
-with plain loops, and the level-sweep oracle cuts the dendrogram afresh at
+Lance-Williams recursion, the scan agglomerator keeps the pair-by-pair
+Python scan that the array-algebra linkage replaced (same recursion and
+operand order, so heights must agree exactly), the metric oracle builds
+its confusion matrix with plain loops, and the level-sweep oracle cuts the dendrogram afresh at
 every level instead of replaying the merges once, the gradient-descent
 oracle fits one softmax regression at a time in row-major layout in the
 weights (never through the Gram matrix), the stacking oracles count naive
@@ -102,6 +104,58 @@ def brute_force_linkage(values: np.ndarray, method: str):
     return merges
 
 
+def scan_linkage_oracle(values: np.ndarray, method: str):
+    """The pair-scan agglomerator that ``hiercluster.linkage`` replaced, kept
+    verbatim: every step scans the active pairs in Python for the smallest
+    (distance, (min node, max node)) and updates the kept slot's distances
+    one by one with the Lance-Williams recursion, in the same operand order.
+
+    Returns a list of (left_node, right_node, distance, size) tuples.
+    """
+    dist = np.asarray(values, dtype=np.float64).copy()
+    p = dist.shape[0]
+    nodes = list(range(p))
+    sizes = [1] * p
+    active = list(range(p))
+    merges = []
+
+    for step_index in range(p - 1):
+        best = None
+        for a_pos in range(len(active)):
+            for b_pos in range(a_pos + 1, len(active)):
+                i, j = active[a_pos], active[b_pos]
+                d = dist[i, j]
+                pair_key = (min(nodes[i], nodes[j]), max(nodes[i], nodes[j]))
+                if best is None or d < best[0] or (d == best[0] and pair_key < best[1]):
+                    best = (d, pair_key, a_pos, b_pos)
+        d, pair_key, a_pos, b_pos = best
+        i, j = active[a_pos], active[b_pos]
+        ni, nj = sizes[i], sizes[j]
+        new_size = ni + nj
+
+        for k in active:
+            if k in (i, j):
+                continue
+            if method == "single":
+                updated = min(dist[k, i], dist[k, j])
+            elif method == "complete":
+                updated = max(dist[k, i], dist[k, j])
+            elif method == "average":
+                updated = (ni * dist[k, i] + nj * dist[k, j]) / new_size
+            else:
+                updated = (ni * dist[k, i] + nj * dist[k, j]) / new_size - (
+                    ni * nj * dist[i, j]
+                ) / (new_size * new_size)
+            dist[k, i] = dist[i, k] = updated
+
+        merges.append((pair_key[0], pair_key[1], float(d), new_size))
+        # Slot i now carries the merged cluster; slot j retires.
+        nodes[i] = p + step_index
+        sizes[i] = new_size
+        active.pop(b_pos)
+    return merges
+
+
 def random_symmetric_matrix(rng: np.random.Generator, p: int) -> np.ndarray:
     """Random distances in [0, 1] with zero diagonal, exactly symmetric."""
     values = np.zeros((p, p), dtype=np.float64)
@@ -109,6 +163,18 @@ def random_symmetric_matrix(rng: np.random.Generator, p: int) -> np.ndarray:
         for j in range(i + 1, p):
             values[i, j] = values[j, i] = float(rng.random())
     return values
+
+
+def block_mean_oracle(values: np.ndarray, members) -> float:
+    """Mean pairwise distance as ``DissimilarityMatrix.mean_pairwise`` first
+    computed it: the members' ``np.ix_`` block, its ``np.triu_indices``
+    entries, then ``mean``. Candidate distances must match it bit for bit,
+    because the final-choice rules break score ties on distance."""
+    idx = np.asarray(members, dtype=np.intp)
+    if idx.size < 2:
+        return 0.0
+    block = values[np.ix_(idx, idx)]
+    return float(block[np.triu_indices(idx.size, k=1)].mean())
 
 
 def level_sweep_oracle(dendrogram, values, leaf_scores, leaf_names):

@@ -130,6 +130,11 @@ class TestFitStack:
         with pytest.raises(ValueError, match="duplicate"):
             fit_stacks(pm, [["GOOD-A"], ["GOOD-A", "GOOD-A"]])
 
+    def test_fit_stacks_rejects_unknown_member_in_any_list(self):
+        pm = _correct_wrong_pm()
+        with pytest.raises(ValueError, match="GLOVE-LR"):
+            fit_stacks(pm, [["GOOD-A"], ["BAD-A", "GLOVE-LR"]])
+
 
 class TestPredictStack:
     def test_vote_is_pure(self):
@@ -159,6 +164,26 @@ class TestPredictStack:
         smaller = pm.select(["GOOD-A"])
         with pytest.raises(ValueError, match="BAD-A"):
             predict_stack(ensemble, smaller)
+
+    def test_class_count_mismatch_rejected(self):
+        pm = _correct_wrong_pm()
+        ensemble = fit_stack(pm, ["GOOD-A", "BAD-A"], meta_kind="VOTE")
+        wider = _pm([pm.column("GOOD-A"), pm.column("BAD-A")], pm.truth, num_classes=3,
+                    names=["GOOD-A", "BAD-A"])
+        with pytest.raises(ValueError, match="class count"):
+            predict_stack(ensemble, wider)
+
+    def test_repeated_member_rejected(self):
+        pm = _correct_wrong_pm()
+        ensemble = fit_stack(pm, ["GOOD-A"], meta_kind="VOTE")
+        repeated = StackedEnsemble(
+            members=(ClassifierId.parse("GOOD-A"),) * 2,
+            meta_kind="VOTE",
+            num_classes=2,
+            model=ensemble.model,
+        )
+        with pytest.raises(ValueError, match="duplicate classifier ids: \\['GOOD-A'\\]"):
+            predict_stack(repeated, pm)
 
     def test_vote_tie_breaks_to_smallest_class(self):
         truth = np.array([0, 0])

@@ -16,7 +16,7 @@ from hsel.hiercluster import (
     write_dendrogram,
 )
 
-from oracles import brute_force_linkage, random_symmetric_matrix
+from oracles import brute_force_linkage, random_symmetric_matrix, scan_linkage_oracle
 
 
 def _matrix3(d01, d02, d12):
@@ -145,6 +145,42 @@ class TestOracleEquivalence:
             ):
                 assert leaves_a == leaves_b
                 assert d_a == pytest.approx(d_b, abs=1e-12)
+
+
+class TestScanOracle:
+    """The array-algebra linkage against the pair-scan agglomerator it
+    replaced: same Lance-Williams operand order, so every merge must agree
+    exactly, ties included."""
+
+    @pytest.mark.parametrize("method", ["single", "complete", "average", "centroid"])
+    def test_matches_scan_oracle_exactly(self, method):
+        rng = np.random.default_rng(4242)
+        for trial in range(60):
+            p = int(rng.integers(2, 31))
+            values = random_symmetric_matrix(rng, p)
+            if trial % 2:
+                values = np.round(values * 4) / 4  # a 0.25 grid: ties are common
+            got = [(s.left, s.right, s.distance, s.size) for s in linkage(values, method).merges]
+            assert got == scan_linkage_oracle(values, method), (trial, p)
+
+    @pytest.mark.parametrize("method", ["single", "complete", "average"])
+    def test_heights_match_scipy_on_tie_free_matrices(self, method):
+        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+        from scipy.spatial.distance import squareform
+
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            p = int(rng.integers(2, 40))
+            values = random_symmetric_matrix(rng, p)
+            reference = hierarchy.linkage(squareform(values), method=method)
+            merges = linkage(values, method).merges
+            assert [s.distance for s in merges] == pytest.approx(reference[:, 2], abs=1e-12)
+            assert [s.size for s in merges] == reference[:, 3].astype(int).tolist()
+
+    def test_rejects_non_finite_distances(self):
+        values = np.array([[0.0, np.inf], [np.inf, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            linkage(values, "single")
 
 
 class TestFCluster:

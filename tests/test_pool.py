@@ -162,6 +162,25 @@ class TestWireFormat:
         with pytest.raises(ValueError, match="line 3"):
             read_prediction_matrix(str(path))
 
+    def test_first_out_of_range_row_is_named(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("truth,CV-NB,CV-LR\n0,0,1\n\n1,0,5\n0,1,1\n-1,0,0\n")
+        (tmp_path / "bad.csv.meta.json").write_text(
+            '{"num_classes": 2, "split": "VALIDATION"}'
+        )
+        message = r"bad\.csv: line 4: label 5 out of range \(num_classes=2\)$"
+        with pytest.raises(ValueError, match=message):
+            read_prediction_matrix(str(path))
+
+    def test_label_beyond_int64_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"truth,CV-NB\n0,0\n0,{2**70}\n")
+        (tmp_path / "bad.csv.meta.json").write_text(
+            '{"num_classes": 2, "split": "VALIDATION"}'
+        )
+        with pytest.raises(ValueError, match=f"line 3: label {2**70} out of range"):
+            read_prediction_matrix(str(path))
+
     def test_row_length_mismatch_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("truth,CV-NB,CV-LR\n0,0,1\n0,1\n")

@@ -1,5 +1,7 @@
 """Level sweep, final-choice rules, elbow heuristic, groups, baseline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from hsel.selection import (
     within_cluster_totals,
 )
 
-from oracles import level_sweep_oracle, random_symmetric_matrix
+from oracles import block_mean_oracle, level_sweep_oracle, random_symmetric_matrix
 
 
 def _entry(value: float) -> EvalEntry:
@@ -134,6 +136,64 @@ class TestHierarchySelect:
                 assert total == pytest.approx(w, abs=1e-12)
             if p >= 3:
                 assert elbow_select(dendro, matrix) == _chord_knee([w for _, w, _ in oracle])
+
+
+def _sweep_fixtures(seed, trials, max_p):
+    """Seeded (matrix, dendrogram, scores) triples for every linkage method.
+    A third of the matrices are on a 0.25 grid, where pair sums are exact and
+    distances tie; a third are on a 1/80 grid, like double-fault distances
+    over 80 rows, where equal means can differ by rounding."""
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        p = int(rng.integers(2, max_p + 1))
+        values = random_symmetric_matrix(rng, p)
+        if trial % 3:
+            steps = 4 if trial % 3 == 1 else 80
+            values = np.round(values * steps) / steps
+        ids = tuple(ClassifierId(f"E{n:02d}", "A") for n in rng.permutation(p))
+        matrix = DissimilarityMatrix(ids=ids, values=values)
+        scores = {cid.canonical: _entry(float(rng.integers(0, 5)) / 4.0) for cid in ids}
+        for method in LINKAGE_METHODS:
+            yield matrix, linkage(matrix, method), scores
+
+
+def _oracle_distances(matrix, candidates):
+    names = [cid.canonical for cid in matrix.ids]
+    return [
+        block_mean_oracle(matrix.values, [names.index(m.canonical) for m in c.members])
+        for c in candidates
+    ]
+
+
+class TestSweepDistances:
+    """Candidate distances are bit-identical to the ``np.ix_`` block mean
+    they were first computed with: ``choose_final`` breaks score ties on
+    distance, so a last-bit change can move the deployed level."""
+
+    def test_mean_distance_matches_block_mean_exactly(self):
+        for matrix, dendro, scores in _sweep_fixtures(606, 30, 40):
+            candidates = hierarchy_select(dendro, matrix, scores)
+            distances = [c.mean_pairwise_distance for c in candidates]
+            assert distances == _oracle_distances(matrix, candidates)
+
+    def test_mean_distance_on_double_fault_matrix(self, redundant_validation_pm):
+        candidates, matrix, _ = _sweep(redundant_validation_pm, method="average")
+        distances = [c.mean_pairwise_distance for c in candidates]
+        assert distances == _oracle_distances(matrix, candidates)
+
+    @pytest.mark.parametrize("rule", ["max-validation", "max-diversity", "weighted"])
+    def test_choose_final_agrees_with_oracle_distances(self, rule):
+        rng = np.random.default_rng(707)
+        for matrix, dendro, scores in _sweep_fixtures(808, 30, 30):
+            fast = [
+                c.with_score(float(rng.integers(0, 4)) / 4.0)
+                for c in hierarchy_select(dendro, matrix, scores)
+            ]
+            oracle = [
+                replace(c, mean_pairwise_distance=d)
+                for c, d in zip(fast, _oracle_distances(matrix, fast))
+            ]
+            assert choose_final(fast, rule).level_k == choose_final(oracle, rule).level_k
 
 
 def _candidate(k, dist, score, names=None):
