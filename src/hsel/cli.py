@@ -12,12 +12,10 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from importlib import resources
 from typing import Sequence
-
-import numpy as np
 
 from .combine import (
     META_KINDS,
@@ -239,7 +237,7 @@ def _candidate_doc(candidate: EnsembleCandidate) -> dict:
     }
 
 
-Stacks = dict[tuple[str, ...], tuple[StackedEnsemble, np.ndarray]]
+Stacks = dict[tuple[str, ...], StackedEnsemble]
 
 
 def _member_key(members: Sequence[ClassifierId]) -> tuple[str, ...]:
@@ -250,25 +248,26 @@ def _score_candidates(
     sweeps: dict[str, list[EnsembleCandidate]],
     vpm: PredictionMatrix,
     meta_kind: str,
+    extra: Sequence[Sequence[ClassifierId]] = (),
 ) -> tuple[dict[str, list[EnsembleCandidate]], Stacks]:
     """Stack every distinct candidate of every metric's sweep on validation
     and record each metric there.
 
-    The distinct member tuples are fitted in one ``fit_stacks`` call. The
-    returned cache maps each tuple to its ensemble and its validation
-    predictions, so the deployed ensembles reuse these fits. Validation data
-    is reused for base scoring and meta-training by design; held-out
-    measurement happens on TEST only.
+    The distinct member tuples, and the ``extra`` member lists, are fitted
+    in one ``fit_stacks`` call. The returned cache maps each tuple to its
+    ensemble, so the deployed and compared ensembles reuse these fits.
+    Validation data is reused for base scoring and meta-training by design;
+    held-out measurement happens on TEST only.
     """
-    distinct = {
+    candidates = {
         _member_key(c.members): c.members for candidates in sweeps.values() for c in candidates
     }
-    ensembles = fit_stacks(vpm, list(distinct.values()), meta_kind=meta_kind)
-    stacks: Stacks = {}
-    entries = {}
-    for key, ensemble in zip(distinct, ensembles):
-        stacks[key] = (ensemble, predict_stack(ensemble, vpm))
-        entries[key] = evaluate(stacks[key][1], vpm.truth, vpm.num_classes)
+    distinct = {**candidates, **{_member_key(members): members for members in extra}}
+    stacks = dict(zip(distinct, fit_stacks(vpm, list(distinct.values()), meta_kind=meta_kind)))
+    entries = {
+        key: evaluate(predict_stack(stacks[key], vpm), vpm.truth, vpm.num_classes)
+        for key in candidates
+    }
     scored = {
         metric: [c.with_score(entries[_member_key(c.members)].metric(metric)) for c in candidates]
         for metric, candidates in sweeps.items()
@@ -279,11 +278,12 @@ def _score_candidates(
 def _selection_sweep(
     vpm: PredictionMatrix,
     config: RunConfig,
+    extra: Sequence[Sequence[ClassifierId]] = (),
 ) -> tuple[
     DissimilarityMatrix, Dendrogram, dict, dict[str, list[EnsembleCandidate]], Stacks, int | None
 ]:
     """Shared middle of the pipeline: matrix, dendrogram, scored sweeps and
-    the stacked ensemble of every candidate."""
+    the stacked ensemble of every candidate and of every ``extra`` list."""
     with _stage("evaluate-pool"):
         scores = evaluate_matrix(vpm)
     with _stage("dissimilarity"):
@@ -296,7 +296,7 @@ def _selection_sweep(
             for metric in config.metrics
         }
     with _stage("stack-candidates"):
-        sweeps, stacks = _score_candidates(sweeps, vpm, config.meta_kind)
+        sweeps, stacks = _score_candidates(sweeps, vpm, config.meta_kind, extra)
     with _stage("elbow"):
         elbow_k = elbow_select(dendro, matrix) if dendro.num_leaves >= 3 else None
     return matrix, dendro, scores, sweeps, stacks, elbow_k
@@ -360,7 +360,7 @@ def cmd_run(config: RunConfig) -> dict:
     with _stage("choose-final"):
         final = choose_final(sweeps[primary_metric], rule=config.rule, alpha=config.alpha)
     with _stage("stack-final"):
-        ensemble, _ = stacks[_member_key(final.members)]
+        ensemble = stacks[_member_key(final.members)]
         test_preds = predict_stack(ensemble, tpm)
     with _stage("evaluate-final"):
         final_eval = evaluate(test_preds, tpm.truth, tpm.num_classes)
@@ -443,14 +443,27 @@ def cmd_compare(
         corpus, _ = _build_corpus(config)
         vpm, tpm = _build_matrices(config, corpus)
 
-    matrix, dendro, scores, sweeps, stacks, elbow_k = _selection_sweep(vpm, config)
     primary_metric = config.metrics[0]
+    meta = config.meta_kind.upper()
+    with _stage("compare-groups"):
+        ids = list(vpm.classifier_ids)
+        groups = [
+            (f"A-{token}-{meta}", "group_a", group_members(ids, "A", token))
+            for token in dict.fromkeys(cid.algorithm for cid in ids)
+        ]
+        groups += [
+            (f"B-{token}-{meta}", "group_b", group_members(ids, "B", token))
+            for token in dict.fromkeys(cid.extractor for cid in ids)
+        ]
+        groups.append((f"C-{meta}", "group_c", group_members(ids, "C")))
+    # Only the primary metric's sweep is read, and groups A/B/C are stacked
+    # in its batch; D and ELBOW are sweep candidates.
+    sweep_config = replace(config, metrics=(primary_metric,))
+    _, _, _, sweeps, stacks, elbow_k = _selection_sweep(vpm, sweep_config, [g[2] for g in groups])
     with _stage("choose-final"):
         final = choose_final(sweeps[primary_metric], rule=config.rule, alpha=config.alpha)
 
-    meta = config.meta_kind.upper()
     rows: list[dict] = []
-
     with _stage("compare-monolithic"):
         for cid in vpm.classifier_ids:
             entry = evaluate(tpm.column(cid), tpm.truth, tpm.num_classes)
@@ -464,30 +477,12 @@ def cmd_compare(
                 }
             )
     with _stage("compare-groups"):
-        ids = list(vpm.classifier_ids)
-        groups = [
-            (f"A-{token}-{meta}", "group_a", group_members(ids, "A", token))
-            for token in dict.fromkeys(cid.algorithm for cid in ids)
-        ]
-        groups += [
-            (f"B-{token}-{meta}", "group_b", group_members(ids, "B", token))
-            for token in dict.fromkeys(cid.extractor for cid in ids)
-        ]
-        groups.append((f"C-{meta}", "group_c", group_members(ids, "C")))
         groups.append((f"D-{meta}", "group_d", list(final.members)))
         if elbow_k is not None:
             elbow_members = list(sweeps[primary_metric][elbow_k - 1].members)
             groups.append((f"ELBOW-{meta}", "elbow", elbow_members))
-        # Sweep candidates (always D and ELBOW) reuse the sweep's fits.
-        ensembles = {key: ensemble for key, (ensemble, _) in stacks.items()}
-        missing = {
-            _member_key(members): members
-            for _, _, members in groups
-            if _member_key(members) not in ensembles
-        }
-        ensembles.update(zip(missing, fit_stacks(vpm, list(missing.values()), meta_kind=meta)))
         for display, kind, members in groups:
-            preds = predict_stack(ensembles[_member_key(members)], tpm)
+            preds = predict_stack(stacks[_member_key(members)], tpm)
             entry = evaluate(preds, tpm.truth, tpm.num_classes)
             rows.append(
                 {

@@ -123,9 +123,11 @@ def fit_stacks(
     LR is softmax regression on the one-hot meta-features (step 0.1, 500
     epochs, L2 1e-4, zero init). All LR lists are fitted together by
     ``fit_softmax_models`` over one one-hot matrix of the union of their
-    members, each list on its own members' blocks in its own order. NB
-    (categorical naive Bayes) and VOTE (plurality) weights are closed-form
-    and computed once for the union; each list takes its members' rows.
+    members, each list on its own members' blocks in its own order, in
+    one descent: ``compare`` passes its group A/B/C lists with the sweep's
+    candidates, so they share it. NB (categorical naive Bayes) and VOTE
+    (plurality) weights are closed-form and computed once for the union;
+    each list takes its members' rows.
     None of the three consumes randomness, so each fit is a pure function
     of its inputs.
     """

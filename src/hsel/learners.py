@@ -7,12 +7,14 @@ index.
 Softmax regression has one training routine, ``fit_softmax_models``: it
 trains any number of models that share one design matrix, each on its own
 column subset, in one class-major gradient descent. A single fit is the
-batch of one; the stacking layer fits every LR meta-classifier of a sweep
-as one batch. The primal form descends in the weights W, two products with
-X per epoch. Descent from zero never leaves the row space of X, so the Gram
-form descends in A with W = A·X, one product with K = X·Xᵀ per epoch. It is
-used when every model trains on all columns and ``gram_form_pays`` (a flop
-count) says so: pool LR on a vocabulary wider than the training set.
+batch of one; the stacking layer fits every LR meta-classifier of a
+command as one batch. An epoch runs one exp and copies no weights: each
+step writes a spare buffer that swaps in. The primal form descends in the
+weights W, two products with X per epoch. Descent from zero never leaves
+the row space of X, so the Gram form descends in A with W = A·X, one
+product with K = X·Xᵀ per epoch. It is used when every model trains on all
+columns and ``gram_form_pays`` (a flop count) says so: pool LR on a
+vocabulary wider than the training set.
 ``SoftmaxRegression`` also holds the closed-form NB and VOTE
 meta-classifier weights, and ``top_class`` is the one tie rule for linear
 scores.
@@ -135,10 +137,14 @@ def fit_softmax_models(
     All models share one design matrix and one gradient-descent loop, so
     the per-epoch cost of numpy calls is paid once for the batch. Arrays
     are class-major, shape (C, M, N) for scores and (C, M, D) for weights:
-    the softmax max, sum and log over classes run elementwise across C
-    contiguous slabs. Model m's weights outside ``columns[m]`` get a step
-    size of zero and stay zero, so it computes what a fit on its own
-    columns computes, up to float summation order. The Gram form descends
+    the softmax max and sum over classes run elementwise across C
+    contiguous slabs. An epoch exponentiates the max-shifted scores s̃ once,
+    in place; the loss, mean(log Z − s̃_y) + ½λ‖W‖², and the gradient's
+    δ = exp(s̃)/(n·Z) − onehot/n both follow. Each step writes the spare
+    weight and bias buffers, which then swap in, so the spare holds the
+    previous epoch's for a revert. Model m's weights outside ``columns[m]``
+    get a step size of zero and stay zero, so it computes what a fit on its
+    own columns computes, up to float summation order. The Gram form descends
     in A (C, M, N) instead, and the weights are A·X in column order.
 
     Each model keeps its own divergence rule: when its loss rises by more
@@ -157,7 +163,6 @@ def fit_softmax_models(
     y = np.asarray(y, dtype=np.int64)
     n, d = X.shape
     c, m = num_classes, len(models)
-    rows = np.arange(n)
     gram = gram_form_pays(n, d, c, m, epochs) and all(
         np.array_equal(np.sort(cols), np.arange(d)) for cols in columns
     )
@@ -170,38 +175,37 @@ def fit_softmax_models(
         rates[0, i, slice(None) if gram else cols] = step
     bias_rates = np.full((1, m, 1), step)
     onehot = np.zeros((c, 1, n))
-    onehot[y, 0, rows] = 1.0
+    onehot[y, 0, np.arange(n)] = 1.0 / n
+    # Flat index of score (y_i, m, i); mode "clip" lets ``take`` fill ``out`` unbuffered.
+    label_at = y * (m * n) + np.arange(n) + (np.arange(m) * n)[:, None]
 
-    # Preallocated buffers, updated in place every epoch.
-    weights, prev_weights, grad, scratch = (np.zeros((c, m, width)) for _ in range(4))
-    bias, prev_bias, grad_b = (np.zeros((c, m, 1)) for _ in range(3))
+    # Preallocated buffers; ``spare`` and ``spare_bias`` hold the last epoch's.
+    weights, spare, grad, scratch = (np.zeros((c, m, width)) for _ in range(4))
+    bias, spare_bias, grad_b = (np.zeros((c, m, 1)) for _ in range(3))
     scores = np.empty((c, m, n))
-    top, log_norm = np.empty((m, n)), np.empty((m, n))
-    flat_w, flat_s, flat_g = (a.reshape(c * m, -1) for a in (weights, scores, grad))
+    top, norm, label = np.empty((m, n)), np.empty((m, n)), np.empty((m, n))
+    flat_s, flat_g = scores.reshape(c * m, n), grad.reshape(c * m, width)
     losses = np.empty((epochs, m))
-    kept = np.zeros(m, dtype=np.int64)
     stopped_at = np.full(m, -1)
     active = np.ones(m, dtype=bool)
 
     for epoch in range(epochs):
-        np.matmul(flat_w, basis, out=flat_s)
+        np.matmul(weights.reshape(c * m, width), basis, out=flat_s)
         # ‖W‖² per model: Σ W ⊙ W, or Σ A ⊙ (A·K) read before the bias.
         np.multiply(weights, scores if gram else weights, out=scratch)
         scores += bias
-        np.max(scores, axis=0, out=top)
+        np.maximum.reduce(scores, axis=0, out=top)
         scores -= top
-        # Sum of exp over the class slabs, one slab at a time (``top`` is
-        # free now), so no second (C, M, N) buffer is needed.
-        np.exp(scores[0], out=log_norm)
-        for slab in scores[1:]:
-            log_norm += np.exp(slab, out=top)
-        np.log(log_norm, out=log_norm)
-        scores -= log_norm
-        loss = -scores[y, :, rows].mean(axis=0) + 0.5 * l2 * scratch.sum(axis=(0, 2))
-        # scores becomes delta = (probabilities - one-hot labels) / n.
+        np.take(scores, label_at, out=label, mode="clip")
         np.exp(scores, out=scores)
+        np.add.reduce(scores, axis=0, out=norm)
+        np.log(norm, out=top)
+        top -= label
+        loss = np.add.reduce(top, axis=1) / n + 0.5 * l2 * np.add.reduce(scratch, axis=(0, 2))
+        # scores becomes δ = exp(s̃)/(n·Z) − onehot/n.
+        np.divide(1.0 / n, norm, out=norm)
+        scores *= norm
         scores -= onehot
-        scores /= n
         # The gradient is δ·X + λW in W, and δ + λA in A.
         np.multiply(weights, l2, out=scratch)
         if gram:
@@ -209,12 +213,12 @@ def fit_softmax_models(
         else:
             np.matmul(flat_s, X, out=flat_g)
             grad += scratch
-        np.sum(scores, axis=2, keepdims=True, out=grad_b)
+        np.add.reduce(scores, axis=2, keepdims=True, out=grad_b)
         if epoch:
             rising = active & (loss > losses[epoch - 1] + 1e-12)
             if rising.any():
-                weights[:, rising] = prev_weights[:, rising]
-                bias[:, rising] = prev_bias[:, rising]
+                weights[:, rising] = spare[:, rising]
+                bias[:, rising] = spare_bias[:, rising]
                 rates[:, rising] = 0.0
                 bias_rates[:, rising] = 0.0
                 stopped_at[rising] = epoch
@@ -222,14 +226,13 @@ def fit_softmax_models(
                 if not active.any():
                     break
         losses[epoch] = loss
-        kept += active
-        np.copyto(prev_weights, weights)
-        np.copyto(prev_bias, bias)
         grad *= rates
         grad_b *= bias_rates
-        weights -= grad
-        bias -= grad_b
+        np.subtract(weights, grad, out=spare)
+        np.subtract(bias, grad_b, out=spare_bias)
+        weights, spare, bias, spare_bias = spare, weights, spare_bias, bias
 
+    kept = np.where(stopped_at >= 0, stopped_at, epochs)
     for i, (model, cols) in enumerate(zip(models, columns)):
         model.weights_ = (weights[:, i] @ X if gram else weights[:, i])[:, cols].T.copy()
         model.bias_ = bias[:, i, 0].copy()
@@ -284,9 +287,9 @@ class NearestCentroid:
     def fit(self, X: np.ndarray, y: np.ndarray, num_classes: int) -> "NearestCentroid":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        present = sorted(int(c) for c in np.unique(y))
-        self._classes = np.array(present, dtype=np.int64)
-        self._centroids = np.vstack([X[y == c].mean(axis=0) for c in present])
+        # Not np.unique: under numpy 2.4 it imports numpy.ma on every cold run.
+        self._classes = np.flatnonzero(np.bincount(y, minlength=num_classes))
+        self._centroids = np.vstack([X[y == c].mean(axis=0) for c in self._classes])
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

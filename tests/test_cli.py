@@ -8,8 +8,10 @@ import jsonschema
 import numpy as np
 import pytest
 
+from hsel import cli, combine
 from hsel.cli import RunConfig, _config_from_args, build_parser, cmd_compare, cmd_run, main
-from hsel.core import Split, write_corpus_csv
+from hsel.combine import fit_stack, predict_stack
+from hsel.core import ClassifierId, PredictionMatrix, Split, evaluate, write_corpus_csv
 from hsel.datasets import synthetic_news_corpus
 from hsel.pool import write_prediction_matrix
 
@@ -21,6 +23,34 @@ def small_corpus(tmp_path_factory):
     path = tmp_path_factory.mktemp("corpus") / "small.csv"
     write_corpus_csv(synthetic_news_corpus(n_docs=150, seed=3), str(path))
     return str(path)
+
+
+GROUP_KINDS = ("group_a", "group_b", "group_c", "group_d", "elbow")
+
+
+def _grid_matrices(tmp_path, seed=5, n=200, num_classes=3):
+    """A 2-extractor by 4-algorithm pool of noisy members, written as a
+    validation and a test matrix."""
+    rng = np.random.default_rng(seed)
+    ids = tuple(ClassifierId(e, a) for e in ("E1", "E2") for a in ("A1", "A2", "A3", "A4"))
+    paths = []
+    for split in (Split.VALIDATION, Split.TEST):
+        truth = rng.integers(0, num_classes, n)
+        right = rng.random((n, len(ids))) < rng.uniform(0.4, 0.8, len(ids))
+        noise = rng.integers(0, num_classes, (n, len(ids)))
+        pm = PredictionMatrix(ids, np.where(right, truth[:, None], noise), truth, num_classes,
+                              split)
+        paths.append(str(tmp_path / f"{split.value.lower()}.csv"))
+        write_prediction_matrix(pm, paths[-1])
+    return paths
+
+
+def _redundant_matrices(tmp_path):
+    paths = []
+    for seed, split, name in ((31, Split.VALIDATION, "val.csv"), (32, Split.TEST, "test.csv")):
+        paths.append(str(tmp_path / name))
+        write_prediction_matrix(make_redundant_matrix(seed=seed, split=split), paths[-1])
+    return paths
 
 
 def _schema(name):
@@ -130,6 +160,53 @@ class TestCompare:
         assert d_row["members_count"] < c_row["members_count"]
         assert d_row["accuracy"] >= c_row["accuracy"] - 0.02
 
+    def test_sweeps_primary_metric_and_rows_match_standalone_stacks(self, tmp_path, monkeypatch):
+        seen = []
+        original = cli._score_candidates
+
+        def recording(sweeps, *args):
+            seen.append(list(sweeps))
+            return original(sweeps, *args)
+
+        monkeypatch.setattr(cli, "_score_candidates", recording)
+        val_path, test_path = _grid_matrices(tmp_path)
+        config = RunConfig(corpus="", outdir=str(tmp_path / "cmp"), seed=7)
+        report = cmd_compare(config, validation_matrix=val_path, test_matrix=test_path)
+        assert seen == [[config.metrics[0]]]
+        assert report["config"]["metrics"] == list(config.metrics)
+        vpm, tpm = cli.read_prediction_matrix(val_path), cli.read_prediction_matrix(test_path)
+        rows = [row for row in report["rows"] if row["kind"] in GROUP_KINDS]
+        assert {row["kind"] for row in rows} == set(GROUP_KINDS)
+        for row in rows:
+            preds = predict_stack(fit_stack(vpm, row["members"]), tpm)
+            entry = evaluate(preds, tpm.truth, tpm.num_classes).as_dict()
+            assert {key: row[key] for key in entry} == entry, row["display"]
+
+    @pytest.mark.parametrize("matrices", [_redundant_matrices, _grid_matrices])
+    def test_matrix_mode_runs_one_descent(self, matrices, tmp_path, monkeypatch):
+        descents, fitted = [], []
+        original_descent, original_fit = combine.fit_softmax_models, cli.fit_stacks
+
+        def recording_descent(models, *args):
+            descents.append([id(model) for model in models])
+            return original_descent(models, *args)
+
+        def recording_fit(*args, **kwargs):
+            ensembles = original_fit(*args, **kwargs)
+            fitted.extend(ensembles)
+            return ensembles
+
+        monkeypatch.setattr(combine, "fit_softmax_models", recording_descent)
+        monkeypatch.setattr(cli, "fit_stacks", recording_fit)
+        val_path, test_path = matrices(tmp_path)
+        config = RunConfig(corpus="", outdir=str(tmp_path / "cmp"), seed=7)
+        report = cmd_compare(config, validation_matrix=val_path, test_matrix=test_path)
+        assert descents == [[id(ensemble.model) for ensemble in fitted]]
+        fitted_lists = {tuple(m.canonical for m in ensemble.members) for ensemble in fitted}
+        rows = [row for row in report["rows"] if row["kind"] in GROUP_KINDS]
+        assert {row["kind"] for row in rows} == set(GROUP_KINDS)
+        assert all(tuple(row["members"]) in fitted_lists for row in rows)
+
     def test_matrix_mode_rejects_class_count_mismatch(self, tmp_path, capsys):
         val_path, test_path = tmp_path / "val.csv", tmp_path / "test.csv"
         for path, num_classes in ((val_path, 2), (test_path, 3)):
@@ -165,17 +242,8 @@ class TestIngest:
 
 
 class TestSingleStageCommands:
-    def _write_matrices(self, tmp_path):
-        vpm = make_redundant_matrix(seed=31, split=Split.VALIDATION)
-        tpm = make_redundant_matrix(seed=32, split=Split.TEST)
-        val_path = str(tmp_path / "val.csv")
-        test_path = str(tmp_path / "test.csv")
-        write_prediction_matrix(vpm, val_path)
-        write_prediction_matrix(tpm, test_path)
-        return val_path, test_path
-
     def test_outdir_env_override_for_matrix_commands(self, tmp_path, capsys, monkeypatch):
-        val_path, _ = self._write_matrices(tmp_path)
+        val_path, _ = _redundant_matrices(tmp_path)
         override = tmp_path / "env-out"
         monkeypatch.setenv("HSEL_OUTPUT_DIR", str(override))
         assert main(["diversity", "--matrix", val_path, "--outdir", str(tmp_path / "x")]) == 0
@@ -183,7 +251,7 @@ class TestSingleStageCommands:
         assert not (tmp_path / "x").exists()
 
     def test_diversity_then_cluster(self, tmp_path, capsys):
-        val_path, _ = self._write_matrices(tmp_path)
+        val_path, _ = _redundant_matrices(tmp_path)
         outdir = str(tmp_path / "out")
         assert main(["diversity", "--matrix", val_path, "--outdir", outdir]) == 0
         matrix_path = capsys.readouterr().out.strip()
@@ -197,7 +265,7 @@ class TestSingleStageCommands:
     def test_select_rules_agree_on_engineered_fixture(self, tmp_path):
         # Both final-choice rules land on the same members here: the level-3
         # candidate maximizes distance and validation score simultaneously.
-        val_path, _ = self._write_matrices(tmp_path)
+        val_path, _ = _redundant_matrices(tmp_path)
         finals = {}
         for rule in ("max-validation", "max-diversity"):
             outdir = str(tmp_path / rule)
@@ -213,7 +281,7 @@ class TestSingleStageCommands:
         assert finals["max-validation"]["members"] == finals["max-diversity"]["members"]
 
     def test_stack_command_round_trip(self, tmp_path, capsys):
-        val_path, test_path = self._write_matrices(tmp_path)
+        val_path, test_path = _redundant_matrices(tmp_path)
         outdir = str(tmp_path / "out")
         rc = main(
             [

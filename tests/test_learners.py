@@ -158,6 +158,35 @@ class TestSoftmaxRegression:
         assert forms[True] >= 10 and forms[False] >= 10, forms
         assert diverged >= 10
 
+    def test_compare_shaped_batch_matches_row_major_oracle(self):
+        # The batch a compare fits over one one-hot design: nested prefix
+        # lists, as the candidates of a level sweep, plus disjoint group
+        # lists, as groups A and B. Every model is checked against the
+        # oracle on its own columns.
+        rng = np.random.default_rng(41)
+        n, p, c = 90, 8, 3
+        y = rng.integers(0, c, n)
+        X = np.zeros((n, p * c))
+        for j in range(p):
+            pred = np.where(rng.random(n) < 0.6, y, rng.integers(0, c, n))
+            X[np.arange(n), j * c + pred] = 1.0
+        order = rng.permutation(p)
+        member_lists = [order[:k] for k in range(1, p + 1)]
+        member_lists += [order[j::4] for j in range(4)] + [order[:4][::-1], order[4:]]
+        columns = [(members[:, None] * c + np.arange(c)).ravel() for members in member_lists]
+        for step in (0.1, 0.5):
+            batch = [SoftmaxRegression(step=step, epochs=200) for _ in columns]
+            fit_softmax_models(batch, X, y, c, columns)
+            for i, (model, cols) in enumerate(zip(batch, columns)):
+                weights, bias, history, diverged_epoch = softmax_gd_oracle(
+                    X[:, cols], y, c, step, 200, 1e-4
+                )
+                assert np.allclose(model.weights_, weights, rtol=0, atol=1e-12), (step, i)
+                assert np.allclose(model.bias_, bias, rtol=0, atol=1e-12), (step, i)
+                assert model.diverged_epoch == diverged_epoch, (step, i)
+                assert len(model.loss_history_) == len(history), (step, i)
+                assert np.allclose(model.loss_history_, history, rtol=0, atol=1e-12), (step, i)
+
     def test_score_ties_break_to_smallest_class(self):
         model = SoftmaxRegression()
         model.weights_ = np.zeros((2, 3))

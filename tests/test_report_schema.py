@@ -175,3 +175,20 @@ print(json.dumps([hsel.cli.main(argv) for argv in runs]))
 def test_importing_cli_leaves_jsonschema_unloaded():
     code = "import sys, hsel.cli; assert 'jsonschema' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=_env(), check=True)
+
+
+def test_run_loads_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma under numpy 2.4, a cold-start cost of every
+    # run; a run must load nothing of it that importing numpy did not.
+    script = """
+import sys
+import hsel.cli
+before = "numpy.ma" in sys.modules
+code = hsel.cli.main(["run", "--corpus", sys.argv[1], "--outdir", sys.argv[2]])
+print(code, before, "numpy.ma" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", script, TOY_CORPUS, str(tmp_path / "run")],
+                         capture_output=True, text=True, env=_env(), check=True)
+    code, before, after = out.stdout.strip().splitlines()[-1].split()
+    assert code == "0"
+    assert after == before
