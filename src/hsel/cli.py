@@ -76,12 +76,7 @@ class RunConfig:
     outdir: str = "hsel-out"
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["ratios"] = list(self.ratios)
-        doc["extractors"] = list(self.extractors)
-        doc["algorithms"] = list(self.algorithms)
-        doc["metrics"] = list(self.metrics)
-        return doc
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 class StageError(RuntimeError):
@@ -302,6 +297,16 @@ def _selection_sweep(
     return matrix, dendro, scores, sweeps, stacks, elbow_k
 
 
+def _final_doc(config: RunConfig, final: EnsembleCandidate) -> dict:
+    """The deployed choice: the rule that made it and the candidate it chose."""
+    return {
+        "rule": config.rule,
+        "alpha": config.alpha if config.rule == "weighted" else None,
+        "level_k": final.level_k,
+        "members": [m.canonical for m in final.members],
+    }
+
+
 def _selection_report_doc(
     config: RunConfig, sweeps: dict[str, list[EnsembleCandidate]], elbow_k: int | None
 ) -> dict:
@@ -310,12 +315,7 @@ def _selection_report_doc(
         final = choose_final(candidates, rule=config.rule, alpha=config.alpha)
         metrics_doc[metric] = {
             "candidates": [_candidate_doc(c) for c in candidates],
-            "final": {
-                "rule": config.rule,
-                "alpha": config.alpha if config.rule == "weighted" else None,
-                "level_k": final.level_k,
-                "members": [m.canonical for m in final.members],
-            },
+            "final": _final_doc(config, final),
         }
     return {
         "report_version": 1,
@@ -324,6 +324,17 @@ def _selection_report_doc(
         "elbow_k": elbow_k,
         "metrics": metrics_doc,
     }
+
+
+def _read_matrix_pair(validation: str, test: str) -> tuple[PredictionMatrix, PredictionMatrix]:
+    """The validation and the test matrix of one job; their class counts must agree."""
+    with _stage("ingest"):
+        vpm, tpm = read_prediction_matrix(validation), read_prediction_matrix(test)
+        if vpm.num_classes != tpm.num_classes:
+            raise ValueError(
+                f"{validation} has {vpm.num_classes} classes but {test} has {tpm.num_classes}"
+            )
+    return vpm, tpm
 
 
 def _build_corpus(config: RunConfig) -> tuple[LabeledCorpus, dict[str, int]]:
@@ -397,19 +408,24 @@ def cmd_run(config: RunConfig) -> dict:
             {"id": name, **entry.as_dict()} for name, entry in scores.items()
         ],
         "candidates": [_candidate_doc(c) for c in sweeps[primary_metric]],
-        "selection": {
-            "rule": config.rule,
-            "alpha": config.alpha if config.rule == "weighted" else None,
-            "metric": primary_metric,
-            "level_k": final.level_k,
-            "members": [m.canonical for m in final.members],
-        },
+        "selection": {**_final_doc(config, final), "metric": primary_metric},
         "final_test_eval": final_eval.as_dict(),
         "artifacts": artifacts,
     }
     with _stage("write-report"):
         _emit_report(report, "run_report", os.path.join(config.outdir, "run_report.json"))
     return report
+
+
+def _row(display: str, kind: str, members: Sequence[ClassifierId], metrics: dict) -> dict:
+    """One row of the compare report: a strategy's members and its TEST metrics."""
+    return {
+        "display": display,
+        "kind": kind,
+        "members": [m.canonical for m in members],
+        "members_count": len(members),
+        **metrics,
+    }
 
 
 def cmd_compare(
@@ -427,18 +443,9 @@ def cmd_compare(
     if (validation_matrix is None) != (test_matrix is None):
         raise StageError("ingest", "matrix mode needs both validation and test matrices")
     if validation_matrix is not None:
-        with _stage("ingest"):
-            vpm = read_prediction_matrix(validation_matrix)
-            tpm = read_prediction_matrix(test_matrix)
-            if [c.canonical for c in vpm.classifier_ids] != [
-                c.canonical for c in tpm.classifier_ids
-            ]:
-                raise ValueError("validation and test matrices must share one column order")
-            if vpm.num_classes != tpm.num_classes:
-                raise ValueError(
-                    f"{validation_matrix} has {vpm.num_classes} classes but {test_matrix}"
-                    f" has {tpm.num_classes}"
-                )
+        vpm, tpm = _read_matrix_pair(validation_matrix, test_matrix)
+        if vpm.classifier_ids != tpm.classifier_ids:
+            raise StageError("ingest", "validation and test matrices must share one column order")
     else:
         corpus, _ = _build_corpus(config)
         vpm, tpm = _build_matrices(config, corpus)
@@ -463,19 +470,12 @@ def cmd_compare(
     with _stage("choose-final"):
         final = choose_final(sweeps[primary_metric], rule=config.rule, alpha=config.alpha)
 
-    rows: list[dict] = []
     with _stage("compare-monolithic"):
-        for cid in vpm.classifier_ids:
-            entry = evaluate(tpm.column(cid), tpm.truth, tpm.num_classes)
-            rows.append(
-                {
-                    "display": cid.canonical,
-                    "kind": "monolithic",
-                    "members": [cid.canonical],
-                    "members_count": 1,
-                    **entry.as_dict(),
-                }
-            )
+        rows = [
+            _row(cid.canonical, "monolithic", [cid],
+                 evaluate(tpm.column(cid), tpm.truth, tpm.num_classes).as_dict())
+            for cid in vpm.classifier_ids
+        ]
     with _stage("compare-groups"):
         groups.append((f"D-{meta}", "group_d", list(final.members)))
         if elbow_k is not None:
@@ -484,29 +484,10 @@ def cmd_compare(
         for display, kind, members in groups:
             preds = predict_stack(stacks[_member_key(members)], tpm)
             entry = evaluate(preds, tpm.truth, tpm.num_classes)
-            rows.append(
-                {
-                    "display": f"{display} ({len(members)})",
-                    "kind": kind,
-                    "members": [m.canonical for m in members],
-                    "members_count": len(members),
-                    **entry.as_dict(),
-                }
-            )
+            rows.append(_row(f"{display} ({len(members)})", kind, members, entry.as_dict()))
     with _stage("compare-baseline"):
-        base = random_baseline(vpm.num_classes)
-        rows.append(
-            {
-                "display": "BASELINE",
-                "kind": "baseline",
-                "members": [],
-                "members_count": 0,
-                "accuracy": base,
-                "precision": None,
-                "recall": None,
-                "f1": None,
-            }
-        )
+        baseline = {**dict.fromkeys(METRIC_NAMES), "accuracy": random_baseline(vpm.num_classes)}
+        rows.append(_row("BASELINE", "baseline", [], baseline))
 
     report = {
         "report_version": 1,
@@ -518,12 +499,6 @@ def cmd_compare(
     with _stage("write-report"):
         _emit_report(report, "compare_report", os.path.join(config.outdir, "compare_report.json"))
     return report
-
-
-def cmd_ingest(matrix_path: str, meta_path: str | None = None) -> PredictionMatrix:
-    """Validate an externally produced prediction-matrix file."""
-    with _stage("ingest"):
-        return read_prediction_matrix(matrix_path, meta_path)
 
 
 def _parse_ratios(text: str) -> tuple[float, float, float]:
@@ -568,8 +543,7 @@ _FIELD_OPTIONS = {
     "seed": ("--seed", "global random seed", {"type": int}),
     "outdir": ("--outdir", f"output directory, overridden by ${OUTPUT_DIR_ENV}", {}),
 }
-_COMMON_FIELDS = ("seed", "outdir")
-_PIPELINE_FIELDS = ("ratios", "extractors", "algorithms")
+_PIPELINE_FIELDS = ("ratios", "extractors", "algorithms", "seed")
 _SELECTION_FIELDS = ("linkage", "conversion", "metrics", "rule", "alpha", "meta_kind")
 
 
@@ -600,34 +574,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="full pipeline over a corpus file")
     p_run.add_argument("--corpus", required=True, help="text,label corpus file")
-    _add_field_options(p_run, _PIPELINE_FIELDS + _SELECTION_FIELDS + _COMMON_FIELDS)
+    _add_field_options(p_run, _PIPELINE_FIELDS + _SELECTION_FIELDS + ("outdir",))
 
     p_cmp = sub.add_parser("compare", help="selection strategies side by side on TEST")
     p_cmp.add_argument("--corpus", help="text,label corpus file (native pool mode)")
     p_cmp.add_argument("--validation-matrix", help="ingested validation prediction matrix")
     p_cmp.add_argument("--test-matrix", help="ingested test prediction matrix")
-    _add_field_options(p_cmp, _PIPELINE_FIELDS + _SELECTION_FIELDS + _COMMON_FIELDS)
+    _add_field_options(p_cmp, _PIPELINE_FIELDS + _SELECTION_FIELDS + ("outdir",))
 
     p_ing = sub.add_parser("ingest", help="validate a prediction-matrix file")
     p_ing.add_argument("matrix", help="prediction-matrix file")
     p_ing.add_argument("--meta-file", help="sidecar metadata (default: <matrix>.meta.json)")
-    _add_field_options(p_ing, _COMMON_FIELDS)
 
     p_div = sub.add_parser("diversity", help="dissimilarity matrix from a prediction matrix")
     p_div.add_argument("--matrix", required=True)
     p_div.add_argument("--meta-file")
     p_div.add_argument("--out", help="output path (default: <outdir>/dissimilarity.csv)")
-    _add_field_options(p_div, ("conversion",) + _COMMON_FIELDS)
+    _add_field_options(p_div, ("conversion", "outdir"))
 
     p_clu = sub.add_parser("cluster", help="dendrogram from a dissimilarity matrix")
     p_clu.add_argument("--dissimilarity", required=True)
     p_clu.add_argument("--out", help="output path (default: <outdir>/dendrogram.txt)")
-    _add_field_options(p_clu, ("linkage",) + _COMMON_FIELDS)
+    _add_field_options(p_clu, ("linkage", "outdir"))
 
     p_sel = sub.add_parser("select", help="hierarchy-level sweep over an ingested matrix")
     p_sel.add_argument("--matrix", required=True, help="validation prediction matrix")
     p_sel.add_argument("--meta-file")
-    _add_field_options(p_sel, _SELECTION_FIELDS + _COMMON_FIELDS)
+    # select reads no seed; --seed stays while the pool-wide benchmark passes it.
+    _add_field_options(p_sel, _SELECTION_FIELDS + ("seed", "outdir"))
 
     p_stk = sub.add_parser("stack", help="fit a stacked ensemble from ingested matrices")
     p_stk.add_argument("--validation-matrix", required=True)
@@ -635,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stk.add_argument("--members", required=True, type=_parse_tokens,
                        help="comma-separated canonical classifier ids")
     p_stk.add_argument("--out", help="output path (default: <outdir>/stack.json)")
-    _add_field_options(p_stk, ("meta_kind",) + _COMMON_FIELDS)
+    _add_field_options(p_stk, ("meta_kind", "outdir"))
 
     return parser
 
@@ -643,19 +617,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.outdir = os.environ.get(OUTPUT_DIR_ENV) or args.outdir
+    if args.command == "compare" and not args.corpus and not args.validation_matrix:
+        parser.error("compare needs --corpus or --validation-matrix/--test-matrix")
+    if "outdir" in args:
+        args.outdir = os.environ.get(OUTPUT_DIR_ENV) or args.outdir
+        os.makedirs(args.outdir, exist_ok=True)
     try:
         if args.command == "run":
             report = cmd_run(_config_from_args(args))
             shown = json.dumps(report["final_test_eval"], indent=2, sort_keys=True)
         elif args.command == "compare":
-            if not args.corpus and not args.validation_matrix:
-                parser.error("compare needs --corpus or --validation-matrix/--test-matrix")
             config = _config_from_args(args)
             cmd_compare(config, args.validation_matrix, args.test_matrix)
             shown = os.path.join(config.outdir, "compare_report.json")
         elif args.command == "ingest":
-            pm = cmd_ingest(args.matrix, args.meta_file)
+            with _stage("ingest"):
+                pm = read_prediction_matrix(args.matrix, args.meta_file)
             summary = {
                 "classifiers": [c.canonical for c in pm.classifier_ids],
                 "instances": pm.n_instances,
@@ -664,7 +641,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             }
             shown = json.dumps(summary, indent=2, sort_keys=True)
         elif args.command == "diversity":
-            os.makedirs(args.outdir, exist_ok=True)
             with _stage("ingest"):
                 pm = read_prediction_matrix(args.matrix, args.meta_file)
             with _stage("dissimilarity"):
@@ -672,7 +648,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             shown = args.out or os.path.join(args.outdir, "dissimilarity.csv")
             write_dissimilarity_csv(matrix, shown)
         elif args.command == "cluster":
-            os.makedirs(args.outdir, exist_ok=True)
             with _stage("read-dissimilarity"):
                 matrix = read_dissimilarity_csv(args.dissimilarity)
             with _stage("linkage"):
@@ -681,7 +656,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             write_dendrogram(dendro, shown)
         elif args.command == "select":
             config = _config_from_args(args)
-            os.makedirs(config.outdir, exist_ok=True)
             with _stage("ingest"):
                 vpm = read_prediction_matrix(args.matrix, args.meta_file)
             _, _, _, sweeps, _, elbow_k = _selection_sweep(vpm, config)
@@ -690,10 +664,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 _emit_report(_selection_report_doc(config, sweeps, elbow_k),
                              "selection_report", shown)
         else:  # stack
-            os.makedirs(args.outdir, exist_ok=True)
-            with _stage("ingest"):
-                vpm = read_prediction_matrix(args.validation_matrix)
-                tpm = read_prediction_matrix(args.test_matrix)
+            vpm, tpm = _read_matrix_pair(args.validation_matrix, args.test_matrix)
             with _stage("stack"):
                 ensemble = fit_stack(vpm, list(args.members), meta_kind=args.meta_kind)
                 preds = predict_stack(ensemble, tpm)

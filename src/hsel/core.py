@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -92,6 +92,45 @@ class ClassifierId:
 
     def __str__(self) -> str:
         return self.canonical
+
+
+_Row = TypeVar("_Row")
+
+
+def read_id_table(
+    path: str, corner: str, parse_row: Callable[[list[str]], _Row], fault: str
+) -> tuple[list[str], tuple[ClassifierId, ...], list[_Row], list[int]]:
+    """Read an id-headed CSV wire file: line 1 is ``corner`` and then the
+    classifier ids, and every later non-blank line has one field per header
+    field. ``parse_row`` maps a line's fields to its row, and a ``ValueError``
+    from it is reported as ``fault``. Returns the header's id names, the ids,
+    the rows and their line numbers; every fault raises ``ValueError`` naming
+    ``path: line N``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: line 1: empty matrix file")
+        if not header or header[0].strip().lower() != corner:
+            raise ValueError(f"{path}: line 1: first header field must be {corner!r}")
+        names = [h.strip() for h in header[1:]]
+        if not names:
+            raise ValueError(f"{path}: line 1: no classifier columns")
+        ids = ClassifierId.parse_header(path, names)
+        rows, linenos = [], []
+        for lineno, fields in enumerate(reader, start=2):
+            if not fields:
+                continue
+            if len(fields) != len(header):
+                raise ValueError(
+                    f"{path}: line {lineno}: expected {len(header)} fields, found {len(fields)}"
+                )
+            try:
+                rows.append(parse_row(fields))
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: {fault}") from None
+            linenos.append(lineno)
+    return names, ids, rows, linenos
 
 
 @dataclass(frozen=True)

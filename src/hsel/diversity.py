@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ClassifierId, PredictionMatrix
+from .core import ClassifierId, PredictionMatrix, read_id_table
 
 
 def double_fault(
@@ -129,41 +129,22 @@ def write_dissimilarity_csv(matrix: DissimilarityMatrix, path: str) -> None:
 
 
 def read_dissimilarity_csv(path: str) -> DissimilarityMatrix:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty matrix file") from None
-        if not header or header[0].strip().lower() != "id":
-            raise ValueError(f"{path}: line 1: first header field must be 'id'")
-        names = [h.strip() for h in header[1:]]
-        ids = ClassifierId.parse_header(path, names)
-        rows, linenos = [], []
-        lineno = 1
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(rows) == len(names):
-                raise ValueError(f"{path}: line {lineno}: more rows than the {len(names)} ids")
-            if len(row) != len(names) + 1:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {len(names) + 1} fields, found {len(row)}"
-                )
-            if row[0].strip() != names[len(rows)]:
-                raise ValueError(
-                    f"{path}: line {lineno}: row id {row[0]!r} does not match header order"
-                )
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric distance") from None
-            linenos.append(lineno)
-    if len(rows) != len(names):
-        raise ValueError(
-            f"{path}: line {lineno + 1}: expected {len(names)} rows, found {len(rows)}"
-        )
-    values = np.array(rows, dtype=np.float64)
+    names, ids, rows, linenos = read_id_table(
+        path, "id", lambda fields: (fields[0], [float(v) for v in fields[1:]]),
+        "non-numeric distance",
+    )
+    size = len(names)
+    if len(rows) > size:
+        raise ValueError(f"{path}: line {linenos[size]}: more rows than the {size} ids")
+    for (row_id, _), name, lineno in zip(rows, names, linenos):
+        if row_id.strip() != name:
+            raise ValueError(
+                f"{path}: line {lineno}: row id {row_id!r} does not match header order"
+            )
+    if len(rows) < size:
+        end = linenos[-1] + 1 if linenos else 2
+        raise ValueError(f"{path}: line {end}: expected {size} rows, found {len(rows)}")
+    values = np.array([distances for _, distances in rows], dtype=np.float64)
     try:
         return DissimilarityMatrix(ids=ids, values=values)
     except ValueError as exc:

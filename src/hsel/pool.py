@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ClassifierId, LabeledCorpus, PredictionMatrix, Split, derive_seed
+from .core import ClassifierId, LabeledCorpus, PredictionMatrix, Split, derive_seed, read_id_table
 from .features import (
     DEFAULT_HASHED_DIM,
     FeatureSpace,
@@ -191,33 +191,9 @@ def read_prediction_matrix(path: str, meta_path: str | None = None) -> Predictio
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: line 1: empty matrix file") from None
-        if not header or header[0].strip().lower() != "truth":
-            raise ValueError(f"{path}: line 1: first header field must be 'truth'")
-        raw_ids = [h.strip() for h in header[1:]]
-        if not raw_ids:
-            raise ValueError(f"{path}: line 1: no classifier columns")
-        ids = ClassifierId.parse_header(path, raw_ids)
-
-        rows: list[list[int]] = []
-        linenos: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(raw_ids) + 1:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {len(raw_ids) + 1} fields, found {len(row)}"
-                )
-            try:
-                rows.append([int(v) for v in row])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-integer label") from None
-            linenos.append(lineno)
+    _, ids, rows, linenos = read_id_table(
+        path, "truth", lambda fields: [int(v) for v in fields], "non-integer label"
+    )
     if not rows:
         raise ValueError(f"{path}: matrix has no instance rows")
     try:

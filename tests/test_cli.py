@@ -3,6 +3,9 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -303,6 +306,38 @@ class TestSingleStageCommands:
             "SRC01-CLF", "SRC05-CLF", "SRC09-CLF",
         ]
 
+    def test_stack_checks_class_counts_but_not_column_order(self, tmp_path, capsys):
+        val_path, test_path = _redundant_matrices(tmp_path)
+        tpm = make_redundant_matrix(seed=32, split=Split.TEST)
+        reversed_path = str(tmp_path / "test-reversed.csv")
+        write_prediction_matrix(
+            PredictionMatrix(tpm.classifier_ids[::-1], tpm.predictions[:, ::-1], tpm.truth,
+                             tpm.num_classes, tpm.split_tag),
+            reversed_path,
+        )
+        outputs = []
+        for name, path in (("same", test_path), ("reversed", reversed_path)):
+            rc = main(["stack", "--validation-matrix", val_path, "--test-matrix", path,
+                       "--members", "SRC01-CLF,SRC05-CLF,SRC09-CLF", "--meta", "LR",
+                       "--outdir", str(tmp_path / name)])
+            assert rc == 0
+            outputs.append(((tmp_path / name / "stack.json").read_bytes(),
+                            json.loads(capsys.readouterr().out)["test_eval"]))
+        assert outputs[0] == outputs[1]
+
+        two, three = tmp_path / "two.csv", tmp_path / "three.csv"
+        for path, num_classes in ((two, 2), (three, 3)):
+            path.write_text("truth,CV-NB,CV-LR\n0,0,1\n1,1,1\n")
+            (tmp_path / f"{path.name}.meta.json").write_text(
+                f'{{"num_classes": {num_classes}, "split": "TEST"}}'
+            )
+        rc = main(["stack", "--validation-matrix", str(two), "--test-matrix", str(three),
+                   "--members", "CV-NB,CV-LR", "--outdir", str(tmp_path / "bad")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error [ingest]: ")
+        assert str(two) in err and str(three) in err
+
 
 def test_parser_defaults_documented():
     parser = build_parser()
@@ -325,3 +360,37 @@ def test_option_defaults_come_from_run_config():
     )
     args = parser.parse_args(["select", "--matrix", "m.csv", "--meta", "vote", "--alpha", "0.25"])
     assert _config_from_args(args) == RunConfig(corpus="", meta_kind="VOTE", alpha=0.25)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "m.csv", "--seed", "3"],
+        ["ingest", "m.csv", "--outdir", "out"],
+        ["diversity", "--matrix", "m.csv", "--seed", "3"],
+        ["cluster", "--dissimilarity", "d.csv", "--seed", "3"],
+        ["stack", "--validation-matrix", "v.csv", "--test-matrix", "t.csv",
+         "--members", "A-X", "--seed", "3"],
+    ],
+)
+def test_commands_reject_options_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_select_still_accepts_seed():
+    args = build_parser().parse_args(["select", "--matrix", "m.csv", "--seed", "3"])
+    assert args.seed == 3
+
+
+def test_benchmark_replay_hooks_resolve():
+    """perfbench/replay.py wraps hsel names by attribute; installing its
+    wraps fails if one of them was renamed or deleted."""
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, 'perfbench'); "
+            "from replay import Replay; Replay().install()")
+    result = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert result.returncode == 0, result.stderr

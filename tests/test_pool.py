@@ -204,6 +204,7 @@ class TestWireFormat:
         [
             ("truth,BAD\n0,0\n", "cannot parse classifier id 'BAD'"),
             ("truth,CV-NB,cv-nb\n0,0,0\n", "duplicate classifier id 'CV-NB'"),
+            ("truth\n0\n", "no classifier columns"),
         ],
     )
     def test_bad_header_names_path_and_line(self, tmp_path, text, message):
