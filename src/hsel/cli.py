@@ -22,6 +22,7 @@ from .combine import (
     StackedEnsemble,
     fit_stack,
     fit_stacks,
+    predict_nested,
     predict_stack,
     stack_to_json,
 )
@@ -33,6 +34,7 @@ from .core import (
     Split,
     evaluate,
     evaluate_matrix,
+    evaluate_rows,
     load_corpus_csv,
     split_corpus,
 )
@@ -239,6 +241,15 @@ def _member_key(members: Sequence[ClassifierId]) -> tuple[str, ...]:
     return tuple(m.canonical for m in members)
 
 
+def _join_order(keys: list[tuple[str, ...]]) -> list[int]:
+    """Position in the last tuple of the one member each tuple adds to the one before."""
+    steps = list(zip([()] + keys[:-1], keys))
+    if any(len(key) != len(before) + 1 or not set(before) < set(key) for before, key in steps):
+        raise ValueError("sweep candidates are not nested")
+    position = {name: j for j, name in enumerate(keys[-1])}
+    return [position[(set(key) - set(before)).pop()] for before, key in steps]
+
+
 def _score_candidates(
     sweeps: dict[str, list[EnsembleCandidate]],
     vpm: PredictionMatrix,
@@ -250,22 +261,29 @@ def _score_candidates(
 
     The distinct member tuples, and the ``extra`` member lists, are fitted
     in one ``fit_stacks`` call. The returned cache maps each tuple to its
-    ensemble, so the deployed and compared ensembles reuse these fits.
+    ensemble, so the deployed and compared ensembles reuse these fits. NB and
+    VOTE sweeps are nested: one ``predict_nested`` pass labels each. Each
+    distinct tuple is evaluated once, all in one ``evaluate_rows`` call.
     Validation data is reused for base scoring and meta-training by design;
     held-out measurement happens on TEST only.
     """
-    candidates = {
-        _member_key(c.members): c.members for candidates in sweeps.values() for c in candidates
-    }
+    keys = {metric: [_member_key(c.members) for c in cands] for metric, cands in sweeps.items()}
+    candidates = {key: c.members for metric, cands in sweeps.items()
+                  for key, c in zip(keys[metric], cands)}
     distinct = {**candidates, **{_member_key(members): members for members in extra}}
     stacks = dict(zip(distinct, fit_stacks(vpm, list(distinct.values()), meta_kind=meta_kind)))
-    entries = {
-        key: evaluate(predict_stack(stacks[key], vpm), vpm.truth, vpm.num_classes)
-        for key in candidates
-    }
+    if meta_kind.strip().upper() == "LR":
+        labels = {key: predict_stack(stacks[key], vpm) for key in candidates}
+    else:
+        labels = {}
+        for sweep in keys.values():
+            wanted = [key not in labels for key in sweep]
+            nested = predict_nested(stacks[sweep[-1]], vpm, _join_order(sweep), wanted)
+            labels.update(zip((key for key, want in zip(sweep, wanted) if want), nested))
+    entries = dict(zip(labels, evaluate_rows(list(labels.values()), vpm.truth, vpm.num_classes)))
     scored = {
-        metric: [c.with_score(entries[_member_key(c.members)].metric(metric)) for c in candidates]
-        for metric, candidates in sweeps.items()
+        metric: [c.with_score(entries[key].metric(metric)) for key, c in zip(keys[metric], cands)]
+        for metric, cands in sweeps.items()
     }
     return scored, stacks
 
@@ -471,11 +489,8 @@ def cmd_compare(
         final = choose_final(sweeps[primary_metric], rule=config.rule, alpha=config.alpha)
 
     with _stage("compare-monolithic"):
-        rows = [
-            _row(cid.canonical, "monolithic", [cid],
-                 evaluate(tpm.column(cid), tpm.truth, tpm.num_classes).as_dict())
-            for cid in vpm.classifier_ids
-        ]
+        rows = [_row(cid.canonical, "monolithic", [cid], entry.as_dict())
+                for cid, entry in zip(tpm.classifier_ids, evaluate_matrix(tpm).values())]
     with _stage("compare-groups"):
         groups.append((f"D-{meta}", "group_d", list(final.members)))
         if elbow_k is not None:
@@ -646,14 +661,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             with _stage("dissimilarity"):
                 matrix = dissimilarity_matrix(pm, conversion=args.conversion)
             shown = args.out or os.path.join(args.outdir, "dissimilarity.csv")
-            write_dissimilarity_csv(matrix, shown)
+            with _stage("write-dissimilarity"):
+                write_dissimilarity_csv(matrix, shown)
         elif args.command == "cluster":
             with _stage("read-dissimilarity"):
                 matrix = read_dissimilarity_csv(args.dissimilarity)
             with _stage("linkage"):
                 dendro = linkage(matrix, method=args.linkage)
             shown = args.out or os.path.join(args.outdir, "dendrogram.txt")
-            write_dendrogram(dendro, shown)
+            with _stage("write-dendrogram"):
+                write_dendrogram(dendro, shown)
         elif args.command == "select":
             config = _config_from_args(args)
             with _stage("ingest"):
@@ -670,7 +687,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 preds = predict_stack(ensemble, tpm)
             entry = evaluate(preds, tpm.truth, tpm.num_classes)
             out = args.out or os.path.join(args.outdir, "stack.json")
-            with open(out, "w", encoding="utf-8") as fh:
+            with _stage("write-stack"), open(out, "w", encoding="utf-8") as fh:
                 fh.write(stack_to_json(ensemble))
             shown = json.dumps({"stack": out, "test_eval": entry.as_dict()},
                                indent=2, sort_keys=True)

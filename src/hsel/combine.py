@@ -183,22 +183,34 @@ def fit_stack(
 
 
 def predict_stack(ensemble: StackedEnsemble, pm: PredictionMatrix) -> np.ndarray:
-    """Apply the trained meta-classifier to another prediction matrix.
+    """Apply the trained meta-classifier to another prediction matrix: the
+    last level of ``predict_nested`` over the members in order."""
+    p = len(ensemble.members)
+    return predict_nested(ensemble, pm, range(p), [False] * (p - 1) + [True])[0]
 
-    Each row scores ``bias + sum_j weights[j * C + pred_j]``, added from the
-    bias through the members in order: the linear scorer applied to the
-    one-hot meta-features without building them. The top class wins, with
-    ``learners.top_class``'s tie rule.
-    """
-    columns = _member_columns(pm, ensemble.members)
-    if pm.num_classes != ensemble.num_classes:
+
+def predict_nested(ensemble: StackedEnsemble, pm: PredictionMatrix, order: Sequence[int],
+                   wanted: Sequence[bool]) -> np.ndarray:
+    """(levels, N) labels of the smallest unsigned dtype: scores summed from
+    the bias through the members at positions ``order``, one level each, go
+    through ``learners.top_class`` where the level's ``wanted`` flag is set.
+    NB and VOTE rows depend on their member alone, so level k is
+    ``fit_stack`` on ``order[:k]`` (NB up to summation order)."""
+    if len(set(order)) < len(order) or len(wanted) != len(order):
+        raise ValueError("nested order repeats a member or has no wanted flag per level")
+    columns, c = _member_columns(pm, ensemble.members), ensemble.num_classes
+    if pm.num_classes != c:
         raise ValueError("prediction matrix class count does not match the ensemble")
-    # Row j holds member j's weight-row indices, j * C + its predicted label.
-    rows = pm.predictions.T[columns] + ensemble.num_classes * np.arange(len(columns))[:, None]
-    scores = np.tile(ensemble.model.bias_, (pm.n_instances, 1))
-    for member_rows in rows:
-        scores += ensemble.model.weights_.take(member_rows, axis=0)
-    return top_class(scores)
+    # Class-major (C, N) scores: top_class then reduces over C rows, not N short ones.
+    weights = np.ascontiguousarray(ensemble.model.weights_.T)
+    scores = np.repeat(ensemble.model.bias_[:, None], pm.n_instances, axis=1)
+    labels = np.empty((sum(wanted), pm.n_instances), dtype=np.min_scalar_type(c - 1))
+    rows = iter(labels)
+    for j, want in zip(order, wanted):
+        scores += weights.take(pm.predictions[:, columns[j]] + j * c, axis=1)
+        if want:
+            next(rows)[:] = top_class(scores.T)
+    return labels
 
 
 def stack_to_json(ensemble: StackedEnsemble) -> str:

@@ -291,44 +291,41 @@ class EvalEntry:
         return {name: getattr(self, name) for name in METRIC_NAMES}
 
 
-def evaluate(pred: Sequence[int], truth: Sequence[int], num_classes: int) -> EvalEntry:
-    """Confusion-matrix metrics for one prediction column.
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den`` where ``den > 0``, else 0."""
+    return np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape), where=den > 0)
+
+
+def evaluate_rows(preds: np.ndarray, truth: Sequence[int], num_classes: int) -> list[EvalEntry]:
+    """Confusion-matrix metrics of each row of an (L, N) label array.
 
     Per-class precision, recall, and F1 are defined as 0 whenever their
     denominator is 0 (unpredicted or absent class); macro values are
-    unweighted class means.
+    unweighted class means, summed in class order.
     """
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    if pred.shape != truth.shape or pred.ndim != 1:
-        raise ValueError("pred and truth must be 1-d sequences of equal length")
-    if pred.size == 0:
+    preds, truth = np.asarray(preds), np.asarray(truth, dtype=np.int64)
+    if preds.ndim != 2 or truth.ndim != 1 or preds.shape[1] != truth.size:
+        raise ValueError("each pred row and truth must be 1-d sequences of equal length")
+    if truth.size == 0:
         raise ValueError("cannot evaluate zero instances")
-    for name, arr in (("pred", pred), ("truth", truth)):
-        if arr.min() < 0 or arr.max() >= num_classes:
+    for name, arr in (("pred", preds), ("truth", truth)):
+        if arr.size and (arr.min() < 0 or arr.max() >= num_classes):
             raise ValueError(f"{name} entries must lie in 0..{num_classes - 1}")
 
-    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(confusion, (truth, pred), 1)
-
-    accuracy = float(np.trace(confusion)) / float(pred.size)
-    precisions, recalls, f1s = [], [], []
+    totals = np.zeros((4, len(preds)))  # hits, then per-class metric sums
     for c in range(num_classes):
-        tp = int(confusion[c, c])
-        fp = int(confusion[:, c].sum()) - tp
-        fn = int(confusion[c, :].sum()) - tp
-        p = tp / (tp + fp) if tp + fp > 0 else 0.0
-        r = tp / (tp + fn) if tp + fn > 0 else 0.0
-        f = 2.0 * p * r / (p + r) if p + r > 0 else 0.0
-        precisions.append(p)
-        recalls.append(r)
-        f1s.append(f)
-    return EvalEntry(
-        accuracy=accuracy,
-        precision=float(sum(precisions)) / num_classes,
-        recall=float(sum(recalls)) / num_classes,
-        f1=float(sum(f1s)) / num_classes,
-    )
+        predicted_c, is_c = preds == c, truth == c
+        tp = np.count_nonzero(predicted_c & is_c, axis=1)
+        p = _ratio(tp, np.count_nonzero(predicted_c, axis=1))
+        r = _ratio(tp, np.count_nonzero(is_c))
+        totals += [tp, p, r, _ratio(2.0 * p * r, p + r)]
+    totals /= [[truth.size], [num_classes], [num_classes], [num_classes]]
+    return [EvalEntry(*values) for values in totals.T.tolist()]
+
+
+def evaluate(pred: Sequence[int], truth: Sequence[int], num_classes: int) -> EvalEntry:
+    """``evaluate_rows`` of one prediction column."""
+    return evaluate_rows(np.asarray(pred, dtype=np.int64)[None], truth, num_classes)[0]
 
 
 @dataclass(frozen=True)
@@ -401,10 +398,8 @@ class PredictionMatrix:
 
 def evaluate_matrix(pm: PredictionMatrix) -> dict[str, EvalEntry]:
     """Per-classifier metrics over a prediction matrix, in column order."""
-    return {
-        cid.canonical: evaluate(pm.predictions[:, j], pm.truth, pm.num_classes)
-        for j, cid in enumerate(pm.classifier_ids)
-    }
+    entries = evaluate_rows(pm.predictions.T, pm.truth, pm.num_classes)
+    return {cid.canonical: entry for cid, entry in zip(pm.classifier_ids, entries)}
 
 
 def load_corpus_csv(path: str) -> tuple[list[tuple[str, int]], int, dict[str, int]]:

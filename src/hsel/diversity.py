@@ -70,6 +70,7 @@ class DissimilarityMatrix:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "_means", {})
 
     @property
     def size(self) -> int:
@@ -78,12 +79,15 @@ class DissimilarityMatrix:
     def mean_pairwise(self, indices: Sequence[int]) -> float:
         """Average distance over unordered pairs of the given members; 0 for
         fewer than two members. The block's upper triangle is summed in
-        row-major order (``np.triu_indices`` order)."""
+        row-major order (``np.triu_indices`` order), once per index sequence."""
         idx = np.asarray(indices, dtype=np.intp)
         if idx.size < 2:
             return 0.0
-        order = np.arange(idx.size)
-        return float(self.values[idx[:, None], idx][order[:, None] < order].mean())
+        key = idx.tobytes()
+        if key not in self._means:
+            order = np.arange(idx.size)
+            self._means[key] = float(self.values[idx[:, None], idx][order[:, None] < order].mean())
+        return self._means[key]
 
 
 def dissimilarity_matrix(

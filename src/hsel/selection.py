@@ -2,8 +2,8 @@
 
 ``hierarchy_select`` sweeps every hierarchy level k and keeps the
 best-scoring classifier of each of the k clusters, which yields one
-candidate ensemble per level; the levels are nested prefixes of one merge
-sequence, so a single replay of ``Dendrogram.merges`` visits all of them.
+candidate ensemble per level; level k adds the k-th of ``retirement_order``
+to level k - 1, so NB and VOTE stacks score a sweep by one running sum.
 ``choose_final`` turns the candidate list into a single deployed ensemble
 under a configurable rule. The elbow heuristic, per-token groups, and the
 random baseline provide the comparison points.
@@ -54,6 +54,18 @@ def _merge_pairs(dendrogram: Dendrogram) -> Iterator[tuple[int, int]]:
         yield kept, retired
 
 
+def retirement_order(dendrogram: Dendrogram, keys: Sequence) -> list[int]:
+    """Leaf indices in the order they join the level sweep from k = 1 up:
+    level k's members, the smallest-key leaf of each of its k clusters, are
+    the first k. The merge from k to k - 1 clusters keeps the better of its
+    children's best leaves; the other is the one level k adds."""
+    best, losers = list(range(dendrogram.num_leaves)), []
+    for kept, retired in _merge_pairs(dendrogram):
+        best[kept], loser = sorted((best[kept], best[retired]), key=keys.__getitem__)
+        losers.append(loser)
+    return [best[0], *reversed(losers)]
+
+
 def hierarchy_select(
     dendrogram: Dendrogram,
     matrix: DissimilarityMatrix,
@@ -64,12 +76,11 @@ def hierarchy_select(
 
     At each level the classifier maximizing the chosen metric is kept from
     each of the k clusters, ties broken toward the lexicographically smallest
-    canonical id. Candidate members are ordered by cluster label (ascending
-    smallest leaf index). One replay of the merges, starting from singletons
-    at k = P, gives every level: a merged cluster's best member is the better
-    of its two children's best members. Mean distances are block means from
-    ``DissimilarityMatrix.mean_pairwise``, not running sums: ``choose_final``
-    breaks score ties on distance, so their last bit must not move.
+    canonical id: the first k of the metric's ``retirement_order``, ordered
+    by cluster label (ascending smallest leaf index). Mean distances are
+    block means from ``DissimilarityMatrix.mean_pairwise``, not running
+    sums: ``choose_final`` breaks score ties on distance, so their last bit
+    must not move.
     """
     if metric not in METRIC_NAMES:
         raise ValueError(f"metric {metric!r} absent from scores; expected one of {METRIC_NAMES}")
@@ -82,14 +93,15 @@ def hierarchy_select(
         raise ValueError(f"scores missing for classifiers: {missing}")
 
     keys = [(-scores[name].metric(metric), name) for name in dendro_ids]
-    best = np.arange(dendrogram.num_leaves)
-    alive = np.ones(dendrogram.num_leaves, dtype=bool)
-    levels = [best.copy()]
+    order = np.array(retirement_order(dendrogram, keys))
+    cluster = np.arange(len(order))  # each leaf's cluster name, from level P down
+    levels = [cluster.copy()]
     for kept, retired in _merge_pairs(dendrogram):
-        if keys[best[retired]] < keys[best[kept]]:
-            best[kept] = best[retired]
-        alive[retired] = False
-        levels.append(best[alive])
+        cluster[cluster == retired] = kept
+        members = order[: len(order) - len(levels)]
+        by_name = np.full(len(order), -1)
+        by_name[cluster[members]] = members
+        levels.append(by_name[by_name >= 0])
     return [
         EnsembleCandidate(
             level_k=len(members),

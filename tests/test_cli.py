@@ -14,9 +14,20 @@ import pytest
 from hsel import cli, combine
 from hsel.cli import RunConfig, _config_from_args, build_parser, cmd_compare, cmd_run, main
 from hsel.combine import fit_stack, predict_stack
-from hsel.core import ClassifierId, PredictionMatrix, Split, evaluate, write_corpus_csv
+from hsel.core import (
+    METRIC_NAMES,
+    ClassifierId,
+    PredictionMatrix,
+    Split,
+    evaluate,
+    evaluate_matrix,
+    write_corpus_csv,
+)
 from hsel.datasets import synthetic_news_corpus
+from hsel.diversity import dissimilarity_matrix
+from hsel.hiercluster import linkage
 from hsel.pool import write_prediction_matrix
+from hsel.selection import hierarchy_select
 
 from conftest import make_redundant_matrix
 
@@ -337,6 +348,56 @@ class TestSingleStageCommands:
         assert rc == 1
         assert err.startswith("error [ingest]: ")
         assert str(two) in err and str(three) in err
+
+
+    @pytest.mark.parametrize("command", ["diversity", "cluster", "stack"])
+    def test_unwritable_out_names_the_write_stage(self, command, tmp_path, capsys):
+        val_path, test_path = _redundant_matrices(tmp_path)
+        assert main(["diversity", "--matrix", val_path, "--outdir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        argv = {
+            "diversity": ["diversity", "--matrix", val_path],
+            "cluster": ["cluster", "--dissimilarity", str(tmp_path / "dissimilarity.csv")],
+            "stack": ["stack", "--validation-matrix", val_path, "--test-matrix", test_path,
+                      "--members", "SRC01-CLF,SRC05-CLF"],
+        }[command]
+        rc = main(argv + ["--out", str(tmp_path / "missing" / "x"), "--outdir", str(tmp_path)])
+        assert rc == 1
+        stage = {"diversity": "dissimilarity", "cluster": "dendrogram", "stack": "stack"}[command]
+        assert capsys.readouterr().err.startswith(f"error [write-{stage}]: ")
+
+
+def _seeded_pool(seed):
+    """Validation matrix of seed % 9 + 2 members and (seed // 2) % 4 + 2
+    classes; even seeds are tie-heavy (few distinct columns over two labels)."""
+    rng = np.random.default_rng(seed)
+    p, c = seed % 9 + 2, (seed // 2) % 4 + 2
+    n = int(rng.integers(2 * c, 80))
+    truth = rng.integers(0, c, n)
+    if seed % 2 == 0:
+        base = rng.integers(0, 2, (n, max(1, p // 2)))
+        columns = base[:, rng.integers(0, base.shape[1], p)]
+    else:
+        correct = rng.random((n, p)) < rng.uniform(0.3, 0.8, p)
+        columns = np.where(correct, truth[:, None], rng.integers(0, c, (n, p)))
+    ids = tuple(ClassifierId(f"E{i}", "A") for i in range(p))
+    return PredictionMatrix(ids, columns, truth, c, Split.VALIDATION)
+
+
+@pytest.mark.parametrize("meta_kind", ["NB", "VOTE"])
+def test_nested_sweep_scores_match_standalone_stacks(meta_kind):
+    for seed in range(36):
+        vpm = _seeded_pool(seed)
+        matrix = dissimilarity_matrix(vpm)
+        dendro, scores = linkage(matrix, "average"), evaluate_matrix(vpm)
+        sweeps = {metric: hierarchy_select(dendro, matrix, scores, metric)
+                  for metric in METRIC_NAMES}
+        scored, _ = cli._score_candidates(sweeps, vpm, meta_kind)
+        for metric, candidates in scored.items():
+            for candidate in candidates:
+                preds = predict_stack(fit_stack(vpm, candidate.members, meta_kind), vpm)
+                entry = evaluate(preds, vpm.truth, vpm.num_classes)
+                assert candidate.validation_score == entry.metric(metric), (seed, metric)
 
 
 def test_parser_defaults_documented():

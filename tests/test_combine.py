@@ -1,6 +1,7 @@
 """Stacking: meta-features, meta-learners, round-trip export."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hsel.combine import (
     fit_stack,
     fit_stacks,
     meta_features,
+    predict_nested,
     predict_stack,
     stack_from_json,
     stack_to_json,
@@ -269,6 +271,61 @@ class TestLinearScorer:
             assert np.array_equal(predict_stack(nb, test), np.argmax(tied, axis=1)), seed
             ties += int((tied.sum(axis=1) > 1).sum())
         assert ties > 0
+
+
+def _pool(seed):
+    """A seeded pool for seed % 8 + 1 members and (seed // 2) % 4 + 2
+    classes. Even seeds are tie-heavy: few distinct columns drawn from two
+    labels, so members repeat, classes go unseen and scores tie."""
+    rng = np.random.default_rng(seed)
+    p, c = seed % 8 + 1, (seed // 2) % 4 + 2
+    n = int(rng.integers(c, 60))
+    truth = rng.integers(0, c, n)
+    if seed % 2 == 0:
+        base = rng.integers(0, 2, (n, max(1, p // 2)))
+        columns = base[:, rng.integers(0, base.shape[1], p)]
+    else:
+        correct = rng.random((n, p)) < rng.uniform(0.3, 0.8, p)
+        columns = np.where(correct, truth[:, None], rng.integers(0, c, (n, p)))
+    return _pm(list(columns.T), truth, num_classes=c), rng
+
+
+class TestPredictNested:
+    @pytest.mark.parametrize("meta_kind", ["NB", "VOTE"])
+    def test_every_prefix_matches_its_own_stack(self, meta_kind):
+        for seed in range(48):
+            pm, rng = _pool(seed)
+            members, p = pm.classifier_ids, pm.n_classifiers
+            order = rng.permutation(p).tolist()
+            labels = predict_nested(fit_stack(pm, members, meta_kind), pm, order, [True] * p)
+            assert labels.shape == (p, pm.n_instances) and labels.dtype == np.uint8
+            for k in range(1, p + 1):
+                prefix = [members[j] for j in order[:k]]
+                expected = predict_stack(fit_stack(pm, prefix, meta_kind), pm)
+                assert np.array_equal(labels[k - 1], expected), (seed, k)
+
+    def test_rejects_repeated_members_and_missing_flags(self):
+        pm = _correct_wrong_pm()
+        nb = fit_stack(pm, ["GOOD-A", "BAD-A"], "NB")
+        with pytest.raises(ValueError, match="repeats"):
+            predict_nested(nb, pm, [1, 1], [True, True])
+        with pytest.raises(ValueError, match="wanted flag"):
+            predict_nested(nb, pm, [1, 0], [True])
+        assert predict_nested(nb, pm, [1, 0], [False, True]).shape == (1, pm.n_instances)
+
+    def test_peak_memory_stays_below_one_score_tensor(self):
+        # A (P, N, C) float64 score tensor would take 9.6 MB here.
+        rng = np.random.default_rng(0)
+        p, n, c = 200, 2000, 3
+        pm = _pm(list(rng.integers(0, c, (p, n))), rng.integers(0, c, n), num_classes=c)
+        nb = fit_stack(pm, pm.classifier_ids, "NB")
+        tracemalloc.start()
+        try:
+            labels = predict_nested(nb, pm, range(p), [True] * p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert labels.nbytes <= peak < p * n * c * 8
 
 
 class TestSerialization:

@@ -14,6 +14,7 @@ from hsel.core import (
     derive_seed,
     evaluate,
     evaluate_matrix,
+    evaluate_rows,
     load_corpus_csv,
     split_corpus,
     write_corpus_csv,
@@ -171,6 +172,32 @@ class TestEvaluate:
             assert entry.precision == pytest.approx(prec, abs=1e-12)
             assert entry.recall == pytest.approx(rec, abs=1e-12)
             assert entry.f1 == pytest.approx(f1, abs=1e-12)
+
+
+    def test_rows_equal_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            c, n, rows = int(rng.integers(2, 12)), int(rng.integers(1, 30)), trial % 4 + 1
+            # Labels from a few classes: absent and unpredicted classes
+            # give zero denominators.
+            used = rng.choice(c, size=int(rng.integers(1, c + 1)), replace=False)
+            truth = rng.choice(used, n)
+            preds = rng.choice(used if trial % 2 else np.arange(c), (rows, n)).astype(np.uint8)
+            entries = evaluate_rows(preds, truth, c)
+            assert len(entries) == rows
+            for row, entry in zip(preds, entries):
+                expected = metrics_oracle(row.tolist(), truth.tolist(), c)
+                assert (entry.accuracy, entry.precision, entry.recall, entry.f1) == expected
+                assert evaluate(row, truth, c) == entry
+
+    def test_rows_shape_checks(self):
+        assert evaluate_rows(np.zeros((0, 3), dtype=np.int64), [0, 1, 0], 2) == []
+        with pytest.raises(ValueError, match="equal length"):
+            evaluate_rows(np.zeros((2, 3), dtype=np.int64), [0, 1], 2)
+        with pytest.raises(ValueError, match="zero instances"):
+            evaluate_rows(np.zeros((1, 0), dtype=np.int64), [], 2)
+        with pytest.raises(ValueError, match="0..1"):
+            evaluate_rows(np.full((1, 2), 2), [0, 1], 2)
 
 
 class TestPredictionMatrix:

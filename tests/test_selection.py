@@ -16,6 +16,7 @@ from hsel.selection import (
     group_members,
     hierarchy_select,
     random_baseline,
+    retirement_order,
     within_cluster_totals,
 )
 
@@ -155,6 +156,17 @@ def _sweep_fixtures(seed, trials, max_p):
         scores = {cid.canonical: _entry(float(rng.integers(0, 5)) / 4.0) for cid in ids}
         for method in LINKAGE_METHODS:
             yield matrix, linkage(matrix, method), scores
+
+
+def test_retirement_order_reproduces_oracle_levels():
+    for matrix, dendro, scores in _sweep_fixtures(909, 30, 20):
+        names = [cid.canonical for cid in matrix.ids]
+        leaf_scores = [scores[name].accuracy for name in names]
+        order = retirement_order(dendro, [(-s, name) for s, name in zip(leaf_scores, names)])
+        assert sorted(order) == list(range(len(names)))
+        oracle = level_sweep_oracle(dendro, matrix.values, leaf_scores, names)
+        for k, (members, _, _) in enumerate(oracle, start=1):
+            assert set(order[:k]) == set(members), k
 
 
 def _oracle_distances(matrix, candidates):
