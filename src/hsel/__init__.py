@@ -34,7 +34,6 @@ from .core import (
 from .diversity import (
     DissimilarityMatrix,
     dissimilarity_matrix,
-    double_fault,
     read_dissimilarity_csv,
     write_dissimilarity_csv,
 )
@@ -43,7 +42,6 @@ from .hiercluster import (
     LINKAGE_METHODS,
     Dendrogram,
     MergeStep,
-    f_cluster,
     linkage,
     read_dendrogram,
     write_dendrogram,

@@ -102,126 +102,24 @@ def _now() -> str:
 
 
 def _load_schema(name: str) -> dict:
+    """The shipped JSON Schema of the ``name`` report."""
     text = resources.files("hsel").joinpath(f"schemas/{name}.schema.json").read_text("utf-8")
     return json.loads(text)
 
 
-# The JSON Schema subset the shipped schemas use, with draft 2020-12 meaning:
-# bool is only "boolean", and an integral float is an "integer".
-_SCHEMA_KEYWORDS = frozenset({
-    "type", "required", "properties", "additionalProperties", "items", "minItems",
-    "minProperties", "minimum", "maximum", "const", "enum", "$ref",
-    "$schema", "$id", "title", "$defs",
-})
-_JSON_CLASSES = {"object": (dict,), "array": (list,), "string": (str,), "null": (type(None),),
-                 "number": (int, float), "integer": (int,), "boolean": ()}
-
-
-class _Invalid(Exception):
-    """A report value breaks its schema; ``where`` holds the JSON path, innermost first."""
-
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.where: list[str] = []
-
-
-def _type_test(names):
-    names = [names] if isinstance(names, str) else list(names)
-    if not set(names) <= _JSON_CLASSES.keys():
-        raise ValueError(f"schema type {names} not supported")
-    classes = tuple(c for name in names for c in _JSON_CLASSES[name])
-    boolean, integral = "boolean" in names, "integer" in names
-    return lambda v: boolean if isinstance(v, bool) else isinstance(v, classes) or (
-        integral and isinstance(v, float) and v.is_integer())
-
-
-def _same(a, b) -> bool:
-    """JSON equality of scalars: True is not 1."""
-    return isinstance(a, bool) == isinstance(b, bool) and a == b
-
-
-def _compile(schema: dict, root: dict):
-    """A function that raises ``_Invalid`` where a value breaks ``schema``.
-
-    A keyword outside the subset raises ``ValueError`` here, whether or not
-    any value ever reaches it."""
-    unknown = schema.keys() - _SCHEMA_KEYWORDS
-    if unknown:
-        raise ValueError(f"schema keyword(s) not supported: {sorted(unknown)}")
-    ref = None
-    if "$ref" in schema:
-        if not schema["$ref"].startswith("#/"):
-            raise ValueError(f"schema $ref {schema['$ref']!r} is not local")
-        target = root
-        for part in schema["$ref"][2:].split("/"):
-            target = target[part]
-        ref = _compile(target, root)
-    is_type = _type_test(schema["type"]) if "type" in schema else None
-    allowed = [schema["const"]] if "const" in schema else schema.get("enum")
-    if allowed is not None and any(isinstance(a, (list, dict)) for a in allowed):
-        raise ValueError("schema const/enum must be scalars")
-    props = {key: _compile(sub, root) for key, sub in schema.get("properties", {}).items()}
-    extra = schema.get("additionalProperties")
-    extra = _compile(extra, root) if extra is not None else None
-    items = schema.get("items")
-    item = _compile(items, root) if items is not None else None
-    # Fast path: an array of bare-typed items is one pass of the type test.
-    item_type = _type_test(items["type"]) if item is not None and items.keys() == {"type"} else None
-    required, low, high = schema.get("required", ()), schema.get("minimum"), schema.get("maximum")
-    min_props, min_items = schema.get("minProperties", 0), schema.get("minItems", 0)
-
-    def check(value) -> None:
-        if ref is not None:
-            ref(value)
-        if is_type is not None and not is_type(value):
-            raise _Invalid(f"{value!r:.60} is not of type {schema['type']}")
-        if allowed is not None and not any(_same(value, a) for a in allowed):
-            raise _Invalid(f"{value!r:.60} is not one of {allowed}")
-        if isinstance(value, dict):
-            missing = [key for key in required if key not in value]
-            if missing or len(value) < min_props:
-                raise _Invalid(f"missing {missing}" if missing else "too few properties")
-            for key, sub in value.items():
-                validate = props.get(key, extra)
-                if validate is not None:
-                    try:
-                        validate(sub)
-                    except _Invalid as exc:
-                        exc.where.append(f".{key}" if str(key).isidentifier() else f"[{key!r}]")
-                        raise
-        elif isinstance(value, list):
-            if len(value) < min_items:
-                raise _Invalid(f"fewer than {min_items} items")
-            if item is None or (item_type is not None and all(map(item_type, value))):
-                return
-            for i, sub in enumerate(value):
-                try:
-                    item(sub)
-                except _Invalid as exc:
-                    exc.where.append(f"[{i}]")
-                    raise
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            if low is not None and value < low:
-                raise _Invalid(f"{value!r} is below the minimum {low}")
-            if high is not None and value > high:
-                raise _Invalid(f"{value!r} is above the maximum {high}")
-
-    return check
-
-
-def _check_report(doc, schema: dict) -> None:
-    """Raise ``ValueError`` naming the JSON path where ``doc`` breaks ``schema``."""
-    try:
-        _compile(schema, schema)(doc)
-    except _Invalid as exc:
-        raise ValueError(f"${''.join(reversed(exc.where))}: {exc}") from None
-
-
 def _emit_report(doc: dict, schema_name: str, path: str) -> None:
-    _check_report(doc, _load_schema(schema_name))
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write ``doc``, a ``schema_name`` report, to ``path``, streamed so that
+    no copy of the whole text is held. A non-finite number is not JSON: it
+    raises ``ValueError``, and the partly written file is removed.
+    Whether a report fits its schema depends only on this module's fixed
+    builders, so the tests and the benchmark check that with ``jsonschema``."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+    except ValueError:
+        os.remove(path)
+        raise
 
 
 def _candidate_doc(candidate: EnsembleCandidate) -> dict:
@@ -523,6 +421,16 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
     return (parts[0], parts[1], parts[2])
 
 
+def _parse_alpha(text: str) -> float:
+    try:
+        alpha = float(text)
+    except ValueError:
+        alpha = None
+    if alpha is None or not 0.0 <= alpha <= 1.0:  # the comparison also rejects nan
+        raise argparse.ArgumentTypeError(f"alpha must be a number in [0, 1], got {text!r}")
+    return alpha
+
+
 def _parse_tokens(text: str) -> tuple[str, ...]:
     tokens = tuple(t.strip() for t in text.split(",") if t.strip())
     if not tokens:
@@ -548,11 +456,11 @@ _FIELD_OPTIONS = {
     "algorithms": ("--algorithms", "learning algorithm tokens", {"type": _parse_tokens}),
     "linkage": ("--linkage", "inter-cluster distance rule", {"choices": LINKAGE_METHODS}),
     "conversion": ("--conversion", "double-fault to distance conversion",
-                   {"choices": sorted(CONVERSIONS)}),
+                   {"choices": CONVERSIONS}),
     "metrics": ("--metrics", "per-cluster selection metrics; the first one drives the "
                 "deployed ensemble", {"type": _parse_metrics}),
     "rule": ("--rule", "final candidate choice rule", {"choices": FINAL_RULES}),
-    "alpha": ("--alpha", "score weight for the weighted rule", {"type": float}),
+    "alpha": ("--alpha", "score weight for the weighted rule", {"type": _parse_alpha}),
     "meta_kind": ("--meta", "stacking meta-classifier",
                   {"type": str.upper, "choices": META_KINDS}),
     "seed": ("--seed", "global random seed", {"type": int}),

@@ -248,8 +248,9 @@ def stack_to_json(ensemble: StackedEnsemble) -> str:
 
 def stack_from_json(text: str) -> StackedEnsemble:
     """Restore a ``stack_to_json`` document. A missing key, an unknown
-    format, version or meta kind, and parameters of the wrong shape raise
-    ``ValueError``."""
+    format, version or meta kind, a ``num_classes`` that is not an integer
+    of at least 2, ``params`` that are not an object, and parameters of the
+    wrong shape raise ``ValueError``."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != STACK_FORMAT:
         raise ValueError(f"not a {STACK_FORMAT} document")
@@ -262,8 +263,11 @@ def stack_from_json(text: str) -> StackedEnsemble:
         members = _normalize_members(doc["members"])
         if not members:
             raise ValueError("need at least one member")
-        j, c = len(members), int(doc["num_classes"])
-        params = doc["params"]
+        j, c, params = len(members), doc["num_classes"], doc["params"]
+        if isinstance(c, bool) or not isinstance(c, int) or c < 2:
+            raise ValueError(f"num_classes must be an integer of at least 2, got {c!r}")
+        if not isinstance(params, dict):
+            raise ValueError(f"params must be an object, got {type(params).__name__}")
         model = SoftmaxRegression()
         if meta_kind == "LR":
             model = SoftmaxRegression(step=params["step"], epochs=params["epochs"], l2=params["l2"])

@@ -4,46 +4,19 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import ClassifierId, PredictionMatrix, read_id_table
 
 
-def double_fault(
-    pred_a: Sequence[int], pred_b: Sequence[int], truth: Sequence[int]
-) -> float:
-    """Fraction of instances on which both classifiers are wrong.
-
-    A low value means the pair rarely fails together, i.e. their errors are
-    decorrelated; this is the quantity whose structure the clustering stage
-    exploits. Exact: an integer count divided by N.
-    """
-    a = np.asarray(pred_a, dtype=np.int64)
-    b = np.asarray(pred_b, dtype=np.int64)
-    t = np.asarray(truth, dtype=np.int64)
-    if a.shape != t.shape or b.shape != t.shape or a.ndim != 1:
-        raise ValueError("pred_a, pred_b, and truth must be 1-d and the same length")
-    if a.size == 0:
-        raise ValueError("double_fault needs at least one instance")
-    both_wrong = int(((a != t) & (b != t)).sum())
-    return both_wrong / a.size
-
-
-def complement(df: float) -> float:
-    """Default double-fault-to-distance conversion: distance = 1 - DF.
-
-    High co-failure means redundancy, so redundant pairs come out close and
-    cluster together. Two perfect classifiers sit at distance 1 under this
-    mapping even though they behave identically; that is the double-fault
-    semantics (diversity as error decorrelation), not a bug.
-    """
-    return 1.0 - df
-
-
-# Named conversions take a float or an array of DF fractions alike.
-CONVERSIONS: dict[str, Callable[[float], float]] = {"complement": complement}
+# Double-fault-to-distance conversions. "complement" is distance = 1 - DF:
+# high co-failure means redundancy, so redundant pairs come out close and
+# cluster together. Two perfect classifiers sit at distance 1 even though
+# they behave identically; that is the double-fault semantics (diversity as
+# error decorrelation), not a bug.
+CONVERSIONS = ("complement",)
 
 
 @dataclass(frozen=True)
@@ -91,33 +64,26 @@ class DissimilarityMatrix:
 
 
 def dissimilarity_matrix(
-    pm: PredictionMatrix,
-    conversion: str | Callable[[float], float] = "complement",
+    pm: PredictionMatrix, conversion: str = "complement"
 ) -> DissimilarityMatrix:
     """Pairwise distances over a prediction matrix's classifier columns.
 
-    Each off-diagonal entry is ``conversion(double_fault(col_i, col_j))``;
-    the diagonal is 0 by construction. Co-failure counts come from one
-    float64 product ``wrong.T @ wrong``, exact while N < 2**53. A named
-    conversion maps the upper triangle as one array expression; a callable
-    (mapping a DF fraction to a distance in [0, 1]) is applied pair by pair.
-    Each unordered pair is converted once and mirrored, so the result is
-    exactly symmetric.
+    Each off-diagonal entry is ``1 - DF(col_i, col_j)``, where the double
+    fault DF is the fraction of instances on which both classifiers are
+    wrong; the diagonal is 0 by construction. Co-failure counts come from
+    one float64 product ``wrong.T @ wrong``, exact while N < 2**53, so each
+    DF is an integer count divided by N. The upper triangle is converted as
+    one array expression and mirrored, so the result is exactly symmetric.
     """
     if pm.n_classifiers < 2:
         raise ValueError("need at least 2 classifiers to build a dissimilarity matrix")
-    if isinstance(conversion, str) and conversion not in CONVERSIONS:
-        raise ValueError(
-            f"unknown conversion {conversion!r}; expected one of {sorted(CONVERSIONS)}"
-        )
+    if conversion not in CONVERSIONS:
+        raise ValueError(f"unknown conversion {conversion!r}; expected one of {CONVERSIONS}")
     wrong = (pm.predictions != pm.truth[:, None]).astype(np.float64)
     co_failures = wrong.T @ wrong
     upper = np.triu_indices(pm.n_classifiers, k=1)
     values = np.zeros_like(co_failures)
-    if isinstance(conversion, str):
-        values[upper] = CONVERSIONS[conversion](co_failures[upper] / pm.n_instances)
-    else:
-        values[upper] = [float(conversion(float(c) / pm.n_instances)) for c in co_failures[upper]]
+    values[upper] = 1.0 - co_failures[upper] / pm.n_instances
     values.T[upper] = values[upper]
     return DissimilarityMatrix(ids=pm.classifier_ids, values=values)
 

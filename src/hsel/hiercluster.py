@@ -18,10 +18,11 @@ resolve to the lexicographically smallest (min node index, max node index),
 with nodes numbered leaves ``0..P-1`` then internal nodes ``P..2P-2`` in
 creation order.
 
-Flat cuts use merge-step-count semantics: the k-cluster partition is the
-state after exactly ``P - k`` merges. This guarantees exactly k clusters
-for every k and stays well defined under centroid inversions, unlike a
-distance-threshold cut.
+Hierarchy levels use merge-step-count semantics: level k is the state
+after exactly ``P - k`` merges, so it has exactly k clusters for every k
+and stays well defined under centroid inversions, unlike a
+distance-threshold cut. The level sweep replays the merge sequence once
+and reads every level off it.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ class MergeStep:
 
 @dataclass(frozen=True)
 class Dendrogram:
-    """Ordered merge steps over ``leaf_ids``; cuttable into k flat clusters."""
+    """Ordered merge steps over ``leaf_ids``; the first ``P - k`` of them
+    form hierarchy level k."""
 
     leaf_ids: tuple[ClassifierId, ...]
     merges: tuple[MergeStep, ...]
@@ -163,31 +165,6 @@ def linkage(
         sizes[i] = new_size
 
     return Dendrogram(leaf_ids=tuple(leaf_ids), merges=tuple(merges))
-
-
-def f_cluster(dendrogram: Dendrogram, k: int) -> np.ndarray:
-    """Flat clusters after exactly ``P - k`` merge steps.
-
-    Returns a length-P array of labels in ``1..k``; labels are assigned by
-    each cluster's smallest contained leaf index, ascending. The k-cluster
-    partition always refines the (k-1)-cluster partition because both are
-    prefixes of the same merge sequence.
-    """
-    p = dendrogram.num_leaves
-    if not 1 <= k <= p:
-        raise ValueError(f"k must lie in 1..{p}, got {k}")
-    members: dict[int, list[int]] = {i: [i] for i in range(p)}
-    for step_index in range(p - k):
-        step = dendrogram.merges[step_index]
-        merged = members.pop(step.left) + members.pop(step.right)
-        members[p + step_index] = merged
-
-    clusters = sorted(members.values(), key=min)
-    labels = np.zeros(p, dtype=np.int64)
-    for label, leaves in enumerate(clusters, start=1):
-        for leaf in leaves:
-            labels[leaf] = label
-    return labels
 
 
 DENDROGRAM_FORMAT = "hsel-dendrogram v1"

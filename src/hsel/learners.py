@@ -29,11 +29,6 @@ import numpy as np
 ALGORITHM_TOKENS = ("NB", "LR", "KNN", "NC")
 
 
-def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def top_class(scores: np.ndarray) -> np.ndarray:
     """Highest-scoring class of each row. Scores within
     ``1e-12 * max(1, |top|)`` of the top score tie, and a tie goes to the
@@ -73,15 +68,9 @@ class MultinomialNB:
         self.feature_log_prob_ = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
         return self
 
-    def _joint(self, X: np.ndarray) -> np.ndarray:
-        X = np.clip(np.asarray(X, dtype=np.float64), 0.0, None)
-        return X @ self.feature_log_prob_.T + self.class_log_prior_
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self._joint(X), axis=1)
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return np.exp(_log_softmax(self._joint(X)))
+        X = np.clip(np.asarray(X, dtype=np.float64), 0.0, None)
+        return np.argmax(X @ self.feature_log_prob_.T + self.class_log_prior_, axis=1)
 
 
 class SoftmaxRegression:
@@ -109,14 +98,8 @@ class SoftmaxRegression:
         fit_softmax_models([self], X, y, num_classes, [np.arange(X.shape[1])])
         return self
 
-    def decision_scores(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) @ self.weights_ + self.bias_
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return top_class(self.decision_scores(X))
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return np.exp(_log_softmax(self.decision_scores(X)))
+        return top_class(np.asarray(X, dtype=np.float64) @ self.weights_ + self.bias_)
 
 
 def gram_form_pays(n: int, d: int, c: int, m: int, epochs: int) -> bool:

@@ -46,7 +46,8 @@ class EnsembleCandidate:
 def _merge_pairs(dendrogram: Dendrogram) -> Iterator[tuple[int, int]]:
     """Replay the merges naming each cluster by its smallest leaf: yields the
     merged cluster's name and the name it retires. After ``P - k`` steps the
-    surviving names, ascending, order the level-k clusters as ``f_cluster``."""
+    surviving names are the smallest leaves of the k clusters of level k;
+    ascending, they order those clusters."""
     names = list(range(dendrogram.num_leaves))
     for step in dendrogram.merges:
         kept, retired = sorted((names[step.left], names[step.right]))

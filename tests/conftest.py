@@ -1,14 +1,33 @@
-"""Shared fixtures: the four-classifier dendrogram scenario and the
-redundant twelve-classifier pool used by selection and acceptance tests."""
+"""Shared fixtures: the four-classifier dendrogram scenario, the redundant
+twelve-classifier pool used by selection and acceptance tests, and the
+schema check of every report an in-process command writes."""
 
 from __future__ import annotations
 
+import jsonschema
 import numpy as np
 import pytest
 
+from hsel import cli
 from hsel.core import ClassifierId, PredictionMatrix, Split
 
 GOLDEN_IDS = ("BERT-SVM", "TFIDF-SVM", "GLOVE-LR", "CV-NB")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def schema_checked_reports():
+    """Validate each report against its shipped schema with ``jsonschema``
+    before ``cli._emit_report`` writes it. Session scope puts the check in
+    place before any fixture of a narrower scope runs a command."""
+    emit = cli._emit_report
+
+    def checked(doc: dict, schema_name: str, path: str) -> None:
+        jsonschema.validate(doc, cli._load_schema(schema_name))
+        emit(doc, schema_name, path)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_emit_report", checked)
+        yield
 
 
 def _column_with_errors(truth: np.ndarray, error_rows, num_classes: int) -> np.ndarray:

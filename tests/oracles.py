@@ -6,21 +6,20 @@ distances from the original matrix at every step instead of using the
 Lance-Williams recursion, the scan agglomerator keeps the pair-by-pair
 Python scan that the array-algebra linkage replaced (same recursion and
 operand order, so heights must agree exactly), the metric oracle builds
-its confusion matrix with plain loops, and the level-sweep oracle cuts the dendrogram afresh at
-every level instead of replaying the merges once, the gradient-descent
-oracle fits one softmax regression at a time in row-major layout in the
-weights (never through the Gram matrix), the stacking oracles count naive
-Bayes likelihoods and plurality votes per member and per row instead of
-reading weight rows of a linear scorer, the nearest-centroid oracle
-broadcasts one (N, C, V) difference tensor, and the k-nearest-neighbour
-oracle sorts and counts votes one query row at a time.
+its confusion matrix with plain loops, the level-sweep oracle cuts the
+dendrogram afresh at every level with its own ``f_cluster`` instead of
+replaying the merges once, the gradient-descent oracle fits one softmax
+regression at a time in row-major layout in the weights (never through
+the Gram matrix), the stacking oracles count naive Bayes likelihoods and
+plurality votes per member and per row instead of reading weight rows of
+a linear scorer, the nearest-centroid oracle broadcasts one (N, C, V)
+difference tensor, and the k-nearest-neighbour oracle sorts and counts
+votes one query row at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from hsel.hiercluster import f_cluster
 
 
 def double_fault_oracle(pred_a, pred_b, truth) -> float:
@@ -175,6 +174,31 @@ def block_mean_oracle(values: np.ndarray, members) -> float:
         return 0.0
     block = values[np.ix_(idx, idx)]
     return float(block[np.triu_indices(idx.size, k=1)].mean())
+
+
+def f_cluster(dendrogram, k: int) -> np.ndarray:
+    """Flat clusters after exactly ``P - k`` merge steps.
+
+    Returns a length-P array of labels in ``1..k``; labels are assigned by
+    each cluster's smallest contained leaf index, ascending. The k-cluster
+    partition always refines the (k-1)-cluster partition because both are
+    prefixes of the same merge sequence.
+    """
+    p = dendrogram.num_leaves
+    if not 1 <= k <= p:
+        raise ValueError(f"k must lie in 1..{p}, got {k}")
+    members: dict[int, list[int]] = {i: [i] for i in range(p)}
+    for step_index in range(p - k):
+        step = dendrogram.merges[step_index]
+        merged = members.pop(step.left) + members.pop(step.right)
+        members[p + step_index] = merged
+
+    clusters = sorted(members.values(), key=min)
+    labels = np.zeros(p, dtype=np.int64)
+    for label, leaves in enumerate(clusters, start=1):
+        for leaf in leaves:
+            labels[leaf] = label
+    return labels
 
 
 def level_sweep_oracle(dendrogram, values, leaf_scores, leaf_names):

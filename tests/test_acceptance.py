@@ -21,14 +21,15 @@ from hsel.core import (
     evaluate_matrix,
 )
 from hsel.datasets import bundled_corpus_path
-from hsel.diversity import dissimilarity_matrix, double_fault
-from hsel.hiercluster import f_cluster, linkage
+from hsel.diversity import dissimilarity_matrix
+from hsel.hiercluster import linkage
 from hsel.selection import choose_final, hierarchy_select, random_baseline
 
 from conftest import REDUNDANT_ERROR_SUPPORTS, make_redundant_matrix
 from oracles import (
     brute_force_linkage,
     double_fault_oracle,
+    f_cluster,
     metrics_oracle,
     random_symmetric_matrix,
 )
@@ -52,7 +53,15 @@ def test_criterion_01_double_fault_exactness():
         a = rng.integers(0, c, n).tolist()
         b = rng.integers(0, c, n).tolist()
         truth = rng.integers(0, c, n).tolist()
-        assert double_fault(a, b, truth) == double_fault_oracle(a, b, truth)
+        pm = PredictionMatrix(
+            classifier_ids=(ClassifierId("E0", "A"), ClassifierId("E1", "A")),
+            predictions=np.array([a, b]).T,
+            truth=np.array(truth),
+            num_classes=c,
+            split_tag=Split.VALIDATION,
+        )
+        distance = dissimilarity_matrix(pm).values[0, 1]
+        assert distance == 1.0 - double_fault_oracle(a, b, truth)
     elapsed = time.monotonic() - started
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
     print(f"ACCEPTANCE 1 PASS: double-fault matches enumeration on 1000 triples "

@@ -441,6 +441,17 @@ def test_commands_reject_options_they_do_not_read(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1.5", "-0.25", "half"])
+@pytest.mark.parametrize("command", [["run", "--corpus", "c.csv"], ["select", "--matrix", "m.csv"]])
+def test_alpha_outside_unit_interval_rejected(command, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--alpha", value])
+    assert exc.value.code == 2
+    assert f"alpha must be a number in [0, 1], got {value!r}" in capsys.readouterr().err
+    for bound in ("0", "1"):
+        assert build_parser().parse_args(command + ["--alpha", bound]).alpha == float(bound)
+
+
 def test_select_still_accepts_seed():
     args = build_parser().parse_args(["select", "--matrix", "m.csv", "--seed", "3"])
     assert args.seed == 3

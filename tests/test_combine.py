@@ -222,8 +222,10 @@ class TestCategoricalNB:
         y = rng.integers(0, 3, 50)
         pm = _pm(list(columns.T), y, num_classes=3)
         ensemble = fit_stack(pm, pm.classifier_ids, meta_kind="NB")
-        probs = ensemble.model.predict_proba(meta_features(pm, ensemble.members, 3))
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+        scores = meta_features(pm, ensemble.members, 3) @ ensemble.model.weights_
+        scores += ensemble.model.bias_
+        probs = np.exp(scores - scores.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
         # The softmax of the linear scores is NB's exact posterior.
         joint = categorical_nb_oracle(columns, y, 3)[2](columns)
         posterior = np.exp(joint - joint.max(axis=1, keepdims=True))
@@ -363,10 +365,14 @@ class TestSerialization:
             ("LR", lambda d: d["params"]["weights"].pop(), r"'weights' has shape \(3, 2\)"),
             ("LR", lambda d: d["params"].update(bias=[0.0]), r"'bias' has shape \(1,\)"),
             ("NB", lambda d: d["params"]["log_likelihood"].pop(), r"'log_likelihood' has shape"),
+            ("LR", lambda d: d.update(params=[]), "params must be an object, got list"),
+            ("NB", lambda d: d.update(num_classes=None), "num_classes must be an integer"),
+            ("VOTE", lambda d: d.update(num_classes=1), "at least 2, got 1"),
         ],
         ids=[
             "no-members", "no-version", "no-weights", "no-log-likelihood", "format",
             "meta-kind", "version", "weights-shape", "bias-shape", "log-likelihood-shape",
+            "params-list", "num-classes-null", "num-classes-one",
         ],
     )
     def test_malformed_document_rejected(self, meta_kind, mutate, message):

@@ -1,4 +1,4 @@
-"""Double-fault measure and dissimilarity matrix construction."""
+"""Double-fault distances and dissimilarity matrix construction."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from hsel.core import ClassifierId, PredictionMatrix, Split
 from hsel.diversity import (
     DissimilarityMatrix,
     dissimilarity_matrix,
-    double_fault,
     read_dissimilarity_csv,
     write_dissimilarity_csv,
 )
@@ -17,27 +16,43 @@ from hsel.diversity import (
 from oracles import double_fault_oracle
 
 
+def _pm_from_columns(columns, truth, num_classes=2):
+    ids = tuple(ClassifierId(f"E{i}", "A") for i in range(len(columns)))
+    return PredictionMatrix(
+        classifier_ids=ids,
+        predictions=np.stack([np.asarray(c) for c in columns], axis=1),
+        truth=np.asarray(truth),
+        num_classes=num_classes,
+        split_tag=Split.VALIDATION,
+    )
+
+
+def _distance(a, b, truth, num_classes=4) -> float:
+    """The matrix distance of one pair: 1 - DF(a, b)."""
+    return float(dissimilarity_matrix(_pm_from_columns([a, b], truth, num_classes)).values[0, 1])
+
+
 class TestDoubleFault:
     def test_always_correct_pair(self):
         truth = [0, 1, 0, 1]
-        assert double_fault(truth, truth, truth) == 0.0
+        assert _distance(truth, truth, truth) == 1.0
 
     def test_index_enumeration(self):
         truth = [0, 1, 0, 1]
         a = [0, 1, 1, 1]
         b = [0, 0, 1, 1]
-        assert double_fault(a, b, truth) == 0.25
+        assert _distance(a, b, truth) == 0.75
 
     def test_identical_always_wrong(self):
         truth = [0, 0, 0]
         wrong = [1, 1, 1]
-        assert double_fault(wrong, wrong, truth) == 1.0
+        assert _distance(wrong, wrong, truth) == 0.0
 
     def test_rejects_empty_and_mismatched(self):
-        with pytest.raises(ValueError):
-            double_fault([], [], [])
-        with pytest.raises(ValueError):
-            double_fault([0], [0, 1], [0, 1])
+        with pytest.raises(ValueError, match="no instances"):
+            _distance([], [], [])
+        with pytest.raises(ValueError, match="truth length"):
+            _distance([0], [0], [0, 1])
 
     @given(
         st.integers(1, 50).flatmap(
@@ -50,30 +65,19 @@ class TestDoubleFault:
     )
     def test_matches_enumeration_oracle(self, triple):
         a, b, truth = triple
-        assert double_fault(a, b, truth) == double_fault_oracle(a, b, truth)
+        assert _distance(a, b, truth) == 1.0 - double_fault_oracle(a, b, truth)
 
     def test_monotonicity_under_extension(self):
         truth = [0, 1]
         a = [0, 0]
         b = [1, 0]
-        base = 1.0 - double_fault(a, b, truth)
+        base = _distance(a, b, truth)
         # Appending a shared fault cannot increase the distance.
-        closer = 1.0 - double_fault(a + [1], b + [1], truth + [0])
+        closer = _distance(a + [1], b + [1], truth + [0])
         assert closer <= base
         # Appending a row where one is correct cannot decrease it.
-        farther = 1.0 - double_fault(a + [0], b + [1], truth + [0])
+        farther = _distance(a + [0], b + [1], truth + [0])
         assert farther >= base
-
-
-def _pm_from_columns(columns, truth, num_classes=2):
-    ids = tuple(ClassifierId(f"E{i}", "A") for i in range(len(columns)))
-    return PredictionMatrix(
-        classifier_ids=ids,
-        predictions=np.stack([np.asarray(c) for c in columns], axis=1),
-        truth=np.asarray(truth),
-        num_classes=num_classes,
-        split_tag=Split.VALIDATION,
-    )
 
 
 class TestDissimilarityMatrix:
@@ -116,12 +120,6 @@ class TestDissimilarityMatrix:
         with pytest.raises(ValueError):
             dissimilarity_matrix(pm)
 
-    def test_custom_conversion_hook(self):
-        truth = [0, 0]
-        pm = _pm_from_columns([[1, 0], [1, 0]], truth)
-        half = dissimilarity_matrix(pm, conversion=lambda df: (1.0 - df) / 2.0)
-        assert half.values[0, 1] == 0.25
-
     def test_named_conversion_equals_per_pair_double_fault(self):
         rng = np.random.default_rng(53)
         for case in range(40):
@@ -132,23 +130,13 @@ class TestDissimilarityMatrix:
             matrix = dissimilarity_matrix(_pm_from_columns(cols, truth, num_classes=c))
             for i in range(p):
                 for j in range(p):
-                    expected = 0.0 if i == j else 1.0 - double_fault(cols[i], cols[j], truth)
-                    assert matrix.values[i, j] == expected, (case, i, j)
+                    df = double_fault_oracle(cols[i], cols[j], truth)
+                    assert matrix.values[i, j] == (0.0 if i == j else 1.0 - df), (case, i, j)
 
-    def test_callable_conversion_is_applied_per_pair(self):
-        rng = np.random.default_rng(54)
-        truth = rng.integers(0, 3, 50)
-        cols = [rng.integers(0, 3, 50) for _ in range(5)]
-        seen = []
-
-        def convert(df):
-            seen.append(df)
-            return 1.0 - df
-
-        matrix = dissimilarity_matrix(_pm_from_columns(cols, truth, num_classes=3), convert)
-        assert len(seen) == 10 and all(type(df) is float for df in seen)
-        named = dissimilarity_matrix(_pm_from_columns(cols, truth, num_classes=3))
-        assert np.array_equal(matrix.values, named.values)
+    def test_unknown_conversion_rejected(self):
+        pm = _pm_from_columns([[0, 1], [1, 1]], [0, 1])
+        with pytest.raises(ValueError, match="unknown conversion 'half'"):
+            dissimilarity_matrix(pm, conversion="half")
 
     def test_constructor_rejects_asymmetric(self):
         ids = (ClassifierId("E0", "A"), ClassifierId("E1", "A"))

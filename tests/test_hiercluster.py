@@ -10,13 +10,12 @@ from hsel.diversity import dissimilarity_matrix
 from hsel.hiercluster import (
     Dendrogram,
     MergeStep,
-    f_cluster,
     linkage,
     read_dendrogram,
     write_dendrogram,
 )
 
-from oracles import brute_force_linkage, random_symmetric_matrix, scan_linkage_oracle
+from oracles import brute_force_linkage, f_cluster, random_symmetric_matrix, scan_linkage_oracle
 
 
 def _matrix3(d01, d02, d12):

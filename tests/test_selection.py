@@ -20,7 +20,7 @@ from hsel.selection import (
     within_cluster_totals,
 )
 
-from oracles import block_mean_oracle, level_sweep_oracle, random_symmetric_matrix
+from oracles import block_mean_oracle, f_cluster, level_sweep_oracle, random_symmetric_matrix
 
 
 def _entry(value: float) -> EvalEntry:
@@ -57,8 +57,6 @@ class TestHierarchySelect:
         }
 
     def test_per_cluster_optimality(self, golden_scenario_pm):
-        from hsel.hiercluster import f_cluster
-
         candidates, matrix, dendro = _sweep(golden_scenario_pm)
         scores = evaluate_matrix(golden_scenario_pm)
         names = [c.canonical for c in matrix.ids]
