@@ -37,7 +37,13 @@ from .diversity import (
     read_dissimilarity_csv,
     write_dissimilarity_csv,
 )
-from .features import EXTRACTOR_KINDS, FeatureSpace, fit_feature_space
+from .features import (
+    EXTRACTOR_KINDS,
+    FeatureSpace,
+    build_vocabulary,
+    count_matrix,
+    fit_feature_space,
+)
 from .hiercluster import (
     LINKAGE_METHODS,
     Dendrogram,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -414,11 +415,13 @@ def cmd_compare(
     return report
 
 
-def _parse_ratios(text: str) -> tuple[float, float, float]:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("ratios must be three comma-separated fractions")
-    return (parts[0], parts[1], parts[2])
+def _parse_ratios(text: str) -> tuple[float, ...]:
+    with contextlib.suppress(ValueError):
+        parts = tuple(float(p) for p in text.split(","))
+        if len(parts) == 3 and all(map(math.isfinite, parts)):
+            return parts
+    raise argparse.ArgumentTypeError(
+        f"ratios must be three comma-separated fractions, got {text!r}")
 
 
 def _parse_alpha(text: str) -> float:

@@ -248,14 +248,15 @@ def stack_to_json(ensemble: StackedEnsemble) -> str:
 
 def stack_from_json(text: str) -> StackedEnsemble:
     """Restore a ``stack_to_json`` document. A missing key, an unknown
-    format, version or meta kind, a ``num_classes`` that is not an integer
-    of at least 2, ``params`` that are not an object, and parameters of the
-    wrong shape raise ``ValueError``."""
+    format or meta kind, a version other than the integer 1, a
+    ``num_classes`` that is not an integer of at least 2, a ``layout`` that
+    is not the members' block offsets, ``params`` that are not an object, and
+    parameters of the wrong shape or not finite raise ``ValueError``."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != STACK_FORMAT:
         raise ValueError(f"not a {STACK_FORMAT} document")
     try:
-        if doc["version"] != 1:
+        if type(doc["version"]) is not int or doc["version"] != 1:
             raise ValueError(f"unsupported {STACK_FORMAT} version {doc['version']!r}")
         meta_kind = doc["meta_kind"]
         if meta_kind not in META_KINDS:
@@ -266,6 +267,8 @@ def stack_from_json(text: str) -> StackedEnsemble:
         j, c, params = len(members), doc["num_classes"], doc["params"]
         if isinstance(c, bool) or not isinstance(c, int) or c < 2:
             raise ValueError(f"num_classes must be an integer of at least 2, got {c!r}")
+        if doc["layout"] != [{"id": m.canonical, "offset": i * c} for i, m in enumerate(members)]:
+            raise ValueError(f"layout {doc['layout']!r} does not match the members")
         if not isinstance(params, dict):
             raise ValueError(f"params must be an object, got {type(params).__name__}")
         model = SoftmaxRegression()
@@ -288,4 +291,6 @@ def _param(params: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
     value = np.array(params[key], dtype=np.float64)
     if value.shape != shape:
         raise ValueError(f"params {key!r} has shape {value.shape}, expected {shape}")
+    if not np.isfinite(value).all():
+        raise ValueError(f"params {key!r} holds a non-finite value")
     return value

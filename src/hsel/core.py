@@ -209,6 +209,8 @@ def split_corpus(
     """
     if len(ratios) != 3:
         raise ValueError("ratios must have exactly three entries (train, validation, test)")
+    if not all(math.isfinite(r) for r in ratios):
+        raise ValueError(f"each split ratio must be finite, got {tuple(ratios)!r}")
     if any(r <= 0 for r in ratios):
         raise ValueError("each split ratio must be positive")
     if abs(sum(ratios) - 1.0) > 1e-9:

@@ -1,13 +1,19 @@
 """Feature extraction over token lists.
 
-Three vectorizations share one vocabulary contract (built from training
-documents only): raw counts, tf-idf weighting, and a seeded signed random
-projection of counts that stands in for dense embedding extractors.
+A pool has one sorted vocabulary, built from training documents only, and
+each split is counted once into an (N, V) matrix (``count_matrix``) that
+every extractor weighs: COUNT keeps it, TFIDF scales columns by idf, and
+HASHED projects it through a seeded signed matrix standing in for dense
+embeddings. That matrix's row for a token is defined as the stream
+``default_rng(derive_seed("hashed-projection", seed, token)).integers(0, 2,
+size=dim)`` mapped to -1/+1; ``_sign_rows`` computes all rows at once by
+replaying the stream in array arithmetic, so numpy.random is never imported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from math import log
 from typing import Sequence
 
@@ -33,19 +39,77 @@ def normalize_extractor_token(token: str) -> str:
     return tok
 
 
-def _sign_row(token: str, seed: int, dim: int) -> np.ndarray:
-    rng = np.random.default_rng(derive_seed("hashed-projection", seed, token))
-    return rng.integers(0, 2, size=dim).astype(np.float64) * 2.0 - 1.0
+def _sign_rows(seeds: np.ndarray, dim: int) -> np.ndarray:
+    """Row t is ``default_rng(seeds[t]).integers(0, 2, size=dim) * 2.0 - 1.0``
+    for seeds below 2**64: numpy's SeedSequence (a 4-word pool mixed mod
+    2**32) and PCG64 (128-bit state as hi/lo uint64 words, XSL-RR output)
+    replayed on arrays; a 0/1 draw is bit 31 of an output's 32-bit half, low
+    half first."""
+    m32, const = 0xFFFFFFFF, [0x43B0D7E5]
+
+    def hashmix(value, mult=0x931E8875):
+        value = value ^ const[0]
+        const[0] = const[0] * mult & m32
+        value = value * const[0] & m32
+        return value ^ (value >> 16)
+
+    zero = np.zeros_like(seeds)
+    pool = [hashmix(word) for word in (seeds & m32, seeds >> 32, zero, zero)]
+    for src, dst in permutations(range(4), 2):  # source-major, as SeedSequence mixes
+        mixed = (pool[dst] * 0xCA01F9DD - hashmix(pool[src]) * 0x4973F715) & m32
+        pool[dst] = mixed ^ (mixed >> 16)
+    const[0] = 0x8B51F9DD
+    words = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+    s0, s1, s2, s3 = (words[k] | (words[k + 1] << 32) for k in range(0, 8, 2))
+    inc_hi, inc_lo = (s2 << 1) | (s3 >> 63), (s3 << 1) | 1
+    mult_hi, mult_lo = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+    def step(hi, lo):  # state * mult + inc mod 2**128; carry is the high word of lo * mult_lo
+        lo0, lo1 = lo & m32, lo >> 32
+        cross0, cross1 = lo0 * (mult_lo >> 32), lo1 * (mult_lo & m32)
+        mid = (lo0 * (mult_lo & m32) >> 32) + (cross0 & m32) + (cross1 & m32)
+        carry = lo1 * (mult_lo >> 32) + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32)
+        new_lo = lo * mult_lo + inc_lo
+        return carry + lo * mult_hi + hi * mult_lo + inc_hi + (new_lo < inc_lo), new_lo
+
+    lo = inc_lo + s1  # seeding: state = inc, plus (s0:s1), then one step
+    hi, lo = step(inc_hi + s0 + (lo < s1), lo)
+    draws = []
+    for _ in range((dim + 1) // 2):
+        hi, lo = step(hi, lo)
+        x, rot = hi ^ lo, hi >> 58
+        out = (x >> rot) | (x << ((64 - rot) & 63))
+        draws += [(out >> 31) & 1, out >> 63]
+    return np.stack(draws[:dim], axis=1) * 2.0 - 1.0
+
+
+def build_vocabulary(train_docs: Sequence[Sequence[str]]) -> dict[str, int]:
+    """The sorted training vocabulary, token -> column. An empty one raises:
+    callers see a configuration problem (over-aggressive preprocessing), not
+    a crash later."""
+    tokens = sorted({token for doc in train_docs for token in doc})
+    if not tokens:
+        raise ValueError("empty vocabulary after filtering; relax preprocessing settings")
+    return {token: j for j, token in enumerate(tokens)}
+
+
+def count_matrix(docs: Sequence[Sequence[str]], vocabulary: dict[str, int]) -> np.ndarray:
+    """(len(docs), V) float64 token counts; tokens outside ``vocabulary`` are
+    dropped. One ``bincount`` over the flat ``row * V + column`` ids."""
+    width, column = len(vocabulary), vocabulary.get
+    flat = [i * width + j for i, doc in enumerate(docs) for j in map(column, doc) if j is not None]
+    counts = np.bincount(np.array(flat, dtype=np.int64), minlength=len(docs) * width)
+    return counts.reshape(len(docs), width).astype(np.float64)
 
 
 @dataclass(frozen=True)
 class FeatureSpace:
-    """A fitted vectorizer: vocabulary, weighting kind, and output dimension.
-
-    For TFIDF, ``idf[j] = ln((1 + D) / (1 + df_j)) + 1`` over the D training
+    """One extractor's weighting of a ``count_matrix`` over ``vocabulary``,
+    the pool's shared training vocabulary. COUNT returns the counts. For
+    TFIDF, ``idf[j] = ln((1 + D) / (1 + df_j)) + 1`` over the D training
     documents, which keeps every idf finite and >= 1. For HASHED, counts are
-    projected through a per-token seeded sign matrix of shape (V, dim).
-    """
+    projected through the (V, dim) sign matrix described in the module
+    docstring."""
 
     kind: str
     vocabulary: dict[str, int]
@@ -53,19 +117,7 @@ class FeatureSpace:
     idf: np.ndarray | None = None
     projection: np.ndarray | None = None
 
-    def _count_rows(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
-        out = np.zeros((len(docs), len(self.vocabulary)), dtype=np.float64)
-        vocab = self.vocabulary
-        for i, doc in enumerate(docs):
-            row = out[i]
-            for token in doc:
-                j = vocab.get(token)
-                if j is not None:
-                    row[j] += 1.0
-        return out
-
-    def transform(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
-        counts = self._count_rows(docs)
+    def transform(self, counts: np.ndarray) -> np.ndarray:
         if self.kind == COUNT:
             return counts
         if self.kind == TFIDF:
@@ -74,41 +126,28 @@ class FeatureSpace:
 
 
 def fit_feature_space(
-    train_docs: Sequence[Sequence[str]],
+    vocabulary: dict[str, int],
+    train_counts: np.ndarray,
     kind: str,
     hashed_dim: int = DEFAULT_HASHED_DIM,
     seed: int = 0,
 ) -> FeatureSpace:
-    """Fit a feature space on tokenized training documents.
-
-    Raises if the vocabulary is empty after filtering; callers see that as a
-    configuration problem (over-aggressive preprocessing), not a crash later.
-    """
+    """Fit one extractor on the training ``count_matrix`` over ``vocabulary``."""
     kind = normalize_extractor_token(kind)
-    if not train_docs:
-        raise ValueError("need at least one tokenized training document")
-    tokens = sorted({token for doc in train_docs for token in doc})
-    if not tokens:
-        raise ValueError("empty vocabulary after filtering; relax preprocessing settings")
-    vocabulary = {token: j for j, token in enumerate(tokens)}
-
     if kind == COUNT:
-        return FeatureSpace(kind=kind, vocabulary=vocabulary, dimension=len(tokens))
+        return FeatureSpace(kind=kind, vocabulary=vocabulary, dimension=len(vocabulary))
 
     if kind == TFIDF:
-        n_docs = len(train_docs)
-        df = np.zeros(len(tokens), dtype=np.int64)
-        for doc in train_docs:
-            for token in set(doc):
-                df[vocabulary[token]] += 1
+        n_docs = len(train_counts)
+        df = (train_counts > 0).sum(axis=0)
         idf = np.array([log((1 + n_docs) / (1 + int(d))) + 1.0 for d in df], dtype=np.float64)
         idf.setflags(write=False)
-        return FeatureSpace(kind=kind, vocabulary=vocabulary, dimension=len(tokens), idf=idf)
+        return FeatureSpace(kind=kind, vocabulary=vocabulary, dimension=len(vocabulary), idf=idf)
 
     if hashed_dim <= 0:
         raise ValueError("hashed projection dimension must be positive")
-    projection = np.vstack([_sign_row(token, seed, hashed_dim) for token in tokens])
+    seeds = np.array([derive_seed("hashed-projection", seed, t) for t in vocabulary], np.uint64)
+    projection = _sign_rows(seeds, hashed_dim)
     projection.setflags(write=False)
-    return FeatureSpace(
-        kind=kind, vocabulary=vocabulary, dimension=hashed_dim, projection=projection
-    )
+    return FeatureSpace(kind=kind, vocabulary=vocabulary, dimension=hashed_dim,
+                        projection=projection)

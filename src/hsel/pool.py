@@ -19,6 +19,8 @@ from .core import ClassifierId, LabeledCorpus, PredictionMatrix, Split, derive_s
 from .features import (
     DEFAULT_HASHED_DIM,
     FeatureSpace,
+    build_vocabulary,
+    count_matrix,
     fit_feature_space,
     normalize_extractor_token,
 )
@@ -42,14 +44,17 @@ class TrainedClassifier:
     model: object
 
     def predict_texts(self, texts: Sequence[str]) -> np.ndarray:
-        docs = self.pipeline.tokenize_all(texts)
-        return np.asarray(self.model.predict(self.space.transform(docs)), dtype=np.int64)
+        counts = count_matrix(self.pipeline.tokenize_all(texts), self.space.vocabulary)
+        return np.asarray(self.model.predict(self.space.transform(counts)), dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class ClassifierPool:
+    """The trained members; ``pipeline`` and ``vocabulary`` are shared by all."""
+
     members: tuple[TrainedClassifier, ...]
     pipeline: TokenPipeline
+    vocabulary: dict[str, int]
     num_classes: int
 
     @property
@@ -90,34 +95,24 @@ def train_pool(
 
     train_texts = corpus.texts(Split.TRAIN)
     train_labels = corpus.labels(Split.TRAIN)
-    pipeline = fit_token_pipeline(train_texts, config)
-    train_docs = pipeline.tokenize_all(train_texts)
-
-    spaces: dict[str, FeatureSpace] = {}
-    train_features: dict[str, np.ndarray] = {}
-    for ext in ext_tokens:
-        space = fit_feature_space(
-            train_docs, ext, hashed_dim=hashed_dim, seed=derive_seed(seed, "space", ext)
-        )
-        spaces[ext] = space
-        train_features[ext] = space.transform(train_docs)
+    pipeline, train_docs = fit_token_pipeline(train_texts, config)
+    vocabulary = build_vocabulary(train_docs)
+    train_counts = count_matrix(train_docs, vocabulary)
 
     members = []
     for ext in ext_tokens:
+        space = fit_feature_space(
+            vocabulary, train_counts, ext, hashed_dim=hashed_dim,
+            seed=derive_seed(seed, "space", ext),
+        )
+        train_features = space.transform(train_counts)
         for alg in alg_tokens:
             learner = make_learner(alg, knn_k=knn_k)
-            learner.fit(train_features[ext], train_labels, corpus.num_classes)
-            members.append(
-                TrainedClassifier(
-                    id=ClassifierId(ext, alg),
-                    pipeline=pipeline,
-                    space=spaces[ext],
-                    model=learner,
-                )
-            )
-    return ClassifierPool(
-        members=tuple(members), pipeline=pipeline, num_classes=corpus.num_classes
-    )
+            learner.fit(train_features, train_labels, corpus.num_classes)
+            members.append(TrainedClassifier(id=ClassifierId(ext, alg), pipeline=pipeline,
+                                             space=space, model=learner))
+    return ClassifierPool(members=tuple(members), pipeline=pipeline, vocabulary=vocabulary,
+                          num_classes=corpus.num_classes)
 
 
 def predict_matrix(pool: ClassifierPool, corpus: LabeledCorpus, split: Split) -> PredictionMatrix:
@@ -127,15 +122,11 @@ def predict_matrix(pool: ClassifierPool, corpus: LabeledCorpus, split: Split) ->
     texts = corpus.texts(split)
     if not texts:
         raise ValueError(f"{split.value} split is empty")
-    docs = pool.pipeline.tokenize_all(texts)
-
-    features: dict[str, np.ndarray] = {}
-    columns = []
-    for member in pool.members:
-        kind = member.id.extractor
-        if kind not in features:
-            features[kind] = member.space.transform(docs)
-        columns.append(np.asarray(member.model.predict(features[kind]), dtype=np.int64))
+    counts = count_matrix(pool.pipeline.tokenize_all(texts), pool.vocabulary)
+    spaces = {member.id.extractor: member.space for member in pool.members}
+    features = {kind: space.transform(counts) for kind, space in spaces.items()}
+    columns = [np.asarray(member.model.predict(features[member.id.extractor]), dtype=np.int64)
+               for member in pool.members]
     return PredictionMatrix(
         classifier_ids=pool.ids,
         predictions=np.stack(columns, axis=1),

@@ -113,12 +113,14 @@ class TokenPipeline:
 
 def fit_token_pipeline(
     train_texts: Sequence[str], config: PreprocessConfig = PreprocessConfig()
-) -> TokenPipeline:
-    """Fit the document-frequency filter on training texts."""
+) -> tuple[TokenPipeline, list[list[str]]]:
+    """Fit the document-frequency filter on training texts, each preprocessed
+    once; also return the kept documents, ``pipeline.tokenize_all(train_texts)``."""
+    docs = [preprocess(text, config) for text in train_texts]
     if config.min_df <= 1:
-        return TokenPipeline(config=config, keep=None)
+        return TokenPipeline(config=config, keep=None), docs
     df: Counter[str] = Counter()
-    for text in train_texts:
-        df.update(set(preprocess(text, config)))
+    for doc in docs:
+        df.update(set(doc))
     keep = frozenset(token for token, count in df.items() if count >= config.min_df)
-    return TokenPipeline(config=config, keep=keep)
+    return TokenPipeline(config=config, keep=keep), [[t for t in doc if t in keep] for doc in docs]

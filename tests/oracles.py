@@ -13,8 +13,11 @@ regression at a time in row-major layout in the weights (never through
 the Gram matrix), the stacking oracles count naive Bayes likelihoods and
 plurality votes per member and per row instead of reading weight rows of
 a linear scorer, the nearest-centroid oracle broadcasts one (N, C, V)
-difference tensor, and the k-nearest-neighbour oracle sorts and counts
-votes one query row at a time.
+difference tensor, the k-nearest-neighbour oracle sorts and counts
+votes one query row at a time, the count oracle adds one token at a time,
+and the sign-row oracle draws each projection row from its own
+``numpy.random`` generator instead of replaying the stream in array
+arithmetic.
 """
 
 from __future__ import annotations
@@ -340,3 +343,20 @@ def cosine_knn_oracle(X_train, y, num_classes, k, X):
         order = np.argsort(row, kind="stable")[:k]
         out[i] = int(np.argmax(np.bincount(labels[order], minlength=num_classes)))
     return out
+
+
+def count_rows_oracle(docs, vocabulary):
+    """(N, V) token counts, one token at a time; unknown tokens are skipped."""
+    out = np.zeros((len(docs), len(vocabulary)), dtype=np.float64)
+    for i, doc in enumerate(docs):
+        for token in doc:
+            j = vocabulary.get(token)
+            if j is not None:
+                out[i, j] += 1.0
+    return out
+
+
+def sign_row_oracle(seed, dim):
+    """One -1/+1 projection row from its own ``default_rng(seed)`` generator."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2, size=dim).astype(np.float64) * 2.0 - 1.0

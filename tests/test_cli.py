@@ -452,6 +452,18 @@ def test_alpha_outside_unit_interval_rejected(command, value, capsys):
         assert build_parser().parse_args(command + ["--alpha", bound]).alpha == float(bound)
 
 
+@pytest.mark.parametrize("value", ["a,b,c", "nan,0.5,0.5", "0.5,inf,0.5", "0.5,0.5", "0.2,0.2,0.2,0.4"])
+@pytest.mark.parametrize("command", [["run", "--corpus", "c.csv"], ["compare", "--corpus", "c.csv"]])
+def test_ratios_must_be_three_finite_fractions(command, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--ratios", value])
+    assert exc.value.code == 2
+    message = f"ratios must be three comma-separated fractions, got {value!r}"
+    assert message in capsys.readouterr().err
+    assert build_parser().parse_args(command + ["--ratios", "0.5,0.25,0.25"]).ratios == (
+        0.5, 0.25, 0.25)
+
+
 def test_select_still_accepts_seed():
     args = build_parser().parse_args(["select", "--matrix", "m.csv", "--seed", "3"])
     assert args.seed == 3

@@ -368,11 +368,27 @@ class TestSerialization:
             ("LR", lambda d: d.update(params=[]), "params must be an object, got list"),
             ("NB", lambda d: d.update(num_classes=None), "num_classes must be an integer"),
             ("VOTE", lambda d: d.update(num_classes=1), "at least 2, got 1"),
+            ("LR", lambda d: d["params"]["weights"][0].__setitem__(0, float("nan")),
+             "'weights' holds a non-finite value"),
+            ("LR", lambda d: d["params"].update(bias=[0.0, float("inf")]),
+             "'bias' holds a non-finite value"),
+            ("NB", lambda d: d["params"]["log_likelihood"][1][0].__setitem__(1, -float("inf")),
+             "'log_likelihood' holds a non-finite value"),
+            ("NB", lambda d: d["params"].update(class_log_prior=[float("nan"), 0.0]),
+             "'class_log_prior' holds a non-finite value"),
+            ("VOTE", lambda d: d.update(version=True), "version True"),
+            ("LR", lambda d: d.update(version=1.0), "version 1.0"),
+            ("VOTE", lambda d: d.update(layout=[{"id": "X-Y", "offset": 99}]), "layout"),
+            ("NB", lambda d: d["layout"].reverse(), "does not match the members"),
+            ("LR", lambda d: d["layout"][1].update(offset=3), "does not match the members"),
+            ("VOTE", lambda d: d.pop("layout"), "missing key 'layout'"),
         ],
         ids=[
             "no-members", "no-version", "no-weights", "no-log-likelihood", "format",
             "meta-kind", "version", "weights-shape", "bias-shape", "log-likelihood-shape",
-            "params-list", "num-classes-null", "num-classes-one",
+            "params-list", "num-classes-null", "num-classes-one", "weights-nan", "bias-inf",
+            "log-likelihood-inf", "log-prior-nan", "version-bool", "version-float",
+            "layout-foreign", "layout-reversed", "layout-offset", "no-layout",
         ],
     )
     def test_malformed_document_rejected(self, meta_kind, mutate, message):

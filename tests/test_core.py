@@ -100,6 +100,11 @@ class TestSplitCorpus:
         with pytest.raises(ValueError):
             split_corpus(rows, ratios=(1.0, 0.0, 0.0), seed=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_ratios_by_name(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            split_corpus(_balanced_corpus(per_class=5), ratios=(bad, 0.5, 0.5), seed=0)
+
     def test_extreme_ratios_keep_validation_and_test_nonempty(self):
         rows = _balanced_corpus(per_class=3)
         out = split_corpus(rows, ratios=(0.98, 0.01, 0.01), seed=0)

@@ -1,40 +1,60 @@
-"""Feature space fitting and transformation."""
+"""Shared vocabulary, per-split count matrices, and feature space fitting."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hsel.features import fit_feature_space, normalize_extractor_token
+from hsel.core import derive_seed
+from hsel.features import (
+    _sign_rows,
+    build_vocabulary,
+    count_matrix,
+    fit_feature_space,
+    normalize_extractor_token,
+)
+
+from oracles import count_rows_oracle, sign_row_oracle
+
+
+def _fit(train_docs, kind, **kwargs):
+    vocabulary = build_vocabulary(train_docs)
+    return fit_feature_space(vocabulary, count_matrix(train_docs, vocabulary), kind, **kwargs)
+
+
+def _transform(space, docs):
+    return space.transform(count_matrix(docs, space.vocabulary))
 
 
 class TestCount:
     def test_direct_counting(self):
-        space = fit_feature_space([["a", "b"], ["b", "c"]], "COUNT")
+        space = _fit([["a", "b"], ["b", "c"]], "COUNT")
         assert space.vocabulary == {"a": 0, "b": 1, "c": 2}
-        out = space.transform([["a", "b"], ["b", "c"]])
+        out = _transform(space, [["a", "b"], ["b", "c"]])
         assert out.tolist() == [[1, 1, 0], [0, 1, 1]]
 
     def test_out_of_vocabulary_tokens_ignored(self):
-        space = fit_feature_space([["a"]], "COUNT")
-        assert space.transform([["a", "zzz", "a"]]).tolist() == [[2]]
+        space = _fit([["a"]], "COUNT")
+        assert _transform(space, [["a", "zzz", "a"]]).tolist() == [[2]]
 
 
 class TestTfidf:
     def test_token_in_every_doc_has_idf_one(self):
-        space = fit_feature_space([["a", "b"], ["a", "c"]], "TFIDF")
+        space = _fit([["a", "b"], ["a", "c"]], "TFIDF")
         j = space.vocabulary["a"]
         assert space.idf[j] == math.log(1.0) + 1.0 == 1.0
 
     def test_idf_formula(self):
         docs = [["a", "b"], ["a"], ["a"]]
-        space = fit_feature_space(docs, "TFIDF")
+        space = _fit(docs, "TFIDF")
         assert space.idf[space.vocabulary["b"]] == pytest.approx(math.log(4 / 2) + 1.0)
-        out = space.transform([["b", "b"]])
+        out = _transform(space, [["b", "b"]])
         assert out[0, space.vocabulary["b"]] == pytest.approx(2 * (math.log(2.0) + 1.0))
 
     def test_idf_finite_and_positive(self):
-        space = fit_feature_space([["x", "y"], ["y"]], "TFIDF")
+        space = _fit([["x", "y"], ["y"]], "TFIDF")
         assert np.all(np.isfinite(space.idf))
         assert np.all(space.idf >= 1.0)
 
@@ -42,31 +62,32 @@ class TestTfidf:
 class TestHashed:
     def test_deterministic_for_fixed_seed(self):
         docs = [["alpha", "beta"], ["gamma"]]
-        a = fit_feature_space(docs, "HASHED", hashed_dim=32, seed=5)
-        b = fit_feature_space(docs, "HASHED", hashed_dim=32, seed=5)
-        assert np.array_equal(a.transform(docs), b.transform(docs))
+        a = _fit(docs, "HASHED", hashed_dim=32, seed=5)
+        b = _fit(docs, "HASHED", hashed_dim=32, seed=5)
+        assert np.array_equal(_transform(a, docs), _transform(b, docs))
 
     def test_seed_changes_projection(self):
         docs = [["alpha", "beta", "gamma", "delta"]]
-        a = fit_feature_space(docs, "HASHED", hashed_dim=32, seed=5)
-        b = fit_feature_space(docs, "HASHED", hashed_dim=32, seed=6)
-        assert not np.array_equal(a.transform(docs), b.transform(docs))
+        a = _fit(docs, "HASHED", hashed_dim=32, seed=5)
+        b = _fit(docs, "HASHED", hashed_dim=32, seed=6)
+        assert not np.array_equal(_transform(a, docs), _transform(b, docs))
 
     def test_dimension_and_signs(self):
-        space = fit_feature_space([["a", "b"]], "HASHED", hashed_dim=16, seed=0)
+        space = _fit([["a", "b"]], "HASHED", hashed_dim=16, seed=0)
         assert space.dimension == 16
         assert set(np.unique(space.projection)) <= {-1.0, 1.0}
 
     def test_projection_is_linear_in_counts(self):
-        space = fit_feature_space([["a", "b"]], "HASHED", hashed_dim=8, seed=1)
-        single = space.transform([["a"]])
-        double = space.transform([["a", "a"]])
+        space = _fit([["a", "b"]], "HASHED", hashed_dim=8, seed=1)
+        single = _transform(space, [["a"]])
+        double = _transform(space, [["a", "a"]])
         assert np.array_equal(double, 2 * single)
 
 
 def test_empty_vocabulary_rejected():
-    with pytest.raises(ValueError, match="empty vocabulary"):
-        fit_feature_space([[], []], "COUNT")
+    for docs in ([[], []], []):
+        with pytest.raises(ValueError, match="empty vocabulary"):
+            build_vocabulary(docs)
 
 
 def test_alias_and_unknown_tokens():
@@ -74,3 +95,51 @@ def test_alias_and_unknown_tokens():
     assert normalize_extractor_token("cv") == "COUNT"
     with pytest.raises(ValueError, match="BERT"):
         normalize_extractor_token("BERT")
+
+
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1)
+SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.sampled_from(EDGE_SEEDS), st.integers(0, 2**63 - 1))
+
+
+class TestSignRows:
+    """The array replay of the default_rng stream against one generator per row."""
+
+    @pytest.mark.parametrize("dim", [1, 7, 64, 65])
+    def test_edge_seeds(self, dim):
+        got = _sign_rows(np.array(EDGE_SEEDS, dtype=np.uint64), dim)
+        assert np.array_equal(got, np.vstack([sign_row_oracle(s, dim) for s in EDGE_SEEDS]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(SEEDS, min_size=1, max_size=8),
+           st.one_of(st.sampled_from([1, 64, 65]), st.integers(1, 80)))
+    def test_equals_per_row_generators(self, seeds, dim):
+        got = _sign_rows(np.array(seeds, dtype=np.uint64), dim)
+        assert np.array_equal(got, np.vstack([sign_row_oracle(s, dim) for s in seeds]))
+
+    def test_fitted_projection_rows_follow_their_tokens(self):
+        space = _fit([["beta", "alpha"], ["gamma"]], "HASHED", hashed_dim=9, seed=3)
+        for token, j in space.vocabulary.items():
+            oracle = sign_row_oracle(derive_seed("hashed-projection", 3, token), 9)
+            assert np.array_equal(space.projection[j], oracle)
+
+
+TOKENS = st.sampled_from(["a", "b", "c", "d", "e"])
+
+
+class TestCountMatrix:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.lists(TOKENS, max_size=8), max_size=6),
+           st.lists(TOKENS, min_size=1, unique=True))
+    def test_equals_token_loop(self, docs, vocab_tokens):
+        # Empty documents, tokens outside the vocabulary and repeats all occur.
+        vocabulary = {token: j for j, token in enumerate(vocab_tokens)}
+        got = count_matrix(docs, vocabulary)
+        assert got.dtype == np.float64
+        assert got.shape == (len(docs), len(vocabulary))
+        assert np.array_equal(got, count_rows_oracle(docs, vocabulary))
+
+    def test_fitted_idf_uses_document_frequency(self):
+        docs = [["a", "a", "b"], [], ["a", "c"], ["c", "c", "c"]]
+        space = _fit(docs, "TFIDF")
+        expected = [math.log(5 / (1 + df)) + 1.0 for df in (2, 1, 2)]
+        assert space.idf.tolist() == expected

@@ -1,5 +1,7 @@
 """Pool training, prediction matrices, and the matrix wire format."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hsel.pool import (
     train_pool,
     write_prediction_matrix,
 )
+import hsel.preprocess as preprocess_module
 from hsel.preprocess import PreprocessConfig
 
 
@@ -87,6 +90,21 @@ class TestTrainPool:
         vpm_a = predict_matrix(pool_a, base, Split.VALIDATION)
         vpm_b = predict_matrix(pool_b, altered, Split.VALIDATION)
         assert np.array_equal(vpm_a.predictions, vpm_b.predictions)
+
+    @pytest.mark.parametrize("min_df", [1, 2])
+    def test_each_training_text_is_preprocessed_once(self, monkeypatch, min_df):
+        calls = Counter()
+        original = preprocess_module.preprocess
+
+        def counting(text, config):
+            calls[text] += 1
+            return original(text, config)
+
+        monkeypatch.setattr(preprocess_module, "preprocess", counting)
+        corpus = _toy_corpus()
+        train_pool(corpus, ["COUNT", "TFIDF", "HASHED"], ["NB", "NC"],
+                   config=PreprocessConfig(min_df=min_df))
+        assert calls == Counter(corpus.texts(Split.TRAIN))
 
 
 class TestPredictMatrix:

@@ -68,20 +68,26 @@ class TestStem:
 class TestTokenPipeline:
     def test_min_df_filter_fitted_on_train_only(self):
         config = PreprocessConfig(apply_stemming=False, min_df=2)
-        pipeline = fit_token_pipeline(["apple banana", "apple cherry"], config)
+        pipeline, _ = fit_token_pipeline(["apple banana", "apple cherry"], config)
         # 'apple' appears in both training docs, the rest only once.
         assert pipeline("apple banana cherry durian") == ["apple"]
 
     def test_min_df_disabled(self):
         config = PreprocessConfig(apply_stemming=False, min_df=1)
-        pipeline = fit_token_pipeline(["apple banana"], config)
+        pipeline, _ = fit_token_pipeline(["apple banana"], config)
         assert pipeline("apple banana cherry") == ["apple", "banana", "cherry"]
 
     def test_document_frequency_counts_documents_not_occurrences(self):
         config = PreprocessConfig(apply_stemming=False, min_df=2)
         # 'spam' occurs 3 times but only in one document.
-        pipeline = fit_token_pipeline(["spam spam spam", "egg ham", "egg toast"], config)
+        pipeline, _ = fit_token_pipeline(["spam spam spam", "egg ham", "egg toast"], config)
         assert pipeline("spam egg") == ["egg"]
+
+    @pytest.mark.parametrize("min_df", [1, 2])
+    def test_returned_documents_equal_the_fitted_pipeline(self, min_df):
+        texts = ["Apples and pears", "apples, pears!", "plums", ""]
+        pipeline, docs = fit_token_pipeline(texts, PreprocessConfig(min_df=min_df))
+        assert docs == pipeline.tokenize_all(texts)
 
 
 def test_package_attribute_is_the_submodule():

@@ -88,17 +88,19 @@ def test_importing_cli_leaves_jsonschema_unloaded():
 
 
 def test_run_loads_no_numpy_ma(tmp_path):
-    # np.unique imports numpy.ma under numpy 2.4, a cold-start cost of every
-    # run; a run must load nothing of it that importing numpy did not.
+    # np.unique imports numpy.ma under numpy 2.4, and a numpy.random generator
+    # costs its import on first use: both are cold-start costs of every run. A
+    # run must load nothing of either that importing numpy did not.
     script = """
-import sys
+import json, sys
 import hsel.cli
-before = "numpy.ma" in sys.modules
+modules = ("numpy.ma", "numpy.random")
+before = {name: name in sys.modules for name in modules}
 code = hsel.cli.main(["run", "--corpus", sys.argv[1], "--outdir", sys.argv[2]])
-print(code, before, "numpy.ma" in sys.modules)
+print(json.dumps([code, before, {name: name in sys.modules for name in modules}]))
 """
     out = subprocess.run([sys.executable, "-c", script, TOY_CORPUS, str(tmp_path / "run")],
                          capture_output=True, text=True, env=_env(), check=True)
-    code, before, after = out.stdout.strip().splitlines()[-1].split()
-    assert code == "0"
+    code, before, after = json.loads(out.stdout.strip().splitlines()[-1])
+    assert code == 0
     assert after == before
