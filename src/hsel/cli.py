@@ -418,7 +418,7 @@ def cmd_compare(
 def _parse_ratios(text: str) -> tuple[float, ...]:
     with contextlib.suppress(ValueError):
         parts = tuple(float(p) for p in text.split(","))
-        if len(parts) == 3 and all(map(math.isfinite, parts)):
+        if len(parts) == 3 and all(0 < part < math.inf for part in parts):  # nan fails too
             return parts
     raise argparse.ArgumentTypeError(
         f"ratios must be three comma-separated fractions, got {text!r}")

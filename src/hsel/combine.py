@@ -17,6 +17,7 @@ the deployed and compared ensembles reuse those fits."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,6 +31,12 @@ META_KINDS = ("LR", "NB", "VOTE")
 STACK_FORMAT = "hsel-stack"
 
 _NB_ALPHA = 1.0  # add-one smoothing of the NB counts
+
+_LR_HYPERPARAMETERS = {  # the meta-LR settings of a stack document: key -> (test, wording)
+    "step": (lambda v: type(v) in (int, float) and 0 < v < math.inf, "a finite number above 0"),
+    "epochs": (lambda v: type(v) is int and v >= 1, "an integer of at least 1"),
+    "l2": (lambda v: type(v) in (int, float) and 0 <= v < math.inf, "a finite number of at least 0"),
+}
 
 
 def _normalize_members(members: Sequence[ClassifierId | str]) -> tuple[ClassifierId, ...]:
@@ -250,8 +257,9 @@ def stack_from_json(text: str) -> StackedEnsemble:
     """Restore a ``stack_to_json`` document. A missing key, an unknown
     format or meta kind, a version other than the integer 1, a
     ``num_classes`` that is not an integer of at least 2, a ``layout`` that
-    is not the members' block offsets, ``params`` that are not an object, and
-    parameters of the wrong shape or not finite raise ``ValueError``."""
+    is not the members' block offsets, ``params`` that are not an object,
+    parameters of the wrong shape or not finite, and an LR ``step``, ``epochs``
+    or ``l2`` out of its range raise ``ValueError``."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != STACK_FORMAT:
         raise ValueError(f"not a {STACK_FORMAT} document")
@@ -273,7 +281,10 @@ def stack_from_json(text: str) -> StackedEnsemble:
             raise ValueError(f"params must be an object, got {type(params).__name__}")
         model = SoftmaxRegression()
         if meta_kind == "LR":
-            model = SoftmaxRegression(step=params["step"], epochs=params["epochs"], l2=params["l2"])
+            for key, (ok, wanted) in _LR_HYPERPARAMETERS.items():
+                if not ok(params[key]):
+                    raise ValueError(f"params {key!r} must be {wanted}, got {params[key]!r}")
+            model = SoftmaxRegression(**{key: params[key] for key in _LR_HYPERPARAMETERS})
             model.weights_ = _param(params, "weights", (j * c, c))
             model.bias_ = _param(params, "bias", (c,))
         elif meta_kind == "NB":

@@ -1,9 +1,10 @@
 """Agglomerative hierarchical clustering over a dissimilarity matrix.
 
 The agglomerator starts from singletons and repeatedly merges the closest
-pair of active clusters, the full matrix's minimum found by array algebra,
-then updates their distances as one vector with these Lance-Williams
-coefficients of the selected linkage:
+pair of active clusters, found from a cached minimum per row (the "generic"
+algorithm of Müllner 2011, arXiv:1109.2378), then updates their distances
+as one vector with these Lance-Williams coefficients of the selected
+linkage:
 
     single    d(k, ij) = min(d(k,i), d(k,j))
     complete  d(k, ij) = max(d(k,i), d(k,j))
@@ -108,10 +109,12 @@ def linkage(
     """Agglomerate the matrix into a dendrogram under the given linkage.
 
     Exact greedy agglomeration as array algebra: each of the P - 1 steps
-    takes the global minimum of the full matrix, breaks ties among its cells
-    with ``np.lexsort`` on (min node, max node), and applies Lance-Williams
-    to the kept slot's column as one vector expression. O(P^2) work per
-    step, O(P^3) in all, with no per-pair Python.
+    takes the global minimum as the least of P cached row minima, breaks
+    ties among the cells equal to it with ``np.lexsort`` on (min node, max
+    node), and applies Lance-Williams to the kept slot's column as one
+    vector expression. Only the rows whose minimum sat in a merged column,
+    and the merged row itself, are rescanned, so a step costs O(P) plus
+    O(P) per rescanned row instead of a full O(P^2) scan.
     """
     method = method.strip().lower()
     if method not in LINKAGE_METHODS:
@@ -128,20 +131,24 @@ def linkage(
     if len(leaf_ids) != p:
         raise ValueError("leaf_ids length must match the matrix size")
 
-    # Retired slots and the diagonal hold +inf, so the global minimum is the
-    # closest pair of active clusters.
+    # Retired slots and the diagonal hold +inf. Every row caches its minimum
+    # and a column holding it; the closest active pair is in the rows whose
+    # minimum is least. A retired row's minimum is +inf and its column -1.
     dist = values.copy()
     np.fill_diagonal(dist, np.inf)
+    arg = dist.argmin(axis=1)
+    rowmin = dist[np.arange(p), arg]
     nodes = np.arange(p)
     sizes = [1] * p
     merges: list[MergeStep] = []
 
     for step_index in range(p - 1):
-        d = dist.min()
-        rows, cols = np.nonzero(dist == d)
-        a, b = nodes[rows], nodes[cols]
+        d = rowmin.min()
+        near = np.flatnonzero(rowmin == d)
+        rows, cols = np.nonzero(dist[near] == d)
+        a, b = nodes[near[rows]], nodes[cols]
         first = np.lexsort((np.maximum(a, b), np.minimum(a, b)))[0]
-        i, j = sorted((int(rows[first]), int(cols[first])))
+        i, j = sorted((int(near[rows[first]]), int(cols[first])))
         ni, nj = sizes[i], sizes[j]
         new_size = ni + nj
 
@@ -154,9 +161,17 @@ def linkage(
             updated = (ni * di + nj * dj) / new_size
         else:
             updated = (ni * di + nj * dj) / new_size - (ni * nj * d) / (new_size * new_size)
+        # A row whose minimum sat in column i or j, and row i, are rescanned;
+        # in every other row only column i can lower the minimum.
+        stale = np.append(np.flatnonzero((arg == i) | (arg == j)), i)
+        arg[updated < rowmin] = i
+        np.minimum(rowmin, updated, out=rowmin)
         dist[:, i] = dist[i, :] = updated
         dist[:, j] = dist[j, :] = np.inf
         dist[i, i] = np.inf
+        arg[stale] = dist[stale].argmin(axis=1)
+        rowmin[stale] = dist[stale, arg[stale]]
+        rowmin[j], arg[j] = np.inf, -1
 
         left, right = sorted((int(nodes[i]), int(nodes[j])))
         merges.append(MergeStep(left=left, right=right, distance=float(d), size=new_size))

@@ -9,9 +9,10 @@ externally trained classifiers join a pool.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,20 +33,11 @@ MATRIX_FORMAT = "hsel-prediction-matrix"
 
 @dataclass(frozen=True)
 class TrainedClassifier:
-    """One pool member: tokenizer, feature space, and fitted learner.
-
-    ``predict_texts`` is pure; the same input text always yields the same
-    label.
-    """
+    """One pool member: its feature space and fitted learner."""
 
     id: ClassifierId
-    pipeline: TokenPipeline
     space: FeatureSpace
     model: object
-
-    def predict_texts(self, texts: Sequence[str]) -> np.ndarray:
-        counts = count_matrix(self.pipeline.tokenize_all(texts), self.space.vocabulary)
-        return np.asarray(self.model.predict(self.space.transform(counts)), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -109,8 +101,7 @@ def train_pool(
         for alg in alg_tokens:
             learner = make_learner(alg, knn_k=knn_k)
             learner.fit(train_features, train_labels, corpus.num_classes)
-            members.append(TrainedClassifier(id=ClassifierId(ext, alg), pipeline=pipeline,
-                                             space=space, model=learner))
+            members.append(TrainedClassifier(id=ClassifierId(ext, alg), space=space, model=learner))
     return ClassifierPool(members=tuple(members), pipeline=pipeline, vocabulary=vocabulary,
                           num_classes=corpus.num_classes)
 
@@ -160,7 +151,8 @@ def write_prediction_matrix(
 
 def read_prediction_matrix(path: str, meta_path: str | None = None) -> PredictionMatrix:
     """Parse and validate a prediction-matrix file; errors carry line numbers.
-    The label range is checked once, on the parsed array."""
+    A table of plain digits goes through ``np.loadtxt``; any other file, and
+    any fault, is read again cell by cell, which names the faulty line."""
     meta_path = meta_path or path + ".meta.json"
     with open(meta_path, encoding="utf-8") as fh:
         try:
@@ -182,6 +174,49 @@ def read_prediction_matrix(path: str, meta_path: str | None = None) -> Predictio
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
 
+    ids, table = _read_table_fast(path, num_classes) or _read_table(path, num_classes)
+    if meta.get("instances", len(table)) != len(table):
+        raise ValueError(
+            f"{meta_path}: instances is {meta['instances']!r} but {path} has"
+            f" {len(table)} rows"
+        )
+
+    return PredictionMatrix(
+        classifier_ids=ids,
+        predictions=table[:, 1:],
+        truth=table[:, 0],
+        num_classes=num_classes,
+        split_tag=split,
+    )
+
+
+# The ids and the (N, 1 + P) table of truth and member labels.
+_Table = tuple[tuple[ClassifierId, ...], np.ndarray]
+_PLAIN = b"0123456789,\r\n"  # the bytes of a body that np.loadtxt reads like the csv reader
+
+
+def _read_table_fast(path: str, num_classes: int) -> _Table | None:
+    """The matrix through numpy's C parser, or None whenever ``_read_table``
+    might answer differently: a quote or a lone carriage return in line 1, a
+    body that is empty or holds anything but digits, commas and line breaks,
+    a fault in the header or the parser, a width other than the header's, or
+    a label out of range."""
+    with open(path, "rb") as fh:
+        head, body = fh.readline().rstrip(b"\r\n"), fh.read()
+    if b'"' in head or b"\r" in head or not body.strip(b"\r\n") or body.translate(None, _PLAIN):
+        return None
+    try:
+        corner, *names = next(csv.reader([head.decode("utf-8")]))
+        ids = ClassifierId.parse_header(path, [name.strip() for name in names])
+        table = np.loadtxt(io.BytesIO(body), dtype=np.int64, delimiter=",", ndmin=2)
+    except (ValueError, OverflowError):
+        return None
+    plain = corner.strip().lower() == "truth" and 0 < len(ids) == table.shape[1] - 1
+    return (ids, table) if plain and (table < num_classes).all() else None
+
+
+def _read_table(path: str, num_classes: int) -> _Table:
+    """The matrix cell by cell, naming ``path: line N`` in every fault."""
     _, ids, rows, linenos = read_id_table(
         path, "truth", lambda fields: [int(v) for v in fields], "non-integer label"
     )
@@ -198,16 +233,4 @@ def read_prediction_matrix(path: str, meta_path: str | None = None) -> Predictio
             f"{path}: line {linenos[i]}: label {rows[i][int(bad[i].argmax())]} out of range"
             f" (num_classes={num_classes})"
         )
-    if meta.get("instances", len(rows)) != len(rows):
-        raise ValueError(
-            f"{meta_path}: instances is {meta['instances']!r} but {path} has"
-            f" {len(rows)} rows"
-        )
-
-    return PredictionMatrix(
-        classifier_ids=ids,
-        predictions=table[:, 1:],
-        truth=table[:, 0],
-        num_classes=num_classes,
-        split_tag=split,
-    )
+    return ids, table

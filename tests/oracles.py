@@ -15,14 +15,21 @@ plurality votes per member and per row instead of reading weight rows of
 a linear scorer, the nearest-centroid oracle broadcasts one (N, C, V)
 difference tensor, the k-nearest-neighbour oracle sorts and counts
 votes one query row at a time, the count oracle adds one token at a time,
-and the sign-row oracle draws each projection row from its own
+the sign-row oracle draws each projection row from its own
 ``numpy.random`` generator instead of replaying the stream in array
-arithmetic.
+arithmetic, and the matrix-reader oracle parses every cell with ``csv`` and
+``int`` instead of handing plain tables to ``np.loadtxt`` (it borrows only
+``ClassifierId.parse_header`` and the ``PredictionMatrix`` container).
 """
 
 from __future__ import annotations
 
+import csv
+import json
+
 import numpy as np
+
+from hsel.core import ClassifierId, PredictionMatrix, Split
 
 
 def double_fault_oracle(pred_a, pred_b, truth) -> float:
@@ -360,3 +367,80 @@ def sign_row_oracle(seed, dim):
     """One -1/+1 projection row from its own ``default_rng(seed)`` generator."""
     rng = np.random.default_rng(seed)
     return rng.integers(0, 2, size=dim).astype(np.float64) * 2.0 - 1.0
+
+
+def read_prediction_matrix_oracle(path, meta_path=None):
+    """The cell-by-cell prediction-matrix reader that ``read_prediction_matrix``
+    keeps as its fallback, kept verbatim with the id-table parse inlined:
+    ``csv.reader`` splits every line and ``int`` parses every field."""
+    meta_path = meta_path or path + ".meta.json"
+    with open(meta_path, encoding="utf-8") as fh:
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"{meta_path}: line {exc.lineno}: malformed sidecar: {exc.msg}"
+            ) from None
+    for key in ("num_classes", "split"):
+        if key not in meta:
+            raise ValueError(f"{meta_path}: missing required key {key!r}")
+    if meta.get("format", "hsel-prediction-matrix") != "hsel-prediction-matrix":
+        raise ValueError(f"{meta_path}: format {meta['format']!r} is not 'hsel-prediction-matrix'")
+    if meta.get("version", 1) != 1:
+        raise ValueError(f"{meta_path}: unsupported version {meta['version']!r}")
+    try:
+        num_classes = int(meta["num_classes"])
+        split = Split(meta["split"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: line 1: empty matrix file")
+        if not header or header[0].strip().lower() != "truth":
+            raise ValueError(f"{path}: line 1: first header field must be 'truth'")
+        names = [h.strip() for h in header[1:]]
+        if not names:
+            raise ValueError(f"{path}: line 1: no classifier columns")
+        ids = ClassifierId.parse_header(path, names)
+        rows, linenos = [], []
+        for lineno, fields in enumerate(reader, start=2):
+            if not fields:
+                continue
+            if len(fields) != len(header):
+                raise ValueError(
+                    f"{path}: line {lineno}: expected {len(header)} fields, found {len(fields)}"
+                )
+            try:
+                rows.append([int(v) for v in fields])
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: non-integer label") from None
+            linenos.append(lineno)
+    if not rows:
+        raise ValueError(f"{path}: matrix has no instance rows")
+    try:
+        table = np.array(rows, dtype=np.int64)
+        bad = (table < 0) | (table >= num_classes)
+    except OverflowError:  # a label beyond int64 is out of range as well
+        bad = np.array([[not 0 <= v < num_classes for v in values] for values in rows])
+    if bad.any():
+        i = int(bad.any(axis=1).argmax())
+        raise ValueError(
+            f"{path}: line {linenos[i]}: label {rows[i][int(bad[i].argmax())]} out of range"
+            f" (num_classes={num_classes})"
+        )
+    if meta.get("instances", len(rows)) != len(rows):
+        raise ValueError(
+            f"{meta_path}: instances is {meta['instances']!r} but {path} has"
+            f" {len(rows)} rows"
+        )
+
+    return PredictionMatrix(
+        classifier_ids=ids,
+        predictions=table[:, 1:],
+        truth=table[:, 0],
+        num_classes=num_classes,
+        split_tag=split,
+    )

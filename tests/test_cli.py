@@ -464,6 +464,17 @@ def test_ratios_must_be_three_finite_fractions(command, value, capsys):
         0.5, 0.25, 0.25)
 
 
+@pytest.mark.parametrize("value", ["-0.5,1,0.5", "0.5,0,0.5", "0.5,0.5,-0.0", "0.6,0.6,-inf"])
+@pytest.mark.parametrize("command", [["run", "--corpus", "c.csv"], ["compare", "--corpus", "c.csv"]])
+def test_non_positive_ratios_rejected_at_parse_time(command, value, capsys):
+    # Like --alpha, a fraction of 0 or less is an argparse error (exit 2),
+    # raised before the corpus is opened, not an "error [split]" exit 1.
+    with pytest.raises(SystemExit) as exc:
+        main(command + [f"--ratios={value}"])
+    assert exc.value.code == 2
+    assert f"ratios must be three comma-separated fractions, got {value!r}" in capsys.readouterr().err
+
+
 def test_select_still_accepts_seed():
     args = build_parser().parse_args(["select", "--matrix", "m.csv", "--seed", "3"])
     assert args.seed == 3

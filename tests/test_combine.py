@@ -1,6 +1,7 @@
 """Stacking: meta-features, meta-learners, round-trip export."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -397,6 +398,30 @@ class TestSerialization:
         mutate(doc)
         with pytest.raises(ValueError, match=message):
             stack_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key, value", [
+        ("step", float("nan")), ("step", float("inf")), ("step", 0.0), ("step", -0.1),
+        ("step", "0.1"), ("step", True), ("epochs", -5), ("epochs", 0), ("epochs", 300.0),
+        ("epochs", True), ("epochs", None), ("l2", -1e-4), ("l2", float("nan")),
+        ("l2", -float("inf")), ("l2", [0.0]),
+    ])
+    def test_lr_hyperparameters_out_of_range_rejected(self, key, value):
+        wanted = {"step": "a finite number above 0", "epochs": "an integer of at least 1",
+                  "l2": "a finite number of at least 0"}[key]
+        pm = _correct_wrong_pm()
+        doc = json.loads(stack_to_json(fit_stack(pm, ["GOOD-A", "BAD-A"], meta_kind="LR")))
+        doc["params"][key] = value
+        message = re.escape(f"params {key!r} must be {wanted}, got {value!r}")
+        with pytest.raises(ValueError, match=message):
+            stack_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("params", [{"step": 2, "l2": 0}, {"step": 1e-9, "epochs": 1, "l2": 0.0}])
+    def test_lr_hyperparameters_in_range_restored(self, params):
+        pm = _correct_wrong_pm()
+        doc = json.loads(stack_to_json(fit_stack(pm, ["GOOD-A", "BAD-A"], meta_kind="LR")))
+        doc["params"].update(params)
+        model = stack_from_json(json.dumps(doc)).model
+        assert {key: getattr(model, key) for key in params} == params
 
     def test_layout_matches_member_order(self):
         ensemble = StackedEnsemble(

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsel.core import ClassifierId
 from hsel.diversity import dissimilarity_matrix
@@ -175,6 +177,22 @@ class TestScanOracle:
             merges = linkage(values, method).merges
             assert [s.distance for s in merges] == pytest.approx(reference[:, 2], abs=1e-12)
             assert [s.size for s in merges] == reference[:, 3].astype(int).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_scan_oracle_on_tie_heavy_matrices(self, data):
+        # Distances on a grid of 1-4 steps: most rows hold several equal
+        # minima, so the cached row minima and the rescans decide ties.
+        p = data.draw(st.integers(2, 40), label="p")
+        grid = data.draw(st.integers(1, 4), label="grid")
+        upper = data.draw(st.lists(st.integers(0, grid), min_size=p * (p - 1) // 2,
+                                   max_size=p * (p - 1) // 2), label="cells")
+        values = np.zeros((p, p))
+        values[np.triu_indices(p, 1)] = np.array(upper) / grid
+        values += values.T
+        for method in ("single", "complete", "average", "centroid"):
+            got = [(s.left, s.right, s.distance, s.size) for s in linkage(values, method).merges]
+            assert got == scan_linkage_oracle(values, method), method
 
     def test_rejects_non_finite_distances(self):
         values = np.array([[0.0, np.inf], [np.inf, 0.0]])

@@ -1,5 +1,6 @@
 """Pool training, prediction matrices, and the matrix wire format."""
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -14,8 +15,10 @@ from hsel.pool import (
     train_pool,
     write_prediction_matrix,
 )
+import hsel.pool as pool_module
 import hsel.preprocess as preprocess_module
 from hsel.preprocess import PreprocessConfig
+from oracles import read_prediction_matrix_oracle
 
 
 def _toy_corpus(n_per_class=20, seed=0):
@@ -65,10 +68,10 @@ class TestTrainPool:
     def test_lr_members_fit_separable_corpus(self):
         corpus = _toy_corpus()
         pool = train_pool(corpus, ["COUNT", "TFIDF", "HASHED"], ["LR"], config=CONFIG)
-        train_texts = corpus.texts(Split.TRAIN)
+        train = predict_matrix(pool, corpus, Split.TRAIN)
         train_labels = corpus.labels(Split.TRAIN)
-        for member in pool.members:
-            acc = (member.predict_texts(train_texts) == train_labels).mean()
+        for member, column in zip(pool.members, train.predictions.T):
+            acc = (column == train_labels).mean()
             assert acc >= 0.99, member.id.canonical
             # Cross-entropy must fall monotonically under the default step.
             losses = member.model.loss_history_
@@ -277,3 +280,118 @@ class TestWireFormat:
         assert np.array_equal(back.predictions, pm.predictions)
         assert np.array_equal(back.truth, pm.truth)
         assert back.classifier_ids == pm.classifier_ids
+
+
+# Edits that push a well-formed matrix file towards every fault the
+# cell-by-cell reader names, and towards inputs np.loadtxt reads differently.
+_FIELD_EDITS = [
+    lambda v: f" {v}", lambda v: f"{v} ", lambda v: f"+{v}", lambda v: f"-{v}", lambda v: "-0",
+    lambda v: f'"{v}"', lambda v: "", lambda v: str(2**64), lambda v: str(2**63),
+    lambda v: str(2**63 - 1), lambda v: "9" * 30, lambda v: f"0{v}", lambda v: f"{v}_0",
+    lambda v: f"#{v}", lambda v: "1e0", lambda v: "\u0661", lambda v: f"{v}\t", lambda v: "2",
+    lambda v: "3",
+]
+_LINE_EDITS = [
+    lambda line: line + ",", lambda line: line + ",0", lambda line: line.rsplit(",", 1)[0],
+    lambda line: "", lambda line: "   ", lambda line: "\t", lambda line: line + "\r",
+    lambda line: "# " + line, lambda line: line.replace(",", ", "), lambda line: line + '"',
+]
+
+
+def _matrix_text(data, num_classes):
+    p = data.draw(st.integers(1, 4), label="p")
+    n = data.draw(st.integers(0, 6), label="n")
+    label = st.integers(0, num_classes - 1)
+    rows = [data.draw(st.lists(label, min_size=p + 1, max_size=p + 1)) for _ in range(n)]
+    header = ["truth"] + [f"E{i}-A" for i in range(p)]
+    if data.draw(st.integers(0, 3), label="header edit") == 0:
+        header[data.draw(st.integers(0, p))] = data.draw(
+            st.sampled_from(['"E0-A"', '"E0-A', "Truth ", " e9-a", "E0-A", "BAD", ""]))
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+    for _ in range(data.draw(st.integers(0, 3), label="edits")):
+        at = data.draw(st.integers(1, len(lines)), label="line")
+        if at < len(lines) and data.draw(st.booleans(), label="edit a field"):
+            fields = lines[at].split(",")
+            k = data.draw(st.integers(0, len(fields) - 1))
+            fields[k] = data.draw(st.sampled_from(_FIELD_EDITS))(fields[k])
+            lines[at] = ",".join(fields)
+        else:
+            edit = data.draw(st.sampled_from(_LINE_EDITS))
+            lines.insert(at, edit(lines[at - 1] if at == len(lines) else lines[at]))
+    if data.draw(st.integers(0, 7), label="drop the body") == 0:
+        lines = lines[:1]
+    newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="newline")
+    end = data.draw(st.sampled_from([newline, "", newline * 2]), label="end")
+    return newline.join(lines) + end
+
+
+class TestFastReader:
+    """``read_prediction_matrix`` hands plain tables to ``np.loadtxt`` and
+    everything else to the cell-by-cell reader; the two must be
+    indistinguishable from the reader it replaced."""
+
+    @staticmethod
+    def _outcome(read, path):
+        try:
+            pm = read(path)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return (pm.classifier_ids, pm.predictions.tolist(), pm.predictions.dtype,
+                pm.truth.tolist(), pm.truth.dtype, pm.num_classes, pm.split_tag)
+
+    @pytest.mark.parametrize("text", [
+        "truth,E0-A\n0,1\n# 1,0\n",  # np.loadtxt would skip a comment line
+        "truth,E0-A\n0,1\n   \n1,0\n",  # and a line of spaces
+        "truth,E0-A\n0,1\n\t\n",
+        'truth,"E0-A\n0,1\n1,0"\n',  # a quoted header field spanning lines
+        'truth,"E0-A\n0,1\n',  # and one that never closes
+        'truth,"E0-A"\n0,1\n',
+        "truth,E0-A\r0,1\r1,0\r",
+        "truth,E0-A\r0,1\n1,0\n",  # a lone carriage return ends line 1 early
+        "truth,E0-A\r\r\n0,1\n",
+        "truth,E0-A\r\n0,1\r\n\r\n1,0",
+        "\ufefftruth,E0-A\n0,1\n",
+        "truth,E0-A\n0,1,\n",
+        "truth,E0-A\n0\n",
+        "truth,E0-A\n 0,1 \n",
+        "truth,E0-A\n+0,-0\n",
+        "truth,E0-A\n0,1_0\n",
+        "truth,E0-A\n0,2\n",
+        "truth,E0-A\n0,99999999999999999999\n",
+        "truth\n0\n",
+        "truth,E0-A\n\r\n\n",
+        "truth,E0-A",
+        "",
+        "id,E0-A\n0,1\n",
+        "truth,E0-A,e0-a\n0,1,1\n",
+    ])
+    def test_edge_files_match_cell_by_cell_oracle(self, tmp_path, text):
+        path = tmp_path / "pm.csv"
+        path.write_bytes(text.encode("utf-8"))
+        (tmp_path / "pm.csv.meta.json").write_text('{"num_classes": 2, "split": "TEST"}')
+        expected = self._outcome(read_prediction_matrix_oracle, str(path))
+        assert self._outcome(read_prediction_matrix, str(path)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_cell_by_cell_oracle(self, tmp_path_factory, data):
+        num_classes = data.draw(st.integers(2, 3), label="num_classes")
+        text = _matrix_text(data, num_classes)
+        path = tmp_path_factory.mktemp("fast") / "pm.csv"
+        path.write_bytes(text.encode("utf-8"))
+        meta = {"num_classes": num_classes, "split": "TEST"}
+        if data.draw(st.booleans(), label="instances"):
+            meta["instances"] = data.draw(st.integers(0, 6))
+        (path.parent / "pm.csv.meta.json").write_text(json.dumps(meta))
+        expected = self._outcome(read_prediction_matrix_oracle, str(path))
+        assert self._outcome(read_prediction_matrix, str(path)) == expected
+
+    def test_generator_file_takes_the_fast_path(self, tmp_path, monkeypatch):
+        # A benchmark-style file (CRLF rows) never reaches the csv reader.
+        path = tmp_path / "pm.csv"
+        path.write_bytes(b"truth,X0-A00,X0-A01\r\n0,1,2\r\n2,2,0\r\n")
+        (tmp_path / "pm.csv.meta.json").write_text('{"num_classes": 3, "split": "VALIDATION"}')
+        monkeypatch.setattr(pool_module, "read_id_table", None)
+        pm = read_prediction_matrix(str(path))
+        assert pm.truth.tolist() == [0, 2]
+        assert pm.predictions.tolist() == [[1, 2], [2, 0]]
