@@ -98,6 +98,11 @@ def _stage(name: str):
         raise StageError(name, str(exc)) from exc
 
 
+def _make_outdir(path: str) -> None:
+    with _stage("outdir"):
+        os.makedirs(path, exist_ok=True)
+
+
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -108,19 +113,95 @@ def _load_schema(name: str) -> dict:
     return json.loads(text)
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _scalar_json(value) -> str:
+    """JSON text of a number, a bool or None, as ``json`` writes it."""
+    if isinstance(value, float):
+        if -math.inf < value < math.inf:
+            return float.__repr__(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _keys_json(keys: list) -> list[str]:
+    """Quoted dict keys; a number, bool or None key is quoted as its JSON text."""
+    return [_quote(key if isinstance(key, str) else _scalar_json(key)) for key in keys]
+
+
+def _bracket(opening: str, items: list[str], closing: str, level: int) -> str:
+    if not items:
+        return opening + closing
+    inner = "\n" + "  " * (level + 1)
+    return opening + inner + ("," + inner).join(items) + "\n" + "  " * level + closing
+
+
+def _json_text(value, level: int) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` for a
+    value nested ``level`` indents deep, built by ``str.join`` over the C
+    string encoder and ``int``/``float`` reprs instead of the pure-Python
+    encoder that ``json`` falls back to whenever ``indent`` is set."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, dict):
+        keys = sorted(value)
+        items = [name + ": " + _json_text(value[key], level + 1)
+                 for name, key in zip(_keys_json(keys), keys)]
+        return _bracket("{", items, "}", level)
+    if isinstance(value, (list, tuple)):
+        try:  # most report lists are member ids: one C-level pass
+            items = list(map(_quote, value))
+        except TypeError:
+            items = [_json_text(item, level + 1) for item in value]
+        return _bracket("[", items, "]", level)
+    return _scalar_json(value)
+
+
+def _write_json(write, value, level: int) -> None:
+    """``_json_text(value, level)`` passed to ``write`` in pieces: a dict key
+    by key and a list one element at a time."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        write(_json_text(value, level))
+        return
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(value, dict):
+        keys = sorted(value)
+        for j, (name, key) in enumerate(zip(_keys_json(keys), keys)):
+            write(("," if j else "{") + inner + name + ": ")
+            _write_json(write, value[key], level + 1)
+        write("\n" + "  " * level + "}")
+    else:
+        for j, item in enumerate(value):
+            write(("," if j else "[") + inner + _json_text(item, level + 1))
+        write("\n" + "  " * level + "]")
+
+
 def _emit_report(doc: dict, schema_name: str, path: str) -> None:
-    """Write ``doc``, a ``schema_name`` report, to ``path``, streamed so that
-    no copy of the whole text is held. A non-finite number is not JSON: it
-    raises ``ValueError``, and the partly written file is removed.
+    """Write ``doc``, a ``schema_name`` report, to ``path`` exactly as
+    ``json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)`` plus a
+    newline would. The text is streamed, each dict key by key and each list
+    one element at a time, so no copy of the whole text is held. A value
+    that JSON cannot encode (a non-finite number raises ``ValueError``, any
+    other type ``TypeError``) leaves no file behind.
     Whether a report fits its schema depends only on this module's fixed
     builders, so the tests and the benchmark check that with ``jsonschema``."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        try:
+            _write_json(fh.write, doc, 0)
             fh.write("\n")
-    except ValueError:
-        os.remove(path)
-        raise
+        except Exception:
+            fh.close()
+            os.remove(path)
+            raise
 
 
 def _candidate_doc(candidate: EnsembleCandidate) -> dict:
@@ -137,16 +218,20 @@ Stacks = dict[tuple[str, ...], StackedEnsemble]
 
 
 def _member_key(members: Sequence[ClassifierId]) -> tuple[str, ...]:
-    return tuple(m.canonical for m in members)
+    return tuple([m.canonical for m in members])
 
 
 def _join_order(keys: list[tuple[str, ...]]) -> list[int]:
     """Position in the last tuple of the one member each tuple adds to the one before."""
-    steps = list(zip([()] + keys[:-1], keys))
-    if any(len(key) != len(before) + 1 or not set(before) < set(key) for before, key in steps):
-        raise ValueError("sweep candidates are not nested")
     position = {name: j for j, name in enumerate(keys[-1])}
-    return [position[(set(key) - set(before)).pop()] for before, key in steps]
+    order, before = [], set()
+    for key in keys:
+        names = set(key)
+        if len(key) != len(before) + 1 or not before < names:
+            raise ValueError("sweep candidates are not nested")
+        order.append(position[(names - before).pop()])
+        before = names
+    return order
 
 
 def _score_candidates(
@@ -155,36 +240,49 @@ def _score_candidates(
     meta_kind: str,
     extra: Sequence[Sequence[ClassifierId]] = (),
 ) -> tuple[dict[str, list[EnsembleCandidate]], Stacks]:
-    """Stack every distinct candidate of every metric's sweep on validation
-    and record each metric there.
+    """Stack the candidates of every metric's sweep on validation and record
+    each metric there; also stack the ``extra`` member lists.
 
-    The distinct member tuples, and the ``extra`` member lists, are fitted
-    in one ``fit_stacks`` call. The returned cache maps each tuple to its
-    ensemble, so the deployed and compared ensembles reuse these fits. NB and
-    VOTE sweeps are nested: one ``predict_nested`` pass labels each. Each
-    distinct tuple is evaluated once, all in one ``evaluate_rows`` call.
+    Returns the scored sweeps and the ensembles fitted here, by member
+    tuple, all from one ``fit_stacks`` call. LR fits every distinct
+    candidate and predicts each on its own. NB and VOTE sweeps are nested, and
+    their weight rows depend on the member alone: one ``predict_nested``
+    pass over the full level's ensemble labels a sweep, so only that
+    ensemble and the ``extra`` lists are fitted (``_stack_for`` fits any
+    other when it is needed). Each distinct tuple is evaluated once, all in
+    one ``evaluate_rows`` call.
     Validation data is reused for base scoring and meta-training by design;
     held-out measurement happens on TEST only.
     """
     keys = {metric: [_member_key(c.members) for c in cands] for metric, cands in sweeps.items()}
     candidates = {key: c.members for metric, cands in sweeps.items()
                   for key, c in zip(keys[metric], cands)}
-    distinct = {**candidates, **{_member_key(members): members for members in extra}}
-    stacks = dict(zip(distinct, fit_stacks(vpm, list(distinct.values()), meta_kind=meta_kind)))
-    if meta_kind.strip().upper() == "LR":
+    nested = meta_kind.strip().upper() != "LR"
+    read = [sweep[-1] for sweep in keys.values()] if nested else candidates
+    fitted = {key: candidates[key] for key in read}
+    fitted.update((_member_key(members), members) for members in extra)
+    stacks = dict(zip(fitted, fit_stacks(vpm, list(fitted.values()), meta_kind=meta_kind)))
+    if not nested:
         labels = {key: predict_stack(stacks[key], vpm) for key in candidates}
     else:
         labels = {}
         for sweep in keys.values():
             wanted = [key not in labels for key in sweep]
-            nested = predict_nested(stacks[sweep[-1]], vpm, _join_order(sweep), wanted)
-            labels.update(zip((key for key, want in zip(sweep, wanted) if want), nested))
+            levels = predict_nested(stacks[sweep[-1]], vpm, _join_order(sweep), wanted)
+            labels.update(zip((key for key, want in zip(sweep, wanted) if want), levels))
     entries = dict(zip(labels, evaluate_rows(list(labels.values()), vpm.truth, vpm.num_classes)))
     scored = {
         metric: [c.with_score(entries[key].metric(metric)) for key, c in zip(keys[metric], cands)]
         for metric, cands in sweeps.items()
     }
     return scored, stacks
+
+
+def _stack_for(stacks: Stacks, vpm: PredictionMatrix, members: Sequence[ClassifierId],
+               meta_kind: str) -> StackedEnsemble:
+    """The ensemble of ``members`` from ``_score_candidates``, or ``fit_stack``'s."""
+    key = _member_key(members)
+    return stacks[key] if key in stacks else fit_stack(vpm, members, meta_kind=meta_kind)
 
 
 def _selection_sweep(
@@ -195,7 +293,7 @@ def _selection_sweep(
     DissimilarityMatrix, Dendrogram, dict, dict[str, list[EnsembleCandidate]], Stacks, int | None
 ]:
     """Shared middle of the pipeline: matrix, dendrogram, scored sweeps and
-    the stacked ensemble of every candidate and of every ``extra`` list."""
+    the ensembles ``_score_candidates`` fitted, the ``extra`` lists' among them."""
     with _stage("evaluate-pool"):
         scores = evaluate_matrix(vpm)
     with _stage("dissimilarity"):
@@ -279,7 +377,7 @@ def _build_matrices(
 def cmd_run(config: RunConfig) -> dict:
     """Full pipeline; writes matrix, dendrogram, selection, and evaluation
     artifacts into the output directory and returns the run report."""
-    os.makedirs(config.outdir, exist_ok=True)
+    _make_outdir(config.outdir)
     corpus, mapping = _build_corpus(config)
     vpm, tpm = _build_matrices(config, corpus)
     matrix, dendro, scores, sweeps, stacks, elbow_k = _selection_sweep(vpm, config)
@@ -288,7 +386,7 @@ def cmd_run(config: RunConfig) -> dict:
     with _stage("choose-final"):
         final = choose_final(sweeps[primary_metric], rule=config.rule, alpha=config.alpha)
     with _stage("stack-final"):
-        ensemble = stacks[_member_key(final.members)]
+        ensemble = _stack_for(stacks, vpm, final.members, config.meta_kind)
         test_preds = predict_stack(ensemble, tpm)
     with _stage("evaluate-final"):
         final_eval = evaluate(test_preds, tpm.truth, tpm.num_classes)
@@ -356,7 +454,7 @@ def cmd_compare(
     Accepts either a corpus (native pool) or a pair of ingested prediction
     matrices in place of one.
     """
-    os.makedirs(config.outdir, exist_ok=True)
+    _make_outdir(config.outdir)
     if (validation_matrix is None) != (test_matrix is None):
         raise StageError("ingest", "matrix mode needs both validation and test matrices")
     if validation_matrix is not None:
@@ -396,7 +494,7 @@ def cmd_compare(
             elbow_members = list(sweeps[primary_metric][elbow_k - 1].members)
             groups.append((f"ELBOW-{meta}", "elbow", elbow_members))
         for display, kind, members in groups:
-            preds = predict_stack(stacks[_member_key(members)], tpm)
+            preds = predict_stack(_stack_for(stacks, vpm, members, config.meta_kind), tpm)
             entry = evaluate(preds, tpm.truth, tpm.num_classes)
             rows.append(_row(f"{display} ({len(members)})", kind, members, entry.as_dict()))
     with _stage("compare-baseline"):
@@ -547,8 +645,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("compare needs --corpus or --validation-matrix/--test-matrix")
     if "outdir" in args:
         args.outdir = os.environ.get(OUTPUT_DIR_ENV) or args.outdir
-        os.makedirs(args.outdir, exist_ok=True)
     try:
+        if "outdir" in args:
+            _make_outdir(args.outdir)
         if args.command == "run":
             report = cmd_run(_config_from_args(args))
             shown = json.dumps(report["final_test_eval"], indent=2, sort_keys=True)

@@ -12,7 +12,7 @@ random baseline provide the comparison points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -40,7 +40,9 @@ class EnsembleCandidate:
     validation_score: float | None = None
 
     def with_score(self, score: float) -> "EnsembleCandidate":
-        return replace(self, validation_score=score)
+        return EnsembleCandidate(
+            self.level_k, self.metric_name, self.members, self.mean_pairwise_distance, score
+        )
 
 
 def _merge_pairs(dendrogram: Dendrogram) -> Iterator[tuple[int, int]]:
@@ -94,20 +96,22 @@ def hierarchy_select(
         raise ValueError(f"scores missing for classifiers: {missing}")
 
     keys = [(-scores[name].metric(metric), name) for name in dendro_ids]
-    order = np.array(retirement_order(dendrogram, keys))
-    cluster = np.arange(len(order))  # each leaf's cluster name, from level P down
-    levels = [cluster.copy()]
-    for kept, retired in _merge_pairs(dendrogram):
-        cluster[cluster == retired] = kept
-        members = order[: len(order) - len(levels)]
-        by_name = np.full(len(order), -1)
-        by_name[cluster[members]] = members
-        levels.append(by_name[by_name >= 0])
+    order = retirement_order(dendrogram, keys)
+    # Each cluster's best leaf by cluster name, -1 once merged away: the merge
+    # from level k to k - 1 keeps the best leaf that order[k - 1] does not retire.
+    best = list(range(dendrogram.num_leaves))
+    levels = [best.copy()]
+    for (kept, retired), loser in zip(_merge_pairs(dendrogram), reversed(order)):
+        if best[kept] == loser:
+            best[kept] = best[retired]
+        best[retired] = -1
+        levels.append([leaf for leaf in best if leaf >= 0])
+    leaf_ids = dendrogram.leaf_ids
     return [
         EnsembleCandidate(
             level_k=len(members),
             metric_name=metric,
-            members=tuple(dendrogram.leaf_ids[i] for i in members),
+            members=tuple([leaf_ids[i] for i in members]),
             mean_pairwise_distance=matrix.mean_pairwise(members),
         )
         for members in reversed(levels)

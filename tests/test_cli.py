@@ -367,6 +367,21 @@ class TestSingleStageCommands:
         assert capsys.readouterr().err.startswith(f"error [write-{stage}]: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--corpus", "c.csv"],
+    ["compare", "--validation-matrix", "v.csv", "--test-matrix", "t.csv"],
+    ["select", "--matrix", "m.csv"],
+    ["diversity", "--matrix", "m.csv"],
+    ["cluster", "--dissimilarity", "d.csv"],
+    ["stack", "--validation-matrix", "v.csv", "--test-matrix", "t.csv", "--members", "A-B"],
+], ids=lambda argv: argv[0])
+def test_unusable_outdir_names_the_outdir_stage(argv, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(argv + ["--outdir", str(blocker / "sub")]) == 1
+    assert capsys.readouterr().err.startswith("error [outdir]: ")
+
+
 def _seeded_pool(seed):
     """Validation matrix of seed % 9 + 2 members and (seed // 2) % 4 + 2
     classes; even seeds are tie-heavy (few distinct columns over two labels)."""
@@ -385,19 +400,67 @@ def _seeded_pool(seed):
 
 
 @pytest.mark.parametrize("meta_kind", ["NB", "VOTE"])
-def test_nested_sweep_scores_match_standalone_stacks(meta_kind):
+def test_nested_sweep_scores_match_standalone_stacks(meta_kind, monkeypatch):
+    fitted = []
+    original_fit = cli.fit_stacks
+
+    def recording_fit(vpm, member_lists, **kwargs):
+        fitted.append([tuple(m.canonical for m in members) for members in member_lists])
+        return original_fit(vpm, member_lists, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_stacks", recording_fit)
     for seed in range(36):
         vpm = _seeded_pool(seed)
         matrix = dissimilarity_matrix(vpm)
         dendro, scores = linkage(matrix, "average"), evaluate_matrix(vpm)
         sweeps = {metric: hierarchy_select(dendro, matrix, scores, metric)
                   for metric in METRIC_NAMES}
-        scored, _ = cli._score_candidates(sweeps, vpm, meta_kind)
+        extra = [vpm.classifier_ids[:1], vpm.classifier_ids[::-1]]
+        scored, stacks = cli._score_candidates(sweeps, vpm, meta_kind, extra)
+        # Only what scoring reads is fitted: the full level, shared by every
+        # metric's sweep, and the extra lists.
+        full = tuple(c.canonical for c in dendro.leaf_ids)
+        expected = list(dict.fromkeys([full] + [tuple(c.canonical for c in e) for e in extra]))
+        assert fitted.pop() == expected == list(stacks)
         for metric, candidates in scored.items():
             for candidate in candidates:
                 preds = predict_stack(fit_stack(vpm, candidate.members, meta_kind), vpm)
                 entry = evaluate(preds, vpm.truth, vpm.num_classes)
                 assert candidate.validation_score == entry.metric(metric), (seed, metric)
+
+
+@pytest.mark.parametrize("meta_kind", ["NB", "VOTE"])
+def test_nested_kinds_deploy_the_standalone_stack(meta_kind, small_corpus, tmp_path, monkeypatch):
+    """Run's deployed ensemble and compare's group rows, D and ELBOW among
+    them, are ``fit_stack`` on their members, weight for weight."""
+    used, on_demand = [], []
+    original_predict, original_fit = cli.predict_stack, cli.fit_stack
+
+    def recording_predict(ensemble, pm):
+        used.append(ensemble)
+        return original_predict(ensemble, pm)
+
+    def recording_fit(*args, **kwargs):
+        on_demand.append(original_fit(*args, **kwargs))
+        return on_demand[-1]
+
+    monkeypatch.setattr(cli, "predict_stack", recording_predict)
+    monkeypatch.setattr(cli, "fit_stack", recording_fit)
+    run_dir, compare_dir = tmp_path / "run", tmp_path / "compare"
+    report = cmd_run(RunConfig(corpus=small_corpus, outdir=str(run_dir), meta_kind=meta_kind))
+    assert [[m.canonical for m in e.members] for e in used] == [report["selection"]["members"]]
+    val_path, test_path = _grid_matrices(tmp_path)
+    rows = cmd_compare(RunConfig(corpus="", outdir=str(compare_dir), meta_kind=meta_kind),
+                       validation_matrix=val_path, test_matrix=test_path)["rows"]
+    deployed = {tuple(m.canonical for m in e.members) for e in used[1:]}
+    assert {tuple(r["members"]) for r in rows if r["kind"] in GROUP_KINDS} == deployed
+    assert {"group_d", "elbow"} <= {r["kind"] for r in rows}
+    assert on_demand and all(any(e is f for e in used) for f in on_demand)
+    paths = [str(run_dir / "validation_matrix.csv")] + [val_path] * (len(used) - 1)
+    for ensemble, path in zip(used, paths):
+        reference = fit_stack(cli.read_prediction_matrix(path), ensemble.members, meta_kind)
+        assert np.array_equal(ensemble.model.weights_, reference.model.weights_)
+        assert np.array_equal(ensemble.model.bias_, reference.model.bias_)
 
 
 def test_parser_defaults_documented():
