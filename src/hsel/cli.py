@@ -454,9 +454,9 @@ def cmd_compare(
     Accepts either a corpus (native pool) or a pair of ingested prediction
     matrices in place of one.
     """
+    if (validation_matrix is None) != (test_matrix is None) or (config.corpus and validation_matrix):
+        raise StageError("ingest", "compare takes a corpus alone or a validation and a test matrix")
     _make_outdir(config.outdir)
-    if (validation_matrix is None) != (test_matrix is None):
-        raise StageError("ingest", "matrix mode needs both validation and test matrices")
     if validation_matrix is not None:
         vpm, tpm = _read_matrix_pair(validation_matrix, test_matrix)
         if vpm.classifier_ids != tpm.classifier_ids:
@@ -641,8 +641,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "compare" and not args.corpus and not args.validation_matrix:
-        parser.error("compare needs --corpus or --validation-matrix/--test-matrix")
+    matrices = (args.validation_matrix, args.test_matrix) if args.command == "compare" else ()
+    if matrices and (any(matrices) if args.corpus else not all(matrices)):
+        parser.error("compare takes --corpus alone or both --validation-matrix and --test-matrix")
     if "outdir" in args:
         args.outdir = os.environ.get(OUTPUT_DIR_ENV) or args.outdir
     try:

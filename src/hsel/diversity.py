@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -21,10 +20,13 @@ CONVERSIONS = ("complement",)
 
 @dataclass(frozen=True)
 class DissimilarityMatrix:
-    """Symmetric pairwise classifier distances in [0, 1] with a zero diagonal."""
+    """Symmetric pairwise classifier distances in [0, 1] with a zero diagonal;
+    built from predictions, also their integer co-failure counts and N."""
 
     ids: tuple[ClassifierId, ...]
     values: np.ndarray
+    co_failures: np.ndarray | None = None
+    n_instances: int | None = None
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=np.float64)
@@ -43,24 +45,10 @@ class DissimilarityMatrix:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "ids", tuple(self.ids))
-        object.__setattr__(self, "_means", {})
 
     @property
     def size(self) -> int:
         return len(self.ids)
-
-    def mean_pairwise(self, indices: Sequence[int]) -> float:
-        """Average distance over unordered pairs of the given members; 0 for
-        fewer than two members. The block's upper triangle is summed in
-        row-major order (``np.triu_indices`` order), once per index sequence."""
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.size < 2:
-            return 0.0
-        key = idx.tobytes()
-        if key not in self._means:
-            order = np.arange(idx.size)
-            self._means[key] = float(self.values[idx[:, None], idx][order[:, None] < order].mean())
-        return self._means[key]
 
 
 def dissimilarity_matrix(
@@ -70,22 +58,25 @@ def dissimilarity_matrix(
 
     Each off-diagonal entry is ``1 - DF(col_i, col_j)``, where the double
     fault DF is the fraction of instances on which both classifiers are
-    wrong; the diagonal is 0 by construction. Co-failure counts come from
-    one float64 product ``wrong.T @ wrong``, exact while N < 2**53, so each
-    DF is an integer count divided by N. The upper triangle is converted as
-    one array expression and mirrored, so the result is exactly symmetric.
+    wrong; the diagonal is 0 by construction. Co-failure counts c come from
+    one float64 product ``wrong.T @ wrong``, exact while N < 2**53, and are
+    kept as int64 with N. The upper triangle ``1 - c / N`` is one array
+    expression, mirrored, so the result is exactly symmetric. The sweep and
+    the elbow round each level once, from exact integers below pairs·N <
+    2**53: levels tie exactly when their exact values round alike.
     """
     if pm.n_classifiers < 2:
         raise ValueError("need at least 2 classifiers to build a dissimilarity matrix")
     if conversion not in CONVERSIONS:
         raise ValueError(f"unknown conversion {conversion!r}; expected one of {CONVERSIONS}")
     wrong = (pm.predictions != pm.truth[:, None]).astype(np.float64)
-    co_failures = wrong.T @ wrong
+    co_failures = (wrong.T @ wrong).astype(np.int64)
+    co_failures.setflags(write=False)
     upper = np.triu_indices(pm.n_classifiers, k=1)
-    values = np.zeros_like(co_failures)
+    values = np.zeros(co_failures.shape)
     values[upper] = 1.0 - co_failures[upper] / pm.n_instances
     values.T[upper] = values[upper]
-    return DissimilarityMatrix(ids=pm.classifier_ids, values=values)
+    return DissimilarityMatrix(pm.classifier_ids, values, co_failures, pm.n_instances)
 
 
 def write_dissimilarity_csv(matrix: DissimilarityMatrix, path: str) -> None:

@@ -69,6 +69,16 @@ def retirement_order(dendrogram: Dendrogram, keys: Sequence) -> list[int]:
     return [best[0], *reversed(losers)]
 
 
+def _exact_counts(matrix: DissimilarityMatrix) -> tuple[np.ndarray, int]:
+    """Co-failure counts and N; each level divides integers up to pairs·N < 2**53 once."""
+    if matrix.co_failures is None:
+        raise ValueError("level means need co-failure counts; a matrix read from a file has none")
+    p, n = matrix.size, matrix.n_instances
+    if p * (p - 1) // 2 * n >= 2**53:
+        raise ValueError(f"{p} classifiers x {n} instances reach 2**53: means would not be exact")
+    return matrix.co_failures, n
+
+
 def hierarchy_select(
     dendrogram: Dendrogram,
     matrix: DissimilarityMatrix,
@@ -80,10 +90,10 @@ def hierarchy_select(
     At each level the classifier maximizing the chosen metric is kept from
     each of the k clusters, ties broken toward the lexicographically smallest
     canonical id: the first k of the metric's ``retirement_order``, ordered
-    by cluster label (ascending smallest leaf index). Mean distances are
-    block means from ``DissimilarityMatrix.mean_pairwise``, not running
-    sums: ``choose_final`` breaks score ties on distance, so their last bit
-    must not move.
+    by cluster label (ascending smallest leaf index). With S_k the members'
+    co-failure sum, a prefix sum along that order, the mean distance is
+    (pairs·N - S_k) / (pairs·N) rounded once: ``choose_final`` breaks score
+    ties on distance, and levels tie when their exact means round alike.
     """
     if metric not in METRIC_NAMES:
         raise ValueError(f"metric {metric!r} absent from scores; expected one of {METRIC_NAMES}")
@@ -94,6 +104,7 @@ def hierarchy_select(
     missing = [name for name in dendro_ids if name not in scores]
     if missing:
         raise ValueError(f"scores missing for classifiers: {missing}")
+    counts, n = _exact_counts(matrix)
 
     keys = [(-scores[name].metric(metric), name) for name in dendro_ids]
     order = retirement_order(dendrogram, keys)
@@ -106,13 +117,17 @@ def hierarchy_select(
             best[kept] = best[retired]
         best[retired] = -1
         levels.append([leaf for leaf in best if leaf >= 0])
+    # Level k + 1 adds row k of the reordered lower triangle; level 1 has no pairs and mean 0.
+    pair_instances = np.cumsum(np.arange(len(order))) * n
+    cofailed = np.cumsum(np.tril(counts[np.ix_(order, order)], -1).sum(axis=1))
+    means = ((pair_instances - cofailed) / np.maximum(pair_instances, 1)).tolist()
     leaf_ids = dendrogram.leaf_ids
     return [
         EnsembleCandidate(
             level_k=len(members),
             metric_name=metric,
             members=tuple([leaf_ids[i] for i in members]),
-            mean_pairwise_distance=matrix.mean_pairwise(members),
+            mean_pairwise_distance=means[len(members) - 1],
         )
         for members in reversed(levels)
     ]
@@ -161,36 +176,29 @@ def _chord_knee(w: Sequence[float]) -> int:
 
     Returns the interior k whose point is farthest from the chord joining
     the endpoints; ties resolve to the smaller k. Endpoints are never
-    returned (their chord distance is identically 0).
+    returned (their chord distance is identically 0), so P >= 3.
     """
     p = len(w)
-    if p < 3:
-        raise ValueError("need at least 3 levels to locate a knee")
     x1, y1 = 1.0, float(w[0])
     x2, y2 = float(p), float(w[-1])
-    norm = math.hypot(x2 - x1, y2 - y1)
-    best_k, best_d = 2, -1.0
-    for k in range(2, p):
-        y = float(w[k - 1])
-        area = abs((y2 - y1) * k - (x2 - x1) * y + x2 * y1 - y2 * x1)
-        d = area / norm if norm > 0 else 0.0
-        if d > best_d:
-            best_k, best_d = k, d
-    return best_k
+    norm = math.hypot(x2 - x1, y2 - y1)  # at least x2 - x1 = p - 1 >= 2
+    return max(range(2, p), key=lambda k: abs(
+        (y2 - y1) * k - (x2 - x1) * float(w[k - 1]) + x2 * y1 - y2 * x1) / norm)
 
 
 def within_cluster_totals(dendrogram: Dendrogram, matrix: DissimilarityMatrix) -> list[float]:
     """W(k) for k = 1..P: total within-cluster pairwise distance at level k.
 
-    One replay of the merges: W(P) = 0 and W(k - 1) = W(k) plus the
-    cross-sum between the two clusters merged at that step."""
+    One replay of the merges from W(P) = 0: each merge adds pairs·N minus
+    the co-failures across its two clusters to the integer N·W(k)."""
+    counts, n = _exact_counts(matrix)
     leaves = [[i] for i in range(dendrogram.num_leaves)]
-    totals = [0.0]
+    totals = [0]
     for kept, retired in _merge_pairs(dendrogram):
-        cross = float(matrix.values[np.ix_(leaves[kept], leaves[retired])].sum())
-        totals.append(totals[-1] + cross)
-        leaves[kept] += leaves[retired]
-    return totals[::-1]
+        a, b = leaves[kept], leaves[retired]
+        totals.append(totals[-1] + len(a) * len(b) * n - int(counts[np.ix_(a, b)].sum()))
+        leaves[kept] += b
+    return [total / n for total in reversed(totals)]
 
 
 def elbow_select(dendrogram: Dendrogram, matrix: DissimilarityMatrix) -> int:

@@ -8,13 +8,14 @@ Python scan that the array-algebra linkage replaced (same recursion and
 operand order, so heights must agree exactly), the metric oracle builds
 its confusion matrix with plain loops, the level-sweep oracle cuts the
 dendrogram afresh at every level with its own ``f_cluster`` instead of
-replaying the merges once, the gradient-descent oracle fits one softmax
-regression at a time in row-major layout in the weights (never through
-the Gram matrix), the stacking oracles count naive Bayes likelihoods and
-plurality votes per member and per row instead of reading weight rows of
-a linear scorer, the nearest-centroid oracle broadcasts one (N, C, V)
-difference tensor, the k-nearest-neighbour oracle sorts and counts
-votes one query row at a time, the count oracle adds one token at a time,
+replaying the merges once and sums exact ``Fraction`` distances from
+co-failures counted one instance at a time, the gradient-descent oracle
+fits one softmax regression at a time in row-major layout in the weights
+(never through the Gram matrix), the stacking oracles count naive Bayes
+likelihoods and plurality votes per member and per row instead of reading
+weight rows of a linear scorer, the nearest-centroid oracle broadcasts
+one (N, C, V) difference tensor, the k-nearest-neighbour oracle sorts and
+counts votes one query row at a time, the count oracle adds one token at a time,
 the sign-row oracle draws each projection row from its own
 ``numpy.random`` generator instead of replaying the stream in array
 arithmetic, and the matrix-reader oracle parses every cell with ``csv`` and
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import json
+from fractions import Fraction
 
 import numpy as np
 
@@ -174,16 +176,23 @@ def random_symmetric_matrix(rng: np.random.Generator, p: int) -> np.ndarray:
     return values
 
 
-def block_mean_oracle(values: np.ndarray, members) -> float:
-    """Mean pairwise distance as ``DissimilarityMatrix.mean_pairwise`` first
-    computed it: the members' ``np.ix_`` block, its ``np.triu_indices``
-    entries, then ``mean``. Candidate distances must match it bit for bit,
-    because the final-choice rules break score ties on distance."""
-    idx = np.asarray(members, dtype=np.intp)
-    if idx.size < 2:
-        return 0.0
-    block = values[np.ix_(idx, idx)]
-    return float(block[np.triu_indices(idx.size, k=1)].mean())
+def exact_distance_oracle(pm) -> list[list[Fraction]]:
+    """Distances ``1 - DF`` as exact Fractions, each pair's co-failures
+    counted one instance at a time; the diagonal is 0."""
+    n, p = pm.predictions.shape
+    wrong = [[int(pm.predictions[r, i]) != int(pm.truth[r]) for i in range(p)] for r in range(n)]
+    dist = [[Fraction(0)] * p for _ in range(p)]
+    for i in range(p):
+        for j in range(i + 1, p):
+            both = sum(1 for row in wrong if row[i] and row[j])
+            dist[i][j] = dist[j][i] = 1 - Fraction(both, n)
+    return dist
+
+
+def exact_mean_oracle(dist, members) -> Fraction:
+    """Exact mean distance over the members' unordered pairs; 0 for fewer than two."""
+    pairs = [dist[a][b] for x, a in enumerate(members) for b in members[x + 1 :]]
+    return sum(pairs, Fraction(0)) / len(pairs) if pairs else Fraction(0)
 
 
 def f_cluster(dendrogram, k: int) -> np.ndarray:
@@ -211,12 +220,13 @@ def f_cluster(dendrogram, k: int) -> np.ndarray:
     return labels
 
 
-def level_sweep_oracle(dendrogram, values, leaf_scores, leaf_names):
-    """Per level k = 1..P: (members, W(k), mean pairwise distance of members).
+def level_sweep_oracle(dendrogram, dist, leaf_scores, leaf_names):
+    """Per level k = 1..P: (members, W(k), mean pairwise distance of members),
+    W and the mean as exact Fractions over the ``exact_distance_oracle`` table.
 
     One ``f_cluster`` cut per k; each cluster keeps its highest-scoring leaf,
     ties to the smallest name; members follow the cut's labels. W(k) and the
-    mean distance come from plain pair loops over the original matrix.
+    mean come from plain pair loops.
     """
     p = len(leaf_names)
     levels = []
@@ -235,13 +245,12 @@ def level_sweep_oracle(dendrogram, values, leaf_scores, leaf_names):
                 ):
                     best = i
             members.append(best)
-        w = 0.0
+        w = Fraction(0)
         for i in range(p):
             for j in range(i + 1, p):
                 if labels[i] == labels[j]:
-                    w += float(values[i, j])
-        pairs = [float(values[a, b]) for x, a in enumerate(members) for b in members[x + 1 :]]
-        levels.append((members, w, sum(pairs) / len(pairs) if pairs else 0.0))
+                    w += dist[i][j]
+        levels.append((members, w, exact_mean_oracle(dist, members)))
     return levels
 
 

@@ -23,7 +23,7 @@ from hsel.core import (
     evaluate_matrix,
     write_corpus_csv,
 )
-from hsel.datasets import synthetic_news_corpus
+from hsel.datasets import bundled_corpus_path, synthetic_news_corpus
 from hsel.diversity import dissimilarity_matrix
 from hsel.hiercluster import linkage
 from hsel.pool import write_prediction_matrix
@@ -140,6 +140,17 @@ class TestRun:
         assert override.joinpath("run_report.json").exists()
         assert not (tmp_path / "flag-out").exists()
 
+    def test_exact_distance_tie_deploys_the_smaller_level(self, tmp_path):
+        # Seed 300 on the bundled corpus: levels 2, 3 and 4 have the same exact
+        # mean distance, 79/80, and the same validation score, so the rule's
+        # last tie-break, the smaller k, deploys level 2. Block means summed in
+        # floats rounded level 3 to 0.9875000000000002 and deployed it instead.
+        report = cmd_run(RunConfig(corpus=bundled_corpus_path(), seed=300, outdir=str(tmp_path)))
+        level2, level3 = report["candidates"][1:3]
+        assert level2["mean_pairwise_distance"] == level3["mean_pairwise_distance"] == 0.9875
+        assert level2["validation_score"] == level3["validation_score"]
+        assert report["selection"]["level_k"] == 2
+
 
 class TestCompare:
     def test_corpus_mode_rows(self, small_corpus, tmp_path):
@@ -233,6 +244,32 @@ class TestCompare:
         err = capsys.readouterr().err
         assert rc == 1
         assert str(val_path) in err and str(test_path) in err
+
+    @pytest.mark.parametrize("inputs", [
+        ["--corpus", "c.csv", "--validation-matrix", "v.csv", "--test-matrix", "t.csv"],
+        ["--corpus", "c.csv", "--validation-matrix", "v.csv"],
+        ["--corpus", "c.csv", "--test-matrix", "t.csv"],
+        ["--validation-matrix", "v.csv"],
+        ["--test-matrix", "t.csv"],
+        [],
+    ], ids=["corpus-and-pair", "corpus-and-validation", "corpus-and-test", "validation-only",
+            "test-only", "none"])
+    def test_input_modes_are_a_usage_error_unless_exactly_one(self, inputs, tmp_path, capsys):
+        # With a corpus and a matrix pair, matrix mode used to run while the
+        # report named the corpus; with one matrix, ingest failed late.
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", *inputs, "--outdir", str(tmp_path / "cmp")])
+        assert exc.value.code == 2
+        message = "compare takes --corpus alone or both --validation-matrix and --test-matrix"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize("corpus, matrices", [("c.csv", ("v.csv", "t.csv")),
+                                                  ("", ("v.csv", None)), ("", (None, "t.csv"))])
+    def test_cmd_compare_rejects_mixed_inputs(self, corpus, matrices, tmp_path):
+        config = RunConfig(corpus=corpus, outdir=str(tmp_path / "cmp"))
+        with pytest.raises(cli.StageError, match="a corpus alone or a validation and a test matrix"):
+            cmd_compare(config, *matrices)
 
 
 class TestIngest:

@@ -1,12 +1,20 @@
 """Level sweep, final-choice rules, elbow heuristic, groups, baseline."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hsel.core import ClassifierId, EvalEntry, evaluate_matrix
-from hsel.diversity import DissimilarityMatrix, dissimilarity_matrix
+from hsel.core import ClassifierId, EvalEntry, PredictionMatrix, Split, evaluate_matrix
+from hsel.diversity import (
+    DissimilarityMatrix,
+    dissimilarity_matrix,
+    read_dissimilarity_csv,
+    write_dissimilarity_csv,
+)
 from hsel.hiercluster import LINKAGE_METHODS, linkage
 from hsel.selection import (
     EnsembleCandidate,
@@ -20,11 +28,38 @@ from hsel.selection import (
     within_cluster_totals,
 )
 
-from oracles import block_mean_oracle, f_cluster, level_sweep_oracle, random_symmetric_matrix
+from oracles import (
+    exact_distance_oracle,
+    exact_mean_oracle,
+    f_cluster,
+    level_sweep_oracle,
+)
 
 
 def _entry(value: float) -> EvalEntry:
     return EvalEntry(accuracy=value, precision=value, recall=value, f1=value)
+
+
+def _pm(predictions, truth, num_classes, order=None) -> PredictionMatrix:
+    """A validation matrix whose column j is named ``E<order[j]>-A``."""
+    predictions = np.asarray(predictions, dtype=np.int64)
+    order = range(predictions.shape[1]) if order is None else order
+    return PredictionMatrix(
+        classifier_ids=tuple(ClassifierId(f"E{n:02d}", "A") for n in order),
+        predictions=predictions,
+        truth=np.asarray(truth, dtype=np.int64),
+        num_classes=num_classes,
+        split_tag=Split.VALIDATION,
+    )
+
+
+def _random_pm(rng, p, n, c=3) -> PredictionMatrix:
+    """Random predictions, column j right with its own probability; names
+    shuffled so the id tie-break matters."""
+    truth = rng.integers(0, c, n)
+    right = rng.random((n, p)) < rng.random(p)
+    predictions = np.where(right, truth[:, None], rng.integers(0, c, (n, p)))
+    return _pm(predictions, truth, c, order=rng.permutation(p))
 
 
 def _sweep(pm, metric="accuracy", method="complete"):
@@ -86,12 +121,10 @@ class TestHierarchySelect:
         rng = np.random.default_rng(77)
         for _ in range(10):
             p = int(rng.integers(3, 9))
-            values = random_symmetric_matrix(rng, p)
-            ids = tuple(ClassifierId(f"E{i:02d}", "A") for i in range(p))
-            matrix = DissimilarityMatrix(ids=ids, values=values)
+            matrix = dissimilarity_matrix(_random_pm(rng, p, int(rng.integers(1, 60))))
             dendro = linkage(matrix, "average")
             scores = {
-                cid.canonical: _entry(float(rng.integers(0, 5)) / 4.0) for cid in ids
+                cid.canonical: _entry(float(rng.integers(0, 5)) / 4.0) for cid in matrix.ids
             }
             candidates = hierarchy_select(dendro, matrix, scores)
             for earlier, later in zip(candidates, candidates[1:]):
@@ -109,101 +142,160 @@ class TestHierarchySelect:
 
     @pytest.mark.parametrize("method", LINKAGE_METHODS)
     def test_matches_per_level_cut_oracle(self, method):
-        # Coarse distances and scores drawn from three values make linkage ties
-        # and score ties common; shuffled names make the id tie-break matter.
+        # Few instances make distance and linkage ties common, and scores
+        # drawn from three values make score ties common; shuffled names make
+        # the id tie-break matter.
         rng = np.random.default_rng(2024)
         for trial in range(60):
             p = int(rng.integers(2, 13))
-            values = random_symmetric_matrix(rng, p)
-            if trial % 2:
-                values = np.round(values * 4) / 4
-            ids = tuple(ClassifierId(f"E{n}", "A") for n in rng.permutation(p))
-            matrix = DissimilarityMatrix(ids=ids, values=values)
+            pm = _random_pm(rng, p, 4 if trial % 2 else int(rng.integers(1, 120)))
+            matrix = dissimilarity_matrix(pm)
             dendro = linkage(matrix, method)
             leaf_scores = [float(v) for v in rng.choice([0.5, 0.6, 0.7], size=p)]
-            names = [cid.canonical for cid in ids]
+            names = [cid.canonical for cid in matrix.ids]
             scores = {name: _entry(v) for name, v in zip(names, leaf_scores)}
 
-            oracle = level_sweep_oracle(dendro, matrix.values, leaf_scores, names)
+            oracle = level_sweep_oracle(dendro, exact_distance_oracle(pm), leaf_scores, names)
             candidates = hierarchy_select(dendro, matrix, scores)
             totals = within_cluster_totals(dendro, matrix)
             assert [c.level_k for c in candidates] == list(range(1, p + 1))
             assert len(totals) == p
             for candidate, total, (members, w, mean) in zip(candidates, totals, oracle):
-                assert candidate.members == tuple(ids[i] for i in members)
-                assert candidate.mean_pairwise_distance == pytest.approx(mean, abs=1e-12)
-                assert total == pytest.approx(w, abs=1e-12)
+                assert candidate.members == tuple(matrix.ids[i] for i in members)
+                assert candidate.mean_pairwise_distance == float(mean)
+                assert total == float(w)
             if p >= 3:
-                assert elbow_select(dendro, matrix) == _chord_knee([w for _, w, _ in oracle])
+                assert elbow_select(dendro, matrix) == _chord_knee([float(w) for _, w, _ in oracle])
+
+
+@st.composite
+def _prediction_matrices(draw):
+    p, n, c = draw(st.integers(2, 12)), draw(st.integers(1, 60)), draw(st.integers(2, 4))
+    label = st.integers(0, c - 1)
+    truth = draw(st.lists(label, min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(label, min_size=p, max_size=p), min_size=n, max_size=n))
+    return _pm(rows, truth, c, order=draw(st.permutations(range(p))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_prediction_matrices())
+def test_sweep_and_elbow_equal_rounded_fraction_oracle(pm):
+    """Every level's mean distance and W(k) is its exact Fraction rounded
+    once, under every linkage method, and the elbow is the oracle curve's knee."""
+    matrix = dissimilarity_matrix(pm)
+    scores = evaluate_matrix(pm)
+    names = [cid.canonical for cid in matrix.ids]
+    leaf_scores = [scores[name].accuracy for name in names]
+    dist = exact_distance_oracle(pm)
+    for method in LINKAGE_METHODS:
+        dendro = linkage(matrix, method)
+        oracle = level_sweep_oracle(dendro, dist, leaf_scores, names)
+        candidates = hierarchy_select(dendro, matrix, scores)
+        assert [c.mean_pairwise_distance for c in candidates] == [float(m) for _, _, m in oracle]
+        curve = [float(w) for _, w, _ in oracle]
+        assert within_cluster_totals(dendro, matrix) == curve
+        if pm.n_classifiers >= 3:
+            assert elbow_select(dendro, matrix) == _chord_knee(curve)
 
 
 def _sweep_fixtures(seed, trials, max_p):
-    """Seeded (matrix, dendrogram, scores) triples for every linkage method.
-    A third of the matrices are on a 0.25 grid, where pair sums are exact and
-    distances tie; a third are on a 1/80 grid, like double-fault distances
-    over 80 rows, where equal means can differ by rounding."""
+    """Seeded (prediction matrix, dissimilarity matrix, dendrogram, scores)
+    for every linkage method. A third of the pools span 4 instances, where
+    distances and level means tie often; a third span 80, where equal
+    level means summed in another order can differ in the last bit."""
     rng = np.random.default_rng(seed)
     for trial in range(trials):
         p = int(rng.integers(2, max_p + 1))
-        values = random_symmetric_matrix(rng, p)
-        if trial % 3:
-            steps = 4 if trial % 3 == 1 else 80
-            values = np.round(values * steps) / steps
-        ids = tuple(ClassifierId(f"E{n:02d}", "A") for n in rng.permutation(p))
-        matrix = DissimilarityMatrix(ids=ids, values=values)
-        scores = {cid.canonical: _entry(float(rng.integers(0, 5)) / 4.0) for cid in ids}
+        pm = _random_pm(rng, p, (int(rng.integers(1, 200)), 4, 80)[trial % 3])
+        matrix = dissimilarity_matrix(pm)
+        scores = {cid.canonical: _entry(float(rng.integers(0, 5)) / 4.0) for cid in matrix.ids}
         for method in LINKAGE_METHODS:
-            yield matrix, linkage(matrix, method), scores
+            yield pm, matrix, linkage(matrix, method), scores
 
 
 def test_retirement_order_reproduces_oracle_levels():
-    for matrix, dendro, scores in _sweep_fixtures(909, 30, 20):
+    for pm, matrix, dendro, scores in _sweep_fixtures(909, 30, 20):
         names = [cid.canonical for cid in matrix.ids]
         leaf_scores = [scores[name].accuracy for name in names]
         order = retirement_order(dendro, [(-s, name) for s, name in zip(leaf_scores, names)])
         assert sorted(order) == list(range(len(names)))
-        oracle = level_sweep_oracle(dendro, matrix.values, leaf_scores, names)
+        oracle = level_sweep_oracle(dendro, exact_distance_oracle(pm), leaf_scores, names)
         for k, (members, _, _) in enumerate(oracle, start=1):
             assert set(order[:k]) == set(members), k
 
 
-def _oracle_distances(matrix, candidates):
-    names = [cid.canonical for cid in matrix.ids]
+def _oracle_distances(pm, candidates):
+    names = [cid.canonical for cid in pm.classifier_ids]
+    dist = exact_distance_oracle(pm)
     return [
-        block_mean_oracle(matrix.values, [names.index(m.canonical) for m in c.members])
+        float(exact_mean_oracle(dist, [names.index(m.canonical) for m in c.members]))
         for c in candidates
     ]
 
 
 class TestSweepDistances:
-    """Candidate distances are bit-identical to the ``np.ix_`` block mean
-    they were first computed with: ``choose_final`` breaks score ties on
-    distance, so a last-bit change can move the deployed level."""
+    """Candidate distances are their exact mean rounded once: ``choose_final``
+    breaks score ties on distance, so two levels tie exactly when their
+    exact means round to the same float, never by summation order."""
 
-    def test_mean_distance_matches_block_mean_exactly(self):
-        for matrix, dendro, scores in _sweep_fixtures(606, 30, 40):
+    def test_mean_distance_is_exact_mean_rounded_once(self):
+        for pm, matrix, dendro, scores in _sweep_fixtures(606, 30, 40):
             candidates = hierarchy_select(dendro, matrix, scores)
             distances = [c.mean_pairwise_distance for c in candidates]
-            assert distances == _oracle_distances(matrix, candidates)
+            assert distances == _oracle_distances(pm, candidates)
 
-    def test_mean_distance_on_double_fault_matrix(self, redundant_validation_pm):
-        candidates, matrix, _ = _sweep(redundant_validation_pm, method="average")
-        distances = [c.mean_pairwise_distance for c in candidates]
-        assert distances == _oracle_distances(matrix, candidates)
+    def test_mean_distance_on_double_fault_matrix(self, redundant_validation_pm,
+                                                  golden_scenario_pm):
+        for pm in (redundant_validation_pm, golden_scenario_pm):
+            for method in LINKAGE_METHODS:
+                candidates, _, _ = _sweep(pm, method=method)
+                distances = [c.mean_pairwise_distance for c in candidates]
+                assert distances == _oracle_distances(pm, candidates)
 
     @pytest.mark.parametrize("rule", ["max-validation", "max-diversity", "weighted"])
     def test_choose_final_agrees_with_oracle_distances(self, rule):
         rng = np.random.default_rng(707)
-        for matrix, dendro, scores in _sweep_fixtures(808, 30, 30):
+        for pm, matrix, dendro, scores in _sweep_fixtures(808, 30, 30):
             fast = [
                 c.with_score(float(rng.integers(0, 4)) / 4.0)
                 for c in hierarchy_select(dendro, matrix, scores)
             ]
             oracle = [
                 replace(c, mean_pairwise_distance=d)
-                for c, d in zip(fast, _oracle_distances(matrix, fast))
+                for c, d in zip(fast, _oracle_distances(pm, fast))
             ]
             assert choose_final(fast, rule).level_k == choose_final(oracle, rule).level_k
+
+    def test_matrix_without_counts_is_rejected(self, tmp_path, golden_scenario_pm):
+        path = str(tmp_path / "d.csv")
+        write_dissimilarity_csv(dissimilarity_matrix(golden_scenario_pm), path)
+        matrix = read_dissimilarity_csv(path)
+        dendro = linkage(matrix, "complete")
+        with pytest.raises(ValueError, match="co-failure counts"):
+            hierarchy_select(dendro, matrix, evaluate_matrix(golden_scenario_pm))
+        with pytest.raises(ValueError, match="co-failure counts"):
+            elbow_select(dendro, matrix)
+
+    def test_counts_beyond_two_to_the_53_raise(self):
+        # Three classifiers have three pairs: 3·N must stay below 2**53.
+        ids = tuple(ClassifierId(f"E{i}", "A") for i in range(3))
+        counts = np.array([[5, 1, 2], [1, 6, 3], [2, 3, 7]])
+        scores = {cid.canonical: _entry(0.5) for cid in ids}
+
+        def matrix(n):
+            values = 1.0 - counts / n
+            np.fill_diagonal(values, 0.0)
+            return DissimilarityMatrix(ids, values, counts, n)
+
+        below = matrix((2**53 - 1) // 3)
+        dendro = linkage(below, "complete")
+        exact = float(1 - Fraction(1 + 2 + 3, 3 * below.n_instances))
+        assert hierarchy_select(dendro, below, scores)[-1].mean_pairwise_distance == exact
+        beyond = matrix(2**52)
+        for select in (lambda m: hierarchy_select(dendro, m, scores),
+                       lambda m: elbow_select(dendro, m)):
+            with pytest.raises(ValueError, match="2\\*\\*53"):
+                select(beyond)
 
 
 def _candidate(k, dist, score, names=None):
@@ -267,40 +359,30 @@ class TestElbow:
         assert _chord_knee(w) == 3
 
     def test_zero_matrix_elbow_is_two(self):
-        values = np.zeros((4, 4))
-        ids = tuple(ClassifierId(f"E{i}", "A") for i in range(4))
-        matrix = DissimilarityMatrix(ids=ids, values=values)
+        # Four columns wrong on every instance: every distance is 0.
+        matrix = dissimilarity_matrix(_pm(np.ones((5, 4)), np.zeros(5), 2))
+        assert not matrix.values.any()
         dendro = linkage(matrix, "complete")
         assert elbow_select(dendro, matrix) == 2
 
     def test_two_exact_blobs_knee_at_two(self):
         # Two groups of three identical always-half-wrong columns with
         # disjoint error supports: within-blob distance 0.5, across 1.0.
-        from hsel.core import PredictionMatrix, Split
-
         truth = np.zeros(20, dtype=np.int64)
         blob_a = truth.copy()
         blob_a[:10] = 1
         blob_b = truth.copy()
         blob_b[10:] = 1
         cols = [blob_a] * 3 + [blob_b] * 3
-        pm = PredictionMatrix(
-            classifier_ids=tuple(ClassifierId(f"E{i}", "A") for i in range(6)),
-            predictions=np.stack(cols, axis=1),
-            truth=truth,
-            num_classes=2,
-            split_tag=Split.VALIDATION,
-        )
-        matrix = dissimilarity_matrix(pm)
+        matrix = dissimilarity_matrix(_pm(np.stack(cols, axis=1), truth, 2))
         dendro = linkage(matrix, "complete")
         totals = within_cluster_totals(dendro, matrix)
         assert totals[1] == pytest.approx(3.0)  # two intact blobs
         assert elbow_select(dendro, matrix) == 2
 
     def test_requires_three_classifiers(self):
-        values = np.array([[0.0, 0.5], [0.5, 0.0]])
-        ids = (ClassifierId("E0", "A"), ClassifierId("E1", "A"))
-        matrix = DissimilarityMatrix(ids=ids, values=values)
+        matrix = dissimilarity_matrix(_pm([[1, 0], [0, 1]], [0, 0], 2))
+        assert matrix.values[0, 1] == 1.0
         dendro = linkage(matrix, "complete")
         with pytest.raises(ValueError):
             elbow_select(dendro, matrix)
