@@ -113,91 +113,16 @@ def _load_schema(name: str) -> dict:
     return json.loads(text)
 
 
-_quote = json.encoder.encode_basestring_ascii
-
-
-def _scalar_json(value) -> str:
-    """JSON text of a number, a bool or None, as ``json`` writes it."""
-    if isinstance(value, float):
-        if -math.inf < value < math.inf:
-            return float.__repr__(value)
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _keys_json(keys: list) -> list[str]:
-    """Quoted dict keys; a number, bool or None key is quoted as its JSON text."""
-    return [_quote(key if isinstance(key, str) else _scalar_json(key)) for key in keys]
-
-
-def _bracket(opening: str, items: list[str], closing: str, level: int) -> str:
-    if not items:
-        return opening + closing
-    inner = "\n" + "  " * (level + 1)
-    return opening + inner + ("," + inner).join(items) + "\n" + "  " * level + closing
-
-
-def _json_text(value, level: int) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` for a
-    value nested ``level`` indents deep, built by ``str.join`` over the C
-    string encoder and ``int``/``float`` reprs instead of the pure-Python
-    encoder that ``json`` falls back to whenever ``indent`` is set."""
-    if isinstance(value, str):
-        return _quote(value)
-    if isinstance(value, dict):
-        keys = sorted(value)
-        items = [name + ": " + _json_text(value[key], level + 1)
-                 for name, key in zip(_keys_json(keys), keys)]
-        return _bracket("{", items, "}", level)
-    if isinstance(value, (list, tuple)):
-        try:  # most report lists are member ids: one C-level pass
-            items = list(map(_quote, value))
-        except TypeError:
-            items = [_json_text(item, level + 1) for item in value]
-        return _bracket("[", items, "]", level)
-    return _scalar_json(value)
-
-
-def _write_json(write, value, level: int) -> None:
-    """``_json_text(value, level)`` passed to ``write`` in pieces: a dict key
-    by key and a list one element at a time."""
-    if not isinstance(value, (dict, list, tuple)) or not value:
-        write(_json_text(value, level))
-        return
-    inner = "\n" + "  " * (level + 1)
-    if isinstance(value, dict):
-        keys = sorted(value)
-        for j, (name, key) in enumerate(zip(_keys_json(keys), keys)):
-            write(("," if j else "{") + inner + name + ": ")
-            _write_json(write, value[key], level + 1)
-        write("\n" + "  " * level + "}")
-    else:
-        for j, item in enumerate(value):
-            write(("," if j else "[") + inner + _json_text(item, level + 1))
-        write("\n" + "  " * level + "]")
-
-
 def _emit_report(doc: dict, schema_name: str, path: str) -> None:
-    """Write ``doc``, a ``schema_name`` report, to ``path`` exactly as
-    ``json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)`` plus a
-    newline would. The text is streamed, each dict key by key and each list
-    one element at a time, so no copy of the whole text is held. A value
-    that JSON cannot encode (a non-finite number raises ``ValueError``, any
-    other type ``TypeError``) leaves no file behind.
+    """Write ``doc``, a ``schema_name`` report, to ``path`` as
+    ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)`` plus a
+    newline. A failed write (a non-finite number raises ``ValueError``, a
+    type JSON lacks ``TypeError``) leaves no file behind.
     Whether a report fits its schema depends only on this module's fixed
     builders, so the tests and the benchmark check that with ``jsonschema``."""
     with open(path, "w", encoding="utf-8") as fh:
         try:
-            _write_json(fh.write, doc, 0)
-            fh.write("\n")
+            fh.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
         except Exception:
             fh.close()
             os.remove(path)
@@ -207,8 +132,6 @@ def _emit_report(doc: dict, schema_name: str, path: str) -> None:
 def _candidate_doc(candidate: EnsembleCandidate) -> dict:
     return {
         "level_k": candidate.level_k,
-        "metric": candidate.metric_name,
-        "members": [m.canonical for m in candidate.members],
         "mean_pairwise_distance": candidate.mean_pairwise_distance,
         "validation_score": candidate.validation_score,
     }
@@ -313,12 +236,23 @@ def _selection_sweep(
 
 
 def _final_doc(config: RunConfig, final: EnsembleCandidate) -> dict:
-    """The deployed choice: the rule that made it and the candidate it chose."""
+    """The deployed choice: the rule that made it and the candidate it chose.
+    Its members keep cluster-label order, the order LR stacking sums them in."""
     return {
         "rule": config.rule,
         "alpha": config.alpha if config.rule == "weighted" else None,
         "level_k": final.level_k,
         "members": [m.canonical for m in final.members],
+    }
+
+
+def _sweep_doc(candidates: list[EnsembleCandidate]) -> dict:
+    """A sweep's candidates and its ``join_order``: the canonical ids in the
+    order they join the sweep, so level k's members are its first k."""
+    keys = [_member_key(c.members) for c in candidates]
+    return {
+        "join_order": [keys[-1][j] for j in _join_order(keys)],
+        "candidates": [_candidate_doc(c) for c in candidates],
     }
 
 
@@ -328,12 +262,9 @@ def _selection_report_doc(
     metrics_doc = {}
     for metric, candidates in sweeps.items():
         final = choose_final(candidates, rule=config.rule, alpha=config.alpha)
-        metrics_doc[metric] = {
-            "candidates": [_candidate_doc(c) for c in candidates],
-            "final": _final_doc(config, final),
-        }
+        metrics_doc[metric] = {**_sweep_doc(candidates), "final": _final_doc(config, final)}
     return {
-        "report_version": 1,
+        "report_version": 2,
         "linkage": config.linkage,
         "conversion": config.conversion,
         "elbow_k": elbow_k,
@@ -414,7 +345,7 @@ def cmd_run(config: RunConfig) -> dict:
         )
 
     report = {
-        "report_version": 1,
+        "report_version": 2,
         "generated_at": _now(),
         "config": config.to_dict(),
         "label_mapping": mapping,
@@ -422,7 +353,7 @@ def cmd_run(config: RunConfig) -> dict:
         "pool": [
             {"id": name, **entry.as_dict()} for name, entry in scores.items()
         ],
-        "candidates": [_candidate_doc(c) for c in sweeps[primary_metric]],
+        **_sweep_doc(sweeps[primary_metric]),
         "selection": {**_final_doc(config, final), "metric": primary_metric},
         "final_test_eval": final_eval.as_dict(),
         "artifacts": artifacts,
@@ -605,6 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--validation-matrix", help="ingested validation prediction matrix")
     p_cmp.add_argument("--test-matrix", help="ingested test prediction matrix")
     _add_field_options(p_cmp, _PIPELINE_FIELDS + _SELECTION_FIELDS + ("outdir",))
+    p_cmp.set_defaults(usage_error=p_cmp.error)
 
     p_ing = sub.add_parser("ingest", help="validate a prediction-matrix file")
     p_ing.add_argument("matrix", help="prediction-matrix file")
@@ -639,11 +571,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     matrices = (args.validation_matrix, args.test_matrix) if args.command == "compare" else ()
     if matrices and (any(matrices) if args.corpus else not all(matrices)):
-        parser.error("compare takes --corpus alone or both --validation-matrix and --test-matrix")
+        args.usage_error("compare takes --corpus alone or both --validation-matrix and --test-matrix")
     if "outdir" in args:
         args.outdir = os.environ.get(OUTPUT_DIR_ENV) or args.outdir
     try:

@@ -34,15 +34,12 @@ class EnsembleCandidate:
     """
 
     level_k: int
-    metric_name: str
     members: tuple[ClassifierId, ...]
     mean_pairwise_distance: float
     validation_score: float | None = None
 
     def with_score(self, score: float) -> "EnsembleCandidate":
-        return EnsembleCandidate(
-            self.level_k, self.metric_name, self.members, self.mean_pairwise_distance, score
-        )
+        return EnsembleCandidate(self.level_k, self.members, self.mean_pairwise_distance, score)
 
 
 def _merge_pairs(dendrogram: Dendrogram) -> Iterator[tuple[int, int]]:
@@ -125,7 +122,6 @@ def hierarchy_select(
     return [
         EnsembleCandidate(
             level_k=len(members),
-            metric_name=metric,
             members=tuple([leaf_ids[i] for i in members]),
             mean_pairwise_distance=means[len(members) - 1],
         )

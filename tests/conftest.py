@@ -1,6 +1,7 @@
 """Shared fixtures: the four-classifier dendrogram scenario, the redundant
-twelve-classifier pool used by selection and acceptance tests, and the
-schema check of every report an in-process command writes."""
+twelve-classifier pool used by selection and acceptance tests, the schema
+check of every report an in-process command writes, and the check of a
+report sweep's ``join_order``."""
 
 from __future__ import annotations
 
@@ -101,3 +102,15 @@ def redundant_validation_pm() -> PredictionMatrix:
 @pytest.fixture
 def redundant_test_pm() -> PredictionMatrix:
     return make_redundant_matrix(seed=32, split=Split.TEST)
+
+
+def assert_join_order(sweep_doc: dict, candidates, final: dict, pool_ids) -> None:
+    """``sweep_doc``'s ``join_order`` is a permutation of ``pool_ids``, its
+    first k ids are the members of level k's in-memory candidate, and the
+    deployed ``final`` lists the first ``final["level_k"]`` in some order."""
+    order = sweep_doc["join_order"]
+    assert sorted(order) == sorted(pool_ids)
+    for doc, candidate in zip(sweep_doc["candidates"], candidates, strict=True):
+        assert doc["level_k"] == candidate.level_k
+        assert set(order[:candidate.level_k]) == {m.canonical for m in candidate.members}
+    assert sorted(final["members"]) == sorted(order[:final["level_k"]])

@@ -29,7 +29,7 @@ from hsel.hiercluster import linkage
 from hsel.pool import write_prediction_matrix
 from hsel.selection import hierarchy_select
 
-from conftest import make_redundant_matrix
+from conftest import assert_join_order, make_redundant_matrix
 
 
 @pytest.fixture(scope="module")
@@ -93,15 +93,34 @@ class TestRun:
         ):
             assert os.path.exists(os.path.join(config.outdir, name)), name
 
-    def test_selection_report_sweeps_all_metrics(self, small_corpus, tmp_path):
+    def test_selection_report_sweeps_all_metrics(self, small_corpus, tmp_path, monkeypatch):
+        sweeps = {}
+        original = cli.hierarchy_select
+
+        def recording_select(*args, metric):
+            sweeps[metric] = original(*args, metric=metric)
+            return sweeps[metric]
+
+        monkeypatch.setattr(cli, "hierarchy_select", recording_select)
         config = RunConfig(corpus=small_corpus, outdir=str(tmp_path / "out"), seed=7)
-        cmd_run(config)
-        doc = json.load(open(os.path.join(config.outdir, "selection_report.json")))
-        jsonschema.validate(doc, _schema("selection_report"))
-        assert set(doc["metrics"]) == {"accuracy", "precision", "recall", "f1"}
-        for metric_doc in doc["metrics"].values():
-            assert len(metric_doc["candidates"]) == 12
-            assert metric_doc["final"]["rule"] == "max-validation"
+        report = cmd_run(config)
+        pool_ids = [entry["id"] for entry in report["pool"]]
+        # The run report carries the primary metric's sweep; select on the
+        # run's validation matrix redoes every metric's sweep.
+        assert_join_order(report, sweeps["accuracy"], report["selection"], pool_ids)
+        run_sweeps = dict(sweeps)
+        validation_matrix = os.path.join(config.outdir, "validation_matrix.csv")
+        assert main(["select", "--matrix", validation_matrix,
+                     "--outdir", str(tmp_path / "select")]) == 0
+        for outdir, recorded in ((config.outdir, run_sweeps), (tmp_path / "select", sweeps)):
+            doc = json.load(open(os.path.join(outdir, "selection_report.json")))
+            jsonschema.validate(doc, _schema("selection_report"))
+            assert doc["report_version"] == 2
+            assert set(doc["metrics"]) == {"accuracy", "precision", "recall", "f1"}
+            for metric, metric_doc in doc["metrics"].items():
+                assert len(metric_doc["candidates"]) == 12
+                assert metric_doc["final"]["rule"] == "max-validation"
+                assert_join_order(metric_doc, recorded[metric], metric_doc["final"], pool_ids)
 
     def test_determinism_modulo_timestamp(self, small_corpus, tmp_path):
         outdir = str(tmp_path / "out")
@@ -260,8 +279,9 @@ class TestCompare:
         with pytest.raises(SystemExit) as exc:
             main(["compare", *inputs, "--outdir", str(tmp_path / "cmp")])
         assert exc.value.code == 2
-        message = "compare takes --corpus alone or both --validation-matrix and --test-matrix"
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hsel compare")
+        assert "compare takes --corpus alone or both --validation-matrix and --test-matrix" in err
         assert not (tmp_path / "cmp").exists()
 
     @pytest.mark.parametrize("corpus, matrices", [("c.csv", ("v.csv", "t.csv")),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsel.cli import RunConfig, _selection_report_doc
 from hsel.core import ClassifierId, EvalEntry, PredictionMatrix, Split, evaluate_matrix
 from hsel.diversity import (
     DissimilarityMatrix,
@@ -28,6 +29,7 @@ from hsel.selection import (
     within_cluster_totals,
 )
 
+from conftest import assert_join_order
 from oracles import (
     exact_distance_oracle,
     exact_mean_oracle,
@@ -181,17 +183,22 @@ def _prediction_matrices(draw):
 @given(_prediction_matrices())
 def test_sweep_and_elbow_equal_rounded_fraction_oracle(pm):
     """Every level's mean distance and W(k) is its exact Fraction rounded
-    once, under every linkage method, and the elbow is the oracle curve's knee."""
+    once, under every linkage method, and the elbow is the oracle curve's knee.
+    The report states each level as the first k of the sweep's join order."""
     matrix = dissimilarity_matrix(pm)
     scores = evaluate_matrix(pm)
     names = [cid.canonical for cid in matrix.ids]
     leaf_scores = [scores[name].accuracy for name in names]
     dist = exact_distance_oracle(pm)
+    config = RunConfig(corpus="", rule="max-diversity")  # candidates are unscored here
     for method in LINKAGE_METHODS:
         dendro = linkage(matrix, method)
         oracle = level_sweep_oracle(dendro, dist, leaf_scores, names)
         candidates = hierarchy_select(dendro, matrix, scores)
         assert [c.mean_pairwise_distance for c in candidates] == [float(m) for _, _, m in oracle]
+        report = _selection_report_doc(config, {"accuracy": candidates}, None)
+        sweep_doc = report["metrics"]["accuracy"]
+        assert_join_order(sweep_doc, candidates, sweep_doc["final"], names)
         curve = [float(w) for _, w, _ in oracle]
         assert within_cluster_totals(dendro, matrix) == curve
         if pm.n_classifiers >= 3:
@@ -302,7 +309,6 @@ def _candidate(k, dist, score, names=None):
     names = names or [f"E{k}{i:02d}-A" for i in range(k)]
     return EnsembleCandidate(
         level_k=k,
-        metric_name="accuracy",
         members=tuple(ClassifierId.parse(n) for n in names),
         mean_pairwise_distance=dist,
         validation_score=score,
@@ -335,7 +341,6 @@ class TestChooseFinal:
     def test_score_required_when_rule_needs_it(self):
         unscored = EnsembleCandidate(
             level_k=1,
-            metric_name="accuracy",
             members=(ClassifierId("CV", "NB"),),
             mean_pairwise_distance=0.0,
         )
