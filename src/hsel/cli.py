@@ -144,19 +144,6 @@ def _member_key(members: Sequence[ClassifierId]) -> tuple[str, ...]:
     return tuple([m.canonical for m in members])
 
 
-def _join_order(keys: list[tuple[str, ...]]) -> list[int]:
-    """Position in the last tuple of the one member each tuple adds to the one before."""
-    position = {name: j for j, name in enumerate(keys[-1])}
-    order, before = [], set()
-    for key in keys:
-        names = set(key)
-        if len(key) != len(before) + 1 or not before < names:
-            raise ValueError("sweep candidates are not nested")
-        order.append(position[(names - before).pop()])
-        before = names
-    return order
-
-
 def _score_candidates(
     sweeps: dict[str, list[EnsembleCandidate]],
     vpm: PredictionMatrix,
@@ -170,7 +157,8 @@ def _score_candidates(
     tuple, all from one ``fit_stacks`` call. LR fits every distinct
     candidate and predicts each on its own. NB and VOTE sweeps are nested, and
     their weight rows depend on the member alone: one ``predict_nested``
-    pass over the full level's ensemble labels a sweep, so only that
+    pass over the full level's ensemble, adding each candidate's ``joined``
+    in turn, labels a sweep, so only that
     ensemble and the ``extra`` lists are fitted (``_stack_for`` fits any
     other when it is needed). Each distinct tuple is evaluated once, all in
     one ``evaluate_rows`` call.
@@ -189,9 +177,11 @@ def _score_candidates(
         labels = {key: predict_stack(stacks[key], vpm) for key in candidates}
     else:
         labels = {}
-        for sweep in keys.values():
+        for metric, sweep in keys.items():
             wanted = [key not in labels for key in sweep]
-            levels = predict_nested(stacks[sweep[-1]], vpm, _join_order(sweep), wanted)
+            position = {name: j for j, name in enumerate(sweep[-1])}
+            order = [position[c.joined.canonical] for c in sweeps[metric]]
+            levels = predict_nested(stacks[sweep[-1]], vpm, order, wanted)
             labels.update(zip((key for key, want in zip(sweep, wanted) if want), levels))
     entries = dict(zip(labels, evaluate_rows(list(labels.values()), vpm.truth, vpm.num_classes)))
     scored = {
@@ -249,9 +239,8 @@ def _final_doc(config: RunConfig, final: EnsembleCandidate) -> dict:
 def _sweep_doc(candidates: list[EnsembleCandidate]) -> dict:
     """A sweep's candidates and its ``join_order``: the canonical ids in the
     order they join the sweep, so level k's members are its first k."""
-    keys = [_member_key(c.members) for c in candidates]
     return {
-        "join_order": [keys[-1][j] for j in _join_order(keys)],
+        "join_order": [c.joined.canonical for c in candidates],
         "candidates": [_candidate_doc(c) for c in candidates],
     }
 

@@ -33,12 +33,12 @@ class DissimilarityMatrix:
         n = len(self.ids)
         if values.shape != (n, n):
             raise ValueError(f"matrix shape {values.shape} does not match {n} ids")
+        if not ((values >= 0.0) & (values <= 1.0)).all():  # nan fails too
+            raise ValueError("distances must lie in [0, 1]")
         if not np.array_equal(values, values.T):
             raise ValueError("dissimilarity matrix must be exactly symmetric")
         if np.any(np.diag(values) != 0.0):
             raise ValueError("self-distance must be 0")
-        if values.min() < 0.0 or values.max() > 1.0:
-            raise ValueError("distances must lie in [0, 1]")
         canon = [cid.canonical for cid in self.ids]
         if len(set(canon)) != len(canon):
             raise ValueError("duplicate classifier ids in dissimilarity matrix")
@@ -109,8 +109,8 @@ def read_dissimilarity_csv(path: str) -> DissimilarityMatrix:
     try:
         return DissimilarityMatrix(ids=ids, values=values)
     except ValueError as exc:
-        # Shape and ids passed above: name the first row with a bad value.
-        bad = (values != values.T) | (values < 0.0) | (values > 1.0)
-        bad |= np.diag(np.diag(values) != 0.0)
+        # Shape and ids passed above: name the first row failing the check that raised.
+        masks = ~((0 <= values) & (values <= 1)), values != values.T, np.diag(np.diag(values) != 0)
+        bad = next((mask for mask in masks if mask.any()), masks[0])
         lineno = linenos[int(np.argmax(bad.any(axis=1)))]
         raise ValueError(f"{path}: line {lineno}: {exc}") from None

@@ -161,6 +161,8 @@ def read_prediction_matrix(path: str, meta_path: str | None = None) -> Predictio
             raise ValueError(
                 f"{meta_path}: line {exc.lineno}: malformed sidecar: {exc.msg}"
             ) from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: sidecar must be a JSON object")
     for key in ("num_classes", "split"):
         if key not in meta:
             raise ValueError(f"{meta_path}: missing required key {key!r}")
@@ -168,10 +170,12 @@ def read_prediction_matrix(path: str, meta_path: str | None = None) -> Predictio
         raise ValueError(f"{meta_path}: format {meta['format']!r} is not {MATRIX_FORMAT!r}")
     if meta.get("version", 1) != 1:
         raise ValueError(f"{meta_path}: unsupported version {meta['version']!r}")
+    num_classes = meta["num_classes"]
+    if type(num_classes) is not int or num_classes < 2:  # bool and float are not int
+        raise ValueError(f"{meta_path}: num_classes must be an integer >= 2, got {num_classes!r}")
     try:
-        num_classes = int(meta["num_classes"])
         split = Split(meta["split"])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
 
     ids, table = _read_table_fast(path, num_classes) or _read_table(path, num_classes)

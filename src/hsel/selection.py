@@ -2,8 +2,8 @@
 
 ``hierarchy_select`` sweeps every hierarchy level k and keeps the
 best-scoring classifier of each of the k clusters, which yields one
-candidate ensemble per level; level k adds the k-th of ``retirement_order``
-to level k - 1, so NB and VOTE stacks score a sweep by one running sum.
+candidate ensemble per level; level k adds one member, its ``joined``, to
+level k - 1, so NB and VOTE stacks score a sweep by one running sum.
 ``choose_final`` turns the candidate list into a single deployed ensemble
 under a configurable rule. The elbow heuristic, per-token groups, and the
 random baseline provide the comparison points.
@@ -12,7 +12,7 @@ random baseline provide the comparison points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -28,18 +28,20 @@ FINAL_RULES = ("max-validation", "max-diversity", "weighted")
 class EnsembleCandidate:
     """A selected classifier subset: one member per cluster at level k.
 
-    ``validation_score`` is the stacked candidate's metric on VALIDATION and
-    is filled in by the combination stage; selection itself only knows the
-    per-member scores.
+    ``joined`` is the member level k adds to level k - 1 (level 1's only
+    member). ``validation_score`` is the stacked candidate's metric on
+    VALIDATION and is filled in by the combination stage; selection itself
+    only knows the per-member scores.
     """
 
     level_k: int
     members: tuple[ClassifierId, ...]
+    joined: ClassifierId
     mean_pairwise_distance: float
     validation_score: float | None = None
 
     def with_score(self, score: float) -> "EnsembleCandidate":
-        return EnsembleCandidate(self.level_k, self.members, self.mean_pairwise_distance, score)
+        return replace(self, validation_score=score)
 
 
 def _merge_pairs(dendrogram: Dendrogram) -> Iterator[tuple[int, int]]:
@@ -52,18 +54,6 @@ def _merge_pairs(dendrogram: Dendrogram) -> Iterator[tuple[int, int]]:
         kept, retired = sorted((names[step.left], names[step.right]))
         names.append(kept)
         yield kept, retired
-
-
-def retirement_order(dendrogram: Dendrogram, keys: Sequence) -> list[int]:
-    """Leaf indices in the order they join the level sweep from k = 1 up:
-    level k's members, the smallest-key leaf of each of its k clusters, are
-    the first k. The merge from k to k - 1 clusters keeps the better of its
-    children's best leaves; the other is the one level k adds."""
-    best, losers = list(range(dendrogram.num_leaves)), []
-    for kept, retired in _merge_pairs(dendrogram):
-        best[kept], loser = sorted((best[kept], best[retired]), key=keys.__getitem__)
-        losers.append(loser)
-    return [best[0], *reversed(losers)]
 
 
 def _exact_counts(matrix: DissimilarityMatrix) -> tuple[np.ndarray, int]:
@@ -86,11 +76,13 @@ def hierarchy_select(
 
     At each level the classifier maximizing the chosen metric is kept from
     each of the k clusters, ties broken toward the lexicographically smallest
-    canonical id: the first k of the metric's ``retirement_order``, ordered
-    by cluster label (ascending smallest leaf index). With S_k the members'
-    co-failure sum, a prefix sum along that order, the mean distance is
-    (pairs·N - S_k) / (pairs·N) rounded once: ``choose_final`` breaks score
-    ties on distance, and levels tie when their exact means round alike.
+    canonical id, ordered by cluster label (ascending smallest leaf index).
+    One replay of the merges decides every level: the merge from k to k - 1
+    clusters keeps the better of its children's best leaves, and the other
+    is level k's ``joined``. With S_k the co-failure sum of the first k
+    members to join, the mean distance (pairs·N - S_k) / (pairs·N) is
+    rounded once: ``choose_final`` breaks score ties on distance, so levels
+    tie only when their exact means round alike.
     """
     if metric not in METRIC_NAMES:
         raise ValueError(f"metric {metric!r} absent from scores; expected one of {METRIC_NAMES}")
@@ -104,16 +96,15 @@ def hierarchy_select(
     counts, n = _exact_counts(matrix)
 
     keys = [(-scores[name].metric(metric), name) for name in dendro_ids]
-    order = retirement_order(dendrogram, keys)
-    # Each cluster's best leaf by cluster name, -1 once merged away: the merge
-    # from level k to k - 1 keeps the best leaf that order[k - 1] does not retire.
+    # Each cluster's best leaf by cluster name, -1 once merged away.
     best = list(range(dendrogram.num_leaves))
-    levels = [best.copy()]
-    for (kept, retired), loser in zip(_merge_pairs(dendrogram), reversed(order)):
-        if best[kept] == loser:
-            best[kept] = best[retired]
+    levels, losers = [best.copy()], []
+    for kept, retired in _merge_pairs(dendrogram):
+        best[kept], loser = sorted((best[kept], best[retired]), key=keys.__getitem__)
         best[retired] = -1
+        losers.append(loser)
         levels.append([leaf for leaf in best if leaf >= 0])
+    order = [best[0], *reversed(losers)]
     # Level k + 1 adds row k of the reordered lower triangle; level 1 has no pairs and mean 0.
     pair_instances = np.cumsum(np.arange(len(order))) * n
     cofailed = np.cumsum(np.tril(counts[np.ix_(order, order)], -1).sum(axis=1))
@@ -121,11 +112,12 @@ def hierarchy_select(
     leaf_ids = dendrogram.leaf_ids
     return [
         EnsembleCandidate(
-            level_k=len(members),
+            level_k=k,
             members=tuple([leaf_ids[i] for i in members]),
-            mean_pairwise_distance=means[len(members) - 1],
+            joined=leaf_ids[leaf],
+            mean_pairwise_distance=means[k - 1],
         )
-        for members in reversed(levels)
+        for k, (members, leaf) in enumerate(zip(reversed(levels), order), start=1)
     ]
 
 

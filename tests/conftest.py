@@ -105,11 +105,13 @@ def redundant_test_pm() -> PredictionMatrix:
 
 
 def assert_join_order(sweep_doc: dict, candidates, final: dict, pool_ids) -> None:
-    """``sweep_doc``'s ``join_order`` is a permutation of ``pool_ids``, its
-    first k ids are the members of level k's in-memory candidate, and the
-    deployed ``final`` lists the first ``final["level_k"]`` in some order."""
+    """``sweep_doc``'s ``join_order`` is a permutation of ``pool_ids`` that
+    lists the in-memory candidates' ``joined`` ids one for one, its first k
+    ids are the members of level k's candidate, and the deployed ``final``
+    lists the first ``final["level_k"]`` in some order."""
     order = sweep_doc["join_order"]
     assert sorted(order) == sorted(pool_ids)
+    assert order == [candidate.joined.canonical for candidate in candidates]
     for doc, candidate in zip(sweep_doc["candidates"], candidates, strict=True):
         assert doc["level_k"] == candidate.level_k
         assert set(order[:candidate.level_k]) == {m.canonical for m in candidate.members}

@@ -155,6 +155,17 @@ class TestDissimilarityMatrix:
         assert back.ids == matrix.ids
         assert np.array_equal(back.values, matrix.values)
 
+    def test_nan_distance_is_out_of_range(self, tmp_path):
+        # NaN != NaN, so a symmetric NaN pair also fails the symmetry check;
+        # the range check runs first and names NaN's row.
+        ids = (ClassifierId("E0", "A"), ClassifierId("E1", "A"))
+        with pytest.raises(ValueError, match=r"distances must lie in \[0, 1\]"):
+            DissimilarityMatrix(ids=ids, values=np.array([[0.0, np.nan], [np.nan, 0.0]]))
+        path = tmp_path / "m.csv"
+        path.write_text("id,A-X,B-X,C-X\nA-X,0,1,1\nB-X,1,0,nan\nC-X,1,nan,0\n")
+        with pytest.raises(ValueError, match=r"m.csv: line 3: distances must lie in \[0, 1\]"):
+            read_dissimilarity_csv(str(path))
+
     @pytest.mark.parametrize(
         "text, line",
         [

@@ -244,6 +244,13 @@ class TestWireFormat:
             ('{"num_classes": "two", "split": "TEST"}', "two"),
             ('{"num_classes": 2, "split": "BOGUS"}', "BOGUS"),
             ('{"num_classes": 2, "split": "TEST", "version": 99}', "version 99"),
+            ("5", "JSON object"),
+            ('[{"num_classes": 2, "split": "TEST"}]', "JSON object"),
+            ('{"num_classes": 2.7, "split": "TEST"}', "integer >= 2, got 2.7"),
+            ('{"num_classes": 2.0, "split": "TEST"}', "integer >= 2, got 2.0"),
+            ('{"num_classes": true, "split": "TEST"}', "integer >= 2, got True"),
+            ('{"num_classes": 1, "split": "TEST"}', "integer >= 2, got 1"),
+            ('{"num_classes": null, "split": "TEST"}', "integer >= 2, got None"),
         ],
     )
     def test_bad_sidecar_names_sidecar_path(self, tmp_path, sidecar, message):

@@ -25,7 +25,6 @@ from hsel.selection import (
     group_members,
     hierarchy_select,
     random_baseline,
-    retirement_order,
     within_cluster_totals,
 )
 
@@ -220,15 +219,21 @@ def _sweep_fixtures(seed, trials, max_p):
             yield pm, matrix, linkage(matrix, method), scores
 
 
-def test_retirement_order_reproduces_oracle_levels():
+def test_joined_reproduces_oracle_levels():
+    """Under every linkage method, the candidates' ``joined`` ids in level
+    order are a permutation of the pool whose first k are the oracle's
+    level-k members, and each level lists those members in the oracle's
+    cluster-label order."""
     for pm, matrix, dendro, scores in _sweep_fixtures(909, 30, 20):
         names = [cid.canonical for cid in matrix.ids]
         leaf_scores = [scores[name].accuracy for name in names]
-        order = retirement_order(dendro, [(-s, name) for s, name in zip(leaf_scores, names)])
-        assert sorted(order) == list(range(len(names)))
+        candidates = hierarchy_select(dendro, matrix, scores)
+        joined = [names.index(c.joined.canonical) for c in candidates]
+        assert sorted(joined) == list(range(len(names)))
         oracle = level_sweep_oracle(dendro, exact_distance_oracle(pm), leaf_scores, names)
         for k, (members, _, _) in enumerate(oracle, start=1):
-            assert set(order[:k]) == set(members), k
+            assert set(joined[:k]) == set(members), k
+            assert [names.index(m.canonical) for m in candidates[k - 1].members] == members, k
 
 
 def _oracle_distances(pm, candidates):
@@ -310,6 +315,7 @@ def _candidate(k, dist, score, names=None):
     return EnsembleCandidate(
         level_k=k,
         members=tuple(ClassifierId.parse(n) for n in names),
+        joined=ClassifierId.parse(names[-1]),
         mean_pairwise_distance=dist,
         validation_score=score,
     )
@@ -342,6 +348,7 @@ class TestChooseFinal:
         unscored = EnsembleCandidate(
             level_k=1,
             members=(ClassifierId("CV", "NB"),),
+            joined=ClassifierId("CV", "NB"),
             mean_pairwise_distance=0.0,
         )
         with pytest.raises(ValueError, match="validation"):
