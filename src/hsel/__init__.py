@@ -60,7 +60,7 @@ from .pool import (
     train_pool,
     write_prediction_matrix,
 )
-from .preprocess import PreprocessConfig, TokenPipeline, fit_token_pipeline
+from .preprocess import TokenPipeline, fit_token_pipeline
 from .selection import (
     FINAL_RULES,
     EnsembleCandidate,

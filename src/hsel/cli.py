@@ -274,9 +274,9 @@ def _read_matrix_pair(validation: str, test: str) -> tuple[PredictionMatrix, Pre
 
 def _build_corpus(config: RunConfig) -> tuple[LabeledCorpus, dict[str, int]]:
     with _stage("load-corpus"):
-        rows, num_classes, mapping = load_corpus_csv(config.corpus)
+        rows, mapping = load_corpus_csv(config.corpus)
     with _stage("split"):
-        corpus = split_corpus(rows, ratios=config.ratios, seed=config.seed, num_classes=num_classes)
+        corpus = split_corpus(rows, ratios=config.ratios, seed=config.seed)
     return corpus, mapping
 
 
@@ -461,9 +461,11 @@ def _parse_tokens(text: str) -> tuple[str, ...]:
 
 def _parse_metrics(text: str) -> tuple[str, ...]:
     tokens = _parse_tokens(text)
-    for tok in tokens:
+    for i, tok in enumerate(tokens):
         if tok not in METRIC_NAMES:
             raise argparse.ArgumentTypeError(f"unknown metric {tok!r}")
+        if tok in tokens[:i]:
+            raise argparse.ArgumentTypeError(f"metric {tok!r} is repeated")
     return tokens
 
 

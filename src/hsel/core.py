@@ -198,9 +198,9 @@ def split_corpus(
     corpus: Sequence[tuple[str, int]],
     ratios: Sequence[float] = (0.6, 0.2, 0.2),
     seed: int = 0,
-    num_classes: int | None = None,
 ) -> LabeledCorpus:
-    """Stratified TRAIN/VALIDATION/TEST assignment over an unsplit corpus.
+    """Stratified TRAIN/VALIDATION/TEST assignment over an unsplit corpus
+    whose class count is its largest label plus one.
 
     Per class, a seeded shuffle is followed by largest-remainder allocation,
     so the per-class proportion in each split deviates from the requested
@@ -215,10 +215,9 @@ def split_corpus(
         raise ValueError("each split ratio must be positive")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {sum(ratios)!r}")
-    if num_classes is None:
-        if not corpus:
-            raise ValueError("corpus is empty")
-        num_classes = max(label for _, label in corpus) + 1
+    if not corpus:
+        raise ValueError("corpus is empty")
+    num_classes = max(label for _, label in corpus) + 1
     if len(corpus) < num_classes * 3:
         raise ValueError(
             f"corpus has {len(corpus)} instances; need at least {num_classes * 3}"
@@ -404,11 +403,12 @@ def evaluate_matrix(pm: PredictionMatrix) -> dict[str, EvalEntry]:
     return {cid.canonical: entry for cid, entry in zip(pm.classifier_ids, entries)}
 
 
-def load_corpus_csv(path: str) -> tuple[list[tuple[str, int]], int, dict[str, int]]:
+def load_corpus_csv(path: str) -> tuple[list[tuple[str, int]], dict[str, int]]:
     """Read a ``text,label`` delimiter-separated corpus file.
 
-    Label strings are mapped to indices by first-appearance order; the
-    mapping is returned so reports can emit it.
+    Label strings are mapped to indices by first-appearance order, so the
+    class count is ``len(mapping)``; the mapping is returned so reports can
+    emit it.
     """
     rows: list[tuple[str, int]] = []
     mapping: dict[str, int] = {}
@@ -431,7 +431,7 @@ def load_corpus_csv(path: str) -> tuple[list[tuple[str, int]], int, dict[str, in
             rows.append((text, mapping[label]))
     if len(mapping) < 2:
         raise ValueError(f"{path}: corpus has {len(mapping)} distinct labels; need at least 2")
-    return rows, len(mapping), mapping
+    return rows, mapping
 
 
 def write_corpus_csv(rows: Iterable[tuple[str, str]], path: str) -> None:

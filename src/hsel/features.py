@@ -3,11 +3,13 @@
 A pool has one sorted vocabulary, built from training documents only, and
 each split is counted once into an (N, V) matrix (``count_matrix``) that
 every extractor weighs: COUNT keeps it, TFIDF scales columns by idf, and
-HASHED projects it through a seeded signed matrix standing in for dense
-embeddings. That matrix's row for a token is defined as the stream
+HASHED projects it through a seeded signed (V, ``HASHED_DIM``) matrix, with
+``HASHED_DIM`` = 64, standing in for dense embeddings. That matrix's row for
+a token is defined as the stream
 ``default_rng(derive_seed("hashed-projection", seed, token)).integers(0, 2,
-size=dim)`` mapped to -1/+1; ``_sign_rows`` computes all rows at once by
-replaying the stream in array arithmetic, so numpy.random is never imported.
+size=HASHED_DIM)`` mapped to -1/+1; ``_sign_rows`` computes all rows at once
+by replaying the stream in array arithmetic, so numpy.random is never
+imported.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ EXTRACTOR_KINDS = (COUNT, TFIDF, HASHED)
 
 _KIND_ALIASES = {"HASHED-DENSE": HASHED, "CV": COUNT, "TF-IDF": TFIDF}
 
-DEFAULT_HASHED_DIM = 64
+HASHED_DIM = 64
 
 
 def normalize_extractor_token(token: str) -> str:
@@ -85,11 +87,11 @@ def _sign_rows(seeds: np.ndarray, dim: int) -> np.ndarray:
 
 def build_vocabulary(train_docs: Sequence[Sequence[str]]) -> dict[str, int]:
     """The sorted training vocabulary, token -> column. An empty one raises:
-    callers see a configuration problem (over-aggressive preprocessing), not
-    a crash later."""
+    callers see an input problem (no training token survives preprocessing
+    and the min-df filter), not a crash later."""
     tokens = sorted({token for doc in train_docs for token in doc})
     if not tokens:
-        raise ValueError("empty vocabulary after filtering; relax preprocessing settings")
+        raise ValueError("empty vocabulary: no training token survives preprocessing and min-df")
     return {token: j for j, token in enumerate(tokens)}
 
 
@@ -108,7 +110,7 @@ class FeatureSpace:
     the pool's shared training vocabulary. COUNT returns the counts. For
     TFIDF, ``idf[j] = ln((1 + D) / (1 + df_j)) + 1`` over the D training
     documents, which keeps every idf finite and >= 1. For HASHED, counts are
-    projected through the (V, dim) sign matrix described in the module
+    projected through the (V, HASHED_DIM) sign matrix described in the module
     docstring."""
 
     kind: str
@@ -126,11 +128,7 @@ class FeatureSpace:
 
 
 def fit_feature_space(
-    vocabulary: dict[str, int],
-    train_counts: np.ndarray,
-    kind: str,
-    hashed_dim: int = DEFAULT_HASHED_DIM,
-    seed: int = 0,
+    vocabulary: dict[str, int], train_counts: np.ndarray, kind: str, seed: int = 0
 ) -> FeatureSpace:
     """Fit one extractor on the training ``count_matrix`` over ``vocabulary``."""
     kind = normalize_extractor_token(kind)
@@ -144,10 +142,8 @@ def fit_feature_space(
         idf.setflags(write=False)
         return FeatureSpace(kind=kind, vocabulary=vocabulary, dimension=len(vocabulary), idf=idf)
 
-    if hashed_dim <= 0:
-        raise ValueError("hashed projection dimension must be positive")
     seeds = np.array([derive_seed("hashed-projection", seed, t) for t in vocabulary], np.uint64)
-    projection = _sign_rows(seeds, hashed_dim)
+    projection = _sign_rows(seeds, HASHED_DIM)
     projection.setflags(write=False)
-    return FeatureSpace(kind=kind, vocabulary=vocabulary, dimension=hashed_dim,
+    return FeatureSpace(kind=kind, vocabulary=vocabulary, dimension=HASHED_DIM,
                         projection=projection)

@@ -101,12 +101,10 @@ def _validated_square(matrix: DissimilarityMatrix | np.ndarray) -> np.ndarray:
     return values
 
 
-def linkage(
-    matrix: DissimilarityMatrix | np.ndarray,
-    method: str = "complete",
-    leaf_ids: Sequence[ClassifierId] | None = None,
-) -> Dendrogram:
-    """Agglomerate the matrix into a dendrogram under the given linkage.
+def linkage(matrix: DissimilarityMatrix | np.ndarray, method: str = "complete") -> Dendrogram:
+    """Agglomerate the matrix into a dendrogram under the given linkage. The
+    leaves are a ``DissimilarityMatrix``'s ids, or ``ITEM-N{i}`` for a bare
+    array.
 
     Exact greedy agglomeration as array algebra: each of the P - 1 steps
     takes the global minimum as the least of P cached row minima, breaks
@@ -123,13 +121,10 @@ def linkage(
     p = values.shape[0]
     if p < 2:
         raise ValueError("linkage needs at least 2 items")
-    if leaf_ids is None:
-        if isinstance(matrix, DissimilarityMatrix):
-            leaf_ids = matrix.ids
-        else:
-            leaf_ids = tuple(ClassifierId("ITEM", f"N{i}") for i in range(p))
-    if len(leaf_ids) != p:
-        raise ValueError("leaf_ids length must match the matrix size")
+    if isinstance(matrix, DissimilarityMatrix):
+        leaf_ids = matrix.ids
+    else:
+        leaf_ids = tuple(ClassifierId("ITEM", f"N{i}") for i in range(p))
 
     # Retired slots and the diagonal hold +inf. Every row caches its minimum
     # and a column holding it; the closest active pair is in the rows whose
@@ -179,7 +174,7 @@ def linkage(
         nodes[i] = p + step_index
         sizes[i] = new_size
 
-    return Dendrogram(leaf_ids=tuple(leaf_ids), merges=tuple(merges))
+    return Dendrogram(leaf_ids=leaf_ids, merges=tuple(merges))
 
 
 DENDROGRAM_FORMAT = "hsel-dendrogram v1"

@@ -27,6 +27,8 @@ from typing import Sequence
 import numpy as np
 
 ALGORITHM_TOKENS = ("NB", "LR", "KNN", "NC")
+NB_SMOOTHING = 1.0  # Laplace
+KNN_K = 5
 
 
 def top_class(scores: np.ndarray) -> np.ndarray:
@@ -39,15 +41,14 @@ def top_class(scores: np.ndarray) -> np.ndarray:
 
 
 class MultinomialNB:
-    """Multinomial naive Bayes with Laplace smoothing.
+    """Multinomial naive Bayes with Laplace smoothing (``NB_SMOOTHING``).
 
     Negative feature values (possible under the signed dense projection) are
     clamped to zero, since multinomial likelihoods are defined over
     non-negative counts.
     """
 
-    def __init__(self, alpha: float = 1.0):
-        self.alpha = alpha
+    def __init__(self):
         self.class_log_prior_: np.ndarray | None = None
         self.feature_log_prob_: np.ndarray | None = None
 
@@ -64,7 +65,7 @@ class MultinomialNB:
         # Unseen classes keep a tiny prior so log() stays finite.
         priors = np.where(counts > 0, counts, 1e-12) / max(len(y), 1)
         self.class_log_prior_ = np.log(priors)
-        smoothed = totals + self.alpha
+        smoothed = totals + NB_SMOOTHING
         self.feature_log_prob_ = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
         return self
 
@@ -232,7 +233,7 @@ class CosineKNN:
     smallest class index.
     """
 
-    def __init__(self, k: int = 5):
+    def __init__(self, k: int):
         self.k = k
         self._unit_train: np.ndarray | None = None
         self._labels: np.ndarray | None = None
@@ -282,14 +283,14 @@ class NearestCentroid:
         return self._classes[np.argmin(d2, axis=1)]
 
 
-def make_learner(token: str, *, knn_k: int = 5):
+def make_learner(token: str):
     token = token.strip().upper()
     if token == "NB":
         return MultinomialNB()
     if token == "LR":
         return SoftmaxRegression()
     if token == "KNN":
-        return CosineKNN(k=knn_k)
+        return CosineKNN(k=KNN_K)
     if token == "NC":
         return NearestCentroid()
     raise ValueError(f"unknown algorithm token {token!r}; expected one of {ALGORITHM_TOKENS}")

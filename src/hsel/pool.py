@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import ClassifierId, LabeledCorpus, PredictionMatrix, Split, derive_seed, read_id_table
 from .features import (
-    DEFAULT_HASHED_DIM,
     FeatureSpace,
     build_vocabulary,
     count_matrix,
@@ -26,7 +25,7 @@ from .features import (
     normalize_extractor_token,
 )
 from .learners import ALGORITHM_TOKENS, make_learner
-from .preprocess import PreprocessConfig, TokenPipeline, fit_token_pipeline
+from .preprocess import TokenPipeline, fit_token_pipeline
 
 MATRIX_FORMAT = "hsel-prediction-matrix"
 
@@ -62,10 +61,7 @@ def train_pool(
     extractors: Sequence[str],
     algorithms: Sequence[str],
     *,
-    config: PreprocessConfig = PreprocessConfig(),
     seed: int = 0,
-    hashed_dim: int = DEFAULT_HASHED_DIM,
-    knn_k: int = 5,
 ) -> ClassifierPool:
     """Train the |extractors| x |algorithms| pool on the TRAIN split.
 
@@ -87,19 +83,16 @@ def train_pool(
 
     train_texts = corpus.texts(Split.TRAIN)
     train_labels = corpus.labels(Split.TRAIN)
-    pipeline, train_docs = fit_token_pipeline(train_texts, config)
+    pipeline, train_docs = fit_token_pipeline(train_texts)
     vocabulary = build_vocabulary(train_docs)
     train_counts = count_matrix(train_docs, vocabulary)
 
     members = []
     for ext in ext_tokens:
-        space = fit_feature_space(
-            vocabulary, train_counts, ext, hashed_dim=hashed_dim,
-            seed=derive_seed(seed, "space", ext),
-        )
+        space = fit_feature_space(vocabulary, train_counts, ext, derive_seed(seed, "space", ext))
         train_features = space.transform(train_counts)
         for alg in alg_tokens:
-            learner = make_learner(alg, knn_k=knn_k)
+            learner = make_learner(alg)
             learner.fit(train_features, train_labels, corpus.num_classes)
             members.append(TrainedClassifier(id=ClassifierId(ext, alg), space=space, model=learner))
     return ClassifierPool(members=tuple(members), pipeline=pipeline, vocabulary=vocabulary,
@@ -168,8 +161,9 @@ def read_prediction_matrix(path: str, meta_path: str | None = None) -> Predictio
             raise ValueError(f"{meta_path}: missing required key {key!r}")
     if meta.get("format", MATRIX_FORMAT) != MATRIX_FORMAT:
         raise ValueError(f"{meta_path}: format {meta['format']!r} is not {MATRIX_FORMAT!r}")
-    if meta.get("version", 1) != 1:
-        raise ValueError(f"{meta_path}: unsupported version {meta['version']!r}")
+    version = meta.get("version", 1)
+    if type(version) is not int or version != 1:  # bool and float are not int
+        raise ValueError(f"{meta_path}: unsupported version {version!r}")
     num_classes = meta["num_classes"]
     if type(num_classes) is not int or num_classes < 2:  # bool and float are not int
         raise ValueError(f"{meta_path}: num_classes must be an integer >= 2, got {num_classes!r}")
@@ -179,11 +173,10 @@ def read_prediction_matrix(path: str, meta_path: str | None = None) -> Predictio
         raise ValueError(f"{meta_path}: {exc}") from None
 
     ids, table = _read_table_fast(path, num_classes) or _read_table(path, num_classes)
-    if meta.get("instances", len(table)) != len(table):
-        raise ValueError(
-            f"{meta_path}: instances is {meta['instances']!r} but {path} has"
-            f" {len(table)} rows"
-        )
+    instances = meta.get("instances", len(table))
+    if type(instances) is not int or instances != len(table):  # bool and float are not int
+        raise ValueError(f"{meta_path}: instances is {instances!r} but {path} has"
+                         f" {len(table)} rows")
 
     return PredictionMatrix(
         classifier_ids=ids,

@@ -1,13 +1,15 @@
-"""Text normalization pipeline: URL/IP removal, punctuation stripping,
-case folding, stop-word removal, suffix stripping, and a corpus-wide
-document-frequency filter fitted on training documents only."""
+"""The one text normalization pipeline. ``preprocess`` runs every stage in
+this order: URL and IP removal, punctuation stripping, case folding, the
+``DEFAULT_STOPWORDS`` filter and suffix stripping (``stem``). A
+corpus-wide filter, fitted on training documents only, then keeps the
+tokens found in at least ``MIN_DF`` documents."""
 
 from __future__ import annotations
 
 import functools
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 _URL_RE = re.compile(r"\bhttps?://\S+|\bwww\.\S+", re.IGNORECASE)
@@ -19,6 +21,7 @@ DEFAULT_STOPWORDS = frozenset(
     is it its me my not of on or our she so that the their them they this to
     was we were will with you your""".split()
 )
+MIN_DF = 2
 
 _VOWELS = frozenset("aeiou")
 
@@ -55,72 +58,45 @@ def stem(token: str) -> str:
     return t
 
 
-@dataclass(frozen=True)
-class PreprocessConfig:
-    """Flags for the per-text pipeline plus the corpus-wide min-df threshold."""
-
-    strip_urls: bool = True
-    strip_punctuation: bool = True
-    lowercase: bool = True
-    remove_stopwords: bool = True
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS
-    apply_stemming: bool = True
-    min_df: int = 2
-
-
-def preprocess(text: str, config: PreprocessConfig = PreprocessConfig()) -> list[str]:
-    """Tokenize one text through the enabled pipeline stages, in order.
+def preprocess(text: str) -> list[str]:
+    """Tokenize one text through every stage, in order.
 
     The min-df filter is corpus-level and not applied here; see
     ``fit_token_pipeline``. An empty token list is a legal result.
     """
-    if config.strip_urls:
-        text = _URL_RE.sub(" ", text)
-        text = _IP_RE.sub(" ", text)
-    if config.strip_punctuation:
-        text = _PUNCT_RE.sub(" ", text)
-    if config.lowercase:
-        text = text.lower()
-    tokens = text.split()
-    if config.remove_stopwords:
-        tokens = [t for t in tokens if t not in config.stopwords]
-    if config.apply_stemming:
-        tokens = [stem(t) for t in tokens]
-    return tokens
+    text = _URL_RE.sub(" ", text)
+    text = _IP_RE.sub(" ", text)
+    text = _PUNCT_RE.sub(" ", text)
+    text = text.lower()
+    tokens = [t for t in text.split() if t not in DEFAULT_STOPWORDS]
+    return [stem(t) for t in tokens]
 
 
 @dataclass(frozen=True)
 class TokenPipeline:
-    """A preprocess config together with the fitted document-frequency filter.
+    """The fitted document-frequency filter over ``preprocess``.
 
-    ``keep`` is None when no filter applies (min_df <= 1); otherwise tokens
-    outside it are dropped. The filter is fitted on TRAIN documents only so
-    that nothing outside the training split influences tokenization.
+    Tokens outside ``keep`` are dropped. The filter is fitted on TRAIN
+    documents only so that nothing outside the training split influences
+    tokenization.
     """
 
-    config: PreprocessConfig = field(default_factory=PreprocessConfig)
-    keep: frozenset[str] | None = None
+    keep: frozenset[str]
 
     def __call__(self, text: str) -> list[str]:
-        tokens = preprocess(text, self.config)
-        if self.keep is not None:
-            tokens = [t for t in tokens if t in self.keep]
-        return tokens
+        return [t for t in preprocess(text) if t in self.keep]
 
     def tokenize_all(self, texts: Iterable[str]) -> list[list[str]]:
         return [self(text) for text in texts]
 
 
-def fit_token_pipeline(
-    train_texts: Sequence[str], config: PreprocessConfig = PreprocessConfig()
-) -> tuple[TokenPipeline, list[list[str]]]:
-    """Fit the document-frequency filter on training texts, each preprocessed
-    once; also return the kept documents, ``pipeline.tokenize_all(train_texts)``."""
-    docs = [preprocess(text, config) for text in train_texts]
-    if config.min_df <= 1:
-        return TokenPipeline(config=config, keep=None), docs
+def fit_token_pipeline(train_texts: Sequence[str]) -> tuple[TokenPipeline, list[list[str]]]:
+    """Keep the tokens found in at least ``MIN_DF`` training texts, each
+    preprocessed once; also return the kept documents,
+    ``pipeline.tokenize_all(train_texts)``."""
+    docs = [preprocess(text) for text in train_texts]
     df: Counter[str] = Counter()
     for doc in docs:
         df.update(set(doc))
-    keep = frozenset(token for token, count in df.items() if count >= config.min_df)
-    return TokenPipeline(config=config, keep=keep), [[t for t in doc if t in keep] for doc in docs]
+    keep = frozenset(token for token, count in df.items() if count >= MIN_DF)
+    return TokenPipeline(keep), [[t for t in doc if t in keep] for doc in docs]

@@ -572,6 +572,18 @@ def test_alpha_outside_unit_interval_rejected(command, value, capsys):
         assert build_parser().parse_args(command + ["--alpha", bound]).alpha == float(bound)
 
 
+@pytest.mark.parametrize("value, repeated", [("f1,accuracy,f1", "f1"),
+                                             ("precision,precision", "precision")])
+@pytest.mark.parametrize("command", [["run", "--corpus", "c.csv"], ["select", "--matrix", "m.csv"]])
+def test_repeated_metric_rejected(command, value, repeated, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--metrics", value])
+    assert exc.value.code == 2
+    assert f"metric {repeated!r} is repeated" in capsys.readouterr().err
+    assert build_parser().parse_args(command + ["--metrics", "f1,accuracy"]).metrics == (
+        "f1", "accuracy")
+
+
 @pytest.mark.parametrize("value", ["a,b,c", "nan,0.5,0.5", "0.5,inf,0.5", "0.5,0.5", "0.2,0.2,0.2,0.4"])
 @pytest.mark.parametrize("command", [["run", "--corpus", "c.csv"], ["compare", "--corpus", "c.csv"]])
 def test_ratios_must_be_three_finite_fractions(command, value, capsys):

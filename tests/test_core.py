@@ -255,8 +255,7 @@ class TestCorpusCsv:
     def test_roundtrip_and_first_appearance_mapping(self, tmp_path):
         path = tmp_path / "corpus.csv"
         write_corpus_csv([("hello, world", "real"), ("bye", "fake"), ("x", "real")], str(path))
-        rows, num_classes, mapping = load_corpus_csv(str(path))
-        assert num_classes == 2
+        rows, mapping = load_corpus_csv(str(path))
         assert mapping == {"real": 0, "fake": 1}
         assert rows == [("hello, world", 0), ("bye", 1), ("x", 0)]
 

@@ -62,23 +62,24 @@ class TestTfidf:
 class TestHashed:
     def test_deterministic_for_fixed_seed(self):
         docs = [["alpha", "beta"], ["gamma"]]
-        a = _fit(docs, "HASHED", hashed_dim=32, seed=5)
-        b = _fit(docs, "HASHED", hashed_dim=32, seed=5)
+        a = _fit(docs, "HASHED", seed=5)
+        b = _fit(docs, "HASHED", seed=5)
         assert np.array_equal(_transform(a, docs), _transform(b, docs))
 
     def test_seed_changes_projection(self):
         docs = [["alpha", "beta", "gamma", "delta"]]
-        a = _fit(docs, "HASHED", hashed_dim=32, seed=5)
-        b = _fit(docs, "HASHED", hashed_dim=32, seed=6)
+        a = _fit(docs, "HASHED", seed=5)
+        b = _fit(docs, "HASHED", seed=6)
         assert not np.array_equal(_transform(a, docs), _transform(b, docs))
 
     def test_dimension_and_signs(self):
-        space = _fit([["a", "b"]], "HASHED", hashed_dim=16, seed=0)
-        assert space.dimension == 16
+        space = _fit([["a", "b"]], "HASHED", seed=0)
+        assert space.dimension == 64
+        assert space.projection.shape == (2, 64)
         assert set(np.unique(space.projection)) <= {-1.0, 1.0}
 
     def test_projection_is_linear_in_counts(self):
-        space = _fit([["a", "b"]], "HASHED", hashed_dim=8, seed=1)
+        space = _fit([["a", "b"]], "HASHED", seed=1)
         single = _transform(space, [["a"]])
         double = _transform(space, [["a", "a"]])
         assert np.array_equal(double, 2 * single)
@@ -117,9 +118,9 @@ class TestSignRows:
         assert np.array_equal(got, np.vstack([sign_row_oracle(s, dim) for s in seeds]))
 
     def test_fitted_projection_rows_follow_their_tokens(self):
-        space = _fit([["beta", "alpha"], ["gamma"]], "HASHED", hashed_dim=9, seed=3)
+        space = _fit([["beta", "alpha"], ["gamma"]], "HASHED", seed=3)
         for token, j in space.vocabulary.items():
-            oracle = sign_row_oracle(derive_seed("hashed-projection", 3, token), 9)
+            oracle = sign_row_oracle(derive_seed("hashed-projection", 3, token), 64)
             assert np.array_equal(space.projection[j], oracle)
 
 

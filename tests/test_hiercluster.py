@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsel.core import ClassifierId
-from hsel.diversity import dissimilarity_matrix
+from hsel.diversity import DissimilarityMatrix, dissimilarity_matrix
 from hsel.hiercluster import (
     Dendrogram,
     MergeStep,
@@ -25,6 +25,13 @@ def _matrix3(d01, d02, d12):
 
 
 class TestLinkageSmallCases:
+    def test_leaf_ids_come_from_the_matrix(self):
+        ids = tuple(ClassifierId.parse(s) for s in ("CV-NB", "CV-LR", "TFIDF-NB"))
+        matrix = _matrix3(0.1, 0.9, 0.8)
+        assert linkage(DissimilarityMatrix(ids, matrix)).leaf_ids == ids
+        assert [cid.canonical for cid in linkage(matrix).leaf_ids] == [
+            "ITEM-N0", "ITEM-N1", "ITEM-N2"]
+
     def test_single_linkage_three_points(self):
         dendro = linkage(_matrix3(0.1, 0.9, 0.8), "single")
         assert (dendro.merges[0].left, dendro.merges[0].right) == (0, 1)
@@ -273,7 +280,7 @@ class TestGoldenScenario:
 class TestDendrogramExport:
     def test_format_and_roundtrip(self, tmp_path):
         ids = tuple(ClassifierId.parse(s) for s in ("CV-NB", "CV-LR", "TFIDF-NB"))
-        dendro = linkage(_matrix3(0.25, 0.5, 0.75), "complete", leaf_ids=ids)
+        dendro = linkage(DissimilarityMatrix(ids, _matrix3(0.25, 0.5, 0.75)), "complete")
         path = str(tmp_path / "dendro.txt")
         write_dendrogram(dendro, path)
         text = open(path).read()
@@ -303,7 +310,8 @@ class TestDendrogramExport:
     def test_malformed_file_names_path_and_line(self, tmp_path, edit, lineno):
         ids = tuple(ClassifierId.parse(s) for s in ("CV-NB", "CV-LR", "TFIDF-NB"))
         path = str(tmp_path / "dendro.txt")
-        write_dendrogram(linkage(_matrix3(0.25, 0.5, 0.75), "complete", leaf_ids=ids), path)
+        dendro = linkage(DissimilarityMatrix(ids, _matrix3(0.25, 0.5, 0.75)), "complete")
+        write_dendrogram(dendro, path)
         lines = open(path).read().splitlines()
         assert lines[7] == "4 2 3 0.75 3"
         with open(path, "w") as fh:

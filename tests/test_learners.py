@@ -33,6 +33,12 @@ class TestMultinomialNB:
         model = MultinomialNB().fit(X, y, 2)
         assert model.predict(np.array([[5.0, 0.0], [0.0, 5.0]])).tolist() == [0, 1]
 
+    def test_laplace_smoothing(self):
+        # Each class's counts plus one, normalized: class 0 sees [3, 0].
+        X = np.array([[3.0, 0.0], [0.0, 1.0]])
+        model = MultinomialNB().fit(X, np.array([0, 1]), 2)
+        assert np.allclose(np.exp(model.feature_log_prob_), [[4 / 5, 1 / 5], [1 / 3, 2 / 3]])
+
     def test_negative_features_clamped(self):
         X = np.array([[-1.0, 2.0], [2.0, -1.0]])
         y = np.array([0, 1])

@@ -1,5 +1,6 @@
 """Pool training, prediction matrices, and the matrix wire format."""
 
+import hashlib
 import json
 from collections import Counter
 
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsel.core import ClassifierId, PredictionMatrix, Split, split_corpus
+from hsel.core import ClassifierId, PredictionMatrix, Split, load_corpus_csv, split_corpus
+from hsel.datasets import bundled_corpus_path
+from hsel.learners import CosineKNN
 from hsel.pool import (
     predict_matrix,
     read_prediction_matrix,
@@ -17,7 +20,6 @@ from hsel.pool import (
 )
 import hsel.pool as pool_module
 import hsel.preprocess as preprocess_module
-from hsel.preprocess import PreprocessConfig
 from oracles import read_prediction_matrix_oracle
 
 
@@ -30,13 +32,10 @@ def _toy_corpus(n_per_class=20, seed=0):
     return split_corpus(rows, ratios=(0.6, 0.2, 0.2), seed=seed)
 
 
-CONFIG = PreprocessConfig(min_df=1)
-
-
 class TestTrainPool:
     def test_cross_product_ids_in_order(self):
         corpus = _toy_corpus()
-        pool = train_pool(corpus, ["COUNT", "TFIDF"], ["NB", "LR"], config=CONFIG)
+        pool = train_pool(corpus, ["COUNT", "TFIDF"], ["NB", "LR"])
         assert [c.canonical for c in pool.ids] == [
             "COUNT-NB",
             "COUNT-LR",
@@ -46,28 +45,27 @@ class TestTrainPool:
 
     def test_pool_ids_pairwise_distinct(self):
         corpus = _toy_corpus()
-        pool = train_pool(corpus, ["COUNT", "TFIDF", "HASHED"], ["NB", "LR", "KNN", "NC"],
-                          config=CONFIG)
+        pool = train_pool(corpus, ["COUNT", "TFIDF", "HASHED"], ["NB", "LR", "KNN", "NC"])
         assert len({c.canonical for c in pool.ids}) == 12
 
     def test_unknown_algorithm_rejected_by_name(self):
         corpus = _toy_corpus()
         with pytest.raises(ValueError, match="'SVM'"):
-            train_pool(corpus, ["COUNT"], ["SVM"], config=CONFIG)
+            train_pool(corpus, ["COUNT"], ["SVM"])
 
     def test_unknown_extractor_rejected_by_name(self):
         corpus = _toy_corpus()
         with pytest.raises(ValueError, match="BERT"):
-            train_pool(corpus, ["BERT"], ["NB"], config=CONFIG)
+            train_pool(corpus, ["BERT"], ["NB"])
 
     def test_empty_lists_rejected(self):
         corpus = _toy_corpus()
         with pytest.raises(ValueError):
-            train_pool(corpus, [], ["NB"], config=CONFIG)
+            train_pool(corpus, [], ["NB"])
 
     def test_lr_members_fit_separable_corpus(self):
         corpus = _toy_corpus()
-        pool = train_pool(corpus, ["COUNT", "TFIDF", "HASHED"], ["LR"], config=CONFIG)
+        pool = train_pool(corpus, ["COUNT", "TFIDF", "HASHED"], ["LR"])
         train = predict_matrix(pool, corpus, Split.TRAIN)
         train_labels = corpus.labels(Split.TRAIN)
         for member, column in zip(pool.members, train.predictions.T):
@@ -88,49 +86,68 @@ class TestTrainPool:
             for (text, label), tag in zip(replaced, base.split)
         )
         altered = type(base)(instances=swapped, num_classes=base.num_classes, split=base.split)
-        pool_a = train_pool(base, ["COUNT", "TFIDF"], ["NB", "LR"], config=CONFIG, seed=1)
-        pool_b = train_pool(altered, ["COUNT", "TFIDF"], ["NB", "LR"], config=CONFIG, seed=1)
+        pool_a = train_pool(base, ["COUNT", "TFIDF"], ["NB", "LR"], seed=1)
+        pool_b = train_pool(altered, ["COUNT", "TFIDF"], ["NB", "LR"], seed=1)
         vpm_a = predict_matrix(pool_a, base, Split.VALIDATION)
         vpm_b = predict_matrix(pool_b, altered, Split.VALIDATION)
         assert np.array_equal(vpm_a.predictions, vpm_b.predictions)
 
-    @pytest.mark.parametrize("min_df", [1, 2])
-    def test_each_training_text_is_preprocessed_once(self, monkeypatch, min_df):
+    def test_each_training_text_is_preprocessed_once(self, monkeypatch):
         calls = Counter()
         original = preprocess_module.preprocess
 
-        def counting(text, config):
+        def counting(text):
             calls[text] += 1
-            return original(text, config)
+            return original(text)
 
         monkeypatch.setattr(preprocess_module, "preprocess", counting)
         corpus = _toy_corpus()
-        train_pool(corpus, ["COUNT", "TFIDF", "HASHED"], ["NB", "NC"],
-                   config=PreprocessConfig(min_df=min_df))
+        train_pool(corpus, ["COUNT", "TFIDF", "HASHED"], ["NB", "NC"])
         assert calls == Counter(corpus.texts(Split.TRAIN))
+
+
+class TestFixedPipeline:
+    """The pipeline's constants, pinned by their effect on the bundled corpus:
+    the tokens that survive preprocessing and min-df 2, the HASHED width and
+    the KNN neighbour count."""
+
+    def test_bundled_corpus_vocabulary_and_pool_settings(self):
+        rows, _ = load_corpus_csv(bundled_corpus_path())
+        corpus = split_corpus(rows, seed=7)
+        pool = train_pool(corpus, ["COUNT", "HASHED"], ["NB", "KNN"], seed=7)
+        tokens = "\n".join(sorted(pool.vocabulary)).encode()
+        assert len(pool.vocabulary) == 36
+        assert hashlib.sha256(tokens).hexdigest() == (
+            "25af27a9334a1cb71b4dd87719b4996ac644079ca4c175e0e6cfa600d21071d6")
+        hashed_knn = pool.members[3]
+        assert hashed_knn.id.canonical == "HASHED-KNN"
+        assert hashed_knn.space.dimension == 64
+        assert hashed_knn.space.projection.shape == (36, 64)
+        assert hashed_knn.model.k == 5
 
 
 class TestPredictMatrix:
     def test_columns_follow_pool_order_and_truth(self):
         corpus = _toy_corpus()
-        pool = train_pool(corpus, ["COUNT"], ["NB", "NC"], config=CONFIG)
+        pool = train_pool(corpus, ["COUNT"], ["NB", "NC"])
         pm = predict_matrix(pool, corpus, Split.VALIDATION)
         assert pm.classifier_ids == pool.ids
         assert np.array_equal(pm.truth, corpus.labels(Split.VALIDATION))
         assert pm.split_tag is Split.VALIDATION
 
-    def test_memorizing_classifier_on_train_split(self):
+    def test_memorizing_classifier_on_train_split(self, monkeypatch):
         # A 1-nearest-neighbor member recalls its own training rows exactly,
         # so predicting the TRAIN split reproduces the truth column.
+        monkeypatch.setattr(pool_module, "make_learner", lambda token: CosineKNN(k=1))
         corpus = _toy_corpus()
-        pool = train_pool(corpus, ["COUNT"], ["KNN"], config=CONFIG, knn_k=1)
+        pool = train_pool(corpus, ["COUNT"], ["KNN"])
         pm = predict_matrix(pool, corpus, Split.TRAIN)
         assert np.array_equal(pm.predictions[:, 0], pm.truth)
 
     def test_pool_order_permutes_columns_identically(self):
         corpus = _toy_corpus()
-        forward = train_pool(corpus, ["COUNT"], ["NB", "NC"], config=CONFIG)
-        backward = train_pool(corpus, ["COUNT"], ["NC", "NB"], config=CONFIG)
+        forward = train_pool(corpus, ["COUNT"], ["NB", "NC"])
+        backward = train_pool(corpus, ["COUNT"], ["NC", "NB"])
         pm_f = predict_matrix(forward, corpus, Split.VALIDATION)
         pm_b = predict_matrix(backward, corpus, Split.VALIDATION)
         assert np.array_equal(pm_f.column("COUNT-NB"), pm_b.column("COUNT-NB"))
@@ -139,15 +156,15 @@ class TestPredictMatrix:
 
     def test_reemission_is_bit_identical(self):
         corpus = _toy_corpus()
-        pool = train_pool(corpus, ["COUNT", "HASHED"], ["NB", "KNN"], config=CONFIG, seed=3)
+        pool = train_pool(corpus, ["COUNT", "HASHED"], ["NB", "KNN"], seed=3)
         a = predict_matrix(pool, corpus, Split.VALIDATION)
         b = predict_matrix(pool, corpus, Split.VALIDATION)
         assert np.array_equal(a.predictions, b.predictions)
 
     def test_retraining_same_seed_is_deterministic(self):
         corpus = _toy_corpus()
-        a = train_pool(corpus, ["HASHED"], ["LR"], config=CONFIG, seed=9)
-        b = train_pool(corpus, ["HASHED"], ["LR"], config=CONFIG, seed=9)
+        a = train_pool(corpus, ["HASHED"], ["LR"], seed=9)
+        b = train_pool(corpus, ["HASHED"], ["LR"], seed=9)
         pa = predict_matrix(a, corpus, Split.TEST)
         pb = predict_matrix(b, corpus, Split.TEST)
         assert np.array_equal(pa.predictions, pb.predictions)
@@ -251,11 +268,16 @@ class TestWireFormat:
             ('{"num_classes": true, "split": "TEST"}', "integer >= 2, got True"),
             ('{"num_classes": 1, "split": "TEST"}', "integer >= 2, got 1"),
             ('{"num_classes": null, "split": "TEST"}', "integer >= 2, got None"),
+            ('{"num_classes": 2, "split": "TEST", "version": true}', "version True"),
+            ('{"num_classes": 2, "split": "TEST", "version": 1.0}', "version 1.0"),
+            ('{"num_classes": 2, "split": "TEST", "instances": 1.0}', "instances is 1.0"),
+            ('{"num_classes": 2, "split": "TEST", "instances": true}', "instances is True"),
         ],
     )
     def test_bad_sidecar_names_sidecar_path(self, tmp_path, sidecar, message):
+        # One row, so only a type check tells "instances": 1.0 or true from 1.
         path = tmp_path / "pm.csv"
-        path.write_text("truth,CV-NB\n0,0\n1,1\n")
+        path.write_text("truth,CV-NB\n0,0\n")
         (tmp_path / "pm.csv.meta.json").write_text(sidecar)
         with pytest.raises(ValueError, match=rf"pm\.csv\.meta\.json: .*{message}"):
             read_prediction_matrix(str(path))
