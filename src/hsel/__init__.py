@@ -14,7 +14,6 @@ from .combine import (
     fit_stacks,
     meta_features,
     predict_stack,
-    stack_from_json,
     stack_to_json,
 )
 from .core import (
@@ -29,7 +28,6 @@ from .core import (
     evaluate_matrix,
     load_corpus_csv,
     split_corpus,
-    write_corpus_csv,
 )
 from .diversity import (
     DissimilarityMatrix,
@@ -49,7 +47,6 @@ from .hiercluster import (
     Dendrogram,
     MergeStep,
     linkage,
-    read_dendrogram,
     write_dendrogram,
 )
 from .pool import (

@@ -16,7 +16,7 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from importlib import resources
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .combine import (
     META_KINDS,
@@ -46,6 +46,7 @@ from .diversity import (
     read_dissimilarity_csv,
     write_dissimilarity_csv,
 )
+from .features import normalize_extractor_token
 from .hiercluster import LINKAGE_METHODS, Dendrogram, linkage, write_dendrogram
 from .pool import predict_matrix, read_prediction_matrix, train_pool, write_prediction_matrix
 from .selection import (
@@ -436,10 +437,12 @@ def cmd_compare(
 def _parse_ratios(text: str) -> tuple[float, ...]:
     with contextlib.suppress(ValueError):
         parts = tuple(float(p) for p in text.split(","))
-        if len(parts) == 3 and all(0 < part < math.inf for part in parts):  # nan fails too
+        # nan fails the range test; the sum has split_corpus's tolerance.
+        if (len(parts) == 3 and all(0 < part < math.inf for part in parts)
+                and abs(sum(parts) - 1.0) <= 1e-9):
             return parts
     raise argparse.ArgumentTypeError(
-        f"ratios must be three comma-separated fractions, got {text!r}")
+        f"ratios must be three comma-separated fractions that sum to 1, got {text!r}")
 
 
 def _parse_alpha(text: str) -> float:
@@ -452,21 +455,31 @@ def _parse_alpha(text: str) -> float:
     return alpha
 
 
-def _parse_tokens(text: str) -> tuple[str, ...]:
-    tokens = tuple(t.strip() for t in text.split(",") if t.strip())
-    if not tokens:
-        raise argparse.ArgumentTypeError("expected a non-empty comma-separated list")
-    return tokens
+def _unique_tokens(kind: str, normalize: Callable[[str], str]) -> Callable[[str], tuple[str, ...]]:
+    """A parser of a non-empty comma-separated list that rejects a token
+    equal to an earlier one after ``normalize``, the normalization the
+    pipeline applies. The tokens stay as typed; one that ``normalize``
+    rejects with ``ValueError`` is left to the stage that reads it."""
+    def parse(text: str) -> tuple[str, ...]:
+        tokens, seen = tuple(t.strip() for t in text.split(",") if t.strip()), set()
+        if not tokens:
+            raise argparse.ArgumentTypeError("expected a non-empty comma-separated list")
+        for tok in tokens:
+            try:
+                key = normalize(tok)
+            except ValueError:
+                continue
+            if key in seen:
+                raise argparse.ArgumentTypeError(f"{kind} {tok!r} is repeated")
+            seen.add(key)
+        return tokens
+    return parse
 
 
-def _parse_metrics(text: str) -> tuple[str, ...]:
-    tokens = _parse_tokens(text)
-    for i, tok in enumerate(tokens):
-        if tok not in METRIC_NAMES:
-            raise argparse.ArgumentTypeError(f"unknown metric {tok!r}")
-        if tok in tokens[:i]:
-            raise argparse.ArgumentTypeError(f"metric {tok!r} is repeated")
-    return tokens
+def _metric_name(token: str) -> str:
+    if token not in METRIC_NAMES:
+        raise argparse.ArgumentTypeError(f"unknown metric {token!r}")
+    return token
 
 
 _DEFAULTS = RunConfig(corpus="")
@@ -475,13 +488,15 @@ _DEFAULTS = RunConfig(corpus="")
 # Each takes the field's default and names it in its help.
 _FIELD_OPTIONS = {
     "ratios": ("--ratios", "train,validation,test fractions", {"type": _parse_ratios}),
-    "extractors": ("--extractors", "feature extractor tokens", {"type": _parse_tokens}),
-    "algorithms": ("--algorithms", "learning algorithm tokens", {"type": _parse_tokens}),
+    "extractors": ("--extractors", "feature extractor tokens",
+                   {"type": _unique_tokens("extractor", normalize_extractor_token)}),
+    "algorithms": ("--algorithms", "learning algorithm tokens",
+                   {"type": _unique_tokens("algorithm", str.upper)}),
     "linkage": ("--linkage", "inter-cluster distance rule", {"choices": LINKAGE_METHODS}),
     "conversion": ("--conversion", "double-fault to distance conversion",
                    {"choices": CONVERSIONS}),
     "metrics": ("--metrics", "per-cluster selection metrics; the first one drives the "
-                "deployed ensemble", {"type": _parse_metrics}),
+                "deployed ensemble", {"type": _unique_tokens("metric", _metric_name)}),
     "rule": ("--rule", "final candidate choice rule", {"choices": FINAL_RULES}),
     "alpha": ("--alpha", "score weight for the weighted rule", {"type": _parse_alpha}),
     "meta_kind": ("--meta", "stacking meta-classifier",
@@ -553,7 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_stk = sub.add_parser("stack", help="fit a stacked ensemble from ingested matrices")
     p_stk.add_argument("--validation-matrix", required=True)
     p_stk.add_argument("--test-matrix", required=True)
-    p_stk.add_argument("--members", required=True, type=_parse_tokens,
+    p_stk.add_argument("--members", required=True,
+                       type=_unique_tokens("member", lambda t: ClassifierId.parse(t).canonical),
                        help="comma-separated canonical classifier ids")
     p_stk.add_argument("--out", help="output path (default: <outdir>/stack.json)")
     _add_field_options(p_stk, ("meta_kind", "outdir"))

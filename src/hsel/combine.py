@@ -17,7 +17,6 @@ the deployed and compared ensembles reuse those fits."""
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,12 +30,6 @@ META_KINDS = ("LR", "NB", "VOTE")
 STACK_FORMAT = "hsel-stack"
 
 _NB_ALPHA = 1.0  # add-one smoothing of the NB counts
-
-_LR_HYPERPARAMETERS = {  # the meta-LR settings of a stack document: key -> (test, wording)
-    "step": (lambda v: type(v) in (int, float) and 0 < v < math.inf, "a finite number above 0"),
-    "epochs": (lambda v: type(v) is int and v >= 1, "an integer of at least 1"),
-    "l2": (lambda v: type(v) in (int, float) and 0 <= v < math.inf, "a finite number of at least 0"),
-}
 
 
 def _normalize_members(members: Sequence[ClassifierId | str]) -> tuple[ClassifierId, ...]:
@@ -81,10 +74,6 @@ class StackedEnsemble:
     @property
     def layout(self) -> list[tuple[str, int]]:
         return [(m.canonical, j * self.num_classes) for j, m in enumerate(self.members)]
-
-    @property
-    def meta_feature_dimension(self) -> int:
-        return len(self.members) * self.num_classes
 
 
 def _member_columns(pm: PredictionMatrix, members: Sequence[ClassifierId]) -> list[int]:
@@ -221,10 +210,11 @@ def predict_nested(ensemble: StackedEnsemble, pm: PredictionMatrix, order: Seque
 
 
 def stack_to_json(ensemble: StackedEnsemble) -> str:
-    """Full-precision export; ``stack_from_json`` restores an identical
-    predictor (json float repr round-trips exactly). NB keeps its
-    generative parameters: the class log prior and ``log_likelihood``
-    indexed (member, class, predicted value)."""
+    """Full-precision export (json float repr round-trips exactly) of the
+    members, their block offsets and the meta-classifier's parameters; no
+    command reads it back. NB keeps its generative parameters: the class
+    log prior and ``log_likelihood`` indexed (member, class, predicted
+    value)."""
     model, c = ensemble.model, ensemble.num_classes
     doc = {
         "format": STACK_FORMAT,
@@ -252,56 +242,3 @@ def stack_to_json(ensemble: StackedEnsemble) -> str:
         }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-
-def stack_from_json(text: str) -> StackedEnsemble:
-    """Restore a ``stack_to_json`` document. A missing key, an unknown
-    format or meta kind, a version other than the integer 1, a
-    ``num_classes`` that is not an integer of at least 2, a ``layout`` that
-    is not the members' block offsets, ``params`` that are not an object,
-    parameters of the wrong shape or not finite, and an LR ``step``, ``epochs``
-    or ``l2`` out of its range raise ``ValueError``."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("format") != STACK_FORMAT:
-        raise ValueError(f"not a {STACK_FORMAT} document")
-    try:
-        if type(doc["version"]) is not int or doc["version"] != 1:
-            raise ValueError(f"unsupported {STACK_FORMAT} version {doc['version']!r}")
-        meta_kind = doc["meta_kind"]
-        if meta_kind not in META_KINDS:
-            raise ValueError(f"unsupported meta_kind {meta_kind!r}; expected one of {META_KINDS}")
-        members = _normalize_members(doc["members"])
-        if not members:
-            raise ValueError("need at least one member")
-        j, c, params = len(members), doc["num_classes"], doc["params"]
-        if isinstance(c, bool) or not isinstance(c, int) or c < 2:
-            raise ValueError(f"num_classes must be an integer of at least 2, got {c!r}")
-        if doc["layout"] != [{"id": m.canonical, "offset": i * c} for i, m in enumerate(members)]:
-            raise ValueError(f"layout {doc['layout']!r} does not match the members")
-        if not isinstance(params, dict):
-            raise ValueError(f"params must be an object, got {type(params).__name__}")
-        model = SoftmaxRegression()
-        if meta_kind == "LR":
-            for key, (ok, wanted) in _LR_HYPERPARAMETERS.items():
-                if not ok(params[key]):
-                    raise ValueError(f"params {key!r} must be {wanted}, got {params[key]!r}")
-            model = SoftmaxRegression(**{key: params[key] for key in _LR_HYPERPARAMETERS})
-            model.weights_ = _param(params, "weights", (j * c, c))
-            model.bias_ = _param(params, "bias", (c,))
-        elif meta_kind == "NB":
-            like = _param(params, "log_likelihood", (j, c, c))
-            model.weights_ = like.transpose(0, 2, 1).reshape(j * c, c)
-            model.bias_ = _param(params, "class_log_prior", (c,))
-        else:
-            model.weights_, model.bias_ = _vote_weights(j, c)
-    except KeyError as exc:
-        raise ValueError(f"{STACK_FORMAT} document is missing key {exc.args[0]!r}") from None
-    return StackedEnsemble(members=members, meta_kind=meta_kind, num_classes=c, model=model)
-
-
-def _param(params: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    value = np.array(params[key], dtype=np.float64)
-    if value.shape != shape:
-        raise ValueError(f"params {key!r} has shape {value.shape}, expected {shape}")
-    if not np.isfinite(value).all():
-        raise ValueError(f"params {key!r} holds a non-finite value")
-    return value

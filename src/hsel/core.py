@@ -433,10 +433,3 @@ def load_corpus_csv(path: str) -> tuple[list[tuple[str, int]], dict[str, int]]:
         raise ValueError(f"{path}: corpus has {len(mapping)} distinct labels; need at least 2")
     return rows, mapping
 
-
-def write_corpus_csv(rows: Iterable[tuple[str, str]], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["text", "label"])
-        for text, label in rows:
-            writer.writerow([text, label])

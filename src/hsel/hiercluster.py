@@ -13,11 +13,10 @@ linkage:
                          - n_i n_j d(i,j) / (n_i + n_j)^2
 
 Centroid treats matrix entries as squared-distance surrogates and may
-produce inversions (a later merge at a smaller distance); these are legal
-and exposed via ``Dendrogram.has_inversions``. Ties between candidate pairs
-resolve to the lexicographically smallest (min node index, max node index),
-with nodes numbered leaves ``0..P-1`` then internal nodes ``P..2P-2`` in
-creation order.
+produce inversions (a later merge at a smaller distance); these are legal.
+Ties between candidate pairs resolve to the lexicographically smallest
+(min node index, max node index), with nodes numbered leaves ``0..P-1``
+then internal nodes ``P..2P-2`` in creation order.
 
 Hierarchy levels use merge-step-count semantics: level k is the state
 after exactly ``P - k`` merges, so it has exactly k clusters for every k
@@ -29,7 +28,6 @@ and reads every level off it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -81,30 +79,10 @@ class Dendrogram:
     def num_leaves(self) -> int:
         return len(self.leaf_ids)
 
-    @property
-    def has_inversions(self) -> bool:
-        """True when any merge distance drops below the preceding one."""
-        distances = [step.distance for step in self.merges]
-        return any(b < a for a, b in zip(distances, distances[1:]))
 
-
-def _validated_square(matrix: DissimilarityMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(matrix, DissimilarityMatrix):
-        return np.asarray(matrix.values, dtype=np.float64)
-    values = np.asarray(matrix, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ValueError(f"linkage needs a square matrix, got shape {values.shape}")
-    if not np.array_equal(values, values.T):
-        raise ValueError("linkage needs a symmetric matrix")
-    if not np.isfinite(values).all():
-        raise ValueError("linkage needs finite distances")
-    return values
-
-
-def linkage(matrix: DissimilarityMatrix | np.ndarray, method: str = "complete") -> Dendrogram:
-    """Agglomerate the matrix into a dendrogram under the given linkage. The
-    leaves are a ``DissimilarityMatrix``'s ids, or ``ITEM-N{i}`` for a bare
-    array.
+def linkage(matrix: DissimilarityMatrix, method: str = "complete") -> Dendrogram:
+    """Agglomerate the matrix into a dendrogram over its ids under the given
+    linkage.
 
     Exact greedy agglomeration as array algebra: each of the P - 1 steps
     takes the global minimum as the least of P cached row minima, breaks
@@ -117,19 +95,14 @@ def linkage(matrix: DissimilarityMatrix | np.ndarray, method: str = "complete") 
     method = method.strip().lower()
     if method not in LINKAGE_METHODS:
         raise ValueError(f"unknown linkage method {method!r}; expected one of {LINKAGE_METHODS}")
-    values = _validated_square(matrix)
-    p = values.shape[0]
+    p = matrix.size
     if p < 2:
         raise ValueError("linkage needs at least 2 items")
-    if isinstance(matrix, DissimilarityMatrix):
-        leaf_ids = matrix.ids
-    else:
-        leaf_ids = tuple(ClassifierId("ITEM", f"N{i}") for i in range(p))
 
     # Retired slots and the diagonal hold +inf. Every row caches its minimum
     # and a column holding it; the closest active pair is in the rows whose
     # minimum is least. A retired row's minimum is +inf and its column -1.
-    dist = values.copy()
+    dist = matrix.values.copy()
     np.fill_diagonal(dist, np.inf)
     arg = dist.argmin(axis=1)
     rowmin = dist[np.arange(p), arg]
@@ -174,7 +147,7 @@ def linkage(matrix: DissimilarityMatrix | np.ndarray, method: str = "complete") 
         nodes[i] = p + step_index
         sizes[i] = new_size
 
-    return Dendrogram(leaf_ids=leaf_ids, merges=tuple(merges))
+    return Dendrogram(leaf_ids=matrix.ids, merges=tuple(merges))
 
 
 DENDROGRAM_FORMAT = "hsel-dendrogram v1"
@@ -192,36 +165,3 @@ def write_dendrogram(dendrogram: Dendrogram, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def read_dendrogram(path: str) -> Dendrogram:
-    """Parse a ``write_dendrogram`` file. Malformed input raises ``ValueError``
-    naming ``path: line N``; a file that ends early names the line after its
-    last one."""
-    with open(path, encoding="utf-8") as fh:
-        numbered = [(n, line.split()) for n, line in enumerate(fh, start=1) if line.strip()]
-    end = numbered[-1][0] + 1 if numbered else 1
-    rows = iter(numbered)
-    lineno = end
-
-    def row(expected: str, width: int, head: Sequence[str] = ()) -> list[str]:
-        nonlocal lineno
-        lineno, fields = next(rows, (end, []))
-        if len(fields) != width or fields[: len(head)] != list(head):
-            raise ValueError(f"expected {expected}")
-        return fields
-
-    try:
-        row(repr(DENDROGRAM_FORMAT), 2, DENDROGRAM_FORMAT.split())
-        count = int(row("'leaves <count>'", 2, ["leaves"])[1])
-        leaf_ids = [ClassifierId.parse(row("'<index> <id>'", 2)[1]) for _ in range(count)]
-        count = int(row("'merges <count>' after the leaf table", 2, ["merges"])[1])
-        merges = []
-        for _ in range(count):
-            _, left, right, distance, size = row("'<node> <left> <right> <distance> <size>'", 5)
-            merges.append(
-                MergeStep(left=int(left), right=int(right), distance=float(distance), size=int(size))
-            )
-        row("the end of the file", 0)
-        return Dendrogram(leaf_ids=tuple(leaf_ids), merges=tuple(merges))
-    except ValueError as exc:
-        raise ValueError(f"{path}: line {lineno}: {exc}") from None

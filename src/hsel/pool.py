@@ -52,9 +52,6 @@ class ClassifierPool:
     def ids(self) -> tuple[ClassifierId, ...]:
         return tuple(member.id for member in self.members)
 
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 def train_pool(
     corpus: LabeledCorpus,

@@ -1,9 +1,14 @@
 """Shared fixtures: the four-classifier dendrogram scenario, the redundant
 twelve-classifier pool used by selection and acceptance tests, the schema
-check of every report an in-process command writes, and the check of a
-report sweep's ``join_order``."""
+check of every report an in-process command writes, the check of a report
+sweep's ``join_order``, the synthetic news corpus generator that made the
+bundled corpus, and a wrapper that gives a bare distance array ids."""
 
 from __future__ import annotations
+
+import csv
+import random
+from importlib import resources
 
 import jsonschema
 import numpy as np
@@ -11,8 +16,11 @@ import pytest
 
 from hsel import cli
 from hsel.core import ClassifierId, PredictionMatrix, Split
+from hsel.diversity import DissimilarityMatrix
 
 GOLDEN_IDS = ("BERT-SVM", "TFIDF-SVM", "GLOVE-LR", "CV-NB")
+
+BUNDLED_CORPUS = str(resources.files("hsel").joinpath("data/toy_corpus.csv"))
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -116,3 +124,63 @@ def assert_join_order(sweep_doc: dict, candidates, final: dict, pool_ids) -> Non
         assert doc["level_k"] == candidate.level_k
         assert set(order[:candidate.level_k]) == {m.canonical for m in candidate.members}
     assert sorted(final["members"]) == sorted(order[:final["level_k"]])
+
+
+def dissimilarity(values) -> DissimilarityMatrix:
+    """``values`` as a ``DissimilarityMatrix`` over the leaves ``ITEM-N{i}``."""
+    return DissimilarityMatrix(tuple(ClassifierId("ITEM", f"N{i}") for i in range(len(values))),
+                               values)
+
+
+_TOPIC_A = [
+    "market", "economy", "budget", "senate", "policy", "tax", "trade",
+    "minister", "inflation", "parliament", "report", "council",
+]
+_TOPIC_B = [
+    "miracle", "cure", "aliens", "secret", "shocking", "exposed",
+    "celebrity", "hoax", "conspiracy", "banned", "scandal", "rumor",
+]
+_SHARED = [
+    "news", "today", "people", "country", "world", "story", "week",
+    "city", "group", "video", "public", "online",
+]
+
+
+def synthetic_news_corpus(n_docs: int = 400, seed: int = 11) -> list[tuple[str, str]]:
+    """(text, label) rows, balanced across the labels "legit" and "fake".
+
+    Each document mixes class-specific and shared tokens, with occasional
+    URLs and punctuation so the preprocessing stages have real work to do.
+    A pure function of (n_docs, seed); ``(400, 11)`` made the bundled corpus.
+    """
+    rng = random.Random(seed)
+    rows = []
+    for i in range(n_docs):
+        label = i % 2
+        own = _TOPIC_A if label == 0 else _TOPIC_B
+        other = _TOPIC_B if label == 0 else _TOPIC_A
+        length = rng.randint(8, 16)
+        words = []
+        for _ in range(length):
+            roll = rng.random()
+            if roll < 0.55:
+                words.append(rng.choice(own))
+            elif roll < 0.6:
+                words.append(rng.choice(other))
+            else:
+                words.append(rng.choice(_SHARED))
+        if rng.random() < 0.15:
+            words.insert(rng.randrange(len(words)), f"http://example.org/{i}")
+        if rng.random() < 0.3:
+            words[-1] = words[-1] + "!!"
+        text = "The " + " ".join(words) + "."
+        rows.append((text, ("legit", "fake")[label]))
+    return rows
+
+
+def write_corpus_csv(rows, path: str) -> None:
+    """``rows`` of (text, label) as a ``text,label`` corpus file."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["text", "label"])
+        writer.writerows(rows)

@@ -20,12 +20,11 @@ from hsel.core import (
     evaluate,
     evaluate_matrix,
 )
-from hsel.datasets import bundled_corpus_path
 from hsel.diversity import dissimilarity_matrix
 from hsel.hiercluster import linkage
 from hsel.selection import choose_final, hierarchy_select, random_baseline
 
-from conftest import REDUNDANT_ERROR_SUPPORTS, make_redundant_matrix
+from conftest import BUNDLED_CORPUS, dissimilarity, make_redundant_matrix
 from oracles import (
     brute_force_linkage,
     double_fault_oracle,
@@ -72,7 +71,7 @@ def test_criterion_02_clustering_oracle_equivalence():
     started = time.monotonic()
     for values in _oracle_matrices():
         for method in ALL_METHODS:
-            dendro = linkage(values, method)
+            dendro = linkage(dissimilarity(values), method)
             reference = brute_force_linkage(values, method)
             impl = [(s.left, s.right, s.size) for s in dendro.merges]
             ref = [(l, r, size) for l, r, _, size, _ in reference]
@@ -89,7 +88,7 @@ def test_criterion_03_f_cluster_contract():
     for values in _oracle_matrices():
         p = values.shape[0]
         for method in ALL_METHODS:
-            dendro = linkage(values, method)
+            dendro = linkage(dissimilarity(values), method)
             previous = None
             for k in range(1, p + 1):
                 labels = f_cluster(dendro, k)
@@ -221,7 +220,7 @@ def _normalized_artifacts(outdir):
 def test_criterion_08_end_to_end_toy_run(tmp_path):
     started = time.monotonic()
     config = RunConfig(
-        corpus=bundled_corpus_path(), outdir=str(tmp_path / "run"), seed=7
+        corpus=BUNDLED_CORPUS, outdir=str(tmp_path / "run"), seed=7
     )
     report = cmd_run(config)
     elapsed = time.monotonic() - started
@@ -236,7 +235,7 @@ def test_criterion_08_end_to_end_toy_run(tmp_path):
 
 def test_criterion_09_run_determinism(tmp_path):
     outdir = str(tmp_path / "run")
-    config = RunConfig(corpus=bundled_corpus_path(), outdir=outdir, seed=7)
+    config = RunConfig(corpus=BUNDLED_CORPUS, outdir=outdir, seed=7)
     cmd_run(config)
     first = _normalized_artifacts(outdir)
     cmd_run(config)

@@ -21,15 +21,19 @@ from hsel.core import (
     Split,
     evaluate,
     evaluate_matrix,
-    write_corpus_csv,
 )
-from hsel.datasets import bundled_corpus_path, synthetic_news_corpus
 from hsel.diversity import dissimilarity_matrix
 from hsel.hiercluster import linkage
 from hsel.pool import write_prediction_matrix
 from hsel.selection import hierarchy_select
 
-from conftest import assert_join_order, make_redundant_matrix
+from conftest import (
+    BUNDLED_CORPUS,
+    assert_join_order,
+    make_redundant_matrix,
+    synthetic_news_corpus,
+    write_corpus_csv,
+)
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +168,7 @@ class TestRun:
         # mean distance, 79/80, and the same validation score, so the rule's
         # last tie-break, the smaller k, deploys level 2. Block means summed in
         # floats rounded level 3 to 0.9875000000000002 and deployed it instead.
-        report = cmd_run(RunConfig(corpus=bundled_corpus_path(), seed=300, outdir=str(tmp_path)))
+        report = cmd_run(RunConfig(corpus=BUNDLED_CORPUS, seed=300, outdir=str(tmp_path)))
         level2, level3 = report["candidates"][1:3]
         assert level2["mean_pairwise_distance"] == level3["mean_pairwise_distance"] == 0.9875
         assert level2["validation_score"] == level3["validation_score"]
@@ -351,7 +355,7 @@ class TestSingleStageCommands:
         assert finals["max-diversity"]["rule"] == "max-diversity"
         assert finals["max-validation"]["members"] == finals["max-diversity"]["members"]
 
-    def test_stack_command_round_trip(self, tmp_path, capsys):
+    def test_stack_command_exports_its_members(self, tmp_path, capsys):
         val_path, test_path = _redundant_matrices(tmp_path)
         outdir = str(tmp_path / "out")
         rc = main(
@@ -367,12 +371,9 @@ class TestSingleStageCommands:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["test_eval"]["accuracy"] == 1.0
-        from hsel.combine import stack_from_json
-
-        restored = stack_from_json(open(out["stack"]).read())
-        assert [m.canonical for m in restored.members] == [
-            "SRC01-CLF", "SRC05-CLF", "SRC09-CLF",
-        ]
+        doc = json.load(open(out["stack"]))
+        assert (doc["format"], doc["meta_kind"]) == ("hsel-stack", "VOTE")
+        assert doc["members"] == ["SRC01-CLF", "SRC05-CLF", "SRC09-CLF"]
 
     def test_stack_checks_class_counts_but_not_column_order(self, tmp_path, capsys):
         val_path, test_path = _redundant_matrices(tmp_path)
@@ -572,28 +573,46 @@ def test_alpha_outside_unit_interval_rejected(command, value, capsys):
         assert build_parser().parse_args(command + ["--alpha", bound]).alpha == float(bound)
 
 
-@pytest.mark.parametrize("value, repeated", [("f1,accuracy,f1", "f1"),
-                                             ("precision,precision", "precision")])
-@pytest.mark.parametrize("command", [["run", "--corpus", "c.csv"], ["select", "--matrix", "m.csv"]])
-def test_repeated_metric_rejected(command, value, repeated, capsys):
+_RUN, _COMPARE = ["run", "--corpus", "c.csv"], ["compare", "--corpus", "c.csv"]
+_SELECT = ["select", "--matrix", "m.csv"]
+_STACK = ["stack", "--validation-matrix", "v.csv", "--test-matrix", "t.csv"]
+
+
+@pytest.mark.parametrize("command, flag, value, repeated, distinct", [
+    (_RUN, "--metrics", "f1,accuracy,f1", "metric 'f1'", "f1,accuracy"),
+    (_SELECT, "--metrics", "f1,accuracy,f1", "metric 'f1'", "f1,accuracy"),
+    (_RUN, "--metrics", "precision,precision", "metric 'precision'", "f1,accuracy"),
+    (_SELECT, "--metrics", "precision,precision", "metric 'precision'", "f1,accuracy"),
+    (_RUN, "--extractors", "COUNT,CV", "extractor 'CV'", "CV,TFIDF"),
+    (_COMPARE, "--extractors", "tfidf,TF-IDF", "extractor 'TF-IDF'", "cv,HASHED"),
+    (_RUN, "--algorithms", "NB,nb", "algorithm 'nb'", "NB,lr"),
+    (_STACK, "--members", "COUNT-NB,count-nb", "member 'count-nb'", "COUNT-NB,count-lr"),
+])
+def test_repeated_token_rejected(command, flag, value, repeated, distinct, capsys):
+    # A token that repeats another once normalized as its stage reads it
+    # (case, extractor aliases, canonical ids) is an argparse error (exit 2),
+    # raised before any file is opened; distinct tokens stay as typed.
     with pytest.raises(SystemExit) as exc:
-        main(command + ["--metrics", value])
+        main(command + [flag, value])
     assert exc.value.code == 2
-    assert f"metric {repeated!r} is repeated" in capsys.readouterr().err
-    assert build_parser().parse_args(command + ["--metrics", "f1,accuracy"]).metrics == (
-        "f1", "accuracy")
+    assert f"{repeated} is repeated" in capsys.readouterr().err
+    args = build_parser().parse_args(command + [flag, distinct])
+    assert getattr(args, flag[2:]) == tuple(distinct.split(","))
 
 
-@pytest.mark.parametrize("value", ["a,b,c", "nan,0.5,0.5", "0.5,inf,0.5", "0.5,0.5", "0.2,0.2,0.2,0.4"])
-@pytest.mark.parametrize("command", [["run", "--corpus", "c.csv"], ["compare", "--corpus", "c.csv"]])
+@pytest.mark.parametrize("value", ["a,b,c", "nan,0.5,0.5", "0.5,inf,0.5", "0.5,0.5",
+                                   "0.2,0.2,0.2,0.4", "0.5,0.5,0.5", "0.6,0.2,0.2000001"])
+@pytest.mark.parametrize("command", [_RUN, _COMPARE])
 def test_ratios_must_be_three_finite_fractions(command, value, capsys):
     with pytest.raises(SystemExit) as exc:
         main(command + ["--ratios", value])
     assert exc.value.code == 2
-    message = f"ratios must be three comma-separated fractions, got {value!r}"
+    message = f"ratios must be three comma-separated fractions that sum to 1, got {value!r}"
     assert message in capsys.readouterr().err
-    assert build_parser().parse_args(command + ["--ratios", "0.5,0.25,0.25"]).ratios == (
-        0.5, 0.25, 0.25)
+    # 0.7 + 0.2 + 0.1 is not 1 in floats, but within split_corpus's tolerance.
+    for accepted in ("0.5,0.25,0.25", "0.7,0.2,0.1"):
+        ratios = build_parser().parse_args(command + ["--ratios", accepted]).ratios
+        assert ratios == tuple(float(part) for part in accepted.split(","))
 
 
 @pytest.mark.parametrize("value", ["-0.5,1,0.5", "0.5,0,0.5", "0.5,0.5,-0.0", "0.6,0.6,-inf"])
@@ -604,7 +623,8 @@ def test_non_positive_ratios_rejected_at_parse_time(command, value, capsys):
     with pytest.raises(SystemExit) as exc:
         main(command + [f"--ratios={value}"])
     assert exc.value.code == 2
-    assert f"ratios must be three comma-separated fractions, got {value!r}" in capsys.readouterr().err
+    message = f"ratios must be three comma-separated fractions that sum to 1, got {value!r}"
+    assert message in capsys.readouterr().err
 
 
 def test_select_still_accepts_seed():

@@ -1,7 +1,6 @@
-"""Stacking: meta-features, meta-learners, round-trip export."""
+"""Stacking: meta-features, meta-learners, JSON export."""
 
 import json
-import re
 import tracemalloc
 
 import numpy as np
@@ -14,10 +13,10 @@ from hsel.combine import (
     meta_features,
     predict_nested,
     predict_stack,
-    stack_from_json,
     stack_to_json,
 )
 from hsel.core import ClassifierId, PredictionMatrix, Split
+from hsel.learners import SoftmaxRegression
 from oracles import categorical_nb_oracle, plurality_oracle
 
 
@@ -333,17 +332,36 @@ class TestPredictNested:
 
 class TestSerialization:
     @pytest.mark.parametrize("meta_kind", ["LR", "NB", "VOTE"])
-    def test_roundtrip_identical_predictor(self, meta_kind):
-        pm = _correct_wrong_pm()
-        ensemble = fit_stack(pm, ["GOOD-A", "BAD-A"], meta_kind=meta_kind)
-        text = stack_to_json(ensemble)
-        back = stack_from_json(text)
-        assert back.members == ensemble.members
-        assert back.meta_kind == ensemble.meta_kind
-        assert np.array_equal(back.model.weights_, ensemble.model.weights_)
-        assert np.array_equal(back.model.bias_, ensemble.model.bias_)
+    def test_document_holds_the_ensemble_arrays(self, meta_kind):
+        pm, _ = _pool(13)  # 6 members, 4 classes
+        members, c = pm.classifier_ids[::-1], pm.num_classes
+        ensemble = fit_stack(pm, members, meta_kind=meta_kind)
+        doc = json.loads(stack_to_json(ensemble))
+        assert (doc["format"], doc["version"], doc["meta_kind"], doc["num_classes"]) == (
+            "hsel-stack", 1, meta_kind, c)
+        assert doc["members"] == [m.canonical for m in members]
+        offsets = [{"id": m.canonical, "offset": j * c} for j, m in enumerate(members)]
+        assert doc["layout"] == offsets
+        model, params = ensemble.model, doc["params"]
+        rebuilt = SoftmaxRegression()
+        if meta_kind == "LR":
+            assert params["weights"] == model.weights_.tolist()
+            assert params["bias"] == model.bias_.tolist()
+            assert (params["step"], params["epochs"], params["l2"]) == (
+                model.step, model.epochs, model.l2)
+            rebuilt.weights_, rebuilt.bias_ = np.array(params["weights"]), np.array(params["bias"])
+        elif meta_kind == "NB":
+            like = np.array(params["log_likelihood"])
+            assert like.shape == (len(members), c, c)
+            rebuilt.weights_ = like.transpose(0, 2, 1).reshape(len(members) * c, c)
+            rebuilt.bias_ = np.array(params["class_log_prior"])
+            assert np.array_equal(rebuilt.weights_, model.weights_)
+            assert np.array_equal(rebuilt.bias_, model.bias_)
+        else:
+            assert params == {}
+            rebuilt.weights_, rebuilt.bias_ = np.tile(np.eye(c), (len(members), 1)), np.zeros(c)
+        back = StackedEnsemble(members=members, meta_kind=meta_kind, num_classes=c, model=rebuilt)
         assert np.array_equal(predict_stack(back, pm), predict_stack(ensemble, pm))
-        assert stack_to_json(back) == text
 
     def test_nb_keeps_generative_parameters(self):
         pm = _correct_wrong_pm()
@@ -353,76 +371,6 @@ class TestSerialization:
         assert np.allclose(doc["params"]["log_likelihood"], like, rtol=0, atol=1e-12)
         assert doc["params"]["alpha"] == 1.0
 
-    @pytest.mark.parametrize(
-        "meta_kind, mutate, message",
-        [
-            ("LR", lambda d: d.pop("members"), "missing key 'members'"),
-            ("VOTE", lambda d: d.pop("version"), "missing key 'version'"),
-            ("LR", lambda d: d["params"].pop("weights"), "missing key 'weights'"),
-            ("NB", lambda d: d["params"].pop("log_likelihood"), "missing key 'log_likelihood'"),
-            ("VOTE", lambda d: d.update(format="other"), "not a hsel-stack document"),
-            ("VOTE", lambda d: d.update(meta_kind="XGB"), "XGB"),
-            ("NB", lambda d: d.update(version=2), "version 2"),
-            ("LR", lambda d: d["params"]["weights"].pop(), r"'weights' has shape \(3, 2\)"),
-            ("LR", lambda d: d["params"].update(bias=[0.0]), r"'bias' has shape \(1,\)"),
-            ("NB", lambda d: d["params"]["log_likelihood"].pop(), r"'log_likelihood' has shape"),
-            ("LR", lambda d: d.update(params=[]), "params must be an object, got list"),
-            ("NB", lambda d: d.update(num_classes=None), "num_classes must be an integer"),
-            ("VOTE", lambda d: d.update(num_classes=1), "at least 2, got 1"),
-            ("LR", lambda d: d["params"]["weights"][0].__setitem__(0, float("nan")),
-             "'weights' holds a non-finite value"),
-            ("LR", lambda d: d["params"].update(bias=[0.0, float("inf")]),
-             "'bias' holds a non-finite value"),
-            ("NB", lambda d: d["params"]["log_likelihood"][1][0].__setitem__(1, -float("inf")),
-             "'log_likelihood' holds a non-finite value"),
-            ("NB", lambda d: d["params"].update(class_log_prior=[float("nan"), 0.0]),
-             "'class_log_prior' holds a non-finite value"),
-            ("VOTE", lambda d: d.update(version=True), "version True"),
-            ("LR", lambda d: d.update(version=1.0), "version 1.0"),
-            ("VOTE", lambda d: d.update(layout=[{"id": "X-Y", "offset": 99}]), "layout"),
-            ("NB", lambda d: d["layout"].reverse(), "does not match the members"),
-            ("LR", lambda d: d["layout"][1].update(offset=3), "does not match the members"),
-            ("VOTE", lambda d: d.pop("layout"), "missing key 'layout'"),
-        ],
-        ids=[
-            "no-members", "no-version", "no-weights", "no-log-likelihood", "format",
-            "meta-kind", "version", "weights-shape", "bias-shape", "log-likelihood-shape",
-            "params-list", "num-classes-null", "num-classes-one", "weights-nan", "bias-inf",
-            "log-likelihood-inf", "log-prior-nan", "version-bool", "version-float",
-            "layout-foreign", "layout-reversed", "layout-offset", "no-layout",
-        ],
-    )
-    def test_malformed_document_rejected(self, meta_kind, mutate, message):
-        pm = _correct_wrong_pm()
-        doc = json.loads(stack_to_json(fit_stack(pm, ["GOOD-A", "BAD-A"], meta_kind=meta_kind)))
-        mutate(doc)
-        with pytest.raises(ValueError, match=message):
-            stack_from_json(json.dumps(doc))
-
-    @pytest.mark.parametrize("key, value", [
-        ("step", float("nan")), ("step", float("inf")), ("step", 0.0), ("step", -0.1),
-        ("step", "0.1"), ("step", True), ("epochs", -5), ("epochs", 0), ("epochs", 300.0),
-        ("epochs", True), ("epochs", None), ("l2", -1e-4), ("l2", float("nan")),
-        ("l2", -float("inf")), ("l2", [0.0]),
-    ])
-    def test_lr_hyperparameters_out_of_range_rejected(self, key, value):
-        wanted = {"step": "a finite number above 0", "epochs": "an integer of at least 1",
-                  "l2": "a finite number of at least 0"}[key]
-        pm = _correct_wrong_pm()
-        doc = json.loads(stack_to_json(fit_stack(pm, ["GOOD-A", "BAD-A"], meta_kind="LR")))
-        doc["params"][key] = value
-        message = re.escape(f"params {key!r} must be {wanted}, got {value!r}")
-        with pytest.raises(ValueError, match=message):
-            stack_from_json(json.dumps(doc))
-
-    @pytest.mark.parametrize("params", [{"step": 2, "l2": 0}, {"step": 1e-9, "epochs": 1, "l2": 0.0}])
-    def test_lr_hyperparameters_in_range_restored(self, params):
-        pm = _correct_wrong_pm()
-        doc = json.loads(stack_to_json(fit_stack(pm, ["GOOD-A", "BAD-A"], meta_kind="LR")))
-        doc["params"].update(params)
-        model = stack_from_json(json.dumps(doc)).model
-        assert {key: getattr(model, key) for key in params} == params
-
     def test_layout_matches_member_order(self):
         ensemble = StackedEnsemble(
             members=(ClassifierId("CV", "NB"), ClassifierId("GLOVE", "LR")),
@@ -431,4 +379,3 @@ class TestSerialization:
             model=None,
         )
         assert ensemble.layout == [("CV-NB", 0), ("GLOVE-LR", 3)]
-        assert ensemble.meta_feature_dimension == 6

@@ -17,9 +17,9 @@ from hsel.core import (
     evaluate_rows,
     load_corpus_csv,
     split_corpus,
-    write_corpus_csv,
 )
 
+from conftest import BUNDLED_CORPUS, synthetic_news_corpus, write_corpus_csv
 from oracles import metrics_oracle
 
 
@@ -258,6 +258,11 @@ class TestCorpusCsv:
         rows, mapping = load_corpus_csv(str(path))
         assert mapping == {"real": 0, "fake": 1}
         assert rows == [("hello, world", 0), ("bye", 1), ("x", 0)]
+
+    def test_bundled_corpus_is_the_generator_output(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        write_corpus_csv(synthetic_news_corpus(400, seed=11), str(path))
+        assert path.read_bytes() == open(BUNDLED_CORPUS, "rb").read()
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,7 +1,5 @@
 """Agglomerative clustering: linkage methods, flat cuts, exports."""
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,14 +7,9 @@ from hypothesis import strategies as st
 
 from hsel.core import ClassifierId
 from hsel.diversity import DissimilarityMatrix, dissimilarity_matrix
-from hsel.hiercluster import (
-    Dendrogram,
-    MergeStep,
-    linkage,
-    read_dendrogram,
-    write_dendrogram,
-)
+from hsel.hiercluster import Dendrogram, MergeStep, linkage, write_dendrogram
 
+from conftest import dissimilarity
 from oracles import brute_force_linkage, f_cluster, random_symmetric_matrix, scan_linkage_oracle
 
 
@@ -27,13 +20,10 @@ def _matrix3(d01, d02, d12):
 class TestLinkageSmallCases:
     def test_leaf_ids_come_from_the_matrix(self):
         ids = tuple(ClassifierId.parse(s) for s in ("CV-NB", "CV-LR", "TFIDF-NB"))
-        matrix = _matrix3(0.1, 0.9, 0.8)
-        assert linkage(DissimilarityMatrix(ids, matrix)).leaf_ids == ids
-        assert [cid.canonical for cid in linkage(matrix).leaf_ids] == [
-            "ITEM-N0", "ITEM-N1", "ITEM-N2"]
+        assert linkage(DissimilarityMatrix(ids, _matrix3(0.1, 0.9, 0.8))).leaf_ids == ids
 
     def test_single_linkage_three_points(self):
-        dendro = linkage(_matrix3(0.1, 0.9, 0.8), "single")
+        dendro = linkage(dissimilarity(_matrix3(0.1, 0.9, 0.8)), "single")
         assert (dendro.merges[0].left, dendro.merges[0].right) == (0, 1)
         assert dendro.merges[0].distance == 0.1
         # Cluster {0,1} is node 3; nearest under min-linkage is leaf 2 at 0.8.
@@ -41,38 +31,37 @@ class TestLinkageSmallCases:
         assert dendro.merges[1].distance == 0.8
 
     def test_complete_linkage_three_points(self):
-        dendro = linkage(_matrix3(0.1, 0.9, 0.8), "complete")
+        dendro = linkage(dissimilarity(_matrix3(0.1, 0.9, 0.8)), "complete")
         assert dendro.merges[1].distance == 0.9
 
     def test_average_linkage_three_points(self):
-        dendro = linkage(_matrix3(0.1, 0.9, 0.8), "average")
+        dendro = linkage(dissimilarity(_matrix3(0.1, 0.9, 0.8)), "average")
         assert dendro.merges[1].distance == pytest.approx((0.9 + 0.8) / 2)
 
     def test_two_points_single_merge_every_method(self):
-        m = np.array([[0.0, 0.4], [0.4, 0.0]])
+        m = dissimilarity([[0.0, 0.4], [0.4, 0.0]])
         for method in ("single", "complete", "average", "centroid"):
             dendro = linkage(m, method)
             assert len(dendro.merges) == 1
             assert dendro.merges[0] == MergeStep(left=0, right=1, distance=0.4, size=2)
 
     def test_rejects_nonsquare_and_asymmetric(self):
-        with pytest.raises(ValueError, match="square"):
-            linkage(np.zeros((2, 3)), "single")
+        with pytest.raises(ValueError, match="shape"):
+            linkage(dissimilarity(np.zeros((2, 3))), "single")
         with pytest.raises(ValueError, match="symmetric"):
-            linkage(np.array([[0.0, 0.1], [0.2, 0.0]]), "single")
+            linkage(dissimilarity([[0.0, 0.1], [0.2, 0.0]]), "single")
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="ward"):
-            linkage(np.zeros((2, 2)), "ward")
+            linkage(dissimilarity(np.zeros((2, 2))), "ward")
 
-    def test_centroid_inversion_is_flagged(self):
+    def test_centroid_may_invert(self):
         # Merging the close pair pulls the merged centroid nearer to the
         # remaining point than the first merge distance: an inversion.
-        m = _matrix3(0.5, 0.5, 0.48)
-        dendro = linkage(m, "centroid")
+        dendro = linkage(dissimilarity(_matrix3(0.5, 0.5, 0.48)), "centroid")
         assert dendro.merges[0].distance == 0.48
         assert dendro.merges[1].distance == pytest.approx(0.5 - 0.48 / 4)
-        assert dendro.has_inversions
+        assert dendro.merges[1].distance < dendro.merges[0].distance
 
     def test_monotone_merges_for_sca(self):
         rng = np.random.default_rng(12)
@@ -80,7 +69,7 @@ class TestLinkageSmallCases:
             p = int(rng.integers(3, 9))
             values = random_symmetric_matrix(rng, p)
             for method in ("single", "complete", "average"):
-                distances = [s.distance for s in linkage(values, method).merges]
+                distances = [s.distance for s in linkage(dissimilarity(values), method).merges]
                 assert all(b >= a for a, b in zip(distances, distances[1:])), method
 
     def test_deterministic_tie_break_on_equal_matrix(self):
@@ -88,7 +77,7 @@ class TestLinkageSmallCases:
         p = 6
         values = np.full((p, p), 0.5)
         np.fill_diagonal(values, 0.0)
-        dendro = linkage(values, "complete")
+        dendro = linkage(dissimilarity(values), "complete")
         pairs = [(s.left, s.right) for s in dendro.merges]
         assert pairs == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
 
@@ -100,7 +89,7 @@ class TestOracleEquivalence:
         for _ in range(30):
             p = int(rng.integers(2, 9))
             values = random_symmetric_matrix(rng, p)
-            dendro = linkage(values, method)
+            dendro = linkage(dissimilarity(values), method)
             reference = brute_force_linkage(values, method)
             assert len(dendro.merges) == len(reference)
             for step, (left, right, distance, size, _) in zip(dendro.merges, reference):
@@ -113,7 +102,7 @@ class TestOracleEquivalence:
         values = np.full((p, p), 0.5)
         np.fill_diagonal(values, 0.0)
         for method in ("single", "complete", "average"):
-            dendro = linkage(values, method)
+            dendro = linkage(dissimilarity(values), method)
             reference = brute_force_linkage(values, method)
             assert [(s.left, s.right, s.distance) for s in dendro.merges] == [
                 (l, r, d) for l, r, d, _, _ in reference
@@ -140,12 +129,12 @@ class TestOracleEquivalence:
                     out.append((merged, step.distance))
                 return out
 
-            base = leaf_sets(linkage(values, method), p)
+            base = leaf_sets(linkage(dissimilarity(values), method), p)
             # Row i of the permuted matrix is original item perm[i]: map the
             # permuted dendrogram's leaf sets back through perm.
             mapped = [
                 (frozenset(int(perm[i]) for i in leaves), d)
-                for leaves, d in leaf_sets(linkage(permuted, method), p)
+                for leaves, d in leaf_sets(linkage(dissimilarity(permuted), method), p)
             ]
             key = lambda pair: tuple(sorted(pair[0]))
             for (leaves_a, d_a), (leaves_b, d_b) in zip(
@@ -168,7 +157,8 @@ class TestScanOracle:
             values = random_symmetric_matrix(rng, p)
             if trial % 2:
                 values = np.round(values * 4) / 4  # a 0.25 grid: ties are common
-            got = [(s.left, s.right, s.distance, s.size) for s in linkage(values, method).merges]
+            merges = linkage(dissimilarity(values), method).merges
+            got = [(s.left, s.right, s.distance, s.size) for s in merges]
             assert got == scan_linkage_oracle(values, method), (trial, p)
 
     @pytest.mark.parametrize("method", ["single", "complete", "average"])
@@ -181,7 +171,7 @@ class TestScanOracle:
             p = int(rng.integers(2, 40))
             values = random_symmetric_matrix(rng, p)
             reference = hierarchy.linkage(squareform(values), method=method)
-            merges = linkage(values, method).merges
+            merges = linkage(dissimilarity(values), method).merges
             assert [s.distance for s in merges] == pytest.approx(reference[:, 2], abs=1e-12)
             assert [s.size for s in merges] == reference[:, 3].astype(int).tolist()
 
@@ -198,18 +188,19 @@ class TestScanOracle:
         values[np.triu_indices(p, 1)] = np.array(upper) / grid
         values += values.T
         for method in ("single", "complete", "average", "centroid"):
-            got = [(s.left, s.right, s.distance, s.size) for s in linkage(values, method).merges]
+            merges = linkage(dissimilarity(values), method).merges
+            got = [(s.left, s.right, s.distance, s.size) for s in merges]
             assert got == scan_linkage_oracle(values, method), method
 
     def test_rejects_non_finite_distances(self):
         values = np.array([[0.0, np.inf], [np.inf, 0.0]])
-        with pytest.raises(ValueError, match="finite"):
-            linkage(values, "single")
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            linkage(dissimilarity(values), "single")
 
 
 class TestFCluster:
     def _dendro(self):
-        return linkage(_matrix3(0.1, 0.9, 0.8), "complete")
+        return linkage(dissimilarity(_matrix3(0.1, 0.9, 0.8)), "complete")
 
     def test_k_one_single_cluster(self):
         assert f_cluster(self._dendro(), 1).tolist() == [1, 1, 1]
@@ -237,7 +228,7 @@ class TestFCluster:
                 [0.8, 0.7, 0.1, 0.0],
             ]
         )
-        labels = f_cluster(linkage(values, "complete"), 3)
+        labels = f_cluster(linkage(dissimilarity(values), "complete"), 3)
         assert labels.tolist() == [1, 2, 3, 3]
 
     def test_exactly_k_clusters_and_refinement(self):
@@ -246,7 +237,7 @@ class TestFCluster:
             p = int(rng.integers(2, 9))
             values = random_symmetric_matrix(rng, p)
             for method in ("single", "complete", "average", "centroid"):
-                dendro = linkage(values, method)
+                dendro = linkage(dissimilarity(values), method)
                 previous = None
                 for k in range(p, 0, -1):
                     labels = f_cluster(dendro, k)
@@ -278,46 +269,40 @@ class TestGoldenScenario:
 
 
 class TestDendrogramExport:
-    def test_format_and_roundtrip(self, tmp_path):
+    def test_full_text_of_three_leaf_example(self, tmp_path):
         ids = tuple(ClassifierId.parse(s) for s in ("CV-NB", "CV-LR", "TFIDF-NB"))
         dendro = linkage(DissimilarityMatrix(ids, _matrix3(0.25, 0.5, 0.75)), "complete")
-        path = str(tmp_path / "dendro.txt")
-        write_dendrogram(dendro, path)
-        text = open(path).read()
-        assert text.splitlines()[0] == "hsel-dendrogram v1"
-        assert "leaves 3" in text
-        assert "merges 2" in text
-        back = read_dendrogram(path)
-        assert back == dendro
+        path = tmp_path / "dendro.txt"
+        write_dendrogram(dendro, str(path))
+        assert path.read_text(encoding="utf-8") == (
+            "hsel-dendrogram v1\n"
+            "leaves 3\n"
+            "0 CV-NB\n"
+            "1 CV-LR\n"
+            "2 TFIDF-NB\n"
+            "merges 2\n"
+            "3 0 1 0.25 2\n"
+            "4 2 3 0.75 3\n"
+        )
 
-    @pytest.mark.parametrize(
-        "edit, lineno",
-        [
-            (lambda lines: lines[:1], 2),
-            (lambda lines: lines[:4], 5),
-            (lambda lines: lines[:5] + lines[6:], 6),
-            (lambda lines: lines[:6] + ["3 0 1 0.25"] + lines[7:], 7),
-            (lambda lines: lines[:7] + [lines[7].replace("0.75", "far")], 8),
-        ],
-        ids=[
-            "header-only",
-            "short-leaf-table",
-            "missing-merges-header",
-            "merge-field-count",
-            "non-numeric-distance",
-        ],
-    )
-    def test_malformed_file_names_path_and_line(self, tmp_path, edit, lineno):
-        ids = tuple(ClassifierId.parse(s) for s in ("CV-NB", "CV-LR", "TFIDF-NB"))
-        path = str(tmp_path / "dendro.txt")
-        dendro = linkage(DissimilarityMatrix(ids, _matrix3(0.25, 0.5, 0.75)), "complete")
-        write_dendrogram(dendro, path)
-        lines = open(path).read().splitlines()
-        assert lines[7] == "4 2 3 0.75 3"
-        with open(path, "w") as fh:
-            fh.write("\n".join(edit(lines)) + "\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(path)}: line {lineno}: "):
-            read_dendrogram(path)
+    @pytest.mark.parametrize("method", ["single", "complete", "average", "centroid"])
+    def test_merge_lines_hold_each_step_at_full_precision(self, tmp_path, method):
+        rng = np.random.default_rng(77)
+        path = tmp_path / "dendro.txt"
+        for _ in range(10):
+            p = int(rng.integers(2, 12))
+            dendro = linkage(dissimilarity(random_symmetric_matrix(rng, p)), method)
+            write_dendrogram(dendro, str(path))
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert lines[:2] == ["hsel-dendrogram v1", f"leaves {p}"]
+            assert lines[2:p + 2] == [f"{i} ITEM-N{i}" for i in range(p)]
+            assert lines[p + 2] == f"merges {p - 1}"
+            assert len(lines) == 2 * p + 2
+            for index, (line, step) in enumerate(zip(lines[p + 3:], dendro.merges)):
+                fields = line.split(" ")
+                assert fields == [str(p + index), str(step.left), str(step.right),
+                                  repr(step.distance), str(step.size)]
+                assert float(fields[3]) == step.distance
 
     def test_structural_validation(self):
         ids = (ClassifierId("A", "X"), ClassifierId("B", "X"))

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsel.core import ClassifierId, PredictionMatrix, Split, load_corpus_csv, split_corpus
-from hsel.datasets import bundled_corpus_path
 from hsel.learners import CosineKNN
 from hsel.pool import (
     predict_matrix,
@@ -20,6 +19,7 @@ from hsel.pool import (
 )
 import hsel.pool as pool_module
 import hsel.preprocess as preprocess_module
+from conftest import BUNDLED_CORPUS
 from oracles import read_prediction_matrix_oracle
 
 
@@ -112,7 +112,7 @@ class TestFixedPipeline:
     the KNN neighbour count."""
 
     def test_bundled_corpus_vocabulary_and_pool_settings(self):
-        rows, _ = load_corpus_csv(bundled_corpus_path())
+        rows, _ = load_corpus_csv(BUNDLED_CORPUS)
         corpus = split_corpus(rows, seed=7)
         pool = train_pool(corpus, ["COUNT", "HASHED"], ["NB", "KNN"], seed=7)
         tokens = "\n".join(sorted(pool.vocabulary)).encode()
