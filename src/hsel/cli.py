@@ -48,6 +48,7 @@ from .diversity import (
 )
 from .features import normalize_extractor_token
 from .hiercluster import LINKAGE_METHODS, Dendrogram, linkage, write_dendrogram
+from .learners import normalize_algorithm_token
 from .pool import predict_matrix, read_prediction_matrix, train_pool, write_prediction_matrix
 from .selection import (
     FINAL_RULES,
@@ -457,9 +458,9 @@ def _parse_alpha(text: str) -> float:
 
 def _unique_tokens(kind: str, normalize: Callable[[str], str]) -> Callable[[str], tuple[str, ...]]:
     """A parser of a non-empty comma-separated list that rejects a token
-    equal to an earlier one after ``normalize``, the normalization the
-    pipeline applies. The tokens stay as typed; one that ``normalize``
-    rejects with ``ValueError`` is left to the stage that reads it."""
+    that ``normalize``, the normalization the pipeline applies, rejects with
+    ``ValueError``, or that equals an earlier one after it. The tokens stay
+    as typed."""
     def parse(text: str) -> tuple[str, ...]:
         tokens, seen = tuple(t.strip() for t in text.split(",") if t.strip()), set()
         if not tokens:
@@ -467,8 +468,8 @@ def _unique_tokens(kind: str, normalize: Callable[[str], str]) -> Callable[[str]
         for tok in tokens:
             try:
                 key = normalize(tok)
-            except ValueError:
-                continue
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
             if key in seen:
                 raise argparse.ArgumentTypeError(f"{kind} {tok!r} is repeated")
             seen.add(key)
@@ -491,7 +492,7 @@ _FIELD_OPTIONS = {
     "extractors": ("--extractors", "feature extractor tokens",
                    {"type": _unique_tokens("extractor", normalize_extractor_token)}),
     "algorithms": ("--algorithms", "learning algorithm tokens",
-                   {"type": _unique_tokens("algorithm", str.upper)}),
+                   {"type": _unique_tokens("algorithm", normalize_algorithm_token)}),
     "linkage": ("--linkage", "inter-cluster distance rule", {"choices": LINKAGE_METHODS}),
     "conversion": ("--conversion", "double-fault to distance conversion",
                    {"choices": CONVERSIONS}),

@@ -283,6 +283,13 @@ class NearestCentroid:
         return self._classes[np.argmin(d2, axis=1)]
 
 
+def normalize_algorithm_token(token: str) -> str:
+    tok = token.strip().upper()
+    if tok not in ALGORITHM_TOKENS:
+        raise ValueError(f"unknown algorithm token {tok!r}; expected one of {ALGORITHM_TOKENS}")
+    return tok
+
+
 def make_learner(token: str):
     token = token.strip().upper()
     if token == "NB":

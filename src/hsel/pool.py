@@ -24,7 +24,7 @@ from .features import (
     fit_feature_space,
     normalize_extractor_token,
 )
-from .learners import ALGORITHM_TOKENS, make_learner
+from .learners import make_learner, normalize_algorithm_token
 from .preprocess import TokenPipeline, fit_token_pipeline
 
 MATRIX_FORMAT = "hsel-prediction-matrix"
@@ -69,12 +69,7 @@ def train_pool(
     if not extractors or not algorithms:
         raise ValueError("extractor and algorithm lists must be non-empty")
     ext_tokens = [normalize_extractor_token(tok) for tok in extractors]
-    alg_tokens = [tok.strip().upper() for tok in algorithms]
-    for tok in alg_tokens:
-        if tok not in ALGORITHM_TOKENS:
-            raise ValueError(
-                f"unknown algorithm token {tok!r}; expected one of {ALGORITHM_TOKENS}"
-            )
+    alg_tokens = [normalize_algorithm_token(tok) for tok in algorithms]
     if len(set(ext_tokens)) != len(ext_tokens) or len(set(alg_tokens)) != len(alg_tokens):
         raise ValueError("extractor and algorithm tokens must be unique")
 

@@ -2,7 +2,8 @@
 twelve-classifier pool used by selection and acceptance tests, the schema
 check of every report an in-process command writes, the check of a report
 sweep's ``join_order``, the synthetic news corpus generator that made the
-bundled corpus, and a wrapper that gives a bare distance array ids."""
+bundled corpus, a prediction matrix from columns, and a wrapper that
+gives a bare distance array ids."""
 
 from __future__ import annotations
 
@@ -62,13 +63,7 @@ def golden_scenario_pm() -> PredictionMatrix:
         _column_with_errors(truth, range(0, 4), 2),
         _column_with_errors(truth, range(0, 6), 2),
     ]
-    return PredictionMatrix(
-        classifier_ids=tuple(ClassifierId.parse(s) for s in GOLDEN_IDS),
-        predictions=np.stack(columns, axis=1),
-        truth=truth,
-        num_classes=2,
-        split_tag=Split.VALIDATION,
-    )
+    return pm_of(columns, truth, names=GOLDEN_IDS)
 
 
 REDUNDANT_GROUP_SIZES = (4, 4, 4)
@@ -84,22 +79,16 @@ def make_redundant_matrix(seed: int, split: Split) -> PredictionMatrix:
     """
     rng = np.random.default_rng(seed)
     truth = rng.integers(0, 2, size=600).astype(np.int64)
-    ids = []
+    names = []
     columns = []
     member = 1
     for group, (size, support) in enumerate(zip(REDUNDANT_GROUP_SIZES, REDUNDANT_ERROR_SUPPORTS)):
         col = _column_with_errors(truth, support, 2)
         for _ in range(size):
-            ids.append(ClassifierId(f"SRC{member:02d}", "CLF"))
+            names.append(f"SRC{member:02d}-CLF")
             columns.append(col)
             member += 1
-    return PredictionMatrix(
-        classifier_ids=tuple(ids),
-        predictions=np.stack(columns, axis=1),
-        truth=truth,
-        num_classes=2,
-        split_tag=split,
-    )
+    return pm_of(columns, truth, names=names, split=split)
 
 
 @pytest.fixture
@@ -124,6 +113,14 @@ def assert_join_order(sweep_doc: dict, candidates, final: dict, pool_ids) -> Non
         assert doc["level_k"] == candidate.level_k
         assert set(order[:candidate.level_k]) == {m.canonical for m in candidate.members}
     assert sorted(final["members"]) == sorted(order[:final["level_k"]])
+
+
+def pm_of(columns, truth, num_classes=2, names=None, split=Split.VALIDATION) -> PredictionMatrix:
+    """A matrix whose column j is ``columns[j]``, named ``names[j]`` or ``E{j}-A``."""
+    names = names or [f"E{i}-A" for i in range(len(columns))]
+    return PredictionMatrix(tuple(ClassifierId.parse(n) for n in names),
+                            np.stack([np.asarray(c, dtype=np.int64) for c in columns], axis=1),
+                            np.asarray(truth, dtype=np.int64), num_classes, split)
 
 
 def dissimilarity(values) -> DissimilarityMatrix:

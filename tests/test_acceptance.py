@@ -9,22 +9,15 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from hsel.cli import RunConfig, cmd_run
 from hsel.combine import fit_stack, predict_stack
-from hsel.core import (
-    ClassifierId,
-    PredictionMatrix,
-    Split,
-    evaluate,
-    evaluate_matrix,
-)
+from hsel.core import Split, evaluate, evaluate_matrix
 from hsel.diversity import dissimilarity_matrix
 from hsel.hiercluster import linkage
 from hsel.selection import choose_final, hierarchy_select, random_baseline
 
-from conftest import BUNDLED_CORPUS, dissimilarity, make_redundant_matrix
+from conftest import BUNDLED_CORPUS, dissimilarity, make_redundant_matrix, pm_of
 from oracles import (
     brute_force_linkage,
     double_fault_oracle,
@@ -52,13 +45,7 @@ def test_criterion_01_double_fault_exactness():
         a = rng.integers(0, c, n).tolist()
         b = rng.integers(0, c, n).tolist()
         truth = rng.integers(0, c, n).tolist()
-        pm = PredictionMatrix(
-            classifier_ids=(ClassifierId("E0", "A"), ClassifierId("E1", "A")),
-            predictions=np.array([a, b]).T,
-            truth=np.array(truth),
-            num_classes=c,
-            split_tag=Split.VALIDATION,
-        )
+        pm = pm_of([a, b], truth, c)
         distance = dissimilarity_matrix(pm).values[0, 1]
         assert distance == 1.0 - double_fault_oracle(a, b, truth)
     elapsed = time.monotonic() - started
@@ -165,13 +152,7 @@ def test_criterion_07_stacking_sanity():
     truth = rng.integers(0, 2, 100)
     correct = truth.copy()
     wrong = 1 - truth
-    vpm = PredictionMatrix(
-        classifier_ids=(ClassifierId("GOOD", "A"), ClassifierId("BAD", "A")),
-        predictions=np.stack([correct, wrong], axis=1),
-        truth=truth,
-        num_classes=2,
-        split_tag=Split.VALIDATION,
-    )
+    vpm = pm_of([correct, wrong], truth, names=["GOOD-A", "BAD-A"])
     ensemble = fit_stack(vpm, ["GOOD-A", "BAD-A"], meta_kind="LR")
     assert ensemble.model.epochs == 500
     preds = predict_stack(ensemble, vpm)
@@ -179,24 +160,9 @@ def test_criterion_07_stacking_sanity():
 
     # VOTE unanimity over 1000 random unanimous rows.
     labels = rng.integers(0, 4, 1000)
-    unanimous = PredictionMatrix(
-        classifier_ids=tuple(ClassifierId(f"M{i}", "A") for i in range(3)),
-        predictions=np.stack([labels, labels, labels], axis=1),
-        truth=rng.integers(0, 4, 1000),
-        num_classes=4,
-        split_tag=Split.TEST,
-    )
-    vote = fit_stack(
-        PredictionMatrix(
-            classifier_ids=unanimous.classifier_ids,
-            predictions=np.stack([np.arange(4) % 4] * 3, axis=1),
-            truth=np.arange(4) % 4,
-            num_classes=4,
-            split_tag=Split.VALIDATION,
-        ),
-        unanimous.classifier_ids,
-        meta_kind="VOTE",
-    )
+    names = [f"M{i}-A" for i in range(3)]
+    unanimous = pm_of([labels] * 3, rng.integers(0, 4, 1000), 4, names, Split.TEST)
+    vote = fit_stack(pm_of([np.arange(4)] * 3, np.arange(4), 4, names), names, meta_kind="VOTE")
     assert np.array_equal(predict_stack(vote, unanimous), labels)
 
     elapsed = time.monotonic() - started

@@ -578,30 +578,40 @@ _SELECT = ["select", "--matrix", "m.csv"]
 _STACK = ["stack", "--validation-matrix", "v.csv", "--test-matrix", "t.csv"]
 
 
-@pytest.mark.parametrize("command, flag, value, repeated, distinct", [
-    (_RUN, "--metrics", "f1,accuracy,f1", "metric 'f1'", "f1,accuracy"),
-    (_SELECT, "--metrics", "f1,accuracy,f1", "metric 'f1'", "f1,accuracy"),
-    (_RUN, "--metrics", "precision,precision", "metric 'precision'", "f1,accuracy"),
-    (_SELECT, "--metrics", "precision,precision", "metric 'precision'", "f1,accuracy"),
-    (_RUN, "--extractors", "COUNT,CV", "extractor 'CV'", "CV,TFIDF"),
-    (_COMPARE, "--extractors", "tfidf,TF-IDF", "extractor 'TF-IDF'", "cv,HASHED"),
-    (_RUN, "--algorithms", "NB,nb", "algorithm 'nb'", "NB,lr"),
-    (_STACK, "--members", "COUNT-NB,count-nb", "member 'count-nb'", "COUNT-NB,count-lr"),
+@pytest.mark.parametrize("command, flag, value, message, distinct", [
+    (_RUN, "--metrics", "f1,accuracy,f1", "metric 'f1' is repeated", "f1,accuracy"),
+    (_SELECT, "--metrics", "f1,accuracy,f1", "metric 'f1' is repeated", "f1,accuracy"),
+    (_RUN, "--metrics", "precision,precision", "metric 'precision' is repeated", "f1,accuracy"),
+    (_SELECT, "--metrics", "precision,precision", "metric 'precision' is repeated", "f1"),
+    (_RUN, "--extractors", "COUNT,CV", "extractor 'CV' is repeated", "CV,TFIDF"),
+    (_COMPARE, "--extractors", "tfidf,TF-IDF", "extractor 'TF-IDF' is repeated", "cv,HASHED"),
+    (_RUN, "--algorithms", "NB,nb", "algorithm 'nb' is repeated", "NB,lr"),
+    (_COMPARE, "--algorithms", "knn,LR, KNN", "algorithm 'KNN' is repeated", "knn,nc"),
+    (_STACK, "--members", "COUNT-NB,count-nb", "member 'count-nb' is repeated", "CV-NB,cv-lr"),
+    (_SELECT, "--metrics", "f1,auc", "unknown metric 'auc'", "recall"),
+    (_RUN, "--extractors", "COUNT,FOO", "unknown extractor token 'FOO'", "hashed-dense"),
+    (_COMPARE, "--extractors", "glove", "unknown extractor token 'glove'", "tf-idf"),
+    (_RUN, "--algorithms", "NB,SVM", "unknown algorithm token 'SVM'", "nb,Knn"),
+    (_COMPARE, "--algorithms", "xgb", "unknown algorithm token 'XGB'", "NC"),
+    (_STACK, "--members", "COUNT-NB,X", "cannot parse classifier id 'X'", "FOO-NB"),
+    (_STACK, "--members", "CV-LR,NB-", "cannot parse classifier id 'NB-'", "A-B-NB"),
 ])
-def test_repeated_token_rejected(command, flag, value, repeated, distinct, capsys):
-    # A token that repeats another once normalized as its stage reads it
-    # (case, extractor aliases, canonical ids) is an argparse error (exit 2),
-    # raised before any file is opened; distinct tokens stay as typed.
+def test_bad_token_rejected_at_parse_time(command, flag, value, message, distinct, capsys):
+    # A token that its stage would reject as unknown, or that repeats another
+    # once normalized as the stage reads it (case, extractor aliases,
+    # canonical ids), is an argparse error (exit 2), raised before any file
+    # is opened; distinct known tokens stay as typed.
     with pytest.raises(SystemExit) as exc:
         main(command + [flag, value])
     assert exc.value.code == 2
-    assert f"{repeated} is repeated" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     args = build_parser().parse_args(command + [flag, distinct])
     assert getattr(args, flag[2:]) == tuple(distinct.split(","))
 
 
 @pytest.mark.parametrize("value", ["a,b,c", "nan,0.5,0.5", "0.5,inf,0.5", "0.5,0.5",
-                                   "0.2,0.2,0.2,0.4", "0.5,0.5,0.5", "0.6,0.2,0.2000001"])
+                                   "0.2,0.2,0.2,0.4", "0.5,0.5,0.5", "0.6,0.2,0.2000001",
+                                   "0.3,0.3,0.3"])
 @pytest.mark.parametrize("command", [_RUN, _COMPARE])
 def test_ratios_must_be_three_finite_fractions(command, value, capsys):
     with pytest.raises(SystemExit) as exc:

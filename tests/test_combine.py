@@ -15,20 +15,10 @@ from hsel.combine import (
     predict_stack,
     stack_to_json,
 )
-from hsel.core import ClassifierId, PredictionMatrix, Split
+from hsel.core import ClassifierId, Split
 from hsel.learners import SoftmaxRegression
+from conftest import pm_of
 from oracles import categorical_nb_oracle, plurality_oracle
-
-
-def _pm(columns, truth, num_classes=2, names=None, split=Split.VALIDATION):
-    names = names or [f"E{i}-A" for i in range(len(columns))]
-    return PredictionMatrix(
-        classifier_ids=tuple(ClassifierId.parse(n) for n in names),
-        predictions=np.stack([np.asarray(c, dtype=np.int64) for c in columns], axis=1),
-        truth=np.asarray(truth, dtype=np.int64),
-        num_classes=num_classes,
-        split_tag=split,
-    )
 
 
 def _correct_wrong_pm(n=40, split=Split.VALIDATION):
@@ -36,29 +26,29 @@ def _correct_wrong_pm(n=40, split=Split.VALIDATION):
     truth = rng.integers(0, 2, n)
     correct = truth.copy()
     wrong = 1 - truth
-    return _pm([correct, wrong], truth, names=["GOOD-A", "BAD-A"], split=split)
+    return pm_of([correct, wrong], truth, names=["GOOD-A", "BAD-A"], split=split)
 
 
 class TestMetaFeatures:
     def test_single_member_one_hot(self):
-        pm = _pm([[1]], [1])
+        pm = pm_of([[1]], [1])
         out = meta_features(pm, ["E0-A"], 2)
         assert out.tolist() == [[0.0, 1.0]]
 
     def test_two_members_three_classes_concatenation(self):
-        pm = _pm([[0], [2]], [0], num_classes=3)
+        pm = pm_of([[0], [2]], [0], num_classes=3)
         out = meta_features(pm, ["E0-A", "E1-A"], 3)
         assert out.tolist() == [[1, 0, 0, 0, 0, 1]]
 
     def test_member_permutation_permutes_blocks(self):
-        pm = _pm([[0, 1], [1, 0]], [0, 1])
+        pm = pm_of([[0, 1], [1, 0]], [0, 1])
         forward = meta_features(pm, ["E0-A", "E1-A"], 2)
         swapped = meta_features(pm, ["E1-A", "E0-A"], 2)
         assert np.array_equal(swapped[:, :2], forward[:, 2:])
         assert np.array_equal(swapped[:, 2:], forward[:, :2])
 
     def test_missing_member_named(self):
-        pm = _pm([[0]], [0])
+        pm = pm_of([[0]], [0])
         with pytest.raises(ValueError, match="GLOVE-LR"):
             meta_features(pm, ["GLOVE-LR"], 2)
 
@@ -85,7 +75,7 @@ class TestFitStack:
         a = np.array([0, 1, 0, 1, 1, 0])
         b = np.array([0, 1, 1, 1, 0, 0])
         c = np.array([1, 1, 0, 0, 1, 0])
-        pm = _pm([a, b, c], truth)
+        pm = pm_of([a, b, c], truth)
         ensemble = fit_stack(pm, ["E0-A", "E1-A", "E2-A"], meta_kind="VOTE")
         assert (predict_stack(ensemble, pm) == truth).all()
 
@@ -95,7 +85,7 @@ class TestFitStack:
             fit_stack(pm, ["GOOD-A"], meta_kind="XGB")
 
     def test_needs_enough_validation_rows(self):
-        pm = _pm([[0]], [0], num_classes=2)
+        pm = pm_of([[0]], [0], num_classes=2)
         with pytest.raises(ValueError, match="validation rows"):
             fit_stack(pm, ["E0-A"], meta_kind="VOTE")
 
@@ -114,7 +104,7 @@ class TestFitStack:
         columns = [truth, 1 - truth] + [np.where(rng.random(40) < 0.8, 0, 1) for _ in range(3)]
         columns += [np.zeros(40, dtype=np.int64)] * 60
         names = [f"E{j}-A" for j in range(len(columns))]
-        pm = _pm(columns, truth, names=names)
+        pm = pm_of(columns, truth, names=names)
         lists = [names[:1], names[:3], names[5:], names[4:1:-1], names[1:2] + names[3:5]]
         batch = fit_stacks(pm, lists)
         assert [e.model.diverged for e in batch] == [False, False, True, False, False]
@@ -153,8 +143,8 @@ class TestPredictStack:
         a[:10] = 1 - a[:10]
         b = truth.copy()
         b[10:20] = 1 - b[10:20]
-        train = _pm([a, b], truth)
-        unanimous = _pm([[0, 1], [0, 1]], [0, 1], split=Split.TEST)
+        train = pm_of([a, b], truth)
+        unanimous = pm_of([[0, 1], [0, 1]], [0, 1], split=Split.TEST)
         for meta_kind in ("LR", "NB", "VOTE"):
             ensemble = fit_stack(train, ["E0-A", "E1-A"], meta_kind=meta_kind)
             preds = predict_stack(ensemble, unanimous)
@@ -170,7 +160,7 @@ class TestPredictStack:
     def test_class_count_mismatch_rejected(self):
         pm = _correct_wrong_pm()
         ensemble = fit_stack(pm, ["GOOD-A", "BAD-A"], meta_kind="VOTE")
-        wider = _pm([pm.column("GOOD-A"), pm.column("BAD-A")], pm.truth, num_classes=3,
+        wider = pm_of([pm.column("GOOD-A"), pm.column("BAD-A")], pm.truth, num_classes=3,
                     names=["GOOD-A", "BAD-A"])
         with pytest.raises(ValueError, match="class count"):
             predict_stack(ensemble, wider)
@@ -189,9 +179,9 @@ class TestPredictStack:
 
     def test_vote_tie_breaks_to_smallest_class(self):
         truth = np.array([0, 0])
-        pm = _pm([[1, 2], [2, 1]], truth, num_classes=3)
+        pm = pm_of([[1, 2], [2, 1]], truth, num_classes=3)
         ensemble = fit_stack(
-            _pm([[0, 1, 2], [0, 1, 2]], [0, 1, 2], num_classes=3), ["E0-A", "E1-A"],
+            pm_of([[0, 1, 2], [0, 1, 2]], [0, 1, 2], num_classes=3), ["E0-A", "E1-A"],
             meta_kind="VOTE",
         )
         preds = predict_stack(ensemble, pm)
@@ -203,12 +193,12 @@ class TestPredictStack:
         member = truth.copy()
         flips = rng.choice(500, size=60, replace=False)
         member[flips] = 1 - member[flips]
-        val = _pm([member], truth)
+        val = pm_of([member], truth)
         test_truth = rng.integers(0, 2, 500)
         test_member = test_truth.copy()
         flips = rng.choice(500, size=55, replace=False)
         test_member[flips] = 1 - test_member[flips]
-        test = _pm([test_member], test_truth, split=Split.TEST)
+        test = pm_of([test_member], test_truth, split=Split.TEST)
         ensemble = fit_stack(val, ["E0-A"], meta_kind="LR")
         stacked_acc = (predict_stack(ensemble, test) == test_truth).mean()
         member_acc = (test_member == test_truth).mean()
@@ -220,7 +210,7 @@ class TestCategoricalNB:
         rng = np.random.default_rng(2)
         columns = rng.integers(0, 3, (50, 4))
         y = rng.integers(0, 3, 50)
-        pm = _pm(list(columns.T), y, num_classes=3)
+        pm = pm_of(list(columns.T), y, num_classes=3)
         ensemble = fit_stack(pm, pm.classifier_ids, meta_kind="NB")
         scores = meta_features(pm, ensemble.members, 3) @ ensemble.model.weights_
         scores += ensemble.model.bias_
@@ -233,9 +223,9 @@ class TestCategoricalNB:
         assert np.allclose(probs, posterior, rtol=0, atol=1e-12)
 
     def test_learns_simple_mapping(self):
-        pm = _pm([[0, 0, 1, 1]], [0, 0, 1, 1])
+        pm = pm_of([[0, 0, 1, 1]], [0, 0, 1, 1])
         ensemble = fit_stack(pm, ["E0-A"], meta_kind="NB")
-        test = _pm([[0, 1]], [0, 1], split=Split.TEST)
+        test = pm_of([[0, 1]], [0, 1], split=Split.TEST)
         assert predict_stack(ensemble, test).tolist() == [0, 1]
 
 
@@ -252,8 +242,8 @@ class TestLinearScorer:
             columns, truth = rng.integers(0, values, (n, j)), rng.integers(0, values, n)
             test_columns = rng.integers(0, c, (50, j))
             names = [f"E{i}-A" for i in range(j)]
-            val = _pm(list(columns.T), truth, num_classes=c, names=names)
-            test = _pm(list(test_columns.T), np.zeros(50), num_classes=c, names=names,
+            val = pm_of(list(columns.T), truth, num_classes=c, names=names)
+            test = pm_of(list(test_columns.T), np.zeros(50), num_classes=c, names=names,
                        split=Split.TEST)
 
             vote = fit_stack(val, names, meta_kind="VOTE")
@@ -289,7 +279,7 @@ def _pool(seed):
     else:
         correct = rng.random((n, p)) < rng.uniform(0.3, 0.8, p)
         columns = np.where(correct, truth[:, None], rng.integers(0, c, (n, p)))
-    return _pm(list(columns.T), truth, num_classes=c), rng
+    return pm_of(list(columns.T), truth, num_classes=c), rng
 
 
 class TestPredictNested:
@@ -319,7 +309,7 @@ class TestPredictNested:
         # A (P, N, C) float64 score tensor would take 9.6 MB here.
         rng = np.random.default_rng(0)
         p, n, c = 200, 2000, 3
-        pm = _pm(list(rng.integers(0, c, (p, n))), rng.integers(0, c, n), num_classes=c)
+        pm = pm_of(list(rng.integers(0, c, (p, n))), rng.integers(0, c, n), num_classes=c)
         nb = fit_stack(pm, pm.classifier_ids, "NB")
         tracemalloc.start()
         try:
@@ -331,9 +321,11 @@ class TestPredictNested:
 
 
 class TestSerialization:
+    # Pools of 1 member and 2 classes, 7 and 5 (both tie-heavy), 6 and 4, 8 and 5.
+    @pytest.mark.parametrize("seed", [0, 6, 13, 15])
     @pytest.mark.parametrize("meta_kind", ["LR", "NB", "VOTE"])
-    def test_document_holds_the_ensemble_arrays(self, meta_kind):
-        pm, _ = _pool(13)  # 6 members, 4 classes
+    def test_document_holds_the_ensemble_arrays(self, meta_kind, seed):
+        pm, _ = _pool(seed)
         members, c = pm.classifier_ids[::-1], pm.num_classes
         ensemble = fit_stack(pm, members, meta_kind=meta_kind)
         doc = json.loads(stack_to_json(ensemble))

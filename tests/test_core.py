@@ -19,7 +19,7 @@ from hsel.core import (
     split_corpus,
 )
 
-from conftest import BUNDLED_CORPUS, synthetic_news_corpus, write_corpus_csv
+from conftest import BUNDLED_CORPUS, pm_of, synthetic_news_corpus, write_corpus_csv
 from oracles import metrics_oracle
 
 
@@ -207,13 +207,7 @@ class TestEvaluate:
 
 class TestPredictionMatrix:
     def _pm(self):
-        return PredictionMatrix(
-            classifier_ids=(ClassifierId("CV", "NB"), ClassifierId("CV", "LR")),
-            predictions=np.array([[0, 1], [1, 1], [0, 0]]),
-            truth=np.array([0, 1, 0]),
-            num_classes=2,
-            split_tag=Split.VALIDATION,
-        )
+        return pm_of([[0, 1, 0], [1, 1, 0]], [0, 1, 0], names=["CV-NB", "CV-LR"])
 
     def test_column_lookup_and_select_order(self):
         pm = self._pm()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hsel.core import ClassifierId, PredictionMatrix, Split
+from hsel.core import ClassifierId
 from hsel.diversity import (
     DissimilarityMatrix,
     dissimilarity_matrix,
@@ -13,23 +13,13 @@ from hsel.diversity import (
     write_dissimilarity_csv,
 )
 
+from conftest import pm_of
 from oracles import double_fault_oracle
-
-
-def _pm_from_columns(columns, truth, num_classes=2):
-    ids = tuple(ClassifierId(f"E{i}", "A") for i in range(len(columns)))
-    return PredictionMatrix(
-        classifier_ids=ids,
-        predictions=np.stack([np.asarray(c) for c in columns], axis=1),
-        truth=np.asarray(truth),
-        num_classes=num_classes,
-        split_tag=Split.VALIDATION,
-    )
 
 
 def _distance(a, b, truth, num_classes=4) -> float:
     """The matrix distance of one pair: 1 - DF(a, b)."""
-    return float(dissimilarity_matrix(_pm_from_columns([a, b], truth, num_classes)).values[0, 1])
+    return float(dissimilarity_matrix(pm_of([a, b], truth, num_classes)).values[0, 1])
 
 
 class TestDoubleFault:
@@ -83,13 +73,13 @@ class TestDoubleFault:
 class TestDissimilarityMatrix:
     def test_distance_is_one_minus_df(self):
         truth = [0, 1, 0, 1]
-        pm = _pm_from_columns([[0, 1, 1, 1], [0, 0, 1, 1]], truth)
+        pm = pm_of([[0, 1, 1, 1], [0, 0, 1, 1]], truth)
         matrix = dissimilarity_matrix(pm)
         assert matrix.values[0, 1] == 0.75
 
     def test_redundant_always_wrong_pair_is_distance_zero(self):
         truth = [0, 0, 0]
-        pm = _pm_from_columns([[1, 1, 1], [1, 1, 1]], truth)
+        pm = pm_of([[1, 1, 1], [1, 1, 1]], truth)
         matrix = dissimilarity_matrix(pm)
         assert matrix.values[0, 1] == 0.0
 
@@ -97,7 +87,7 @@ class TestDissimilarityMatrix:
         rng = np.random.default_rng(4)
         truth = rng.integers(0, 3, 40)
         cols = [rng.integers(0, 3, 40) for _ in range(5)]
-        pm = _pm_from_columns(cols, truth, num_classes=3)
+        pm = pm_of(cols, truth, num_classes=3)
         matrix = dissimilarity_matrix(pm)
         assert np.array_equal(matrix.values, matrix.values.T)
         assert np.all(np.diag(matrix.values) == 0.0)
@@ -108,7 +98,7 @@ class TestDissimilarityMatrix:
         rng = np.random.default_rng(7)
         truth = rng.integers(0, 2, 30)
         cols = [rng.integers(0, 2, 30) for _ in range(4)]
-        pm = _pm_from_columns(cols, truth)
+        pm = pm_of(cols, truth)
         matrix = dissimilarity_matrix(pm)
         perm = [2, 0, 3, 1]
         permuted = pm.select([pm.classifier_ids[i] for i in perm])
@@ -116,7 +106,7 @@ class TestDissimilarityMatrix:
         assert np.array_equal(matrix_p.values, matrix.values[np.ix_(perm, perm)])
 
     def test_requires_two_classifiers(self):
-        pm = _pm_from_columns([[0, 1]], [0, 1])
+        pm = pm_of([[0, 1]], [0, 1])
         with pytest.raises(ValueError):
             dissimilarity_matrix(pm)
 
@@ -127,14 +117,14 @@ class TestDissimilarityMatrix:
             truth = rng.integers(0, c, n)
             cols = [np.where(rng.random(n) < rng.random(), truth, rng.integers(0, c, n))
                     for _ in range(p)]
-            matrix = dissimilarity_matrix(_pm_from_columns(cols, truth, num_classes=c))
+            matrix = dissimilarity_matrix(pm_of(cols, truth, num_classes=c))
             for i in range(p):
                 for j in range(p):
                     df = double_fault_oracle(cols[i], cols[j], truth)
                     assert matrix.values[i, j] == (0.0 if i == j else 1.0 - df), (case, i, j)
 
     def test_unknown_conversion_rejected(self):
-        pm = _pm_from_columns([[0, 1], [1, 1]], [0, 1])
+        pm = pm_of([[0, 1], [1, 1]], [0, 1])
         with pytest.raises(ValueError, match="unknown conversion 'half'"):
             dissimilarity_matrix(pm, conversion="half")
 
@@ -144,11 +134,26 @@ class TestDissimilarityMatrix:
         with pytest.raises(ValueError, match="symmetric"):
             DissimilarityMatrix(ids=ids, values=bad)
 
+    @pytest.mark.parametrize("names, values, message", [
+        ("AB", np.zeros((3, 3)), r"matrix shape \(3, 3\) does not match 2 ids"),
+        ("AB", np.zeros((2, 3)), r"matrix shape \(2, 3\) does not match 2 ids"),
+        ("AB", [[0.0, -0.1], [-0.1, 0.0]], r"distances must lie in \[0, 1\]"),
+        ("AB", [[0.0, 1.5], [1.5, 0.0]], r"distances must lie in \[0, 1\]"),
+        ("AB", [[0.0, np.inf], [np.inf, 0.0]], r"distances must lie in \[0, 1\]"),
+        ("AB", [[0.25, 0.5], [0.5, 0.0]], "self-distance must be 0"),
+        ("Aa", [[0.0, 0.5], [0.5, 0.0]], "duplicate classifier ids"),
+    ])
+    def test_constructor_rejects_invalid_matrix(self, names, values, message):
+        # linkage's only input: each rule holds before any merge runs.
+        ids = tuple(ClassifierId(name, "NB") for name in names)
+        with pytest.raises(ValueError, match=message):
+            DissimilarityMatrix(ids=ids, values=np.array(values))
+
     def test_csv_roundtrip_full_precision(self, tmp_path):
         rng = np.random.default_rng(11)
         truth = rng.integers(0, 2, 50)
         cols = [rng.integers(0, 2, 50) for _ in range(3)]
-        matrix = dissimilarity_matrix(_pm_from_columns(cols, truth))
+        matrix = dissimilarity_matrix(pm_of(cols, truth))
         path = str(tmp_path / "m.csv")
         write_dissimilarity_csv(matrix, path)
         back = read_dissimilarity_csv(path)

@@ -269,9 +269,11 @@ class TestGoldenScenario:
 
 
 class TestDendrogramExport:
-    def test_full_text_of_three_leaf_example(self, tmp_path):
+    @pytest.mark.parametrize("method, root", [
+        ("single", "0.5"), ("complete", "0.75"), ("average", "0.625"), ("centroid", "0.5625")])
+    def test_full_text_of_three_leaf_example(self, tmp_path, method, root):
         ids = tuple(ClassifierId.parse(s) for s in ("CV-NB", "CV-LR", "TFIDF-NB"))
-        dendro = linkage(DissimilarityMatrix(ids, _matrix3(0.25, 0.5, 0.75)), "complete")
+        dendro = linkage(DissimilarityMatrix(ids, _matrix3(0.25, 0.5, 0.75)), method)
         path = tmp_path / "dendro.txt"
         write_dendrogram(dendro, str(path))
         assert path.read_text(encoding="utf-8") == (
@@ -282,7 +284,7 @@ class TestDendrogramExport:
             "2 TFIDF-NB\n"
             "merges 2\n"
             "3 0 1 0.25 2\n"
-            "4 2 3 0.75 3\n"
+            f"4 2 3 {root} 3\n"
         )
 
     @pytest.mark.parametrize("method", ["single", "complete", "average", "centroid"])
@@ -304,9 +306,16 @@ class TestDendrogramExport:
                                   repr(step.distance), str(step.size)]
                 assert float(fields[3]) == step.distance
 
-    def test_structural_validation(self):
-        ids = (ClassifierId("A", "X"), ClassifierId("B", "X"))
-        with pytest.raises(ValueError, match="size"):
-            Dendrogram(
-                leaf_ids=ids, merges=(MergeStep(left=0, right=1, distance=0.5, size=3),)
-            )
+    @pytest.mark.parametrize("merges, message", [
+        ([(0, 1, 2)], "expected 2 merges for 3 leaves, got 1"),
+        ([(0, 1, 2), (0, 3, 3)], "node 0 appears as a child more than once"),
+        ([(1, 1, 2), (0, 3, 3)], "node 1 appears as a child more than once"),
+        ([(0, 4, 2), (1, 2, 2)], "merge references unknown node 4"),
+        ([(0, 1, 3), (2, 3, 3)], "merge 0: size does not equal children sizes"),
+        ([(0, 1, 2), (2, 3, 4)], "merge 1: size does not equal children sizes"),
+    ])
+    def test_structural_validation(self, merges, message):
+        ids = tuple(ClassifierId("A", x) for x in "XYZ")
+        steps = tuple(MergeStep(left, right, 0.5, size) for left, right, size in merges)
+        with pytest.raises(ValueError, match=message):
+            Dendrogram(leaf_ids=ids, merges=steps)

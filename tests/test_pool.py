@@ -19,7 +19,7 @@ from hsel.pool import (
 )
 import hsel.pool as pool_module
 import hsel.preprocess as preprocess_module
-from conftest import BUNDLED_CORPUS
+from conftest import BUNDLED_CORPUS, pm_of
 from oracles import read_prediction_matrix_oracle
 
 
@@ -172,13 +172,7 @@ class TestPredictMatrix:
 
 class TestWireFormat:
     def _pm(self):
-        return PredictionMatrix(
-            classifier_ids=(ClassifierId("CV", "NB"), ClassifierId("GLOVE", "LR")),
-            predictions=np.array([[0, 1], [1, 0], [1, 1]]),
-            truth=np.array([0, 1, 1]),
-            num_classes=2,
-            split_tag=Split.VALIDATION,
-        )
+        return pm_of([[0, 1, 1], [1, 0, 1]], [0, 1, 1], names=["CV-NB", "GLOVE-LR"])
 
     def test_roundtrip_identity(self, tmp_path):
         path = str(tmp_path / "pm.csv")
