@@ -18,6 +18,8 @@ from datetime import datetime, timezone
 from importlib import resources
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .combine import (
     META_KINDS,
     StackedEnsemble,
@@ -146,6 +148,35 @@ def _member_key(members: Sequence[ClassifierId]) -> tuple[str, ...]:
     return tuple([m.canonical for m in members])
 
 
+def _label_rows(
+    sweeps: dict[str, list[EnsembleCandidate]]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per sweep, each level's row in one table of distinct levels, and
+    whether the level is the sweep's own, first seen there; rows are
+    numbered in sweep then level order.
+
+    The sweeps share one dendrogram, so level k of two sweeps holds the same
+    members exactly when their first k joined members are one set: when the
+    running maximum of the positions that the one's joined members have in
+    the other's join order is k - 1 at level k."""
+    names = [[c.joined.canonical for c in cands] for cands in sweeps.values()]
+    rank = {name: j for j, name in enumerate(names[0])}
+    orders = [np.array([rank[name] for name in order], dtype=np.intp) for order in names]
+    levels, out, count = np.arange(len(rank)), [], 0
+    for order in orders:
+        row = np.full(len(order), -1)
+        for earlier, (earlier_row, _) in zip(orders, out):
+            position = np.empty_like(earlier)
+            position[earlier] = levels
+            shared = (row < 0) & (np.maximum.accumulate(position[order]) == levels)
+            row[shared] = earlier_row[shared]
+        own = row < 0
+        row[own] = np.arange(count, count + np.count_nonzero(own))
+        count += np.count_nonzero(own)
+        out.append((row, own))
+    return out
+
+
 def _score_candidates(
     sweeps: dict[str, list[EnsembleCandidate]],
     vpm: PredictionMatrix,
@@ -156,39 +187,42 @@ def _score_candidates(
     each metric there; also stack the ``extra`` member lists.
 
     Returns the scored sweeps and the ensembles fitted here, by member
-    tuple, all from one ``fit_stacks`` call. LR fits every distinct
-    candidate and predicts each on its own. NB and VOTE sweeps are nested, and
-    their weight rows depend on the member alone: one ``predict_nested``
-    pass over the full level's ensemble, adding each candidate's ``joined``
-    in turn, labels a sweep, so only that
-    ensemble and the ``extra`` lists are fitted (``_stack_for`` fits any
-    other when it is needed). Each distinct tuple is evaluated once, all in
-    one ``evaluate_rows`` call.
+    tuple, all from one ``fit_stacks`` call. The sweeps come from one
+    dendrogram, and each level that ``_label_rows`` finds in an earlier
+    sweep takes that sweep's labels, so every distinct level is labelled
+    once and evaluated once, all in one ``evaluate_rows`` call.
+    LR fits every distinct candidate and predicts each on its own. NB and
+    VOTE sweeps are nested, and their weight rows depend on the member
+    alone: one ``predict_nested`` pass over the full level's ensemble, adding
+    each candidate's ``joined`` in turn, labels a sweep's own levels and
+    stops after the last of them, so only that ensemble and the ``extra``
+    lists are fitted (``_stack_for`` fits any other when it is needed).
     Validation data is reused for base scoring and meta-training by design;
     held-out measurement happens on TEST only.
     """
-    keys = {metric: [_member_key(c.members) for c in cands] for metric, cands in sweeps.items()}
-    candidates = {key: c.members for metric, cands in sweeps.items()
-                  for key, c in zip(keys[metric], cands)}
+    rows = _label_rows(sweeps)
     nested = meta_kind.strip().upper() != "LR"
-    read = [sweep[-1] for sweep in keys.values()] if nested else candidates
-    fitted = {key: candidates[key] for key in read}
+    if nested:
+        read = [next(iter(sweeps.values()))[-1].members]
+    else:
+        read = [cands[k].members for cands, (_, own) in zip(sweeps.values(), rows)
+                for k in np.flatnonzero(own).tolist()]
+    fitted = {_member_key(members): members for members in read}
     fitted.update((_member_key(members), members) for members in extra)
     stacks = dict(zip(fitted, fit_stacks(vpm, list(fitted.values()), meta_kind=meta_kind)))
-    if not nested:
-        labels = {key: predict_stack(stacks[key], vpm) for key in candidates}
+    if nested:
+        full = stacks[_member_key(read[0])]
+        position = {m.canonical: j for j, m in enumerate(full.members)}
+        labels = np.concatenate([
+            predict_nested(full, vpm, [position[c.joined.canonical] for c in cands], own)
+            for cands, (_, own) in zip(sweeps.values(), rows)
+        ])
     else:
-        labels = {}
-        for metric, sweep in keys.items():
-            wanted = [key not in labels for key in sweep]
-            position = {name: j for j, name in enumerate(sweep[-1])}
-            order = [position[c.joined.canonical] for c in sweeps[metric]]
-            levels = predict_nested(stacks[sweep[-1]], vpm, order, wanted)
-            labels.update(zip((key for key, want in zip(sweep, wanted) if want), levels))
-    entries = dict(zip(labels, evaluate_rows(list(labels.values()), vpm.truth, vpm.num_classes)))
+        labels = [predict_stack(stacks[_member_key(members)], vpm) for members in read]
+    entries = evaluate_rows(labels, vpm.truth, vpm.num_classes)
     scored = {
-        metric: [c.with_score(entries[key].metric(metric)) for key, c in zip(keys[metric], cands)]
-        for metric, cands in sweeps.items()
+        metric: [c.with_score(entries[r].metric(metric)) for c, r in zip(cands, row.tolist())]
+        for (metric, cands), (row, _) in zip(sweeps.items(), rows)
     }
     return scored, stacks
 
@@ -563,8 +597,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel = sub.add_parser("select", help="hierarchy-level sweep over an ingested matrix")
     p_sel.add_argument("--matrix", required=True, help="validation prediction matrix")
     p_sel.add_argument("--meta-file")
+    _add_field_options(p_sel, _SELECTION_FIELDS + ("outdir",))
     # select reads no seed; --seed stays while the pool-wide benchmark passes it.
-    _add_field_options(p_sel, _SELECTION_FIELDS + ("seed", "outdir"))
+    p_sel.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                       help="accepted and unused: select draws no random numbers")
 
     p_stk = sub.add_parser("stack", help="fit a stacked ensemble from ingested matrices")
     p_stk.add_argument("--validation-matrix", required=True)

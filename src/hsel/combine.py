@@ -191,21 +191,33 @@ def predict_nested(ensemble: StackedEnsemble, pm: PredictionMatrix, order: Seque
     the bias through the members at positions ``order``, one level each, go
     through ``learners.top_class`` where the level's ``wanted`` flag is set.
     NB and VOTE rows depend on their member alone, so level k is
-    ``fit_stack`` on ``order[:k]`` (NB up to summation order)."""
+    ``fit_stack`` on ``order[:k]`` (NB up to summation order).
+    The levels read their members' labels from one contiguous (levels, N)
+    copy of the predictions, in the labels' dtype, and one (C, N) score
+    buffer runs through them up to the last wanted one; with no level
+    wanted, nothing is read."""
     if len(set(order)) < len(order) or len(wanted) != len(order):
         raise ValueError("nested order repeats a member or has no wanted flag per level")
     columns, c = _member_columns(pm, ensemble.members), ensemble.num_classes
     if pm.num_classes != c:
         raise ValueError("prediction matrix class count does not match the ensemble")
-    # Class-major (C, N) scores: top_class then reduces over C rows, not N short ones.
-    weights = np.ascontiguousarray(ensemble.model.weights_.T)
+    levels = np.flatnonzero(wanted)
+    labels = np.empty((levels.size, pm.n_instances), dtype=np.min_scalar_type(c - 1))
+    if not levels.size:
+        return labels
+    positions = order[: levels[-1] + 1]
+    votes = pm.predictions.astype(labels.dtype).T.take([columns[j] for j in positions], axis=0)
+    # Class-major: member j adds blocks[j][:, v] to the (C, N) scores of an
+    # instance it labels v, and top_class then reduces over C rows, not N short ones.
+    blocks = np.ascontiguousarray(ensemble.model.weights_.reshape(-1, c, c).transpose(0, 2, 1))
     scores = np.repeat(ensemble.model.bias_[:, None], pm.n_instances, axis=1)
-    labels = np.empty((sum(wanted), pm.n_instances), dtype=np.min_scalar_type(c - 1))
-    rows = iter(labels)
-    for j, want in zip(order, wanted):
-        scores += weights.take(pm.predictions[:, columns[j]] + j * c, axis=1)
+    gathered, index = np.empty_like(scores), np.empty(pm.n_instances, dtype=np.intp)
+    out = iter(labels)
+    for j, member_labels, want in zip(positions, votes, wanted):
+        np.copyto(index, member_labels)  # take converts any other index dtype on every call
+        scores += blocks[j].take(index, axis=1, out=gathered, mode="clip")
         if want:
-            next(rows)[:] = top_class(scores.T)
+            next(out)[:] = top_class(scores.T)
     return labels
 
 

@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -94,6 +95,31 @@ class ClassifierId:
         return self.canonical
 
 
+def read_utf8(path: str) -> str:
+    """The text of a wire file; bytes that are not UTF-8 raise ``ValueError``
+    naming ``path: line N``, with lines ended by LF, CRLF or CR."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8")
+        line = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+        raise ValueError(
+            f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 text"
+        ) from None
+
+
+def _records(path: str) -> Iterator[list[str]]:
+    """The csv records of a wire file; a csv fault, such as a field past the
+    csv module's size limit, raises ``ValueError`` naming ``path: line N``."""
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 _Row = TypeVar("_Row")
 
 
@@ -106,30 +132,29 @@ def read_id_table(
     from it is reported as ``fault``. Returns the header's id names, the ids,
     the rows and their line numbers; every fault raises ``ValueError`` naming
     ``path: line N``."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: line 1: empty matrix file")
-        if not header or header[0].strip().lower() != corner:
-            raise ValueError(f"{path}: line 1: first header field must be {corner!r}")
-        names = [h.strip() for h in header[1:]]
-        if not names:
-            raise ValueError(f"{path}: line 1: no classifier columns")
-        ids = ClassifierId.parse_header(path, names)
-        rows, linenos = [], []
-        for lineno, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            if len(fields) != len(header):
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, found {len(fields)}"
-                )
-            try:
-                rows.append(parse_row(fields))
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: {fault}") from None
-            linenos.append(lineno)
+    reader = _records(path)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: line 1: empty matrix file")
+    if not header or header[0].strip().lower() != corner:
+        raise ValueError(f"{path}: line 1: first header field must be {corner!r}")
+    names = [h.strip() for h in header[1:]]
+    if not names:
+        raise ValueError(f"{path}: line 1: no classifier columns")
+    ids = ClassifierId.parse_header(path, names)
+    rows, linenos = [], []
+    for lineno, fields in enumerate(reader, start=2):
+        if not fields:
+            continue
+        if len(fields) != len(header):
+            raise ValueError(
+                f"{path}: line {lineno}: expected {len(header)} fields, found {len(fields)}"
+            )
+        try:
+            rows.append(parse_row(fields))
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: {fault}") from None
+        linenos.append(lineno)
     return names, ids, rows, linenos
 
 

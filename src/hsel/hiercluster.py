@@ -4,7 +4,11 @@ The agglomerator starts from singletons and repeatedly merges the closest
 pair of active clusters, found from a cached minimum per row (the "generic"
 algorithm of Müllner 2011, arXiv:1109.2378), then updates their distances
 as one vector with these Lance-Williams coefficients of the selected
-linkage:
+linkage. A row whose cached minimum sat in a merged column keeps it as a
+lower bound and is rescanned only when that bound is the least of all,
+as Müllner's priority queue does; under centroid linkage, where a merged
+cluster is often the nearest column of many rows, most such rows are
+never rescanned before they merge.
 
     single    d(k, ij) = min(d(k,i), d(k,j))
     complete  d(k, ij) = max(d(k,i), d(k,j))
@@ -88,9 +92,12 @@ def linkage(matrix: DissimilarityMatrix, method: str = "complete") -> Dendrogram
     takes the global minimum as the least of P cached row minima, breaks
     ties among the cells equal to it with ``np.lexsort`` on (min node, max
     node), and applies Lance-Williams to the kept slot's column as one
-    vector expression. Only the rows whose minimum sat in a merged column,
-    and the merged row itself, are rescanned, so a step costs O(P) plus
-    O(P) per rescanned row instead of a full O(P^2) scan.
+    vector expression. The merged row is rescanned at once; a row whose
+    minimum sat in a merged column keeps it as a lower bound and is
+    rescanned when that bound is the least, before the step reads it. The
+    rows holding the least bound are then exact, so the tied cells are the
+    ones a full scan would find. A step costs O(P) plus O(P) per rescanned
+    row instead of a full O(P^2) scan.
     """
     method = method.strip().lower()
     if method not in LINKAGE_METHODS:
@@ -99,9 +106,10 @@ def linkage(matrix: DissimilarityMatrix, method: str = "complete") -> Dendrogram
     if p < 2:
         raise ValueError("linkage needs at least 2 items")
 
-    # Retired slots and the diagonal hold +inf. Every row caches its minimum
-    # and a column holding it; the closest active pair is in the rows whose
-    # minimum is least. A retired row's minimum is +inf and its column -1.
+    # Retired slots and the diagonal hold +inf. Every row caches a lower
+    # bound of its minimum and a column holding it, or -1 while the row is
+    # stale: the bound of a row that is not stale is its minimum. A retired
+    # row's bound is +inf and its column -1.
     dist = matrix.values.copy()
     np.fill_diagonal(dist, np.inf)
     arg = dist.argmin(axis=1)
@@ -111,8 +119,15 @@ def linkage(matrix: DissimilarityMatrix, method: str = "complete") -> Dendrogram
     merges: list[MergeStep] = []
 
     for step_index in range(p - 1):
-        d = rowmin.min()
-        near = np.flatnonzero(rowmin == d)
+        # The least bound is the global minimum once no stale row holds it.
+        while True:
+            d = rowmin.min()
+            near = np.flatnonzero(rowmin == d)
+            lazy = near[arg[near] < 0]
+            if not lazy.size:
+                break
+            arg[lazy] = dist[lazy].argmin(axis=1)
+            rowmin[lazy] = dist[lazy, arg[lazy]]
         rows, cols = np.nonzero(dist[near] == d)
         a, b = nodes[near[rows]], nodes[cols]
         first = np.lexsort((np.maximum(a, b), np.minimum(a, b)))[0]
@@ -129,16 +144,17 @@ def linkage(matrix: DissimilarityMatrix, method: str = "complete") -> Dendrogram
             updated = (ni * di + nj * dj) / new_size
         else:
             updated = (ni * di + nj * dj) / new_size - (ni * nj * d) / (new_size * new_size)
-        # A row whose minimum sat in column i or j, and row i, are rescanned;
-        # in every other row only column i can lower the minimum.
-        stale = np.append(np.flatnonzero((arg == i) | (arg == j)), i)
+        # A row whose minimum sat in column i or j keeps it as a lower bound
+        # and goes stale, unless column i now holds less: no other column
+        # changed. Row i is rescanned.
+        arg[(arg == i) | (arg == j)] = -1
         arg[updated < rowmin] = i
         np.minimum(rowmin, updated, out=rowmin)
         dist[:, i] = dist[i, :] = updated
         dist[:, j] = dist[j, :] = np.inf
         dist[i, i] = np.inf
-        arg[stale] = dist[stale].argmin(axis=1)
-        rowmin[stale] = dist[stale, arg[stale]]
+        arg[i] = dist[i].argmin()
+        rowmin[i] = dist[i, arg[i]]
         rowmin[j], arg[j] = np.inf, -1
 
         left, right = sorted((int(nodes[i]), int(nodes[j])))

@@ -34,10 +34,17 @@ KNN_K = 5
 def top_class(scores: np.ndarray) -> np.ndarray:
     """Highest-scoring class of each row. Scores within
     ``1e-12 * max(1, |top|)`` of the top score tie, and a tie goes to the
-    smallest class index, so rounding noise does not decide a prediction."""
-    top = scores.max(axis=1, keepdims=True)
-    near_top = scores >= top - 1e-12 * np.maximum(1.0, np.abs(top))
-    return np.argmax(near_top, axis=1)
+    smallest class index, so rounding noise does not decide a prediction.
+    The (N, C) scores are read class-major, as C rows of N, so every step is
+    an elementwise pass over N scores rather than N reductions over C."""
+    classes = np.ascontiguousarray(scores.T)
+    top = classes.max(axis=0)
+    near_top = classes >= top - 1e-12 * np.maximum(1.0, np.abs(top))
+    # Class k ranks C - k: the first class near the top has the largest
+    # rank among them, and a row with none (NaN scores) gets class 0.
+    c = len(classes)
+    ranks = np.arange(c, 0, -1, dtype=np.min_scalar_type(c))[:, None]
+    return (c - (near_top * ranks).max(axis=0).astype(np.intp)) % c
 
 
 class MultinomialNB:

@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClassifierId, LabeledCorpus, PredictionMatrix, Split, derive_seed, read_id_table
+from .core import ClassifierId, LabeledCorpus, PredictionMatrix, Split, derive_seed
+from .core import read_id_table, read_utf8
 from .features import (
     FeatureSpace,
     build_vocabulary,
@@ -139,13 +140,10 @@ def read_prediction_matrix(path: str, meta_path: str | None = None) -> Predictio
     A table of plain digits goes through ``np.loadtxt``; any other file, and
     any fault, is read again cell by cell, which names the faulty line."""
     meta_path = meta_path or path + ".meta.json"
-    with open(meta_path, encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{meta_path}: line {exc.lineno}: malformed sidecar: {exc.msg}"
-            ) from None
+    try:
+        meta = json.loads(read_utf8(meta_path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{meta_path}: line {exc.lineno}: malformed sidecar: {exc.msg}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_path}: sidecar must be a JSON object")
     for key in ("num_classes", "split"):

@@ -11,8 +11,9 @@ random baseline provide the comparison points.
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -41,7 +42,8 @@ class EnsembleCandidate:
     validation_score: float | None = None
 
     def with_score(self, score: float) -> "EnsembleCandidate":
-        return replace(self, validation_score=score)
+        return EnsembleCandidate(self.level_k, self.members, self.joined,
+                                 self.mean_pairwise_distance, score)
 
 
 def _merge_pairs(dendrogram: Dendrogram) -> Iterator[tuple[int, int]]:
@@ -79,10 +81,14 @@ def hierarchy_select(
     canonical id, ordered by cluster label (ascending smallest leaf index).
     One replay of the merges decides every level: the merge from k to k - 1
     clusters keeps the better of its children's best leaves, and the other
-    is level k's ``joined``. With S_k the co-failure sum of the first k
-    members to join, the mean distance (pairs·N - S_k) / (pairs·N) is
-    rounded once: ``choose_final`` breaks score ties on distance, so levels
-    tie only when their exact means round alike.
+    is level k's ``joined``. The levels are then built up from level 1:
+    level k's members are level k - 1's with that merge undone, one member
+    inserted at the retired cluster's label and, where the retired
+    cluster's leaf won, the kept cluster's own leaf put back. With S_k the
+    co-failure sum of the first k members to join, the mean distance
+    (pairs·N - S_k) / (pairs·N) is rounded once: ``choose_final`` breaks
+    score ties on distance, so levels tie only when their exact means round
+    alike.
     """
     if metric not in METRIC_NAMES:
         raise ValueError(f"metric {metric!r} absent from scores; expected one of {METRIC_NAMES}")
@@ -96,28 +102,33 @@ def hierarchy_select(
     counts, n = _exact_counts(matrix)
 
     keys = [(-scores[name].metric(metric), name) for name in dendro_ids]
-    # Each cluster's best leaf by cluster name, -1 once merged away.
+    # Each cluster's best leaf by cluster name; each merge records its two
+    # clusters' names, their best leaves before it, and the losing one.
     best = list(range(dendrogram.num_leaves))
-    levels, losers = [best.copy()], []
+    steps = []
     for kept, retired in _merge_pairs(dendrogram):
-        best[kept], loser = sorted((best[kept], best[retired]), key=keys.__getitem__)
-        best[retired] = -1
-        losers.append(loser)
-        levels.append([leaf for leaf in best if leaf >= 0])
-    order = [best[0], *reversed(losers)]
+        a, b = best[kept], best[retired]
+        best[kept] = min(a, b, key=keys.__getitem__)
+        steps.append((kept, retired, a, b, b if best[kept] == a else a))
+    # Up from level 1, undoing one merge per level; ``names`` holds the
+    # level's cluster names, ascending, aligned with ``members``.
+    leaf_ids = dendrogram.leaf_ids
+    names, members, order = [0], [leaf_ids[best[0]]], [best[0]]
+    levels = [tuple(members)]
+    for kept, retired, a, b, loser in reversed(steps):
+        members[bisect.bisect_left(names, kept)] = leaf_ids[a]
+        at = bisect.bisect_left(names, retired)
+        names.insert(at, retired)
+        members.insert(at, leaf_ids[b])
+        levels.append(tuple(members))
+        order.append(loser)
     # Level k + 1 adds row k of the reordered lower triangle; level 1 has no pairs and mean 0.
     pair_instances = np.cumsum(np.arange(len(order))) * n
-    cofailed = np.cumsum(np.tril(counts[np.ix_(order, order)], -1).sum(axis=1))
+    cofailed = np.cumsum(np.tril(counts.take(order, axis=0).take(order, axis=1), -1).sum(axis=1))
     means = ((pair_instances - cofailed) / np.maximum(pair_instances, 1)).tolist()
-    leaf_ids = dendrogram.leaf_ids
     return [
-        EnsembleCandidate(
-            level_k=k,
-            members=tuple([leaf_ids[i] for i in members]),
-            joined=leaf_ids[leaf],
-            mean_pairwise_distance=means[k - 1],
-        )
-        for k, (members, leaf) in enumerate(zip(reversed(levels), order), start=1)
+        EnsembleCandidate(k, level, leaf_ids[leaf], mean)
+        for k, (level, leaf, mean) in enumerate(zip(levels, order, means), start=1)
     ]
 
 
@@ -177,16 +188,34 @@ def _chord_knee(w: Sequence[float]) -> int:
 def within_cluster_totals(dendrogram: Dendrogram, matrix: DissimilarityMatrix) -> list[float]:
     """W(k) for k = 1..P: total within-cluster pairwise distance at level k.
 
-    One replay of the merges from W(P) = 0: each merge adds pairs·N minus
-    the co-failures across its two clusters to the integer N·W(k)."""
+    In dendrogram leaf order, where each node's leaves are contiguous and its
+    left child's come first, every merge joins two adjacent ranges, and its
+    co-failures across them are one rectangle of a 2-D int64 prefix sum of
+    the reordered counts. From W(P) = 0 each merge adds pairs·N minus that
+    sum to the integer N·W(k), and each level is divided by N once."""
     counts, n = _exact_counts(matrix)
-    leaves = [[i] for i in range(dendrogram.num_leaves)]
-    totals = [0]
-    for kept, retired in _merge_pairs(dendrogram):
-        a, b = leaves[kept], leaves[retired]
-        totals.append(totals[-1] + len(a) * len(b) * n - int(counts[np.ix_(a, b)].sum()))
-        leaves[kept] += b
-    return [total / n for total in reversed(totals)]
+    p, merges = dendrogram.num_leaves, dendrogram.merges
+    # Top down: a node's leaves start where its parent's do, or after its sibling's.
+    start, sizes = [0] * (2 * p - 1), [1] * p + [step.size for step in merges]
+    for node in range(2 * p - 2, p - 1, -1):
+        step = merges[node - p]
+        start[step.left] = start[node]
+        start[step.right] = start[node] + sizes[step.left]
+    start, sizes = np.array(start), np.array(sizes)
+    order = np.empty(p, dtype=np.intp)
+    order[start[:p]] = np.arange(p)
+    # Row by row, so the reordered counts are never held whole, and an
+    # axis-0 cumsum does not stride down each column.
+    prefix = np.zeros((p + 1, p + 1), dtype=np.int64)
+    for r, leaf in enumerate(order, start=1):
+        np.cumsum(counts[leaf].take(order), out=prefix[r, 1:])
+        prefix[r] += prefix[r - 1]
+    left = np.array([step.left for step in merges], dtype=np.intp)
+    lo = start[left]
+    mid, hi = lo + sizes[left], lo + sizes[p:]
+    across = prefix[mid, hi] - prefix[lo, hi] - prefix[mid, mid] + prefix[lo, mid]
+    totals = np.cumsum((mid - lo) * (hi - mid) * n - across)
+    return (totals[::-1] / n).tolist() + [0.0]
 
 
 def elbow_select(dendrogram: Dendrogram, matrix: DissimilarityMatrix) -> int:

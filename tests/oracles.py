@@ -13,7 +13,8 @@ co-failures counted one instance at a time, the gradient-descent oracle
 fits one softmax regression at a time in row-major layout in the weights
 (never through the Gram matrix), the stacking oracles count naive Bayes
 likelihoods and plurality votes per member and per row instead of reading
-weight rows of a linear scorer, the nearest-centroid oracle broadcasts
+weight rows of a linear scorer, the tie-rule oracle scans each row of
+scores in Python, the nearest-centroid oracle broadcasts
 one (N, C, V) difference tensor, the k-nearest-neighbour oracle sorts and
 counts votes one query row at a time, the count oracle adds one token at a time,
 the sign-row oracle draws each projection row from its own
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -323,6 +325,18 @@ def categorical_nb_oracle(columns, y, num_classes, alpha=1.0):
         return scores
 
     return log_prior, like, joint
+
+
+def top_class_oracle(scores):
+    """The first class of each row within ``1e-12 * max(1, |top|)`` of its
+    top score, one row at a time in Python floats. A NaN score makes the top
+    NaN, as ``numpy.max`` does, and a row with no class near it gets 0."""
+    out = []
+    for row in np.asarray(scores, dtype=np.float64).tolist():
+        top = math.nan if any(math.isnan(score) for score in row) else max(row)
+        floor = top - 1e-12 * max(1.0, abs(top))
+        out.append(next((k for k, score in enumerate(row) if score >= floor), 0))
+    return np.array(out, dtype=np.int64)
 
 
 def plurality_oracle(columns, num_classes):

@@ -17,6 +17,7 @@ from hsel.combine import fit_stack, predict_stack
 from hsel.core import (
     METRIC_NAMES,
     ClassifierId,
+    EvalEntry,
     PredictionMatrix,
     Split,
     evaluate,
@@ -315,6 +316,14 @@ class TestIngest:
         assert rc == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_undecodable_matrix_rejected_with_path_and_line(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"truth,CV-NB\n0,0\n1,\xff\n")
+        (tmp_path / "m.csv.meta.json").write_text('{"num_classes": 2, "split": "TEST"}')
+        assert main(["ingest", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error [ingest]: {path}: line 3: byte 0xff is not UTF-8 text\n")
+
 
 class TestSingleStageCommands:
     def test_outdir_env_override_for_matrix_commands(self, tmp_path, capsys, monkeypatch):
@@ -480,11 +489,53 @@ def test_nested_sweep_scores_match_standalone_stacks(meta_kind, monkeypatch):
         full = tuple(c.canonical for c in dendro.leaf_ids)
         expected = list(dict.fromkeys([full] + [tuple(c.canonical for c in e) for e in extra]))
         assert fitted.pop() == expected == list(stacks)
-        for metric, candidates in scored.items():
-            for candidate in candidates:
-                preds = predict_stack(fit_stack(vpm, candidate.members, meta_kind), vpm)
-                entry = evaluate(preds, vpm.truth, vpm.num_classes)
-                assert candidate.validation_score == entry.metric(metric), (seed, metric)
+        _assert_standalone_scores(scored, vpm, meta_kind, seed)
+
+
+def _assert_standalone_scores(scored, vpm, meta_kind, seed):
+    for metric, candidates in scored.items():
+        for candidate in candidates:
+            preds = predict_stack(fit_stack(vpm, candidate.members, meta_kind), vpm)
+            entry = evaluate(preds, vpm.truth, vpm.num_classes)
+            assert candidate.validation_score == entry.metric(metric), (seed, metric)
+
+
+@pytest.mark.parametrize("meta_kind", ["NB", "VOTE"])
+def test_later_sweeps_label_only_their_own_levels(meta_kind, monkeypatch):
+    """Sweeps whose later metrics share every level, or all but level 1,
+    label only their own levels (none, or level 1 alone, where
+    ``predict_nested`` stops) and still score as standalone stacks."""
+    wanted = []
+    original_nested = cli.predict_nested
+
+    def recording_nested(ensemble, pm, order, flags):
+        wanted.append(list(flags))
+        return original_nested(ensemble, pm, order, flags)
+
+    monkeypatch.setattr(cli, "predict_nested", recording_nested)
+    for seed in range(3, 36, 4):
+        vpm = _seeded_pool(seed)
+        matrix = dissimilarity_matrix(vpm)
+        dendro, scores = linkage(matrix, "average"), evaluate_matrix(vpm)
+        p = vpm.n_classifiers
+        # Every metric ranks the pool alike, so every sweep is the first one.
+        alike = {name: EvalEntry(*[entry.accuracy] * 4) for name, entry in scores.items()}
+        sweeps = {metric: hierarchy_select(dendro, matrix, alike, metric)
+                  for metric in METRIC_NAMES}
+        wanted.clear()
+        scored, _ = cli._score_candidates(sweeps, vpm, meta_kind)
+        assert wanted == [[True] * p] + [[False] * p] * 3
+        _assert_standalone_scores(scored, vpm, meta_kind, seed)
+        # Level 2's second member outranking the first swaps only their join order.
+        first = hierarchy_select(dendro, matrix, scores, "accuracy")
+        lifted = {**scores, first[1].joined.canonical: EvalEntry(2.0, 2.0, 2.0, 2.0)}
+        second = hierarchy_select(dendro, matrix, lifted, "accuracy")
+        assert [c.joined for c in second[:2]] == [c.joined for c in first[1::-1]]
+        assert [c.members for c in second[1:]] == [c.members for c in first[1:]]
+        wanted.clear()
+        scored, _ = cli._score_candidates({"accuracy": first, "f1": second}, vpm, meta_kind)
+        assert wanted == [[True] * p, [True] + [False] * (p - 1)]
+        _assert_standalone_scores(scored, vpm, meta_kind, seed)
 
 
 @pytest.mark.parametrize("meta_kind", ["NB", "VOTE"])
@@ -542,6 +593,15 @@ def test_option_defaults_come_from_run_config():
     )
     args = parser.parse_args(["select", "--matrix", "m.csv", "--meta", "vote", "--alpha", "0.25"])
     assert _config_from_args(args) == RunConfig(corpus="", meta_kind="VOTE", alpha=0.25)
+
+
+def test_select_seed_is_accepted_and_unused():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    seed = next(a for a in commands.choices["select"]._actions if a.dest == "seed")
+    assert seed.help == "accepted and unused: select draws no random numbers"
+    args = parser.parse_args(["select", "--matrix", "m.csv", "--seed", "3"])
+    assert _config_from_args(args) == RunConfig(corpus="", seed=3)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 """Double-fault distances and dissimilarity matrix construction."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsel.core import ClassifierId
@@ -190,3 +192,51 @@ class TestDissimilarityMatrix:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"m.csv: line {line}:"):
             read_dissimilarity_csv(str(path))
+
+    def test_undecodable_bytes_name_path_and_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"id,A-X,B-X\r\nA-X,0,1\r\nB-X,1,\xff0\r\n")
+        with pytest.raises(ValueError, match="m.csv: line 3: byte 0xff is not UTF-8 text"):
+            read_dissimilarity_csv(str(path))
+
+    def test_oversized_field_names_path_and_line(self, tmp_path):
+        # An unclosed quote runs to the end of the file, past the csv field limit.
+        path = tmp_path / "m.csv"
+        path.write_text('id,A-X,B-X\nA-X,0,"1\n' + "0," * 70000 + "\n")
+        with pytest.raises(ValueError, match=r"m.csv: line \d+: field larger than field limit"):
+            read_dissimilarity_csv(str(path))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_truncated_or_mutated_csv_reads_or_names_its_line(tmp_path_factory, data):
+    """A valid dissimilarity file cut short, or with bytes replaced, inserted
+    or deleted, reads as a matrix or fails with ``ValueError`` naming
+    ``path: line N``; no other exception escapes."""
+    p = data.draw(st.integers(1, 5), label="p")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    truth = rng.integers(0, 3, 40)
+    cols = [rng.integers(0, 3, 40) for _ in range(max(p, 2))]
+    matrix = dissimilarity_matrix(pm_of(cols, truth, 3))
+    if p == 1:
+        matrix = DissimilarityMatrix(matrix.ids[:1], np.zeros((1, 1)))
+    path = tmp_path_factory.mktemp("dsv") / "m.csv"
+    write_dissimilarity_csv(matrix, str(path))
+    raw = bytearray(path.read_bytes())
+    for _ in range(data.draw(st.integers(1, 4), label="edits")):
+        at = data.draw(st.integers(0, len(raw)), label="at")
+        edit = data.draw(st.sampled_from(["truncate", "replace", "insert", "delete"]), label="edit")
+        if edit == "truncate":
+            del raw[at:]
+        elif edit == "delete":
+            del raw[at:at + data.draw(st.integers(1, 3), label="width")]
+        else:
+            junk = data.draw(st.binary(min_size=1, max_size=3), label="bytes")
+            raw[at:at + (len(junk) if edit == "replace" else 0)] = junk
+    path.write_bytes(bytes(raw))
+    try:
+        back = read_dissimilarity_csv(str(path))
+    except ValueError as exc:
+        assert re.match(rf"{re.escape(str(path))}: line \d+: ", str(exc)), str(exc)
+    else:
+        assert isinstance(back, DissimilarityMatrix)

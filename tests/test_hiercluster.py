@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hsel.core import ClassifierId
 from hsel.diversity import DissimilarityMatrix, dissimilarity_matrix
-from hsel.hiercluster import Dendrogram, MergeStep, linkage, write_dendrogram
+from hsel.hiercluster import LINKAGE_METHODS, Dendrogram, MergeStep, linkage, write_dendrogram
 
 from conftest import dissimilarity
 from oracles import brute_force_linkage, f_cluster, random_symmetric_matrix, scan_linkage_oracle
@@ -191,6 +191,30 @@ class TestScanOracle:
             merges = linkage(dissimilarity(values), method).merges
             got = [(s.left, s.right, s.distance, s.size) for s in merges]
             assert got == scan_linkage_oracle(values, method), method
+
+    @pytest.mark.parametrize("method", LINKAGE_METHODS)
+    @pytest.mark.parametrize("shape", ["absorbing-core", "tie-heavy"])
+    def test_matches_scan_oracle_where_rows_stay_stale(self, shape, method):
+        # Absorbing core: squared distances of a tight core of 20 points and
+        # a shell of 180 unit vectors in 50 dimensions. Under centroid
+        # linkage the core merges first and its slot is then the nearest
+        # column of every shell row, so each shell point it absorbs makes
+        # those rows stale: they keep their old minimum as a lower bound and
+        # are rescanned only when it is the least. Tie-heavy: a 0.25 grid,
+        # where many rows share each minimum.
+        rng = np.random.default_rng(36)
+        p = 200
+        if shape == "absorbing-core":
+            shell = rng.normal(size=(p - 20, 50))
+            points = np.vstack([rng.normal(scale=0.05, size=(20, 50)),
+                                shell / np.linalg.norm(shell, axis=1, keepdims=True)])
+            values = ((points[:, None] - points[None]) ** 2).sum(axis=2)
+            values /= values.max()
+        else:
+            values = np.round(random_symmetric_matrix(rng, p) * 4) / 4
+        merges = linkage(dissimilarity(values), method).merges
+        got = [(s.left, s.right, s.distance, s.size) for s in merges]
+        assert got == scan_linkage_oracle(values, method)
 
     def test_rejects_non_finite_distances(self):
         values = np.array([[0.0, np.inf], [np.inf, 0.0]])

@@ -12,8 +12,14 @@ from hsel.learners import (
     fit_softmax_models,
     gram_form_pays,
     make_learner,
+    top_class,
 )
-from oracles import cosine_knn_oracle, nearest_centroid_oracle, softmax_gd_oracle
+from oracles import (
+    cosine_knn_oracle,
+    nearest_centroid_oracle,
+    softmax_gd_oracle,
+    top_class_oracle,
+)
 
 
 def _separable_data(n=60, seed=2):
@@ -199,6 +205,21 @@ class TestSoftmaxRegression:
         # A real margin still wins.
         model.bias_ = np.array([0.0, 1e-9, -1.0])
         assert model.predict(X).tolist() == [1]
+
+
+def test_top_class_matches_per_row_oracle_in_both_layouts():
+    # Scores on a coarse grid tie often; nudges of 1e-17 and 1e-9 fall
+    # inside and outside the tie band; some rows hold NaN.
+    rng = np.random.default_rng(8)
+    for trial in range(200):
+        n, c = int(rng.integers(1, 40)), int(rng.integers(1, 7))
+        scores = rng.integers(-2, 3, (n, c)) * 10.0 ** int(rng.integers(-3, 6))
+        scores = scores + rng.choice([0.0, 1e-17, 1e-9], size=(n, c))
+        scores[rng.random((n, c)) < 0.03] = np.nan
+        expected = top_class_oracle(scores)
+        for layout in (scores, np.ascontiguousarray(scores.T).T):
+            labels = top_class(layout)
+            assert labels.dtype == np.intp and np.array_equal(labels, expected), trial
 
 
 class TestCosineKNN:

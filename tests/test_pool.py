@@ -194,6 +194,26 @@ class TestWireFormat:
         with pytest.raises(ValueError, match="line 3"):
             read_prediction_matrix(str(path))
 
+    @pytest.mark.parametrize("body, line", [
+        (b"truth,CV-NB\n0,0\n1,\xff\n", 3),
+        (b"truth,CV-N\xc3B\r\n0,0\r\n", 1),  # a truncated two-byte sequence in the header
+        (b"truth,CV-NB\r0,0\r\r1,\x800\r", 4),
+    ])
+    def test_undecodable_matrix_names_path_and_line(self, tmp_path, body, line):
+        path = tmp_path / "pm.csv"
+        path.write_bytes(body)
+        (tmp_path / "pm.csv.meta.json").write_text('{"num_classes": 2, "split": "TEST"}')
+        with pytest.raises(ValueError, match=rf"pm\.csv: line {line}: byte 0x.. is not UTF-8"):
+            read_prediction_matrix(str(path))
+
+    def test_undecodable_sidecar_names_sidecar_path_and_line(self, tmp_path):
+        path = tmp_path / "pm.csv"
+        path.write_text("truth,CV-NB\n0,0\n")
+        (tmp_path / "pm.csv.meta.json").write_bytes(b'{"num_classes": 2,\n "split": "T\xe9ST"}')
+        with pytest.raises(ValueError,
+                           match=r"pm\.csv\.meta\.json: line 2: byte 0xe9 is not UTF-8 text"):
+            read_prediction_matrix(str(path))
+
     def test_first_out_of_range_row_is_named(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("truth,CV-NB,CV-LR\n0,0,1\n\n1,0,5\n0,1,1\n-1,0,0\n")
