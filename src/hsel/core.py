@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import math
 import random
 from dataclasses import dataclass
@@ -110,14 +109,43 @@ def read_utf8(path: str) -> str:
         ) from None
 
 
-def _records(path: str) -> Iterator[list[str]]:
-    """The csv records of a wire file; a csv fault, such as a field past the
-    csv module's size limit, raises ``ValueError`` naming ``path: line N``."""
-    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+def check_header(path: str, header: list[str] | None, start: Sequence[str], kind: str) -> None:
+    """Raise ``ValueError`` naming ``path: line 1`` unless a ``kind`` file's
+    ``header`` starts with the fields ``start``, case and spaces aside."""
+    if header is None:
+        raise ValueError(f"{path}: line 1: empty {kind} file")
+    if [field.strip().lower() for field in header[: len(start)]] != list(start):
+        fields = "fields" if len(start) > 1 else "field"
+        raise ValueError(f"{path}: line 1: first header {fields} must be {','.join(start)!r}")
+
+
+def _records(path: str, start: Sequence[str], kind: str) -> Iterator[tuple[int, list[str]]]:
+    """Stream a UTF-8 CSV ``kind`` file: its header (see ``check_header``) as
+    line 1, then each non-blank record, which has one field per header field,
+    with the physical line it starts on (a quoted field may span lines).
+    Every fault, bytes that are not UTF-8 and csv errors such as a field past
+    the csv module's size limit among them, raises ``ValueError`` naming
+    ``path: line N``."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        line = 1
+        try:
+            header = next(reader, None)
+            check_header(path, header, start, kind)
+            yield line, header
+            line = reader.line_num + 1
+            for fields in reader:
+                if fields:
+                    if len(fields) != len(header):
+                        raise ValueError(f"{path}: line {line}: expected {len(header)}"
+                                         f" fields, found {len(fields)}")
+                    yield line, fields
+                line = reader.line_num + 1
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {line}: {exc}") from None
+        except UnicodeDecodeError:
+            read_utf8(path)  # finds the undecodable byte's line and raises naming it
+            raise
 
 
 _Row = TypeVar("_Row")
@@ -126,30 +154,18 @@ _Row = TypeVar("_Row")
 def read_id_table(
     path: str, corner: str, parse_row: Callable[[list[str]], _Row], fault: str
 ) -> tuple[list[str], tuple[ClassifierId, ...], list[_Row], list[int]]:
-    """Read an id-headed CSV wire file: line 1 is ``corner`` and then the
-    classifier ids, and every later non-blank line has one field per header
-    field. ``parse_row`` maps a line's fields to its row, and a ``ValueError``
-    from it is reported as ``fault``. Returns the header's id names, the ids,
-    the rows and their line numbers; every fault raises ``ValueError`` naming
-    ``path: line N``."""
-    reader = _records(path)
-    header = next(reader, None)
-    if header is None:
-        raise ValueError(f"{path}: line 1: empty matrix file")
-    if not header or header[0].strip().lower() != corner:
-        raise ValueError(f"{path}: line 1: first header field must be {corner!r}")
+    """Read a CSV wire file by ``_records``' rules; its header is ``corner``
+    and then the classifier ids. ``parse_row`` maps a record's fields to its
+    row, and a ``ValueError`` from it is reported as ``fault``. Returns the
+    header's id names, the ids, the rows and the lines they start on."""
+    records = _records(path, (corner,), "matrix")
+    _, header = next(records)
     names = [h.strip() for h in header[1:]]
     if not names:
         raise ValueError(f"{path}: line 1: no classifier columns")
     ids = ClassifierId.parse_header(path, names)
     rows, linenos = [], []
-    for lineno, fields in enumerate(reader, start=2):
-        if not fields:
-            continue
-        if len(fields) != len(header):
-            raise ValueError(
-                f"{path}: line {lineno}: expected {len(header)} fields, found {len(fields)}"
-            )
+    for lineno, fields in records:
         try:
             rows.append(parse_row(fields))
         except ValueError:
@@ -429,32 +445,22 @@ def evaluate_matrix(pm: PredictionMatrix) -> dict[str, EvalEntry]:
 
 
 def load_corpus_csv(path: str) -> tuple[list[tuple[str, int]], dict[str, int]]:
-    """Read a ``text,label`` delimiter-separated corpus file.
+    """Read a CSV corpus by ``_records``' rules; its header starts ``text,label``.
 
-    Label strings are mapped to indices by first-appearance order, so the
-    class count is ``len(mapping)``; the mapping is returned so reports can
-    emit it.
+    Label strings, stripped, are mapped to indices by first-appearance
+    order, so the class count is ``len(mapping)``; the mapping is returned so
+    reports can emit it. A blank label, or fewer than two labels by the last
+    record, raises ``ValueError`` naming that record's ``path: line N``.
     """
-    rows: list[tuple[str, int]] = []
-    mapping: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty corpus file") from None
-        if [h.strip().lower() for h in header[:2]] != ["text", "label"]:
-            raise ValueError(f"{path}: expected header 'text,label', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 fields, found {len(row)}")
-            text, label = row[0], row[1].strip()
-            if label not in mapping:
-                mapping[label] = len(mapping)
-            rows.append((text, mapping[label]))
+    rows, mapping = [], {}
+    records = _records(path, ("text", "label"), "corpus")
+    lineno, _ = next(records)
+    for lineno, fields in records:
+        label = fields[1].strip()
+        if not label:
+            raise ValueError(f"{path}: line {lineno}: empty label")
+        rows.append((fields[0], mapping.setdefault(label, len(mapping))))
     if len(mapping) < 2:
-        raise ValueError(f"{path}: corpus has {len(mapping)} distinct labels; need at least 2")
+        raise ValueError(f"{path}: line {lineno}: corpus ends with {len(mapping)} distinct"
+                         " labels; need at least 2")
     return rows, mapping
-

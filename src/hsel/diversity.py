@@ -91,7 +91,7 @@ def write_dissimilarity_csv(matrix: DissimilarityMatrix, path: str) -> None:
 
 def read_dissimilarity_csv(path: str) -> DissimilarityMatrix:
     names, ids, rows, linenos = read_id_table(
-        path, "id", lambda fields: (fields[0], [float(v) for v in fields[1:]]),
+        path, "id", lambda fields: (fields[0], np.array([float(v) for v in fields[1:]])),
         "non-numeric distance",
     )
     size = len(names)

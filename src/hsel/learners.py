@@ -298,13 +298,6 @@ def normalize_algorithm_token(token: str) -> str:
 
 
 def make_learner(token: str):
-    token = token.strip().upper()
-    if token == "NB":
-        return MultinomialNB()
-    if token == "LR":
-        return SoftmaxRegression()
-    if token == "KNN":
-        return CosineKNN(k=KNN_K)
-    if token == "NC":
-        return NearestCentroid()
-    raise ValueError(f"unknown algorithm token {token!r}; expected one of {ALGORITHM_TOKENS}")
+    learners = {"NB": MultinomialNB, "LR": SoftmaxRegression,
+                "KNN": lambda: CosineKNN(k=KNN_K), "NC": NearestCentroid}
+    return learners[normalize_algorithm_token(token)]()

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ClassifierId, LabeledCorpus, PredictionMatrix, Split, derive_seed
-from .core import read_id_table, read_utf8
+from .core import check_header, read_id_table, read_utf8
 from .features import (
     FeatureSpace,
     build_vocabulary,
@@ -193,12 +193,13 @@ def _read_table_fast(path: str, num_classes: int) -> _Table | None:
     if b'"' in head or b"\r" in head or not body.strip(b"\r\n") or body.translate(None, _PLAIN):
         return None
     try:
-        corner, *names = next(csv.reader([head.decode("utf-8")]))
-        ids = ClassifierId.parse_header(path, [name.strip() for name in names])
+        header = head.decode("utf-8").split(",")  # no quote, so csv would split it the same
+        check_header(path, header, ("truth",), "matrix")
+        ids = ClassifierId.parse_header(path, [name.strip() for name in header[1:]])
         table = np.loadtxt(io.BytesIO(body), dtype=np.int64, delimiter=",", ndmin=2)
     except (ValueError, OverflowError):
         return None
-    plain = corner.strip().lower() == "truth" and 0 < len(ids) == table.shape[1] - 1
+    plain = 0 < len(ids) == table.shape[1] - 1
     return (ids, table) if plain and (table < num_classes).all() else None
 
 

@@ -166,8 +166,7 @@ def choose_final(
         raise ValueError("no candidates to choose from")
     if rule == "weighted" and not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    ordered = sorted(candidates, key=lambda c: c.level_k)
-    return max(ordered, key=lambda c: _rule_key(c, rule, alpha))
+    return max(candidates, key=lambda c: _rule_key(c, rule, alpha))
 
 
 def _chord_knee(w: Sequence[float]) -> int:

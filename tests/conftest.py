@@ -14,6 +14,7 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hsel import cli
 from hsel.core import ClassifierId, PredictionMatrix, Split
@@ -181,3 +182,20 @@ def write_corpus_csv(rows, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(["text", "label"])
         writer.writerows(rows)
+
+
+def mutated_bytes(data, raw: bytes) -> bytes:
+    """``raw`` after one to four hypothesis-drawn edits: cut short, or bytes
+    replaced, inserted or deleted."""
+    raw = bytearray(raw)
+    for _ in range(data.draw(st.integers(1, 4), label="edits")):
+        at = data.draw(st.integers(0, len(raw)), label="at")
+        edit = data.draw(st.sampled_from(["truncate", "replace", "insert", "delete"]), label="edit")
+        if edit == "truncate":
+            del raw[at:]
+        elif edit == "delete":
+            del raw[at:at + data.draw(st.integers(1, 3), label="width")]
+        else:
+            junk = data.draw(st.binary(min_size=1, max_size=3), label="bytes")
+            raw[at:at + (len(junk) if edit == "replace" else 0)] = junk
+    return bytes(raw)

@@ -395,7 +395,8 @@ def sign_row_oracle(seed, dim):
 def read_prediction_matrix_oracle(path, meta_path=None):
     """The cell-by-cell prediction-matrix reader that ``read_prediction_matrix``
     keeps as its fallback, kept verbatim with the id-table parse inlined:
-    ``csv.reader`` splits every line and ``int`` parses every field."""
+    ``csv.reader`` splits every line and ``int`` parses every field. Each
+    record is numbered by the physical line it starts on."""
     meta_path = meta_path or path + ".meta.json"
     with open(meta_path, encoding="utf-8") as fh:
         try:
@@ -429,7 +430,9 @@ def read_prediction_matrix_oracle(path, meta_path=None):
             raise ValueError(f"{path}: line 1: no classifier columns")
         ids = ClassifierId.parse_header(path, names)
         rows, linenos = [], []
-        for lineno, fields in enumerate(reader, start=2):
+        next_line = reader.line_num + 1
+        for fields in reader:
+            lineno, next_line = next_line, reader.line_num + 1
             if not fields:
                 continue
             if len(fields) != len(header):

@@ -22,8 +22,9 @@ from hsel.core import (
     Split,
     evaluate,
     evaluate_matrix,
+    load_corpus_csv,
 )
-from hsel.diversity import dissimilarity_matrix
+from hsel.diversity import dissimilarity_matrix, read_dissimilarity_csv
 from hsel.hiercluster import linkage
 from hsel.pool import write_prediction_matrix
 from hsel.selection import hierarchy_select
@@ -323,6 +324,32 @@ class TestIngest:
         assert main(["ingest", str(path)]) == 1
         assert capsys.readouterr().err == (
             f"error [ingest]: {path}: line 3: byte 0xff is not UTF-8 text\n")
+
+
+@pytest.mark.parametrize(
+    "text, read, message",
+    [
+        ('truth,CV-NB\n0,"1\n\n"\n1,x\n', "ingest", "non-integer label"),
+        ('id,A-X,B-X\n"A-X\n\n",0,1\nB-X,1,x\n', read_dissimilarity_csv,
+         "non-numeric distance"),
+        ('text,label\n"one\ntwo\nthree",pos\nfour,\n', load_corpus_csv, "empty label"),
+    ],
+)
+def test_fault_after_multiline_record_names_its_start_line(tmp_path, capsys, text, read, message):
+    # The quoted field spans lines 2-4, so the faulty record is the third
+    # record but starts on physical line 5.
+    path = str(tmp_path / "in.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    if read == "ingest":  # the matrix reader's cell-by-cell path, through the command
+        (tmp_path / "in.csv.meta.json").write_text('{"num_classes": 2, "split": "TEST"}')
+        assert main(["ingest", path]) == 1
+        error = capsys.readouterr().err
+    else:
+        with pytest.raises(ValueError) as info:
+            read(path)
+        error = str(info.value)
+    assert f"{path}: line 5: {message}" in error
 
 
 class TestSingleStageCommands:

@@ -1,8 +1,10 @@
 """Core domain types: splitting, metrics, ids, matrices, corpus files."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsel.core import (
@@ -19,7 +21,7 @@ from hsel.core import (
     split_corpus,
 )
 
-from conftest import BUNDLED_CORPUS, pm_of, synthetic_news_corpus, write_corpus_csv
+from conftest import BUNDLED_CORPUS, mutated_bytes, pm_of, synthetic_news_corpus, write_corpus_csv
 from oracles import metrics_oracle
 
 
@@ -263,6 +265,53 @@ class TestCorpusCsv:
         path.write_text("body,tag\nx,y\n")
         with pytest.raises(ValueError, match="header"):
             load_corpus_csv(str(path))
+
+    def test_extra_declared_columns_are_read(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_text('Text, Label ,source\n"a\nb",pos,x\nc, neg,y\n\nd,pos,z\n')
+        rows, mapping = load_corpus_csv(str(path))
+        assert mapping == {"pos": 0, "neg": 1}
+        assert rows == [("a\nb", 0), ("c", 1), ("d", 0)]
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"text,label\nhello, world,pos\nbye,neg\n", "line 2: expected 2 fields, found 3"),
+            (b"text,label,source\nhello,pos\n", "line 2: expected 3 fields, found 2"),
+            (b"text,label\nhello,pos\nsome text,\n", "line 3: empty label"),
+            (b"text,label\nhello,pos\r\nsome text, \r\n", "line 3: empty label"),
+            (b"text,label\nhello,pos\nbye,n\xffg\n", "line 3: byte 0xff is not UTF-8 text"),
+            (b'text,label\nhello,pos\n"' + b"x" * 140000 + b'",neg\n',
+             "line 3: field larger than field limit"),
+            (b"", "line 1: empty corpus file"),
+            (b"\ntext,label\nhello,pos\n", "line 1: first header fields must be 'text,label'"),
+            (b"text\nhello\n", "line 1: first header fields must be 'text,label'"),
+            (b"text,label\nhello,pos\nbye,pos\n", "line 3: corpus ends with 1 distinct labels"),
+        ],
+    )
+    def test_malformed_corpus_names_path_and_line(self, tmp_path, data, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_corpus_csv(str(path))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_truncated_or_mutated_corpus_reads_or_names_its_line(tmp_path_factory, data):
+    """A valid corpus cut short, or with bytes replaced, inserted or deleted,
+    reads as rows or fails with ``ValueError`` naming ``path: line N``; no
+    other exception escapes."""
+    path = tmp_path_factory.mktemp("corpus") / "corpus.csv"
+    write_corpus_csv([("hello, world", "real"), ('say "hi"\nthere', "fake"), ("x", "real"),
+                      ("multi\nline\ntext", "fake"), ("plain", "real")], str(path))
+    path.write_bytes(mutated_bytes(data, path.read_bytes()))
+    try:
+        rows, mapping = load_corpus_csv(str(path))
+    except ValueError as exc:
+        assert re.match(rf"{re.escape(str(path))}: line \d+: ", str(exc)), str(exc)
+    else:
+        assert len(mapping) >= 2 and all(0 <= label < len(mapping) for _, label in rows)
 
 
 def test_derive_seed_stable_and_distinct():

@@ -15,7 +15,7 @@ from hsel.diversity import (
     write_dissimilarity_csv,
 )
 
-from conftest import pm_of
+from conftest import mutated_bytes, pm_of
 from oracles import double_fault_oracle
 
 
@@ -222,18 +222,7 @@ def test_truncated_or_mutated_csv_reads_or_names_its_line(tmp_path_factory, data
         matrix = DissimilarityMatrix(matrix.ids[:1], np.zeros((1, 1)))
     path = tmp_path_factory.mktemp("dsv") / "m.csv"
     write_dissimilarity_csv(matrix, str(path))
-    raw = bytearray(path.read_bytes())
-    for _ in range(data.draw(st.integers(1, 4), label="edits")):
-        at = data.draw(st.integers(0, len(raw)), label="at")
-        edit = data.draw(st.sampled_from(["truncate", "replace", "insert", "delete"]), label="edit")
-        if edit == "truncate":
-            del raw[at:]
-        elif edit == "delete":
-            del raw[at:at + data.draw(st.integers(1, 3), label="width")]
-        else:
-            junk = data.draw(st.binary(min_size=1, max_size=3), label="bytes")
-            raw[at:at + (len(junk) if edit == "replace" else 0)] = junk
-    path.write_bytes(bytes(raw))
+    path.write_bytes(mutated_bytes(data, path.read_bytes()))
     try:
         back = read_dissimilarity_csv(str(path))
     except ValueError as exc:
