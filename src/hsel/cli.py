@@ -42,7 +42,6 @@ from .core import (
     split_corpus,
 )
 from .diversity import (
-    CONVERSIONS,
     DissimilarityMatrix,
     dissimilarity_matrix,
     read_dissimilarity_csv,
@@ -62,9 +61,6 @@ from .selection import (
     random_baseline,
 )
 
-OUTPUT_DIR_ENV = "HSEL_OUTPUT_DIR"
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved configuration of one pipeline run; embedded in every report."""
@@ -75,7 +71,6 @@ class RunConfig:
     extractors: tuple[str, ...] = ("COUNT", "TFIDF", "HASHED")
     algorithms: tuple[str, ...] = ("NB", "LR", "KNN", "NC")
     linkage: str = "complete"
-    conversion: str = "complement"
     metrics: tuple[str, ...] = METRIC_NAMES
     rule: str = "max-validation"
     alpha: float = 0.5
@@ -103,8 +98,18 @@ def _stage(name: str):
 
 
 def _make_outdir(path: str) -> None:
+    """Create the output directory; called by the stage that writes the
+    first file there, so a command that fails on its inputs makes none."""
     with _stage("outdir"):
         os.makedirs(path, exist_ok=True)
+
+
+def _out_path(args: argparse.Namespace, name: str) -> str:
+    """A single-file command's output: ``--out``, or ``name`` in ``--outdir``."""
+    if args.out:
+        return args.out
+    _make_outdir(args.outdir)
+    return os.path.join(args.outdir, name)
 
 
 def _now() -> str:
@@ -246,7 +251,7 @@ def _selection_sweep(
     with _stage("evaluate-pool"):
         scores = evaluate_matrix(vpm)
     with _stage("dissimilarity"):
-        matrix = dissimilarity_matrix(vpm, conversion=config.conversion)
+        matrix = dissimilarity_matrix(vpm)
     with _stage("linkage"):
         dendro = linkage(matrix, method=config.linkage)
     with _stage("hierarchy-select"):
@@ -291,7 +296,7 @@ def _selection_report_doc(
     return {
         "report_version": 2,
         "linkage": config.linkage,
-        "conversion": config.conversion,
+        "conversion": "complement",  # required by the v2 schema
         "elbow_k": elbow_k,
         "metrics": metrics_doc,
     }
@@ -333,7 +338,6 @@ def _build_matrices(
 def cmd_run(config: RunConfig) -> dict:
     """Full pipeline; writes matrix, dendrogram, selection, and evaluation
     artifacts into the output directory and returns the run report."""
-    _make_outdir(config.outdir)
     corpus, mapping = _build_corpus(config)
     vpm, tpm = _build_matrices(config, corpus)
     matrix, dendro, scores, sweeps, stacks, elbow_k = _selection_sweep(vpm, config)
@@ -354,6 +358,7 @@ def cmd_run(config: RunConfig) -> dict:
         "validation_matrix": "validation_matrix.csv",
         "test_matrix": "test_matrix.csv",
     }
+    _make_outdir(config.outdir)
     with _stage("write-artifacts"):
         write_dissimilarity_csv(matrix, os.path.join(config.outdir, artifacts["dissimilarity_matrix"]))
         write_dendrogram(dendro, os.path.join(config.outdir, artifacts["dendrogram"]))
@@ -407,12 +412,8 @@ def cmd_compare(
     """Evaluate every strategy on TEST: monolithic members, groups A/B/C,
     the hierarchy-selected group D, the elbow ensemble, and the baseline.
 
-    Accepts either a corpus (native pool) or a pair of ingested prediction
-    matrices in place of one.
+    Reads the matrix pair when one is given, else the corpus (native pool).
     """
-    if (validation_matrix is None) != (test_matrix is None) or (config.corpus and validation_matrix):
-        raise StageError("ingest", "compare takes a corpus alone or a validation and a test matrix")
-    _make_outdir(config.outdir)
     if validation_matrix is not None:
         vpm, tpm = _read_matrix_pair(validation_matrix, test_matrix)
         if vpm.classifier_ids != tpm.classifier_ids:
@@ -464,6 +465,7 @@ def cmd_compare(
         "num_classes": vpm.num_classes,
         "rows": rows,
     }
+    _make_outdir(config.outdir)
     with _stage("write-report"):
         _emit_report(report, "compare_report", os.path.join(config.outdir, "compare_report.json"))
     return report
@@ -528,8 +530,6 @@ _FIELD_OPTIONS = {
     "algorithms": ("--algorithms", "learning algorithm tokens",
                    {"type": _unique_tokens("algorithm", normalize_algorithm_token)}),
     "linkage": ("--linkage", "inter-cluster distance rule", {"choices": LINKAGE_METHODS}),
-    "conversion": ("--conversion", "double-fault to distance conversion",
-                   {"choices": CONVERSIONS}),
     "metrics": ("--metrics", "per-cluster selection metrics; the first one drives the "
                 "deployed ensemble", {"type": _unique_tokens("metric", _metric_name)}),
     "rule": ("--rule", "final candidate choice rule", {"choices": FINAL_RULES}),
@@ -537,10 +537,10 @@ _FIELD_OPTIONS = {
     "meta_kind": ("--meta", "stacking meta-classifier",
                   {"type": str.upper, "choices": META_KINDS}),
     "seed": ("--seed", "global random seed", {"type": int}),
-    "outdir": ("--outdir", f"output directory, overridden by ${OUTPUT_DIR_ENV}", {}),
+    "outdir": ("--outdir", "output directory, made when the first file is written there", {}),
 }
 _PIPELINE_FIELDS = ("ratios", "extractors", "algorithms", "seed")
-_SELECTION_FIELDS = ("linkage", "conversion", "metrics", "rule", "alpha", "meta_kind")
+_SELECTION_FIELDS = ("linkage", "metrics", "rule", "alpha", "meta_kind")
 
 
 def _add_field_options(parser: argparse.ArgumentParser, names: Sequence[str]) -> None:
@@ -587,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_div.add_argument("--matrix", required=True)
     p_div.add_argument("--meta-file")
     p_div.add_argument("--out", help="output path (default: <outdir>/dissimilarity.csv)")
-    _add_field_options(p_div, ("conversion", "outdir"))
+    _add_field_options(p_div, ("outdir",))
 
     p_clu = sub.add_parser("cluster", help="dendrogram from a dissimilarity matrix")
     p_clu.add_argument("--dissimilarity", required=True)
@@ -619,11 +619,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     matrices = (args.validation_matrix, args.test_matrix) if args.command == "compare" else ()
     if matrices and (any(matrices) if args.corpus else not all(matrices)):
         args.usage_error("compare takes --corpus alone or both --validation-matrix and --test-matrix")
-    if "outdir" in args:
-        args.outdir = os.environ.get(OUTPUT_DIR_ENV) or args.outdir
     try:
-        if "outdir" in args:
-            _make_outdir(args.outdir)
         if args.command == "run":
             report = cmd_run(_config_from_args(args))
             shown = json.dumps(report["final_test_eval"], indent=2, sort_keys=True)
@@ -645,8 +641,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             with _stage("ingest"):
                 pm = read_prediction_matrix(args.matrix, args.meta_file)
             with _stage("dissimilarity"):
-                matrix = dissimilarity_matrix(pm, conversion=args.conversion)
-            shown = args.out or os.path.join(args.outdir, "dissimilarity.csv")
+                matrix = dissimilarity_matrix(pm)
+            shown = _out_path(args, "dissimilarity.csv")
             with _stage("write-dissimilarity"):
                 write_dissimilarity_csv(matrix, shown)
         elif args.command == "cluster":
@@ -654,7 +650,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 matrix = read_dissimilarity_csv(args.dissimilarity)
             with _stage("linkage"):
                 dendro = linkage(matrix, method=args.linkage)
-            shown = args.out or os.path.join(args.outdir, "dendrogram.txt")
+            shown = _out_path(args, "dendrogram.txt")
             with _stage("write-dendrogram"):
                 write_dendrogram(dendro, shown)
         elif args.command == "select":
@@ -663,6 +659,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 vpm = read_prediction_matrix(args.matrix, args.meta_file)
             _, _, _, sweeps, _, elbow_k = _selection_sweep(vpm, config)
             shown = os.path.join(config.outdir, "selection_report.json")
+            _make_outdir(config.outdir)
             with _stage("write-report"):
                 _emit_report(_selection_report_doc(config, sweeps, elbow_k),
                              "selection_report", shown)
@@ -672,7 +669,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 ensemble = fit_stack(vpm, list(args.members), meta_kind=args.meta_kind)
                 preds = predict_stack(ensemble, tpm)
             entry = evaluate(preds, tpm.truth, tpm.num_classes)
-            out = args.out or os.path.join(args.outdir, "stack.json")
+            out = _out_path(args, "stack.json")
             with _stage("write-stack"), open(out, "w", encoding="utf-8") as fh:
                 fh.write(stack_to_json(ensemble))
             shown = json.dumps({"stack": out, "test_eval": entry.as_dict()},

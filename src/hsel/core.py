@@ -119,27 +119,27 @@ def check_header(path: str, header: list[str] | None, start: Sequence[str], kind
         raise ValueError(f"{path}: line 1: first header {fields} must be {','.join(start)!r}")
 
 
-def _records(path: str, start: Sequence[str], kind: str) -> Iterator[tuple[int, list[str]]]:
+def _records(path: str, start: Sequence[str], kind: str) -> Iterator[tuple[int, int, list[str]]]:
     """Stream a UTF-8 CSV ``kind`` file: its header (see ``check_header``) as
     line 1, then each non-blank record, which has one field per header field,
-    with the physical line it starts on (a quoted field may span lines).
-    Every fault, bytes that are not UTF-8 and csv errors such as a field past
-    the csv module's size limit among them, raises ``ValueError`` naming
-    ``path: line N``."""
+    with the physical line it starts on and the line after it ends (a quoted
+    field may span lines). Every fault, bytes that are not UTF-8 and csv
+    errors such as a field past the csv module's size limit among them,
+    raises ``ValueError`` naming ``path: line N``."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         line = 1
         try:
             header = next(reader, None)
             check_header(path, header, start, kind)
-            yield line, header
+            yield line, reader.line_num + 1, header
             line = reader.line_num + 1
             for fields in reader:
                 if fields:
                     if len(fields) != len(header):
                         raise ValueError(f"{path}: line {line}: expected {len(header)}"
                                          f" fields, found {len(fields)}")
-                    yield line, fields
+                    yield line, reader.line_num + 1, fields
                 line = reader.line_num + 1
         except csv.Error as exc:
             raise ValueError(f"{path}: line {line}: {exc}") from None
@@ -153,25 +153,26 @@ _Row = TypeVar("_Row")
 
 def read_id_table(
     path: str, corner: str, parse_row: Callable[[list[str]], _Row], fault: str
-) -> tuple[list[str], tuple[ClassifierId, ...], list[_Row], list[int]]:
+) -> tuple[list[str], tuple[ClassifierId, ...], list[_Row], list[int], int]:
     """Read a CSV wire file by ``_records``' rules; its header is ``corner``
     and then the classifier ids. ``parse_row`` maps a record's fields to its
     row, and a ``ValueError`` from it is reported as ``fault``. Returns the
-    header's id names, the ids, the rows and the lines they start on."""
+    header's id names, the ids, the rows, the lines they start on and the
+    line after the last record (or the header) ends."""
     records = _records(path, (corner,), "matrix")
-    _, header = next(records)
+    _, end, header = next(records)
     names = [h.strip() for h in header[1:]]
     if not names:
         raise ValueError(f"{path}: line 1: no classifier columns")
     ids = ClassifierId.parse_header(path, names)
     rows, linenos = [], []
-    for lineno, fields in records:
+    for lineno, end, fields in records:
         try:
             rows.append(parse_row(fields))
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: {fault}") from None
         linenos.append(lineno)
-    return names, ids, rows, linenos
+    return names, ids, rows, linenos, end
 
 
 @dataclass(frozen=True)
@@ -454,8 +455,8 @@ def load_corpus_csv(path: str) -> tuple[list[tuple[str, int]], dict[str, int]]:
     """
     rows, mapping = [], {}
     records = _records(path, ("text", "label"), "corpus")
-    lineno, _ = next(records)
-    for lineno, fields in records:
+    lineno, _, _ = next(records)
+    for lineno, _, fields in records:
         label = fields[1].strip()
         if not label:
             raise ValueError(f"{path}: line {lineno}: empty label")

@@ -10,14 +10,6 @@ import numpy as np
 from .core import ClassifierId, PredictionMatrix, read_id_table
 
 
-# Double-fault-to-distance conversions. "complement" is distance = 1 - DF:
-# high co-failure means redundancy, so redundant pairs come out close and
-# cluster together. Two perfect classifiers sit at distance 1 even though
-# they behave identically; that is the double-fault semantics (diversity as
-# error decorrelation), not a bug.
-CONVERSIONS = ("complement",)
-
-
 @dataclass(frozen=True)
 class DissimilarityMatrix:
     """Symmetric pairwise classifier distances in [0, 1] with a zero diagonal;
@@ -51,14 +43,16 @@ class DissimilarityMatrix:
         return len(self.ids)
 
 
-def dissimilarity_matrix(
-    pm: PredictionMatrix, conversion: str = "complement"
-) -> DissimilarityMatrix:
+def dissimilarity_matrix(pm: PredictionMatrix) -> DissimilarityMatrix:
     """Pairwise distances over a prediction matrix's classifier columns.
 
     Each off-diagonal entry is ``1 - DF(col_i, col_j)``, where the double
     fault DF is the fraction of instances on which both classifiers are
-    wrong; the diagonal is 0 by construction. Co-failure counts c come from
+    wrong; the diagonal is 0 by construction. High co-failure means
+    redundancy, so redundant pairs come out close and cluster together.
+    Two perfect classifiers sit at distance 1 even though they behave
+    identically; that is the double-fault semantics (diversity as error
+    decorrelation), not a bug. Co-failure counts c come from
     one float64 product ``wrong.T @ wrong``, exact while N < 2**53, and are
     kept as int64 with N. The upper triangle ``1 - c / N`` is one array
     expression, mirrored, so the result is exactly symmetric. The sweep and
@@ -67,8 +61,6 @@ def dissimilarity_matrix(
     """
     if pm.n_classifiers < 2:
         raise ValueError("need at least 2 classifiers to build a dissimilarity matrix")
-    if conversion not in CONVERSIONS:
-        raise ValueError(f"unknown conversion {conversion!r}; expected one of {CONVERSIONS}")
     wrong = (pm.predictions != pm.truth[:, None]).astype(np.float64)
     co_failures = (wrong.T @ wrong).astype(np.int64)
     co_failures.setflags(write=False)
@@ -90,7 +82,7 @@ def write_dissimilarity_csv(matrix: DissimilarityMatrix, path: str) -> None:
 
 
 def read_dissimilarity_csv(path: str) -> DissimilarityMatrix:
-    names, ids, rows, linenos = read_id_table(
+    names, ids, rows, linenos, end = read_id_table(
         path, "id", lambda fields: (fields[0], np.array([float(v) for v in fields[1:]])),
         "non-numeric distance",
     )
@@ -103,7 +95,6 @@ def read_dissimilarity_csv(path: str) -> DissimilarityMatrix:
                 f"{path}: line {lineno}: row id {row_id!r} does not match header order"
             )
     if len(rows) < size:
-        end = linenos[-1] + 1 if linenos else 2
         raise ValueError(f"{path}: line {end}: expected {size} rows, found {len(rows)}")
     values = np.array([distances for _, distances in rows], dtype=np.float64)
     try:

@@ -205,7 +205,7 @@ def _read_table_fast(path: str, num_classes: int) -> _Table | None:
 
 def _read_table(path: str, num_classes: int) -> _Table:
     """The matrix cell by cell, naming ``path: line N`` in every fault."""
-    _, ids, rows, linenos = read_id_table(
+    _, ids, rows, linenos, _ = read_id_table(
         path, "truth", lambda fields: [int(v) for v in fields], "non-integer label"
     )
     if not rows:

@@ -24,9 +24,9 @@ from hsel.core import (
     evaluate_matrix,
     load_corpus_csv,
 )
-from hsel.diversity import dissimilarity_matrix, read_dissimilarity_csv
+from hsel.diversity import dissimilarity_matrix, read_dissimilarity_csv, write_dissimilarity_csv
 from hsel.hiercluster import linkage
-from hsel.pool import write_prediction_matrix
+from hsel.pool import read_prediction_matrix, write_prediction_matrix
 from hsel.selection import hierarchy_select
 
 from conftest import (
@@ -157,14 +157,6 @@ class TestRun:
         assert rc == 1
         assert "error [load-corpus]" in capsys.readouterr().err
 
-    def test_outdir_env_override(self, small_corpus, tmp_path, monkeypatch):
-        override = tmp_path / "env-out"
-        monkeypatch.setenv("HSEL_OUTPUT_DIR", str(override))
-        rc = main(["run", "--corpus", small_corpus, "--outdir", str(tmp_path / "flag-out")])
-        assert rc == 0
-        assert override.joinpath("run_report.json").exists()
-        assert not (tmp_path / "flag-out").exists()
-
     def test_exact_distance_tie_deploys_the_smaller_level(self, tmp_path):
         # Seed 300 on the bundled corpus: levels 2, 3 and 4 have the same exact
         # mean distance, 79/80, and the same validation score, so the rule's
@@ -290,13 +282,6 @@ class TestCompare:
         assert "compare takes --corpus alone or both --validation-matrix and --test-matrix" in err
         assert not (tmp_path / "cmp").exists()
 
-    @pytest.mark.parametrize("corpus, matrices", [("c.csv", ("v.csv", "t.csv")),
-                                                  ("", ("v.csv", None)), ("", (None, "t.csv"))])
-    def test_cmd_compare_rejects_mixed_inputs(self, corpus, matrices, tmp_path):
-        config = RunConfig(corpus=corpus, outdir=str(tmp_path / "cmp"))
-        with pytest.raises(cli.StageError, match="a corpus alone or a validation and a test matrix"):
-            cmd_compare(config, *matrices)
-
 
 class TestIngest:
     def test_valid_file_summary(self, tmp_path, capsys):
@@ -353,14 +338,6 @@ def test_fault_after_multiline_record_names_its_start_line(tmp_path, capsys, tex
 
 
 class TestSingleStageCommands:
-    def test_outdir_env_override_for_matrix_commands(self, tmp_path, capsys, monkeypatch):
-        val_path, _ = _redundant_matrices(tmp_path)
-        override = tmp_path / "env-out"
-        monkeypatch.setenv("HSEL_OUTPUT_DIR", str(override))
-        assert main(["diversity", "--matrix", val_path, "--outdir", str(tmp_path / "x")]) == 0
-        assert capsys.readouterr().out.strip() == str(override / "dissimilarity.csv")
-        assert not (tmp_path / "x").exists()
-
     def test_diversity_then_cluster(self, tmp_path, capsys):
         val_path, _ = _redundant_matrices(tmp_path)
         outdir = str(tmp_path / "out")
@@ -461,19 +438,55 @@ class TestSingleStageCommands:
         assert capsys.readouterr().err.startswith(f"error [write-{stage}]: ")
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "--corpus", "c.csv"],
-    ["compare", "--validation-matrix", "v.csv", "--test-matrix", "t.csv"],
-    ["select", "--matrix", "m.csv"],
-    ["diversity", "--matrix", "m.csv"],
-    ["cluster", "--dissimilarity", "d.csv"],
-    ["stack", "--validation-matrix", "v.csv", "--test-matrix", "t.csv", "--members", "A-B"],
-], ids=lambda argv: argv[0])
-def test_unusable_outdir_names_the_outdir_stage(argv, tmp_path, capsys):
+def _commands_on_inputs(tmp_path, corpus):
+    """Each command that writes into ``--outdir``, on inputs it reads."""
+    val_path, test_path = _redundant_matrices(tmp_path)
+    matrix = dissimilarity_matrix(read_prediction_matrix(val_path))
+    write_dissimilarity_csv(matrix, str(tmp_path / "dissimilarity.csv"))
+    return {
+        "run": ["run", "--corpus", corpus],
+        "compare": ["compare", "--validation-matrix", val_path, "--test-matrix", test_path],
+        "select": ["select", "--matrix", val_path, "--meta", "VOTE"],
+        "diversity": ["diversity", "--matrix", val_path],
+        "cluster": ["cluster", "--dissimilarity", str(tmp_path / "dissimilarity.csv")],
+        "stack": ["stack", "--validation-matrix", val_path, "--test-matrix", test_path,
+                  "--members", "SRC01-CLF,SRC05-CLF"],
+    }
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "select", "diversity", "cluster", "stack"])
+def test_unusable_outdir_names_the_outdir_stage(command, small_corpus, tmp_path, capsys):
+    # The output directory is made when the first file is written there, so
+    # each command reaches stage outdir only after its inputs have loaded.
+    argv = _commands_on_inputs(tmp_path, small_corpus)[command]
     blocker = tmp_path / "file"
     blocker.write_text("")
     assert main(argv + ["--outdir", str(blocker / "sub")]) == 1
     assert capsys.readouterr().err.startswith("error [outdir]: ")
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (["run", "--corpus", "{unquoted}"], "load-corpus"),
+    (["compare", "--corpus", "{unquoted}"], "load-corpus"),
+    (["select", "--matrix", "{missing}"], "ingest"),
+], ids=["run", "compare", "select"])
+def test_failed_command_leaves_no_outdir(argv, stage, tmp_path, capsys):
+    unquoted = tmp_path / "unquoted.csv"
+    unquoted.write_text("text,label\nhello, world,pos\nbye,neg\n")
+    paths = {"unquoted": str(unquoted), "missing": str(tmp_path / "missing.csv")}
+    outdir = tmp_path / "out"
+    assert main([arg.format(**paths) for arg in argv] + ["--outdir", str(outdir)]) == 1
+    assert capsys.readouterr().err.startswith(f"error [{stage}]: ")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["diversity", "cluster", "stack"])
+def test_out_file_makes_no_outdir(command, tmp_path, capsys, monkeypatch):
+    argv = _commands_on_inputs(tmp_path, "")[command]
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", str(tmp_path / "d.csv")]) == 0
+    assert (tmp_path / "d.csv").exists()
+    assert not (tmp_path / "hsel-out").exists()
 
 
 def _seeded_pool(seed):
@@ -640,6 +653,10 @@ def test_select_seed_is_accepted_and_unused():
         ["cluster", "--dissimilarity", "d.csv", "--seed", "3"],
         ["stack", "--validation-matrix", "v.csv", "--test-matrix", "t.csv",
          "--members", "A-X", "--seed", "3"],
+        ["run", "--corpus", "c.csv", "--conversion", "complement"],
+        ["compare", "--corpus", "c.csv", "--conversion", "complement"],
+        ["select", "--matrix", "m.csv", "--conversion", "complement"],
+        ["diversity", "--matrix", "m.csv", "--conversion", "complement"],
     ],
 )
 def test_commands_reject_options_they_do_not_read(argv, capsys):

@@ -125,11 +125,6 @@ class TestDissimilarityMatrix:
                     df = double_fault_oracle(cols[i], cols[j], truth)
                     assert matrix.values[i, j] == (0.0 if i == j else 1.0 - df), (case, i, j)
 
-    def test_unknown_conversion_rejected(self):
-        pm = pm_of([[0, 1], [1, 1]], [0, 1])
-        with pytest.raises(ValueError, match="unknown conversion 'half'"):
-            dissimilarity_matrix(pm, conversion="half")
-
     def test_constructor_rejects_asymmetric(self):
         ids = (ClassifierId("E0", "A"), ClassifierId("E1", "A"))
         bad = np.array([[0.0, 0.2], [0.3, 0.0]])
@@ -179,6 +174,7 @@ class TestDissimilarityMatrix:
             ("id,A-X,B-X\nA-X,0,1\nB-X,1,0\nC-X,1,1\n", 4),  # extra row
             ("id,A-X,B-X\nA-X,0,x\nB-X,1,0\n", 2),  # non-numeric cell
             ("id,A-X,B-X\nA-X,0,1\n", 3),  # fewer rows than ids
+            ('id,A-X,B-X\n"A-X\n\n",0,1\n', 5),  # ... the last one spanning lines 2-4
             ("id,A-X,BX\nA-X,0,1\nBX,1,0\n", 1),  # unparseable id
             ("id,A-X,a-x\nA-X,0,1\na-x,1,0\n", 1),  # ids equal up to case
             ("id,A-X,B-X,C-X\nA-X,0,1,1\nB-X,1,0,0.5\nC-X,1,0.25,0\n", 3),  # asymmetric
