@@ -97,19 +97,13 @@ def _stage(name: str):
         raise StageError(name, str(exc)) from exc
 
 
-def _make_outdir(path: str) -> None:
-    """Create the output directory; called by the stage that writes the
-    first file there, so a command that fails on its inputs makes none."""
+def _out_path(outdir: str, name: str) -> str:
+    """The path of output file ``name`` in ``outdir``, which is made here,
+    when the first file is written there, so a command that fails on its
+    inputs makes none."""
     with _stage("outdir"):
-        os.makedirs(path, exist_ok=True)
-
-
-def _out_path(args: argparse.Namespace, name: str) -> str:
-    """A single-file command's output: ``--out``, or ``name`` in ``--outdir``."""
-    if args.out:
-        return args.out
-    _make_outdir(args.outdir)
-    return os.path.join(args.outdir, name)
+        os.makedirs(outdir, exist_ok=True)
+    return os.path.join(outdir, name)
 
 
 def _now() -> str:
@@ -302,15 +296,15 @@ def _selection_report_doc(
     }
 
 
-def _read_matrix_pair(validation: str, test: str) -> tuple[PredictionMatrix, PredictionMatrix]:
-    """The validation and the test matrix of one job; their class counts must agree."""
+def _read_matrices(*paths: str) -> list[PredictionMatrix]:
+    """Each matrix, read with its ``<matrix>.meta.json`` sidecar; the class
+    counts of a validation and a test matrix must agree."""
     with _stage("ingest"):
-        vpm, tpm = read_prediction_matrix(validation), read_prediction_matrix(test)
-        if vpm.num_classes != tpm.num_classes:
-            raise ValueError(
-                f"{validation} has {vpm.num_classes} classes but {test} has {tpm.num_classes}"
-            )
-    return vpm, tpm
+        pms = [read_prediction_matrix(path) for path in paths]
+        if pms[0].num_classes != pms[-1].num_classes:
+            raise ValueError(f"{paths[0]} has {pms[0].num_classes} classes but {paths[-1]}"
+                             f" has {pms[-1].num_classes}")
+    return pms
 
 
 def _build_corpus(config: RunConfig) -> tuple[LabeledCorpus, dict[str, int]]:
@@ -358,21 +352,14 @@ def cmd_run(config: RunConfig) -> dict:
         "validation_matrix": "validation_matrix.csv",
         "test_matrix": "test_matrix.csv",
     }
-    _make_outdir(config.outdir)
+    paths = {key: _out_path(config.outdir, name) for key, name in artifacts.items()}
     with _stage("write-artifacts"):
-        write_dissimilarity_csv(matrix, os.path.join(config.outdir, artifacts["dissimilarity_matrix"]))
-        write_dendrogram(dendro, os.path.join(config.outdir, artifacts["dendrogram"]))
-        write_prediction_matrix(
-            vpm, os.path.join(config.outdir, artifacts["validation_matrix"]), mapping
-        )
-        write_prediction_matrix(
-            tpm, os.path.join(config.outdir, artifacts["test_matrix"]), mapping
-        )
-        _emit_report(
-            _selection_report_doc(config, sweeps, elbow_k),
-            "selection_report",
-            os.path.join(config.outdir, artifacts["selection_report"]),
-        )
+        write_dissimilarity_csv(matrix, paths["dissimilarity_matrix"])
+        write_dendrogram(dendro, paths["dendrogram"])
+        write_prediction_matrix(vpm, paths["validation_matrix"], mapping)
+        write_prediction_matrix(tpm, paths["test_matrix"], mapping)
+        _emit_report(_selection_report_doc(config, sweeps, elbow_k), "selection_report",
+                     paths["selection_report"])
 
     report = {
         "report_version": 2,
@@ -388,8 +375,9 @@ def cmd_run(config: RunConfig) -> dict:
         "final_test_eval": final_eval.as_dict(),
         "artifacts": artifacts,
     }
+    path = _out_path(config.outdir, "run_report.json")
     with _stage("write-report"):
-        _emit_report(report, "run_report", os.path.join(config.outdir, "run_report.json"))
+        _emit_report(report, "run_report", path)
     return report
 
 
@@ -415,7 +403,7 @@ def cmd_compare(
     Reads the matrix pair when one is given, else the corpus (native pool).
     """
     if validation_matrix is not None:
-        vpm, tpm = _read_matrix_pair(validation_matrix, test_matrix)
+        vpm, tpm = _read_matrices(validation_matrix, test_matrix)
         if vpm.classifier_ids != tpm.classifier_ids:
             raise StageError("ingest", "validation and test matrices must share one column order")
     else:
@@ -465,9 +453,9 @@ def cmd_compare(
         "num_classes": vpm.num_classes,
         "rows": rows,
     }
-    _make_outdir(config.outdir)
+    path = _out_path(config.outdir, "compare_report.json")
     with _stage("write-report"):
-        _emit_report(report, "compare_report", os.path.join(config.outdir, "compare_report.json"))
+        _emit_report(report, "compare_report", path)
     return report
 
 
@@ -560,55 +548,55 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Without abbreviations each option has one spelling, and a deleted one
+    # is an unrecognized argument rather than a prefix of another.
     parser = argparse.ArgumentParser(
         prog="hsel",
+        allow_abbrev=False,
         description="Build diverse multiple classifier systems for text "
                     "classification via double-fault clustering, hierarchy-level "
                     "selection, and stacking.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="full pipeline over a corpus file")
+    def add(name: str, **kwargs) -> argparse.ArgumentParser:
+        return sub.add_parser(name, allow_abbrev=False, **kwargs)
+
+    p_run = add("run", help="full pipeline over a corpus file")
     p_run.add_argument("--corpus", required=True, help="text,label corpus file")
     _add_field_options(p_run, _PIPELINE_FIELDS + _SELECTION_FIELDS + ("outdir",))
 
-    p_cmp = sub.add_parser("compare", help="selection strategies side by side on TEST")
+    p_cmp = add("compare", help="selection strategies side by side on TEST")
     p_cmp.add_argument("--corpus", help="text,label corpus file (native pool mode)")
     p_cmp.add_argument("--validation-matrix", help="ingested validation prediction matrix")
     p_cmp.add_argument("--test-matrix", help="ingested test prediction matrix")
     _add_field_options(p_cmp, _PIPELINE_FIELDS + _SELECTION_FIELDS + ("outdir",))
     p_cmp.set_defaults(usage_error=p_cmp.error)
 
-    p_ing = sub.add_parser("ingest", help="validate a prediction-matrix file")
+    p_ing = add("ingest", help="validate a prediction-matrix file")
     p_ing.add_argument("matrix", help="prediction-matrix file")
-    p_ing.add_argument("--meta-file", help="sidecar metadata (default: <matrix>.meta.json)")
 
-    p_div = sub.add_parser("diversity", help="dissimilarity matrix from a prediction matrix")
+    p_div = add("diversity", help="dissimilarity matrix from a prediction matrix")
     p_div.add_argument("--matrix", required=True)
-    p_div.add_argument("--meta-file")
-    p_div.add_argument("--out", help="output path (default: <outdir>/dissimilarity.csv)")
     _add_field_options(p_div, ("outdir",))
 
-    p_clu = sub.add_parser("cluster", help="dendrogram from a dissimilarity matrix")
+    p_clu = add("cluster", help="dendrogram from a dissimilarity matrix")
     p_clu.add_argument("--dissimilarity", required=True)
-    p_clu.add_argument("--out", help="output path (default: <outdir>/dendrogram.txt)")
     _add_field_options(p_clu, ("linkage", "outdir"))
 
-    p_sel = sub.add_parser("select", help="hierarchy-level sweep over an ingested matrix")
+    p_sel = add("select", help="hierarchy-level sweep over an ingested matrix")
     p_sel.add_argument("--matrix", required=True, help="validation prediction matrix")
-    p_sel.add_argument("--meta-file")
     _add_field_options(p_sel, _SELECTION_FIELDS + ("outdir",))
     # select reads no seed; --seed stays while the pool-wide benchmark passes it.
     p_sel.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                        help="accepted and unused: select draws no random numbers")
 
-    p_stk = sub.add_parser("stack", help="fit a stacked ensemble from ingested matrices")
+    p_stk = add("stack", help="fit a stacked ensemble from ingested matrices")
     p_stk.add_argument("--validation-matrix", required=True)
     p_stk.add_argument("--test-matrix", required=True)
     p_stk.add_argument("--members", required=True,
                        type=_unique_tokens("member", lambda t: ClassifierId.parse(t).canonical),
                        help="comma-separated canonical classifier ids")
-    p_stk.add_argument("--out", help="output path (default: <outdir>/stack.json)")
     _add_field_options(p_stk, ("meta_kind", "outdir"))
 
     return parser
@@ -628,8 +616,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             cmd_compare(config, args.validation_matrix, args.test_matrix)
             shown = os.path.join(config.outdir, "compare_report.json")
         elif args.command == "ingest":
-            with _stage("ingest"):
-                pm = read_prediction_matrix(args.matrix, args.meta_file)
+            [pm] = _read_matrices(args.matrix)
             summary = {
                 "classifiers": [c.canonical for c in pm.classifier_ids],
                 "instances": pm.n_instances,
@@ -638,11 +625,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             }
             shown = json.dumps(summary, indent=2, sort_keys=True)
         elif args.command == "diversity":
-            with _stage("ingest"):
-                pm = read_prediction_matrix(args.matrix, args.meta_file)
+            [pm] = _read_matrices(args.matrix)
             with _stage("dissimilarity"):
                 matrix = dissimilarity_matrix(pm)
-            shown = _out_path(args, "dissimilarity.csv")
+            shown = _out_path(args.outdir, "dissimilarity.csv")
             with _stage("write-dissimilarity"):
                 write_dissimilarity_csv(matrix, shown)
         elif args.command == "cluster":
@@ -650,26 +636,24 @@ def main(argv: Sequence[str] | None = None) -> int:
                 matrix = read_dissimilarity_csv(args.dissimilarity)
             with _stage("linkage"):
                 dendro = linkage(matrix, method=args.linkage)
-            shown = _out_path(args, "dendrogram.txt")
+            shown = _out_path(args.outdir, "dendrogram.txt")
             with _stage("write-dendrogram"):
                 write_dendrogram(dendro, shown)
         elif args.command == "select":
             config = _config_from_args(args)
-            with _stage("ingest"):
-                vpm = read_prediction_matrix(args.matrix, args.meta_file)
+            [vpm] = _read_matrices(args.matrix)
             _, _, _, sweeps, _, elbow_k = _selection_sweep(vpm, config)
-            shown = os.path.join(config.outdir, "selection_report.json")
-            _make_outdir(config.outdir)
+            shown = _out_path(config.outdir, "selection_report.json")
             with _stage("write-report"):
                 _emit_report(_selection_report_doc(config, sweeps, elbow_k),
                              "selection_report", shown)
         else:  # stack
-            vpm, tpm = _read_matrix_pair(args.validation_matrix, args.test_matrix)
+            vpm, tpm = _read_matrices(args.validation_matrix, args.test_matrix)
             with _stage("stack"):
                 ensemble = fit_stack(vpm, list(args.members), meta_kind=args.meta_kind)
                 preds = predict_stack(ensemble, tpm)
             entry = evaluate(preds, tpm.truth, tpm.num_classes)
-            out = _out_path(args, "stack.json")
+            out = _out_path(args.outdir, "stack.json")
             with _stage("write-stack"), open(out, "w", encoding="utf-8") as fh:
                 fh.write(stack_to_json(ensemble))
             shown = json.dumps({"stack": out, "test_eval": entry.as_dict()},

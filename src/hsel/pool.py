@@ -135,11 +135,15 @@ def write_prediction_matrix(
         fh.write("\n")
 
 
-def read_prediction_matrix(path: str, meta_path: str | None = None) -> PredictionMatrix:
-    """Parse and validate a prediction-matrix file; errors carry line numbers.
-    A table of plain digits goes through ``np.loadtxt``; any other file, and
-    any fault, is read again cell by cell, which names the faulty line."""
-    meta_path = meta_path or path + ".meta.json"
+def read_prediction_matrix(path: str) -> PredictionMatrix:
+    """Parse and validate a prediction-matrix file and its ``<path>.meta.json``
+    sidecar; errors carry line numbers. The matrix is opened first, so a
+    missing one is named before its sidecar. A table of plain digits goes
+    through ``np.loadtxt``; any other file, and any fault, is read again cell
+    by cell, which names the faulty line."""
+    with open(path, "rb") as fh:
+        head, body = fh.readline().rstrip(b"\r\n"), fh.read()
+    meta_path = path + ".meta.json"
     try:
         meta = json.loads(read_utf8(meta_path))
     except json.JSONDecodeError as exc:
@@ -162,7 +166,7 @@ def read_prediction_matrix(path: str, meta_path: str | None = None) -> Predictio
     except ValueError as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
 
-    ids, table = _read_table_fast(path, num_classes) or _read_table(path, num_classes)
+    ids, table = _read_table_fast(path, head, body, num_classes) or _read_table(path, num_classes)
     instances = meta.get("instances", len(table))
     if type(instances) is not int or instances != len(table):  # bool and float are not int
         raise ValueError(f"{meta_path}: instances is {instances!r} but {path} has"
@@ -182,14 +186,12 @@ _Table = tuple[tuple[ClassifierId, ...], np.ndarray]
 _PLAIN = b"0123456789,\r\n"  # the bytes of a body that np.loadtxt reads like the csv reader
 
 
-def _read_table_fast(path: str, num_classes: int) -> _Table | None:
-    """The matrix through numpy's C parser, or None whenever ``_read_table``
-    might answer differently: a quote or a lone carriage return in line 1, a
-    body that is empty or holds anything but digits, commas and line breaks,
-    a fault in the header or the parser, a width other than the header's, or
-    a label out of range."""
-    with open(path, "rb") as fh:
-        head, body = fh.readline().rstrip(b"\r\n"), fh.read()
+def _read_table_fast(path: str, head: bytes, body: bytes, num_classes: int) -> _Table | None:
+    """The matrix of line 1 ``head`` and the lines ``body`` through numpy's C
+    parser, or None whenever ``_read_table`` might answer differently: a
+    quote or a lone carriage return in line 1, a body that is empty or holds
+    anything but digits, commas and line breaks, a fault in the header or the
+    parser, a width other than the header's, or a label out of range."""
     if b'"' in head or b"\r" in head or not body.strip(b"\r\n") or body.translate(None, _PLAIN):
         return None
     try:

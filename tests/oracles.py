@@ -392,12 +392,12 @@ def sign_row_oracle(seed, dim):
     return rng.integers(0, 2, size=dim).astype(np.float64) * 2.0 - 1.0
 
 
-def read_prediction_matrix_oracle(path, meta_path=None):
+def read_prediction_matrix_oracle(path):
     """The cell-by-cell prediction-matrix reader that ``read_prediction_matrix``
     keeps as its fallback, kept verbatim with the id-table parse inlined:
     ``csv.reader`` splits every line and ``int`` parses every field. Each
     record is numbered by the physical line it starts on."""
-    meta_path = meta_path or path + ".meta.json"
+    meta_path = path + ".meta.json"
     with open(meta_path, encoding="utf-8") as fh:
         try:
             meta = json.load(fh)

@@ -423,18 +423,13 @@ class TestSingleStageCommands:
 
     @pytest.mark.parametrize("command", ["diversity", "cluster", "stack"])
     def test_unwritable_out_names_the_write_stage(self, command, tmp_path, capsys):
-        val_path, test_path = _redundant_matrices(tmp_path)
-        assert main(["diversity", "--matrix", val_path, "--outdir", str(tmp_path)]) == 0
-        capsys.readouterr()
-        argv = {
-            "diversity": ["diversity", "--matrix", val_path],
-            "cluster": ["cluster", "--dissimilarity", str(tmp_path / "dissimilarity.csv")],
-            "stack": ["stack", "--validation-matrix", val_path, "--test-matrix", test_path,
-                      "--members", "SRC01-CLF,SRC05-CLF"],
-        }[command]
-        rc = main(argv + ["--out", str(tmp_path / "missing" / "x"), "--outdir", str(tmp_path)])
-        assert rc == 1
-        stage = {"diversity": "dissimilarity", "cluster": "dendrogram", "stack": "stack"}[command]
+        # A directory that sits where the command's one file goes fails its write.
+        argv = _commands_on_inputs(tmp_path, "")[command]
+        name, stage = {"diversity": ("dissimilarity.csv", "dissimilarity"),
+                       "cluster": ("dendrogram.txt", "dendrogram"),
+                       "stack": ("stack.json", "stack")}[command]
+        (tmp_path / "out" / name).mkdir(parents=True)
+        assert main(argv + ["--outdir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"error [write-{stage}]: ")
 
 
@@ -469,7 +464,11 @@ def test_unusable_outdir_names_the_outdir_stage(command, small_corpus, tmp_path,
     (["run", "--corpus", "{unquoted}"], "load-corpus"),
     (["compare", "--corpus", "{unquoted}"], "load-corpus"),
     (["select", "--matrix", "{missing}"], "ingest"),
-], ids=["run", "compare", "select"])
+    (["diversity", "--matrix", "{missing}"], "ingest"),
+    (["cluster", "--dissimilarity", "{missing}"], "read-dissimilarity"),
+    (["stack", "--validation-matrix", "{missing}", "--test-matrix", "{missing}",
+      "--members", "A-X"], "ingest"),
+], ids=["run", "compare", "select", "diversity", "cluster", "stack"])
 def test_failed_command_leaves_no_outdir(argv, stage, tmp_path, capsys):
     unquoted = tmp_path / "unquoted.csv"
     unquoted.write_text("text,label\nhello, world,pos\nbye,neg\n")
@@ -480,13 +479,24 @@ def test_failed_command_leaves_no_outdir(argv, stage, tmp_path, capsys):
     assert not outdir.exists()
 
 
-@pytest.mark.parametrize("command", ["diversity", "cluster", "stack"])
-def test_out_file_makes_no_outdir(command, tmp_path, capsys, monkeypatch):
-    argv = _commands_on_inputs(tmp_path, "")[command]
+@pytest.mark.parametrize("argv", [
+    ["ingest", "{missing}"],
+    ["diversity", "--matrix", "{missing}"],
+    ["select", "--matrix", "{missing}"],
+    ["compare", "--validation-matrix", "{val}", "--test-matrix", "{missing}"],
+    ["stack", "--validation-matrix", "{missing}", "--test-matrix", "{test}", "--members", "A-X"],
+], ids=["ingest", "diversity", "select", "compare", "stack"])
+def test_missing_matrix_is_named_not_its_sidecar(argv, tmp_path, capsys, monkeypatch):
+    # The matrix is opened before its sidecar, so the error names the file
+    # that is missing, not the sidecar path derived from it.
+    val_path, test_path = _redundant_matrices(tmp_path)
+    missing = str(tmp_path / "missing.csv")
+    paths = {"missing": missing, "val": val_path, "test": test_path}
     monkeypatch.chdir(tmp_path)
-    assert main(argv + ["--out", str(tmp_path / "d.csv")]) == 0
-    assert (tmp_path / "d.csv").exists()
-    assert not (tmp_path / "hsel-out").exists()
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [ingest]: ") and repr(missing) in err
+    assert ".meta.json" not in err
 
 
 def _seeded_pool(seed):
@@ -657,6 +667,17 @@ def test_select_seed_is_accepted_and_unused():
         ["compare", "--corpus", "c.csv", "--conversion", "complement"],
         ["select", "--matrix", "m.csv", "--conversion", "complement"],
         ["diversity", "--matrix", "m.csv", "--conversion", "complement"],
+        ["diversity", "--matrix", "m.csv", "--out", "d.csv"],
+        ["cluster", "--dissimilarity", "d.csv", "--out", "t.txt"],
+        ["stack", "--validation-matrix", "v.csv", "--test-matrix", "t.csv",
+         "--members", "A-X", "--out", "s.json"],
+        ["select", "--matrix", "m.csv", "--out", "r.json"],
+        ["ingest", "m.csv", "--meta-file", "m.json"],
+        ["diversity", "--matrix", "m.csv", "--meta-file", "m.json"],
+        ["select", "--matrix", "m.csv", "--meta-file", "m.json"],
+        # Options match by their full name only.
+        ["run", "--corpus", "c.csv", "--see", "3"],
+        ["select", "--matrix", "m.csv", "--outd", "out"],
     ],
 )
 def test_commands_reject_options_they_do_not_read(argv, capsys):

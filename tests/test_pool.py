@@ -185,6 +185,18 @@ class TestWireFormat:
         assert back.num_classes == pm.num_classes
         assert back.split_tag == pm.split_tag
 
+    def test_missing_matrix_or_sidecar_is_named(self, tmp_path):
+        # The matrix is opened first: a missing one is named, and only a
+        # matrix that exists without its sidecar names <matrix>.meta.json.
+        path = tmp_path / "pm.csv"
+        with pytest.raises(FileNotFoundError) as info:
+            read_prediction_matrix(str(path))
+        assert info.value.filename == str(path)
+        path.write_text("truth,CV-NB\n0,0\n")
+        with pytest.raises(FileNotFoundError) as info:
+            read_prediction_matrix(str(path))
+        assert info.value.filename == f"{path}.meta.json"
+
     def test_label_out_of_range_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("truth,CV-NB\n0,0\n0,7\n")
