@@ -20,7 +20,6 @@ from .core import (
     METRIC_NAMES,
     ClassifierId,
     EvalEntry,
-    LabeledCorpus,
     PredictionMatrix,
     Split,
     derive_seed,
@@ -51,7 +50,6 @@ from .hiercluster import (
 )
 from .pool import (
     ClassifierPool,
-    TrainedClassifier,
     predict_matrix,
     read_prediction_matrix,
     train_pool,

@@ -32,9 +32,9 @@ from .combine import (
 from .core import (
     METRIC_NAMES,
     ClassifierId,
-    LabeledCorpus,
     PredictionMatrix,
     Split,
+    SplitCorpus,
     evaluate,
     evaluate_matrix,
     evaluate_rows,
@@ -307,7 +307,7 @@ def _read_matrices(*paths: str) -> list[PredictionMatrix]:
     return pms
 
 
-def _build_corpus(config: RunConfig) -> tuple[LabeledCorpus, dict[str, int]]:
+def _build_corpus(config: RunConfig) -> tuple[SplitCorpus, dict[str, int]]:
     with _stage("load-corpus"):
         rows, mapping = load_corpus_csv(config.corpus)
     with _stage("split"):
@@ -316,12 +316,10 @@ def _build_corpus(config: RunConfig) -> tuple[LabeledCorpus, dict[str, int]]:
 
 
 def _build_matrices(
-    config: RunConfig, corpus: LabeledCorpus
+    config: RunConfig, corpus: SplitCorpus
 ) -> tuple[PredictionMatrix, PredictionMatrix]:
     with _stage("train-pool"):
-        pool = train_pool(
-            corpus, config.extractors, config.algorithms, seed=config.seed
-        )
+        pool = train_pool(corpus, config.extractors, config.algorithms, seed=config.seed)
     with _stage("predict-validation"):
         vpm = predict_matrix(pool, corpus, Split.VALIDATION)
     with _stage("predict-test"):
@@ -366,7 +364,7 @@ def cmd_run(config: RunConfig) -> dict:
         "generated_at": _now(),
         "config": config.to_dict(),
         "label_mapping": mapping,
-        "split_sizes": corpus.split_sizes(),
+        "split_sizes": {tag.value: len(texts) for tag, (texts, _) in corpus.items()},
         "pool": [
             {"id": name, **entry.as_dict()} for name, entry in scores.items()
         ],

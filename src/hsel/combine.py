@@ -151,18 +151,11 @@ def fit_stacks(
         union_ids = [validation_pm.classifier_ids[j] for j in union]
         X = meta_features(validation_pm, union_ids, num_classes)
         fit_softmax_models(models, X, validation_pm.truth, num_classes, rows)
-    elif meta_kind == "NB":
-        weights, bias = _nb_weights(validation_pm, union)
+    else:
+        weights, bias = (_nb_weights(validation_pm, union) if meta_kind == "NB"
+                         else _vote_weights(len(union), num_classes))
         for model, model_rows in zip(models, rows):
             model.weights_, model.bias_ = weights[model_rows], bias.copy()
-    else:
-        # VOTE rows do not depend on the member, so every list shares the
-        # leading rows of one read-only array: views, not copies.
-        weights, bias = _vote_weights(len(union), num_classes)
-        weights.setflags(write=False)
-        bias.setflags(write=False)
-        for model, model_rows in zip(models, rows):
-            model.weights_, model.bias_ = weights[: len(model_rows)], bias
     return [
         StackedEnsemble(members=members, meta_kind=meta_kind, num_classes=num_classes, model=model)
         for members, model in zip(lists, models)

@@ -1,5 +1,5 @@
-"""Shared domain types: split-tagged corpora, classifier identifiers,
-prediction matrices, and classification metrics."""
+"""Shared domain types: corpus splits, classifier identifiers, prediction
+matrices, and classification metrics."""
 
 from __future__ import annotations
 
@@ -120,13 +120,14 @@ def check_header(path: str, header: list[str] | None, start: Sequence[str], kind
 
 
 def _records(path: str, start: Sequence[str], kind: str) -> Iterator[tuple[int, int, list[str]]]:
-    """Stream a UTF-8 CSV ``kind`` file: its header (see ``check_header``) as
-    line 1, then each non-blank record, which has one field per header field,
-    with the physical line it starts on and the line after it ends (a quoted
-    field may span lines). Every fault, bytes that are not UTF-8 and csv
-    errors such as a field past the csv module's size limit among them,
-    raises ``ValueError`` naming ``path: line N``."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    """Stream a UTF-8 CSV ``kind`` file, one leading byte-order mark skipped:
+    its header (see ``check_header``) as line 1, then each non-blank record,
+    which has one field per header field, with the physical line it starts
+    on and the line after it ends (a quoted field may span lines). Every
+    fault, bytes that are not UTF-8 and csv errors such as a field past the
+    csv module's size limit among them, raises ``ValueError`` naming
+    ``path: line N``."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         line = 1
         try:
@@ -175,49 +176,8 @@ def read_id_table(
     return names, ids, rows, linenos, end
 
 
-@dataclass(frozen=True)
-class LabeledCorpus:
-    """Text instances with integer class labels and a per-instance split tag.
-
-    Invariants checked at construction: labels lie in ``0..num_classes-1``,
-    every class occurs in TRAIN at least once, and VALIDATION and TEST are
-    non-empty. Instances are immutable after construction.
-    """
-
-    instances: tuple[tuple[str, int], ...]
-    num_classes: int
-    split: tuple[Split, ...]
-
-    def __post_init__(self) -> None:
-        if self.num_classes < 2:
-            raise ValueError("corpus needs at least 2 classes")
-        if len(self.split) != len(self.instances):
-            raise ValueError("split tags must cover all instances")
-        train_seen = set()
-        for text, label in self.instances:
-            if not isinstance(label, int) or not 0 <= label < self.num_classes:
-                raise ValueError(f"label {label!r} outside 0..{self.num_classes - 1}")
-        for (_, label), tag in zip(self.instances, self.split):
-            if tag is Split.TRAIN:
-                train_seen.add(label)
-        missing = sorted(set(range(self.num_classes)) - train_seen)
-        if missing:
-            raise ValueError(f"classes {missing} have no TRAIN instance")
-        for tag in (Split.VALIDATION, Split.TEST):
-            if tag not in self.split:
-                raise ValueError(f"{tag.value} split is empty")
-
-    def indices(self, split: Split) -> list[int]:
-        return [i for i, tag in enumerate(self.split) if tag is split]
-
-    def texts(self, split: Split) -> list[str]:
-        return [self.instances[i][0] for i in self.indices(split)]
-
-    def labels(self, split: Split) -> np.ndarray:
-        return np.array([self.instances[i][1] for i in self.indices(split)], dtype=np.int64)
-
-    def split_sizes(self) -> dict[str, int]:
-        return {tag.value: len(self.indices(tag)) for tag in Split}
+# Each split's texts and labels, in corpus order.
+SplitCorpus = dict[Split, tuple[list[str], np.ndarray]]
 
 
 def _allocate(count: int, ratios: Sequence[float]) -> list[int]:
@@ -240,14 +200,16 @@ def split_corpus(
     corpus: Sequence[tuple[str, int]],
     ratios: Sequence[float] = (0.6, 0.2, 0.2),
     seed: int = 0,
-) -> LabeledCorpus:
-    """Stratified TRAIN/VALIDATION/TEST assignment over an unsplit corpus
-    whose class count is its largest label plus one.
+) -> SplitCorpus:
+    """Stratified TRAIN/VALIDATION/TEST split of a corpus whose class count
+    C, at least 2, is its largest label plus one: each split's texts and
+    int64 labels, both in corpus order.
 
     Per class, a seeded shuffle is followed by largest-remainder allocation,
     so the per-class proportion in each split deviates from the requested
-    ratio by at most one instance. A pure function of (corpus order, ratios,
-    seed).
+    ratio by at most one instance. The three splits together hold every row
+    once, every class reaches TRAIN, and VALIDATION and TEST are non-empty.
+    A pure function of (corpus order, ratios, seed).
     """
     if len(ratios) != 3:
         raise ValueError("ratios must have exactly three entries (train, validation, test)")
@@ -260,6 +222,8 @@ def split_corpus(
     if not corpus:
         raise ValueError("corpus is empty")
     num_classes = max(label for _, label in corpus) + 1
+    if num_classes < 2:
+        raise ValueError("corpus needs at least 2 classes")
     if len(corpus) < num_classes * 3:
         raise ValueError(
             f"corpus has {len(corpus)} instances; need at least {num_classes * 3}"
@@ -302,18 +266,12 @@ def split_corpus(
             donor = max(candidates, key=lambda c: (len(assigned[c][0]), -c))
         assigned[donor][target].append(assigned[donor][donor_split].pop())
 
-    tags: list[Split] = [Split.TRAIN] * len(corpus)
-    split_order = (Split.TRAIN, Split.VALIDATION, Split.TEST)
-    for c in range(num_classes):
-        for s, tag in enumerate(split_order):
-            for i in assigned[c][s]:
-                tags[i] = tag
-
-    return LabeledCorpus(
-        instances=tuple((text, label) for text, label in corpus),
-        num_classes=num_classes,
-        split=tuple(tags),
-    )
+    splits = {}
+    for s, tag in enumerate(Split):
+        rows = sorted(i for c in range(num_classes) for i in assigned[c][s])
+        labels = np.array([corpus[i][1] for i in rows], dtype=np.int64)
+        splits[tag] = ([corpus[i][0] for i in rows], labels)
+    return splits
 
 
 @dataclass(frozen=True)
@@ -355,12 +313,25 @@ def evaluate_rows(preds: np.ndarray, truth: Sequence[int], num_classes: int) -> 
         if arr.size and (arr.min() < 0 or arr.max() >= num_classes):
             raise ValueError(f"{name} entries must lie in 0..{num_classes - 1}")
 
+    # Confusion counts: one bincount of (row, predicted, true) cells per block
+    # of L/4 rows, or of 8192 cells if more, so the intp index (labels may be
+    # uint8) takes no more memory than the two (L, N) bool tables of C passes.
+    step = min(len(preds), max(-(-len(preds) // 4), 8192 // truth.size)) or 1
+    cells = np.empty((step, truth.size), dtype=np.intp)
+    starts = np.arange(step, dtype=np.intp)[:, None] * num_classes**2
+    confusion = np.empty((len(preds), num_classes, num_classes), dtype=np.intp)
+    for lo in range(0, len(preds), step):
+        block = preds[lo : lo + step]
+        index = np.multiply(block, num_classes, out=cells[: len(block)], dtype=np.intp)
+        index += truth
+        index += starts[: len(block)]
+        counts = np.bincount(index.ravel(), minlength=len(block) * num_classes**2)
+        confusion[lo : lo + step] = counts.reshape(-1, num_classes, num_classes)
+    predicted, actual = confusion.sum(axis=2), np.bincount(truth, minlength=num_classes)
     totals = np.zeros((4, len(preds)))  # hits, then per-class metric sums
     for c in range(num_classes):
-        predicted_c, is_c = preds == c, truth == c
-        tp = np.count_nonzero(predicted_c & is_c, axis=1)
-        p = _ratio(tp, np.count_nonzero(predicted_c, axis=1))
-        r = _ratio(tp, np.count_nonzero(is_c))
+        tp = confusion[:, c, c]
+        p, r = _ratio(tp, predicted[:, c]), _ratio(tp, actual[c])
         totals += [tp, p, r, _ratio(2.0 * p * r, p + r)]
     totals /= [[truth.size], [num_classes], [num_classes], [num_classes]]
     return [EvalEntry(*values) for values in totals.T.tolist()]

@@ -106,16 +106,14 @@ def count_matrix(docs: Sequence[Sequence[str]], vocabulary: dict[str, int]) -> n
 
 @dataclass(frozen=True)
 class FeatureSpace:
-    """One extractor's weighting of a ``count_matrix`` over ``vocabulary``,
-    the pool's shared training vocabulary. COUNT returns the counts. For
+    """One extractor's weighting of a ``count_matrix`` over the pool's shared
+    training vocabulary. COUNT returns the counts. For
     TFIDF, ``idf[j] = ln((1 + D) / (1 + df_j)) + 1`` over the D training
     documents, which keeps every idf finite and >= 1. For HASHED, counts are
     projected through the (V, HASHED_DIM) sign matrix described in the module
     docstring."""
 
     kind: str
-    vocabulary: dict[str, int]
-    dimension: int
     idf: np.ndarray | None = None
     projection: np.ndarray | None = None
 
@@ -133,17 +131,16 @@ def fit_feature_space(
     """Fit one extractor on the training ``count_matrix`` over ``vocabulary``."""
     kind = normalize_extractor_token(kind)
     if kind == COUNT:
-        return FeatureSpace(kind=kind, vocabulary=vocabulary, dimension=len(vocabulary))
+        return FeatureSpace(kind=kind)
 
     if kind == TFIDF:
         n_docs = len(train_counts)
         df = (train_counts > 0).sum(axis=0)
         idf = np.array([log((1 + n_docs) / (1 + int(d))) + 1.0 for d in df], dtype=np.float64)
         idf.setflags(write=False)
-        return FeatureSpace(kind=kind, vocabulary=vocabulary, dimension=len(vocabulary), idf=idf)
+        return FeatureSpace(kind=kind, idf=idf)
 
     seeds = np.array([derive_seed("hashed-projection", seed, t) for t in vocabulary], np.uint64)
     projection = _sign_rows(seeds, HASHED_DIM)
     projection.setflags(write=False)
-    return FeatureSpace(kind=kind, vocabulary=vocabulary, dimension=HASHED_DIM,
-                        projection=projection)
+    return FeatureSpace(kind=kind, projection=projection)

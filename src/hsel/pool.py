@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClassifierId, LabeledCorpus, PredictionMatrix, Split, derive_seed
+from .core import ClassifierId, PredictionMatrix, Split, SplitCorpus, derive_seed
 from .core import check_header, read_id_table, read_utf8
 from .features import (
     FeatureSpace,
@@ -32,36 +32,29 @@ MATRIX_FORMAT = "hsel-prediction-matrix"
 
 
 @dataclass(frozen=True)
-class TrainedClassifier:
-    """One pool member: its feature space and fitted learner."""
-
-    id: ClassifierId
-    space: FeatureSpace
-    model: object
-
-
-@dataclass(frozen=True)
 class ClassifierPool:
-    """The trained members; ``pipeline`` and ``vocabulary`` are shared by all."""
+    """The trained members: ``models[i]`` is member ``ids[i]``, fitted on the
+    features of ``spaces[ids[i].extractor]``. ``pipeline`` and ``vocabulary``
+    are shared by all."""
 
-    members: tuple[TrainedClassifier, ...]
+    ids: tuple[ClassifierId, ...]
+    models: tuple[object, ...]
+    spaces: dict[str, FeatureSpace]
     pipeline: TokenPipeline
     vocabulary: dict[str, int]
     num_classes: int
 
-    @property
-    def ids(self) -> tuple[ClassifierId, ...]:
-        return tuple(member.id for member in self.members)
-
 
 def train_pool(
-    corpus: LabeledCorpus,
+    corpus: SplitCorpus,
     extractors: Sequence[str],
     algorithms: Sequence[str],
     *,
     seed: int = 0,
 ) -> ClassifierPool:
-    """Train the |extractors| x |algorithms| pool on the TRAIN split.
+    """Train the |extractors| x |algorithms| pool on the TRAIN split of a
+    ``split_corpus``, which holds every class: the class count is the
+    largest TRAIN label plus one.
 
     Ids form the full cross product in the given order (extractors outer).
     Per-component seeds derive from the global seed and the component name,
@@ -74,40 +67,40 @@ def train_pool(
     if len(set(ext_tokens)) != len(ext_tokens) or len(set(alg_tokens)) != len(alg_tokens):
         raise ValueError("extractor and algorithm tokens must be unique")
 
-    train_texts = corpus.texts(Split.TRAIN)
-    train_labels = corpus.labels(Split.TRAIN)
+    train_texts, train_labels = corpus[Split.TRAIN]
+    num_classes = int(train_labels.max()) + 1
     pipeline, train_docs = fit_token_pipeline(train_texts)
     vocabulary = build_vocabulary(train_docs)
     train_counts = count_matrix(train_docs, vocabulary)
 
-    members = []
+    ids, models, spaces = [], [], {}
     for ext in ext_tokens:
         space = fit_feature_space(vocabulary, train_counts, ext, derive_seed(seed, "space", ext))
-        train_features = space.transform(train_counts)
+        spaces[ext], train_features = space, space.transform(train_counts)
         for alg in alg_tokens:
             learner = make_learner(alg)
-            learner.fit(train_features, train_labels, corpus.num_classes)
-            members.append(TrainedClassifier(id=ClassifierId(ext, alg), space=space, model=learner))
-    return ClassifierPool(members=tuple(members), pipeline=pipeline, vocabulary=vocabulary,
-                          num_classes=corpus.num_classes)
+            learner.fit(train_features, train_labels, num_classes)
+            ids.append(ClassifierId(ext, alg))
+            models.append(learner)
+    return ClassifierPool(ids=tuple(ids), models=tuple(models), spaces=spaces,
+                          pipeline=pipeline, vocabulary=vocabulary, num_classes=num_classes)
 
 
-def predict_matrix(pool: ClassifierPool, corpus: LabeledCorpus, split: Split) -> PredictionMatrix:
+def predict_matrix(pool: ClassifierPool, corpus: SplitCorpus, split: Split) -> PredictionMatrix:
     """Predictions of every pool member over one corpus split, in pool order."""
-    if not pool.members:
+    if not pool.ids:
         raise ValueError("pool is empty")
-    texts = corpus.texts(split)
+    texts, labels = corpus[split]
     if not texts:
         raise ValueError(f"{split.value} split is empty")
     counts = count_matrix(pool.pipeline.tokenize_all(texts), pool.vocabulary)
-    spaces = {member.id.extractor: member.space for member in pool.members}
-    features = {kind: space.transform(counts) for kind, space in spaces.items()}
-    columns = [np.asarray(member.model.predict(features[member.id.extractor]), dtype=np.int64)
-               for member in pool.members]
+    features = {kind: space.transform(counts) for kind, space in pool.spaces.items()}
+    columns = [np.asarray(model.predict(features[cid.extractor]), dtype=np.int64)
+               for cid, model in zip(pool.ids, pool.models)]
     return PredictionMatrix(
         classifier_ids=pool.ids,
         predictions=np.stack(columns, axis=1),
-        truth=corpus.labels(split),
+        truth=labels,
         num_classes=pool.num_classes,
         split_tag=split,
     )

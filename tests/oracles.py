@@ -418,7 +418,7 @@ def read_prediction_matrix_oracle(path):
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

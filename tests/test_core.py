@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hsel.core import (
     ClassifierId,
     EvalEntry,
-    LabeledCorpus,
     PredictionMatrix,
     Split,
     derive_seed,
@@ -61,33 +60,31 @@ class TestSplitCorpus:
         corpus = _balanced_corpus(per_class=4)
         out = split_corpus(corpus, ratios=(0.5, 0.25, 0.25), seed=1)
         for c in range(2):
-            counts = {tag: 0 for tag in Split}
-            for (text, label), tag in zip(out.instances, out.split):
-                if label == c:
-                    counts[tag] += 1
+            counts = {tag: int((labels == c).sum()) for tag, (_, labels) in out.items()}
             assert counts == {Split.TRAIN: 2, Split.VALIDATION: 1, Split.TEST: 1}
 
     def test_determinism(self):
         corpus = _balanced_corpus(per_class=10)
-        a = split_corpus(corpus, ratios=(0.6, 0.2, 0.2), seed=42)
-        b = split_corpus(corpus, ratios=(0.6, 0.2, 0.2), seed=42)
-        assert a.split == b.split
-        c = split_corpus(corpus, ratios=(0.6, 0.2, 0.2), seed=43)
-        assert a.split != c.split
+
+        def split_texts(seed):  # the texts are distinct, so they name the rows
+            return {tag: texts for tag, (texts, _) in split_corpus(corpus, seed=seed).items()}
+
+        assert split_texts(42) == split_texts(42)
+        assert split_texts(42) != split_texts(43)
 
     def test_stratification_bound_imbalanced(self):
         # 100 instances, 60/40 split across classes, ratios (0.6, 0.2, 0.2):
         # TRAIN must hold 36 +- 1 of class 0 and 24 +- 1 of class 1.
         rows = [(f"a{i}", 0) for i in range(60)] + [(f"b{i}", 1) for i in range(40)]
         out = split_corpus(rows, ratios=(0.6, 0.2, 0.2), seed=5)
-        train_labels = list(out.labels(Split.TRAIN))
+        train_labels = list(out[Split.TRAIN][1])
         assert abs(train_labels.count(0) - 36) <= 1
         assert abs(train_labels.count(1) - 24) <= 1
 
     def test_every_class_reaches_train(self):
         rows = _balanced_corpus(per_class=3, num_classes=3)
         out = split_corpus(rows, ratios=(0.34, 0.33, 0.33), seed=0)
-        train_labels = set(out.labels(Split.TRAIN).tolist())
+        train_labels = set(out[Split.TRAIN][1].tolist())
         assert train_labels == {0, 1, 2}
 
     def test_rejects_small_class_with_diagnostic(self):
@@ -110,8 +107,8 @@ class TestSplitCorpus:
     def test_extreme_ratios_keep_validation_and_test_nonempty(self):
         rows = _balanced_corpus(per_class=3)
         out = split_corpus(rows, ratios=(0.98, 0.01, 0.01), seed=0)
-        assert len(out.indices(Split.VALIDATION)) >= 1
-        assert len(out.indices(Split.TEST)) >= 1
+        assert len(out[Split.VALIDATION][0]) >= 1
+        assert len(out[Split.TEST][0]) >= 1
 
 
 class TestEvaluate:
@@ -281,6 +278,8 @@ class TestCorpusCsv:
             (b"text,label\nhello,pos\nsome text,\n", "line 3: empty label"),
             (b"text,label\nhello,pos\r\nsome text, \r\n", "line 3: empty label"),
             (b"text,label\nhello,pos\nbye,n\xffg\n", "line 3: byte 0xff is not UTF-8 text"),
+            (b"\xef\xbb\xbftext,label\nhello,pos\nbye,n\xffg\n",
+             "line 3: byte 0xff is not UTF-8 text"),
             (b'text,label\nhello,pos\n"' + b"x" * 140000 + b'",neg\n',
              "line 3: field larger than field limit"),
             (b"", "line 1: empty corpus file"),
@@ -294,6 +293,13 @@ class TestCorpusCsv:
         path.write_bytes(data)
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_corpus_csv(str(path))
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        # Spreadsheet "CSV UTF-8" exports start with one BOM.
+        path = tmp_path / "bom.csv"
+        with open(BUNDLED_CORPUS, "rb") as fh:
+            path.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        assert load_corpus_csv(str(path)) == load_corpus_csv(BUNDLED_CORPUS)
 
 
 @settings(max_examples=200, deadline=None)
@@ -320,20 +326,43 @@ def test_derive_seed_stable_and_distinct():
     assert derive_seed(7, "x") != derive_seed(8, "x")
 
 
-def test_labeled_corpus_invariants():
-    instances = (("a", 0), ("b", 1), ("c", 0), ("d", 1))
-    tags = (Split.TRAIN, Split.TRAIN, Split.VALIDATION, Split.TEST)
-    corpus = LabeledCorpus(instances=instances, num_classes=2, split=tags)
-    assert corpus.split_sizes() == {"TRAIN": 2, "VALIDATION": 1, "TEST": 1}
-    with pytest.raises(ValueError, match="TRAIN"):
-        LabeledCorpus(
-            instances=instances,
-            num_classes=2,
-            split=(Split.TRAIN, Split.VALIDATION, Split.VALIDATION, Split.TEST),
-        )
-    with pytest.raises(ValueError, match="TEST"):
-        LabeledCorpus(
-            instances=instances,
-            num_classes=2,
-            split=(Split.TRAIN, Split.TRAIN, Split.VALIDATION, Split.VALIDATION),
-        )
+EXTREME_RATIOS = [(0.98, 0.01, 0.01), (0.01, 0.98, 0.01), (0.01, 0.01, 0.98), (0.6, 0.2, 0.2)]
+
+
+@st.composite
+def _ratios(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(EXTREME_RATIOS))
+    weights = draw(st.lists(st.integers(1, 100), min_size=3, max_size=3))
+    return tuple(w / sum(weights) for w in weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(3, 30), min_size=2, max_size=6), _ratios(), st.randoms(),
+       st.integers(0, 99))
+def test_split_corpus_keeps_its_invariants(sizes, ratios, rng, seed):
+    """Every class reaches TRAIN, VALIDATION and TEST are non-empty, and the
+    three splits, each in corpus order, together are a permutation of the
+    corpus."""
+    labels = [c for c, size in enumerate(sizes) for _ in range(size)]
+    rng.shuffle(labels)
+    corpus = [(f"doc {i}", label) for i, label in enumerate(labels)]
+    out = split_corpus(corpus, ratios=ratios, seed=seed)
+    assert list(out) == list(Split)
+    assert set(out[Split.TRAIN][1].tolist()) == set(range(len(sizes)))
+    assert out[Split.VALIDATION][0] and out[Split.TEST][0]
+    rows = []
+    for texts, split_labels in out.values():
+        assert split_labels.dtype == np.int64 and len(split_labels) == len(texts)
+        positions = [int(text.split()[1]) for text in texts]
+        assert positions == sorted(positions)
+        assert [corpus[i] for i in positions] == list(zip(texts, split_labels.tolist()))
+        rows += positions
+    assert sorted(rows) == list(range(len(corpus)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(3, 30), _ratios())
+def test_split_corpus_rejects_one_class(size, ratios):
+    with pytest.raises(ValueError, match="corpus needs at least 2 classes"):
+        split_corpus([(f"doc {i}", 0) for i in range(size)], ratios=ratios)

@@ -189,6 +189,13 @@ class TestDissimilarityMatrix:
         with pytest.raises(ValueError, match=f"m.csv: line {line}:"):
             read_dissimilarity_csv(str(path))
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xef\xbb\xbfid,A-X,B-X\r\nA-X,0,0.25\r\nB-X,0.25,0\r\n")
+        matrix = read_dissimilarity_csv(str(path))
+        assert [cid.canonical for cid in matrix.ids] == ["A-X", "B-X"]
+        assert matrix.values.tolist() == [[0.0, 0.25], [0.25, 0.0]]
+
     def test_undecodable_bytes_name_path_and_line(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_bytes(b"id,A-X,B-X\r\nA-X,0,1\r\nB-X,1,\xff0\r\n")

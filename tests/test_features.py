@@ -20,41 +20,44 @@ from oracles import count_rows_oracle, sign_row_oracle
 
 
 def _fit(train_docs, kind, **kwargs):
+    """The fitted space and the training vocabulary it weighs."""
     vocabulary = build_vocabulary(train_docs)
-    return fit_feature_space(vocabulary, count_matrix(train_docs, vocabulary), kind, **kwargs)
+    space = fit_feature_space(vocabulary, count_matrix(train_docs, vocabulary), kind, **kwargs)
+    return space, vocabulary
 
 
-def _transform(space, docs):
-    return space.transform(count_matrix(docs, space.vocabulary))
+def _transform(fitted, docs):
+    space, vocabulary = fitted
+    return space.transform(count_matrix(docs, vocabulary))
 
 
 class TestCount:
     def test_direct_counting(self):
-        space = _fit([["a", "b"], ["b", "c"]], "COUNT")
-        assert space.vocabulary == {"a": 0, "b": 1, "c": 2}
-        out = _transform(space, [["a", "b"], ["b", "c"]])
+        fitted = _fit([["a", "b"], ["b", "c"]], "COUNT")
+        assert fitted[1] == {"a": 0, "b": 1, "c": 2}
+        out = _transform(fitted, [["a", "b"], ["b", "c"]])
         assert out.tolist() == [[1, 1, 0], [0, 1, 1]]
 
     def test_out_of_vocabulary_tokens_ignored(self):
-        space = _fit([["a"]], "COUNT")
-        assert _transform(space, [["a", "zzz", "a"]]).tolist() == [[2]]
+        assert _transform(_fit([["a"]], "COUNT"), [["a", "zzz", "a"]]).tolist() == [[2]]
 
 
 class TestTfidf:
     def test_token_in_every_doc_has_idf_one(self):
-        space = _fit([["a", "b"], ["a", "c"]], "TFIDF")
-        j = space.vocabulary["a"]
+        space, vocabulary = _fit([["a", "b"], ["a", "c"]], "TFIDF")
+        j = vocabulary["a"]
         assert space.idf[j] == math.log(1.0) + 1.0 == 1.0
 
     def test_idf_formula(self):
         docs = [["a", "b"], ["a"], ["a"]]
-        space = _fit(docs, "TFIDF")
-        assert space.idf[space.vocabulary["b"]] == pytest.approx(math.log(4 / 2) + 1.0)
-        out = _transform(space, [["b", "b"]])
-        assert out[0, space.vocabulary["b"]] == pytest.approx(2 * (math.log(2.0) + 1.0))
+        fitted = _fit(docs, "TFIDF")
+        space, vocabulary = fitted
+        assert space.idf[vocabulary["b"]] == pytest.approx(math.log(4 / 2) + 1.0)
+        out = _transform(fitted, [["b", "b"]])
+        assert out[0, vocabulary["b"]] == pytest.approx(2 * (math.log(2.0) + 1.0))
 
     def test_idf_finite_and_positive(self):
-        space = _fit([["x", "y"], ["y"]], "TFIDF")
+        space, _ = _fit([["x", "y"], ["y"]], "TFIDF")
         assert np.all(np.isfinite(space.idf))
         assert np.all(space.idf >= 1.0)
 
@@ -72,16 +75,15 @@ class TestHashed:
         b = _fit(docs, "HASHED", seed=6)
         assert not np.array_equal(_transform(a, docs), _transform(b, docs))
 
-    def test_dimension_and_signs(self):
-        space = _fit([["a", "b"]], "HASHED", seed=0)
-        assert space.dimension == 64
+    def test_width_and_signs(self):
+        space, _ = _fit([["a", "b"]], "HASHED", seed=0)
         assert space.projection.shape == (2, 64)
         assert set(np.unique(space.projection)) <= {-1.0, 1.0}
 
     def test_projection_is_linear_in_counts(self):
-        space = _fit([["a", "b"]], "HASHED", seed=1)
-        single = _transform(space, [["a"]])
-        double = _transform(space, [["a", "a"]])
+        fitted = _fit([["a", "b"]], "HASHED", seed=1)
+        single = _transform(fitted, [["a"]])
+        double = _transform(fitted, [["a", "a"]])
         assert np.array_equal(double, 2 * single)
 
 
@@ -118,8 +120,8 @@ class TestSignRows:
         assert np.array_equal(got, np.vstack([sign_row_oracle(s, dim) for s in seeds]))
 
     def test_fitted_projection_rows_follow_their_tokens(self):
-        space = _fit([["beta", "alpha"], ["gamma"]], "HASHED", seed=3)
-        for token, j in space.vocabulary.items():
+        space, vocabulary = _fit([["beta", "alpha"], ["gamma"]], "HASHED", seed=3)
+        for token, j in vocabulary.items():
             oracle = sign_row_oracle(derive_seed("hashed-projection", 3, token), 64)
             assert np.array_equal(space.projection[j], oracle)
 
@@ -141,6 +143,6 @@ class TestCountMatrix:
 
     def test_fitted_idf_uses_document_frequency(self):
         docs = [["a", "a", "b"], [], ["a", "c"], ["c", "c", "c"]]
-        space = _fit(docs, "TFIDF")
+        space, _ = _fit(docs, "TFIDF")
         expected = [math.log(5 / (1 + df)) + 1.0 for df in (2, 1, 2)]
         assert space.idf.tolist() == expected

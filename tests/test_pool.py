@@ -67,25 +67,22 @@ class TestTrainPool:
         corpus = _toy_corpus()
         pool = train_pool(corpus, ["COUNT", "TFIDF", "HASHED"], ["LR"])
         train = predict_matrix(pool, corpus, Split.TRAIN)
-        train_labels = corpus.labels(Split.TRAIN)
-        for member, column in zip(pool.members, train.predictions.T):
+        _, train_labels = corpus[Split.TRAIN]
+        for cid, model, column in zip(pool.ids, pool.models, train.predictions.T):
             acc = (column == train_labels).mean()
-            assert acc >= 0.99, member.id.canonical
+            assert acc >= 0.99, cid.canonical
             # Cross-entropy must fall monotonically under the default step.
-            losses = member.model.loss_history_
-            assert not member.model.diverged
+            losses = model.loss_history_
+            assert not model.diverged
             assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_no_test_leakage(self):
         # Swapping out every TEST text must leave validation predictions
         # untouched: nothing may be fitted on TEST.
         base = _toy_corpus()
-        replaced = base.instances[:]
-        swapped = tuple(
-            (("COMPLETELY different text 42", label) if tag is Split.TEST else (text, label))
-            for (text, label), tag in zip(replaced, base.split)
-        )
-        altered = type(base)(instances=swapped, num_classes=base.num_classes, split=base.split)
+        test_texts, test_labels = base[Split.TEST]
+        altered = {**base, Split.TEST: (["COMPLETELY different text 42"] * len(test_texts),
+                                        test_labels)}
         pool_a = train_pool(base, ["COUNT", "TFIDF"], ["NB", "LR"], seed=1)
         pool_b = train_pool(altered, ["COUNT", "TFIDF"], ["NB", "LR"], seed=1)
         vpm_a = predict_matrix(pool_a, base, Split.VALIDATION)
@@ -103,7 +100,7 @@ class TestTrainPool:
         monkeypatch.setattr(preprocess_module, "preprocess", counting)
         corpus = _toy_corpus()
         train_pool(corpus, ["COUNT", "TFIDF", "HASHED"], ["NB", "NC"])
-        assert calls == Counter(corpus.texts(Split.TRAIN))
+        assert calls == Counter(corpus[Split.TRAIN][0])
 
 
 class TestFixedPipeline:
@@ -119,11 +116,9 @@ class TestFixedPipeline:
         assert len(pool.vocabulary) == 36
         assert hashlib.sha256(tokens).hexdigest() == (
             "25af27a9334a1cb71b4dd87719b4996ac644079ca4c175e0e6cfa600d21071d6")
-        hashed_knn = pool.members[3]
-        assert hashed_knn.id.canonical == "HASHED-KNN"
-        assert hashed_knn.space.dimension == 64
-        assert hashed_knn.space.projection.shape == (36, 64)
-        assert hashed_knn.model.k == 5
+        assert pool.ids[3].canonical == "HASHED-KNN"
+        assert pool.spaces["HASHED"].projection.shape == (36, 64)
+        assert pool.models[3].k == 5
 
 
 class TestPredictMatrix:
@@ -132,7 +127,7 @@ class TestPredictMatrix:
         pool = train_pool(corpus, ["COUNT"], ["NB", "NC"])
         pm = predict_matrix(pool, corpus, Split.VALIDATION)
         assert pm.classifier_ids == pool.ids
-        assert np.array_equal(pm.truth, corpus.labels(Split.VALIDATION))
+        assert np.array_equal(pm.truth, corpus[Split.VALIDATION][1])
         assert pm.split_tag is Split.VALIDATION
 
     def test_memorizing_classifier_on_train_split(self, monkeypatch):
@@ -217,6 +212,17 @@ class TestWireFormat:
         (tmp_path / "pm.csv.meta.json").write_text('{"num_classes": 2, "split": "TEST"}')
         with pytest.raises(ValueError, match=rf"pm\.csv: line {line}: byte 0x.. is not UTF-8"):
             read_prediction_matrix(str(path))
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        # The fast path rejects the BOM-prefixed header; the csv reader skips it.
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(b"truth,CV-NB,CV-LR\r\n0,1,0\r\n1,1,1\r\n")
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for path in (plain, bom):
+            (tmp_path / f"{path.name}.meta.json").write_text('{"num_classes": 2, "split": "TEST"}')
+        a, b = read_prediction_matrix(str(plain)), read_prediction_matrix(str(bom))
+        assert b.classifier_ids == a.classifier_ids
+        assert np.array_equal(b.predictions, a.predictions) and np.array_equal(b.truth, a.truth)
 
     def test_undecodable_sidecar_names_sidecar_path_and_line(self, tmp_path):
         path = tmp_path / "pm.csv"
@@ -377,7 +383,8 @@ def _matrix_text(data, num_classes):
         lines = lines[:1]
     newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="newline")
     end = data.draw(st.sampled_from([newline, "", newline * 2]), label="end")
-    return newline.join(lines) + end
+    bom = "\ufeff" if data.draw(st.integers(0, 7), label="byte-order mark") == 0 else ""
+    return bom + newline.join(lines) + end
 
 
 class TestFastReader:
