@@ -9,12 +9,18 @@ trains any number of models that share one design matrix, each on its own
 column subset, in one class-major gradient descent. A single fit is the
 batch of one; the stacking layer fits every LR meta-classifier of a
 command as one batch. An epoch runs one exp and copies no weights: each
-step writes a spare buffer that swaps in. The primal form descends in the
-weights W, two products with X per epoch. Descent from zero never leaves
-the row space of X, so the Gram form descends in A with W = A·X, one
-product with K = X·Xᵀ per epoch. It is used when every model trains on all
-columns and ``gram_form_pays`` (a flop count) says so: pool LR on a
-vocabulary wider than the training set.
+step writes a spare buffer that swaps in. The bias rides the products as
+one more coefficient over a row of ones. The primal form descends in
+[W | b], two products with [X | 1] per epoch. Descent from zero never
+leaves the row space of X, so the Gram form descends in [A | b] with
+W = A·X, one product with [K; 1], K = X·Xᵀ, per epoch. It is used when
+every model trains on all columns and ``gram_form_pays`` (a flop count)
+says so: pool LR on a vocabulary wider than the training set. Softmax
+weights are redundant up to a per-class shift (Böhning 1992), and from
+zero the weights and biases of each column sum to zero over classes, so
+only C−1 class slabs descend and the last is minus their sum. Every model
+stays within 1e-12 of the one-model row-major descent in the tests'
+oracle and diverges at the same epoch.
 ``SoftmaxRegression`` also holds the closed-form NB and VOTE
 meta-classifier weights, and ``top_class`` is the one tie rule for linear
 scores.
@@ -127,16 +133,26 @@ def fit_softmax_models(
 
     All models share one design matrix and one gradient-descent loop, so
     the per-epoch cost of numpy calls is paid once for the batch. Arrays
-    are class-major, shape (C, M, N) for scores and (C, M, D) for weights:
-    the softmax max and sum over classes run elementwise across C
-    contiguous slabs. An epoch exponentiates the max-shifted scores s̃ once,
-    in place; the loss, mean(log Z − s̃_y) + ½λ‖W‖², and the gradient's
-    δ = exp(s̃)/(n·Z) − onehot/n both follow. Each step writes the spare
-    weight and bias buffers, which then swap in, so the spare holds the
-    previous epoch's for a revert. Model m's weights outside ``columns[m]``
-    get a step size of zero and stay zero, so it computes what a fit on its
-    own columns computes, up to float summation order. The Gram form descends
-    in A (C, M, N) instead, and the weights are A·X in column order.
+    are class-major, shape (C, M, N) for scores and (C, M, D + 1) for the
+    weights [W | b]: the softmax max and sum over classes run elementwise
+    across C contiguous slabs, and the scores, bias included, are one
+    product with the basis [Xᵀ; 1]. An epoch exponentiates the max-shifted
+    scores s̃ once, in place; the loss, mean(log Z − s̃_y) + ½λ‖W‖², and
+    the gradient's softmax part G = exp(s̃)/(n·Z)·[X | 1] both follow. The
+    label part (Y/n)·[X | 1] is constant, so each step is
+    [W | b]·decay − rates·G + pull with ``pull`` = rates·(Y/n)·[X | 1]
+    computed once; ``decay`` = 1 − rates·λ spares the bias, and all three
+    have the weights' full shape, so no step broadcasts. Every gradient row
+    sums to zero over classes, so only the first C − 1 class slabs go
+    through the gradient product and the step; the last is set to minus
+    their sum, class 0 first. Each step writes the spare buffer, which then
+    swaps in, so the spare holds the previous epoch's weights for a
+    revert. Model m's weights outside ``columns[m]`` get a step size of
+    zero and stay zero, so it computes what a fit on its own columns
+    computes, up to float summation order. The Gram form descends in
+    [A | b] (C, M, N + 1) over [K; 1] instead, with G = [P | ΣP] for the
+    softmax part P, and the weights are A·X in column order (the last
+    class again minus the others' sum).
 
     Each model keeps its own divergence rule: when its loss rises by more
     than 1e-12, its weights revert to the previous epoch's, ``diverged``
@@ -154,37 +170,68 @@ def fit_softmax_models(
     y = np.asarray(y, dtype=np.int64)
     n, d = X.shape
     c, m = num_classes, len(models)
+    h = c - 1  # class slabs that descend; the last one is minus their sum
     gram = gram_form_pays(n, d, c, m, epochs) and all(
         np.array_equal(np.sort(cols), np.arange(d)) for cols in columns
     )
-    # ``weights`` holds W (primal) or A (Gram), and scores are weights·basis.
-    basis, width = (X @ X.T, n) if gram else (X.T, d)
+    # ``weights`` holds [W | b] (primal) or [A | b] (Gram), and scores are
+    # weights·basis, the basis Xᵀ or K with a row of ones for the bias.
+    width = n if gram else d
+    basis = np.empty((width + 1, n))
+    basis[width] = 1.0
+    if gram:
+        np.matmul(X, X.T, out=basis[:width])
+    else:
+        basis[:width] = X.T
     # Step size per model and coefficient: 0 outside the model's own
-    # columns, and 0 everywhere once the model has stopped.
-    rates = np.zeros((1, m, width))
+    # columns, and 0 everywhere once the model has stopped. L2 decays the
+    # coefficients, not the bias.
+    rates = np.zeros((h, m, width + 1))
     for i, cols in enumerate(columns):
-        rates[0, i, slice(None) if gram else cols] = step
-    bias_rates = np.full((1, m, 1), step)
-    onehot = np.zeros((c, 1, n))
-    onehot[y, 0, np.arange(n)] = 1.0 / n
+        rates[:, i, slice(None) if gram else cols] = step
+    rates[:, :, width] = step
+    decay = 1.0 - l2 * rates
+    decay[:, :, width] = 1.0
+    # The gradient's label term, (Y/n)·[X | 1] or [Y/n | Σ Y/n], is constant:
+    # each step adds it, times the rates, as ``pull``.
+    onehot = np.zeros((c, n))
+    onehot[y, np.arange(n)] = 1.0 / n
+    if gram:
+        label_term = np.hstack([onehot, onehot.sum(axis=1, keepdims=True)])
+    else:
+        label_term = onehot @ basis.T
+    pull = rates * label_term[:h, None, :]
     # Flat index of score (y_i, m, i); mode "clip" lets ``take`` fill ``out`` unbuffered.
     label_at = y * (m * n) + np.arange(n) + (np.arange(m) * n)[:, None]
 
-    # Preallocated buffers; ``spare`` and ``spare_bias`` hold the last epoch's.
-    weights, spare, grad, scratch = (np.zeros((c, m, width)) for _ in range(4))
-    bias, spare_bias, grad_b = (np.zeros((c, m, 1)) for _ in range(3))
+    def views(buffer):
+        # The buffer, its rows for the forward product, the slabs that
+        # descend, the last slab, the coefficients and the bias.
+        return (buffer, buffer.reshape(c * m, width + 1), buffer[:h], buffer[h],
+                buffer[:, :, :width], buffer[:, :, width])
+
+    # Preallocated buffers; ``spare`` holds the last epoch's weights.
+    current, spare = views(np.zeros((c, m, width + 1))), views(np.zeros((c, m, width + 1)))
+    grad = np.empty((h, m, width + 1))
+    flat_g = grad.reshape(h * m, width + 1)
+    grad_coef, grad_bias = grad[:, :, :width], grad[:, :, width]
     scores = np.empty((c, m, n))
+    flat_s = scores.reshape(c * m, n)
+    head_s, head_rows = scores[:h], flat_s[: h * m]
     top, norm, label = np.empty((m, n)), np.empty((m, n)), np.empty((m, n))
-    flat_s, flat_g = scores.reshape(c * m, n), grad.reshape(c * m, width)
     losses = np.empty((epochs, m))
     stopped_at = np.full(m, -1)
     active = np.ones(m, dtype=bool)
 
     for epoch in range(epochs):
-        np.matmul(weights.reshape(c * m, width), basis, out=flat_s)
-        # ‖W‖² per model: Σ W ⊙ W, or Σ A ⊙ (A·K) read before the bias.
-        np.multiply(weights, scores if gram else weights, out=scratch)
-        scores += bias
+        weights, flat_w, head, _, coef, bias = current
+        previous, _, step_head, step_last, _, _ = spare
+        np.matmul(flat_w, basis, out=flat_s)
+        # ‖W‖² per model: Σ W ⊙ W, or Σ A ⊙ (A·K), that is Σ A ⊙ scores
+        # less each class's b·ΣA.
+        squares = np.einsum("cmk,cmk->m", coef, scores if gram else coef)
+        if gram:
+            squares -= np.einsum("cm,cmk->m", bias, coef)
         np.maximum.reduce(scores, axis=0, out=top)
         scores -= top
         np.take(scores, label_at, out=label, mode="clip")
@@ -192,41 +239,49 @@ def fit_softmax_models(
         np.add.reduce(scores, axis=0, out=norm)
         np.log(norm, out=top)
         top -= label
-        loss = np.add.reduce(top, axis=1) / n + 0.5 * l2 * np.add.reduce(scratch, axis=(0, 2))
-        # scores becomes δ = exp(s̃)/(n·Z) − onehot/n.
+        loss = np.add.reduce(top, axis=1) / n + 0.5 * l2 * squares
+        # scores becomes P = exp(s̃)/(n·Z), and G, the gradient less its
+        # label and L2 terms, is P·[X | 1], or [P | ΣP] in the Gram form.
         np.divide(1.0 / n, norm, out=norm)
         scores *= norm
-        scores -= onehot
-        # The gradient is δ·X + λW in W, and δ + λA in A.
-        np.multiply(weights, l2, out=scratch)
         if gram:
-            np.add(scores, scratch, out=grad)
+            np.copyto(grad_coef, head_s)
+            np.add.reduce(head_s, axis=2, out=grad_bias)
         else:
-            np.matmul(flat_s, X, out=flat_g)
-            grad += scratch
-        np.add.reduce(scores, axis=2, keepdims=True, out=grad_b)
+            np.matmul(head_rows, basis.T, out=flat_g)
         if epoch:
             rising = active & (loss > losses[epoch - 1] + 1e-12)
             if rising.any():
-                weights[:, rising] = spare[:, rising]
-                bias[:, rising] = spare_bias[:, rising]
+                weights[:, rising] = previous[:, rising]
                 rates[:, rising] = 0.0
-                bias_rates[:, rising] = 0.0
+                decay[:, rising] = 1.0
+                pull[:, rising] = 0.0
                 stopped_at[rising] = epoch
                 active &= ~rising
                 if not active.any():
                     break
         losses[epoch] = loss
+        # W·decay − rates·G + pull, then the last slab is minus the others'
+        # sum: 0 − Σ, so that a coefficient no class moves stays +0.0.
         grad *= rates
-        grad_b *= bias_rates
-        np.subtract(weights, grad, out=spare)
-        np.subtract(bias, grad_b, out=spare_bias)
-        weights, spare, bias, spare_bias = spare, weights, spare_bias, bias
+        np.multiply(head, decay, out=step_head)
+        step_head -= grad
+        step_head += pull
+        np.add.reduce(step_head, axis=0, out=step_last)
+        np.subtract(0.0, step_last, out=step_last)
+        current, spare = spare, current
 
+    _, _, _, _, coef, bias = current
+    if gram:
+        weights = np.empty((c, m, d))
+        np.matmul(coef[:h], X, out=weights[:h])
+        np.add.reduce(weights[:h], axis=0, out=weights[h])
+        np.subtract(0.0, weights[h], out=weights[h])
+        coef = weights
     kept = np.where(stopped_at >= 0, stopped_at, epochs)
     for i, (model, cols) in enumerate(zip(models, columns)):
-        model.weights_ = (weights[:, i] @ X if gram else weights[:, i])[:, cols].T.copy()
-        model.bias_ = bias[:, i, 0].copy()
+        model.weights_ = coef[:, i, cols].T.copy()
+        model.bias_ = bias[:, i].copy()
         model.loss_history_ = losses[: kept[i], i].copy()
         model.diverged = bool(stopped_at[i] >= 0)
         model.diverged_epoch = int(stopped_at[i]) if model.diverged else None

@@ -131,14 +131,15 @@ def write_prediction_matrix(
 def read_prediction_matrix(path: str) -> PredictionMatrix:
     """Parse and validate a prediction-matrix file and its ``<path>.meta.json``
     sidecar; errors carry line numbers. The matrix is opened first, so a
-    missing one is named before its sidecar. A table of plain digits goes
+    missing one is named before its sidecar. Each may start with one UTF-8
+    byte-order mark, which is skipped. A table of plain digits goes
     through ``np.loadtxt``; any other file, and any fault, is read again cell
     by cell, which names the faulty line."""
     with open(path, "rb") as fh:
         head, body = fh.readline().rstrip(b"\r\n"), fh.read()
     meta_path = path + ".meta.json"
     try:
-        meta = json.loads(read_utf8(meta_path))
+        meta = json.loads(read_utf8(meta_path).removeprefix("\ufeff"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{meta_path}: line {exc.lineno}: malformed sidecar: {exc.msg}") from None
     if not isinstance(meta, dict):

@@ -398,7 +398,7 @@ def read_prediction_matrix_oracle(path):
     ``csv.reader`` splits every line and ``int`` parses every field. Each
     record is numbered by the physical line it starts on."""
     meta_path = path + ".meta.json"
-    with open(meta_path, encoding="utf-8") as fh:
+    with open(meta_path, encoding="utf-8-sig") as fh:
         try:
             meta = json.load(fh)
         except json.JSONDecodeError as exc:

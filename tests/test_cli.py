@@ -294,6 +294,19 @@ class TestIngest:
         assert len(summary["classifiers"]) == 12
         assert summary["num_classes"] == 2
 
+    def test_sidecar_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # Editors that save "UTF-8 with BOM" prefix the sidecar with EF BB BF.
+        pm = make_redundant_matrix(seed=31, split=Split.VALIDATION)
+        plain, bom = str(tmp_path / "plain.csv"), str(tmp_path / "bom.csv")
+        for path in (plain, bom):
+            write_prediction_matrix(pm, path)
+        sidecar = Path(bom + ".meta.json")
+        sidecar.write_bytes(b"\xef\xbb\xbf" + sidecar.read_bytes())
+        assert main(["ingest", plain]) == 0
+        expected = capsys.readouterr().out
+        assert main(["ingest", bom]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_label_out_of_range_rejected_with_line(self, tmp_path, capsys):
         path = tmp_path / "pm.csv"
         path.write_text("truth,CV-NB\n0,0\n1,5\n")

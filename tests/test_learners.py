@@ -1,5 +1,7 @@
 """Base learner behavior: determinism, tie-breaks, and training dynamics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,13 +166,14 @@ class TestSoftmaxRegression:
         assert forms[True] >= 10 and forms[False] >= 10, forms
         assert diverged >= 10
 
-    def test_compare_shaped_batch_matches_row_major_oracle(self):
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    def test_compare_shaped_batch_matches_row_major_oracle(self, c):
         # The batch a compare fits over one one-hot design: nested prefix
         # lists, as the candidates of a level sweep, plus disjoint group
         # lists, as groups A and B. Every model is checked against the
         # oracle on its own columns.
         rng = np.random.default_rng(41)
-        n, p, c = 90, 8, 3
+        n, p = 90, 8
         y = rng.integers(0, c, n)
         X = np.zeros((n, p * c))
         for j in range(p):
@@ -192,6 +195,57 @@ class TestSoftmaxRegression:
                 assert model.diverged_epoch == diverged_epoch, (step, i)
                 assert len(model.loss_history_) == len(history), (step, i)
                 assert np.allclose(model.loss_history_, history, rtol=0, atol=1e-12), (step, i)
+
+    def test_last_class_is_minus_the_sum_of_the_others(self, monkeypatch):
+        # The descent updates c - 1 class slabs and sets the last one to
+        # minus their sum, class 0 first, after every step, so each fitted
+        # model's last-class weights and bias equal that sum exactly: in
+        # both forms, in batches over column subsets, and after a revert.
+        rng = np.random.default_rng(5)
+        for case in range(48):
+            c = (2, 3, 5)[case % 3]
+            gram = case % 4 == 1
+            n, d = int(rng.integers(10, 40)), int(rng.integers(60, 120) if gram else rng.integers(2, 12))
+            X = rng.poisson(0.5, (n, d)).astype(np.float64)
+            y = rng.integers(0, c, n)
+            step = float(rng.choice([0.1, 0.5, 50.0]))
+            columns = [np.arange(d)] if gram else [
+                rng.permutation(d)[: rng.integers(1, d + 1)] for _ in range(3)]
+            monkeypatch.setattr(learners, "gram_form_pays", lambda *shape: gram)
+            epochs = int(rng.integers(1, 60))
+            models = [SoftmaxRegression(step=step, epochs=epochs) for _ in columns]
+            fit_softmax_models(models, X, y, c, columns)
+            for model in models:
+                for coefficients in (model.weights_.T, model.bias_[:, None]):
+                    total = coefficients[0]
+                    for k in range(1, c - 1):
+                        total = total + coefficients[k]
+                    assert np.array_equal(coefficients[c - 1], -total), case
+
+    def test_warm_descent_allocates_nothing_per_epoch(self):
+        # A one-hot (c, M, N) = (4, 24, 300) batch, as pool-stack fits: over
+        # 20 epochs the peak may exceed that of a call that runs no epoch
+        # (the same buffers) only by the loss table and the histories it
+        # hands out, plus 16 KB of small temporaries. numpy's buffered
+        # broadcast loops would add 30-60 KB.
+        rng = np.random.default_rng(3)
+        c, m, n, p = 4, 24, 300, 16
+        y = rng.integers(0, c, n)
+        X = np.zeros((n, p * c))
+        for j in range(p):
+            X[np.arange(n), j * c + np.where(rng.random(n) < 0.6, y, rng.integers(0, c, n))] = 1.0
+        columns = [(np.arange(k % p + 1)[:, None] * c + np.arange(c)).ravel() for k in range(m)]
+        peaks = {}
+        for epochs in (20, 0, 20):
+            models = [SoftmaxRegression(epochs=epochs) for _ in columns]
+            tracemalloc.start()
+            try:
+                fit_softmax_models(models, X, y, c, columns)
+                peaks[epochs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        loss_bytes = 2 * 20 * m * 8
+        assert peaks[20] - peaks[0] - loss_bytes <= 16 * 1024, peaks
 
     def test_score_ties_break_to_smallest_class(self):
         model = SoftmaxRegression()
