@@ -28,12 +28,7 @@ from .core import (
     load_corpus_csv,
     split_corpus,
 )
-from .diversity import (
-    DissimilarityMatrix,
-    dissimilarity_matrix,
-    read_dissimilarity_csv,
-    write_dissimilarity_csv,
-)
+from .diversity import DissimilarityMatrix, dissimilarity_matrix, write_dissimilarity_csv
 from .features import (
     EXTRACTOR_KINDS,
     FeatureSpace,

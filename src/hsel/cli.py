@@ -34,19 +34,13 @@ from .core import (
     ClassifierId,
     PredictionMatrix,
     Split,
-    SplitCorpus,
     evaluate,
     evaluate_matrix,
     evaluate_rows,
     load_corpus_csv,
     split_corpus,
 )
-from .diversity import (
-    DissimilarityMatrix,
-    dissimilarity_matrix,
-    read_dissimilarity_csv,
-    write_dissimilarity_csv,
-)
+from .diversity import DissimilarityMatrix, dissimilarity_matrix, write_dissimilarity_csv
 from .features import normalize_extractor_token
 from .hiercluster import LINKAGE_METHODS, Dendrogram, linkage, write_dendrogram
 from .learners import normalize_algorithm_token
@@ -65,7 +59,7 @@ from .selection import (
 class RunConfig:
     """Resolved configuration of one pipeline run; embedded in every report."""
 
-    corpus: str
+    corpus: str = ""  # run's corpus file; empty for the matrix commands
     ratios: tuple[float, float, float] = (0.6, 0.2, 0.2)
     seed: int = 7
     extractors: tuple[str, ...] = ("COUNT", "TFIDF", "HASHED")
@@ -307,31 +301,19 @@ def _read_matrices(*paths: str) -> list[PredictionMatrix]:
     return pms
 
 
-def _build_corpus(config: RunConfig) -> tuple[SplitCorpus, dict[str, int]]:
+def cmd_run(config: RunConfig) -> dict:
+    """Full pipeline; writes matrix, dendrogram, selection, and evaluation
+    artifacts into the output directory and returns the run report."""
     with _stage("load-corpus"):
         rows, mapping = load_corpus_csv(config.corpus)
     with _stage("split"):
         corpus = split_corpus(rows, ratios=config.ratios, seed=config.seed)
-    return corpus, mapping
-
-
-def _build_matrices(
-    config: RunConfig, corpus: SplitCorpus
-) -> tuple[PredictionMatrix, PredictionMatrix]:
     with _stage("train-pool"):
         pool = train_pool(corpus, config.extractors, config.algorithms, seed=config.seed)
     with _stage("predict-validation"):
         vpm = predict_matrix(pool, corpus, Split.VALIDATION)
     with _stage("predict-test"):
         tpm = predict_matrix(pool, corpus, Split.TEST)
-    return vpm, tpm
-
-
-def cmd_run(config: RunConfig) -> dict:
-    """Full pipeline; writes matrix, dendrogram, selection, and evaluation
-    artifacts into the output directory and returns the run report."""
-    corpus, mapping = _build_corpus(config)
-    vpm, tpm = _build_matrices(config, corpus)
     matrix, dendro, scores, sweeps, stacks, elbow_k = _selection_sweep(vpm, config)
 
     primary_metric = config.metrics[0]
@@ -390,23 +372,12 @@ def _row(display: str, kind: str, members: Sequence[ClassifierId], metrics: dict
     }
 
 
-def cmd_compare(
-    config: RunConfig,
-    validation_matrix: str | None = None,
-    test_matrix: str | None = None,
-) -> dict:
+def cmd_compare(config: RunConfig, validation_matrix: str, test_matrix: str) -> dict:
     """Evaluate every strategy on TEST: monolithic members, groups A/B/C,
-    the hierarchy-selected group D, the elbow ensemble, and the baseline.
-
-    Reads the matrix pair when one is given, else the corpus (native pool).
-    """
-    if validation_matrix is not None:
-        vpm, tpm = _read_matrices(validation_matrix, test_matrix)
-        if vpm.classifier_ids != tpm.classifier_ids:
-            raise StageError("ingest", "validation and test matrices must share one column order")
-    else:
-        corpus, _ = _build_corpus(config)
-        vpm, tpm = _build_matrices(config, corpus)
+    the hierarchy-selected group D, the elbow ensemble, and the baseline."""
+    vpm, tpm = _read_matrices(validation_matrix, test_matrix)
+    if vpm.classifier_ids != tpm.classifier_ids:
+        raise StageError("ingest", "validation and test matrices must share one column order")
 
     primary_metric = config.metrics[0]
     meta = config.meta_kind.upper()
@@ -505,7 +476,7 @@ def _metric_name(token: str) -> str:
     return token
 
 
-_DEFAULTS = RunConfig(corpus="")
+_DEFAULTS = RunConfig()
 
 # Options that set a RunConfig field: field -> (flag, help, argparse keywords).
 # Each takes the field's default and names it in its help.
@@ -525,7 +496,6 @@ _FIELD_OPTIONS = {
     "seed": ("--seed", "global random seed", {"type": int}),
     "outdir": ("--outdir", "output directory, made when the first file is written there", {}),
 }
-_PIPELINE_FIELDS = ("ratios", "extractors", "algorithms", "seed")
 _SELECTION_FIELDS = ("linkage", "metrics", "rule", "alpha", "meta_kind")
 
 
@@ -540,9 +510,8 @@ def _add_field_options(parser: argparse.ArgumentParser, names: Sequence[str]) ->
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """The subcommand's own options; ``RunConfig``'s defaults fill the rest."""
-    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
-    given["corpus"] = given.get("corpus") or ""
-    return RunConfig(**given)
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                        if hasattr(args, f.name)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -562,24 +531,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = add("run", help="full pipeline over a corpus file")
     p_run.add_argument("--corpus", required=True, help="text,label corpus file")
-    _add_field_options(p_run, _PIPELINE_FIELDS + _SELECTION_FIELDS + ("outdir",))
+    _add_field_options(p_run, ("ratios", "extractors", "algorithms", "seed", *_SELECTION_FIELDS,
+                               "outdir"))
 
     p_cmp = add("compare", help="selection strategies side by side on TEST")
-    p_cmp.add_argument("--corpus", help="text,label corpus file (native pool mode)")
-    p_cmp.add_argument("--validation-matrix", help="ingested validation prediction matrix")
-    p_cmp.add_argument("--test-matrix", help="ingested test prediction matrix")
-    _add_field_options(p_cmp, _PIPELINE_FIELDS + _SELECTION_FIELDS + ("outdir",))
-    p_cmp.set_defaults(usage_error=p_cmp.error)
+    p_cmp.add_argument("--validation-matrix", required=True,
+                       help="ingested validation prediction matrix")
+    p_cmp.add_argument("--test-matrix", required=True, help="ingested test prediction matrix")
+    _add_field_options(p_cmp, _SELECTION_FIELDS + ("outdir",))
+    # --seed stays while the pool-stack benchmark passes it; the report records it.
+    p_cmp.add_argument("--seed", type=int, default=_DEFAULTS.seed,
+                       help="recorded in the report's config and otherwise unused: compare"
+                            f" draws no random numbers (default: {_DEFAULTS.seed})")
 
     p_ing = add("ingest", help="validate a prediction-matrix file")
     p_ing.add_argument("matrix", help="prediction-matrix file")
 
-    p_div = add("diversity", help="dissimilarity matrix from a prediction matrix")
+    p_div = add("diversity", help="dissimilarity matrix from a prediction matrix, as an export")
     p_div.add_argument("--matrix", required=True)
     _add_field_options(p_div, ("outdir",))
 
-    p_clu = add("cluster", help="dendrogram from a dissimilarity matrix")
-    p_clu.add_argument("--dissimilarity", required=True)
+    p_clu = add("cluster", help="dendrogram from a prediction matrix")
+    p_clu.add_argument("--matrix", required=True, help="validation prediction matrix")
     _add_field_options(p_clu, ("linkage", "outdir"))
 
     p_sel = add("select", help="hierarchy-level sweep over an ingested matrix")
@@ -602,9 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    matrices = (args.validation_matrix, args.test_matrix) if args.command == "compare" else ()
-    if matrices and (any(matrices) if args.corpus else not all(matrices)):
-        args.usage_error("compare takes --corpus alone or both --validation-matrix and --test-matrix")
     try:
         if args.command == "run":
             report = cmd_run(_config_from_args(args))
@@ -622,21 +592,20 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "split": pm.split_tag.value,
             }
             shown = json.dumps(summary, indent=2, sort_keys=True)
-        elif args.command == "diversity":
+        elif args.command in ("diversity", "cluster"):
             [pm] = _read_matrices(args.matrix)
             with _stage("dissimilarity"):
                 matrix = dissimilarity_matrix(pm)
-            shown = _out_path(args.outdir, "dissimilarity.csv")
-            with _stage("write-dissimilarity"):
-                write_dissimilarity_csv(matrix, shown)
-        elif args.command == "cluster":
-            with _stage("read-dissimilarity"):
-                matrix = read_dissimilarity_csv(args.dissimilarity)
-            with _stage("linkage"):
-                dendro = linkage(matrix, method=args.linkage)
-            shown = _out_path(args.outdir, "dendrogram.txt")
-            with _stage("write-dendrogram"):
-                write_dendrogram(dendro, shown)
+            if args.command == "diversity":
+                shown = _out_path(args.outdir, "dissimilarity.csv")
+                with _stage("write-dissimilarity"):
+                    write_dissimilarity_csv(matrix, shown)
+            else:
+                with _stage("linkage"):
+                    dendro = linkage(matrix, method=args.linkage)
+                shown = _out_path(args.outdir, "dendrogram.txt")
+                with _stage("write-dendrogram"):
+                    write_dendrogram(dendro, shown)
         elif args.command == "select":
             config = _config_from_args(args)
             [vpm] = _read_matrices(args.matrix)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassifierId, PredictionMatrix, read_id_table
+from .core import ClassifierId, PredictionMatrix
 
 
 @dataclass(frozen=True)
@@ -79,29 +79,3 @@ def write_dissimilarity_csv(matrix: DissimilarityMatrix, path: str) -> None:
         writer.writerow(["id"] + names)
         for i, name in enumerate(names):
             writer.writerow([name] + [repr(float(v)) for v in matrix.values[i]])
-
-
-def read_dissimilarity_csv(path: str) -> DissimilarityMatrix:
-    names, ids, rows, linenos, end = read_id_table(
-        path, "id", lambda fields: (fields[0], np.array([float(v) for v in fields[1:]])),
-        "non-numeric distance",
-    )
-    size = len(names)
-    if len(rows) > size:
-        raise ValueError(f"{path}: line {linenos[size]}: more rows than the {size} ids")
-    for (row_id, _), name, lineno in zip(rows, names, linenos):
-        if row_id.strip() != name:
-            raise ValueError(
-                f"{path}: line {lineno}: row id {row_id!r} does not match header order"
-            )
-    if len(rows) < size:
-        raise ValueError(f"{path}: line {end}: expected {size} rows, found {len(rows)}")
-    values = np.array([distances for _, distances in rows], dtype=np.float64)
-    try:
-        return DissimilarityMatrix(ids=ids, values=values)
-    except ValueError as exc:
-        # Shape and ids passed above: name the first row failing the check that raised.
-        masks = ~((0 <= values) & (values <= 1)), values != values.T, np.diag(np.diag(values) != 0)
-        bad = next((mask for mask in masks if mask.any()), masks[0])
-        lineno = linenos[int(np.argmax(bad.any(axis=1)))]
-        raise ValueError(f"{path}: line {lineno}: {exc}") from None

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ClassifierId, PredictionMatrix, Split, SplitCorpus, derive_seed
-from .core import check_header, read_id_table, read_utf8
+from .core import check_header, read_records, read_utf8
 from .features import (
     FeatureSpace,
     build_vocabulary,
@@ -200,10 +200,20 @@ def _read_table_fast(path: str, head: bytes, body: bytes, num_classes: int) -> _
 
 
 def _read_table(path: str, num_classes: int) -> _Table:
-    """The matrix cell by cell, naming ``path: line N`` in every fault."""
-    _, ids, rows, linenos, _ = read_id_table(
-        path, "truth", lambda fields: [int(v) for v in fields], "non-integer label"
-    )
+    """The matrix cell by cell by ``read_records``' rules, naming
+    ``path: line N`` in every fault."""
+    records = read_records(path, ("truth",), "matrix")
+    _, header = next(records)
+    if len(header) < 2:
+        raise ValueError(f"{path}: line 1: no classifier columns")
+    ids = ClassifierId.parse_header(path, [name.strip() for name in header[1:]])
+    rows, linenos = [], []
+    for lineno, fields in records:
+        try:
+            rows.append([int(v) for v in fields])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-integer label") from None
+        linenos.append(lineno)
     if not rows:
         raise ValueError(f"{path}: matrix has no instance rows")
     try:

@@ -24,8 +24,8 @@ from hsel.core import (
     evaluate_matrix,
     load_corpus_csv,
 )
-from hsel.diversity import dissimilarity_matrix, read_dissimilarity_csv, write_dissimilarity_csv
-from hsel.hiercluster import linkage
+from hsel.diversity import dissimilarity_matrix
+from hsel.hiercluster import LINKAGE_METHODS, linkage, write_dendrogram
 from hsel.pool import read_prediction_matrix, write_prediction_matrix
 from hsel.selection import hierarchy_select
 
@@ -43,6 +43,14 @@ def small_corpus(tmp_path_factory):
     path = tmp_path_factory.mktemp("corpus") / "small.csv"
     write_corpus_csv(synthetic_news_corpus(n_docs=150, seed=3), str(path))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def bundled_run(tmp_path_factory):
+    """The output directory of ``run`` on the bundled corpus with seed 7."""
+    outdir = tmp_path_factory.mktemp("bundled") / "run"
+    cmd_run(RunConfig(corpus=BUNDLED_CORPUS, seed=7, outdir=str(outdir)))
+    return outdir
 
 
 GROUP_KINDS = ("group_a", "group_b", "group_c", "group_d", "elbow")
@@ -170,9 +178,11 @@ class TestRun:
 
 
 class TestCompare:
-    def test_corpus_mode_rows(self, small_corpus, tmp_path):
-        config = RunConfig(corpus=small_corpus, outdir=str(tmp_path / "cmp"), seed=7)
-        report = cmd_compare(config)
+    def test_rows_on_a_native_pool(self, small_corpus, tmp_path):
+        cmd_run(RunConfig(corpus=small_corpus, outdir=str(tmp_path / "run"), seed=7))
+        config = RunConfig(outdir=str(tmp_path / "cmp"), seed=7)
+        report = cmd_compare(config, str(tmp_path / "run" / "validation_matrix.csv"),
+                             str(tmp_path / "run" / "test_matrix.csv"))
         jsonschema.validate(report, _schema("compare_report"))
         rows = {row["display"]: row for row in report["rows"]}
         # Group C spans the whole pool.
@@ -263,23 +273,17 @@ class TestCompare:
         assert str(val_path) in err and str(test_path) in err
 
     @pytest.mark.parametrize("inputs", [
-        ["--corpus", "c.csv", "--validation-matrix", "v.csv", "--test-matrix", "t.csv"],
-        ["--corpus", "c.csv", "--validation-matrix", "v.csv"],
-        ["--corpus", "c.csv", "--test-matrix", "t.csv"],
         ["--validation-matrix", "v.csv"],
         ["--test-matrix", "t.csv"],
         [],
-    ], ids=["corpus-and-pair", "corpus-and-validation", "corpus-and-test", "validation-only",
-            "test-only", "none"])
-    def test_input_modes_are_a_usage_error_unless_exactly_one(self, inputs, tmp_path, capsys):
-        # With a corpus and a matrix pair, matrix mode used to run while the
-        # report named the corpus; with one matrix, ingest failed late.
+    ], ids=["validation-only", "test-only", "none"])
+    def test_both_matrices_are_required(self, inputs, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compare", *inputs, "--outdir", str(tmp_path / "cmp")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: hsel compare")
-        assert "compare takes --corpus alone or both --validation-matrix and --test-matrix" in err
+        assert "the following arguments are required" in err
         assert not (tmp_path / "cmp").exists()
 
 
@@ -328,8 +332,6 @@ class TestIngest:
     "text, read, message",
     [
         ('truth,CV-NB\n0,"1\n\n"\n1,x\n', "ingest", "non-integer label"),
-        ('id,A-X,B-X\n"A-X\n\n",0,1\nB-X,1,x\n', read_dissimilarity_csv,
-         "non-numeric distance"),
         ('text,label\n"one\ntwo\nthree",pos\nfour,\n', load_corpus_csv, "empty label"),
     ],
 )
@@ -357,11 +359,27 @@ class TestSingleStageCommands:
         assert main(["diversity", "--matrix", val_path, "--outdir", outdir]) == 0
         matrix_path = capsys.readouterr().out.strip()
         assert os.path.exists(matrix_path)
-        assert main(["cluster", "--dissimilarity", matrix_path, "--outdir", outdir]) == 0
+        assert main(["cluster", "--matrix", val_path, "--outdir", outdir]) == 0
         dendro_path = capsys.readouterr().out.strip()
         text = open(dendro_path).read()
         assert text.startswith("hsel-dendrogram v1")
         assert "leaves 12" in text
+
+    @pytest.mark.parametrize("method", LINKAGE_METHODS)
+    def test_cluster_links_the_matrix_double_fault(self, method, bundled_run, tmp_path, capsys):
+        # cluster's dendrogram is the library's on the matrix's distances, and
+        # under the default method the one run writes from the same matrix.
+        val_path = str(bundled_run / "validation_matrix.csv")
+        option = [] if method == RunConfig().linkage else ["--linkage", method]
+        outdir = tmp_path / "out"
+        assert main(["cluster", "--matrix", val_path, *option, "--outdir", str(outdir)]) == 0
+        expected = tmp_path / "expected.txt"
+        write_dendrogram(linkage(dissimilarity_matrix(read_prediction_matrix(val_path)), method),
+                         str(expected))
+        written = (outdir / "dendrogram.txt").read_bytes()
+        assert written == expected.read_bytes()
+        if method == RunConfig().linkage:
+            assert written == (bundled_run / "dendrogram.txt").read_bytes()
 
     def test_select_rules_agree_on_engineered_fixture(self, tmp_path):
         # Both final-choice rules land on the same members here: the level-3
@@ -449,14 +467,12 @@ class TestSingleStageCommands:
 def _commands_on_inputs(tmp_path, corpus):
     """Each command that writes into ``--outdir``, on inputs it reads."""
     val_path, test_path = _redundant_matrices(tmp_path)
-    matrix = dissimilarity_matrix(read_prediction_matrix(val_path))
-    write_dissimilarity_csv(matrix, str(tmp_path / "dissimilarity.csv"))
     return {
         "run": ["run", "--corpus", corpus],
         "compare": ["compare", "--validation-matrix", val_path, "--test-matrix", test_path],
         "select": ["select", "--matrix", val_path, "--meta", "VOTE"],
         "diversity": ["diversity", "--matrix", val_path],
-        "cluster": ["cluster", "--dissimilarity", str(tmp_path / "dissimilarity.csv")],
+        "cluster": ["cluster", "--matrix", val_path],
         "stack": ["stack", "--validation-matrix", val_path, "--test-matrix", test_path,
                   "--members", "SRC01-CLF,SRC05-CLF"],
     }
@@ -475,10 +491,10 @@ def test_unusable_outdir_names_the_outdir_stage(command, small_corpus, tmp_path,
 
 @pytest.mark.parametrize("argv, stage", [
     (["run", "--corpus", "{unquoted}"], "load-corpus"),
-    (["compare", "--corpus", "{unquoted}"], "load-corpus"),
+    (["compare", "--validation-matrix", "{missing}", "--test-matrix", "{missing}"], "ingest"),
     (["select", "--matrix", "{missing}"], "ingest"),
     (["diversity", "--matrix", "{missing}"], "ingest"),
-    (["cluster", "--dissimilarity", "{missing}"], "read-dissimilarity"),
+    (["cluster", "--matrix", "{missing}"], "ingest"),
     (["stack", "--validation-matrix", "{missing}", "--test-matrix", "{missing}",
       "--members", "A-X"], "ingest"),
 ], ids=["run", "compare", "select", "diversity", "cluster", "stack"])
@@ -497,8 +513,9 @@ def test_failed_command_leaves_no_outdir(argv, stage, tmp_path, capsys):
     ["diversity", "--matrix", "{missing}"],
     ["select", "--matrix", "{missing}"],
     ["compare", "--validation-matrix", "{val}", "--test-matrix", "{missing}"],
+    ["cluster", "--matrix", "{missing}"],
     ["stack", "--validation-matrix", "{missing}", "--test-matrix", "{test}", "--members", "A-X"],
-], ids=["ingest", "diversity", "select", "compare", "stack"])
+], ids=["ingest", "diversity", "select", "compare", "cluster", "stack"])
 def test_missing_matrix_is_named_not_its_sidecar(argv, tmp_path, capsys, monkeypatch):
     # The matrix is opened before its sidecar, so the error names the file
     # that is missing, not the sidecar path derived from it.
@@ -667,27 +684,40 @@ def test_select_seed_is_accepted_and_unused():
     assert _config_from_args(args) == RunConfig(corpus="", seed=3)
 
 
+_RUN = ["run", "--corpus", "c.csv"]
+_COMPARE = ["compare", "--validation-matrix", "v.csv", "--test-matrix", "t.csv"]
+_SELECT = ["select", "--matrix", "m.csv"]
+_STACK = ["stack", "--validation-matrix", "v.csv", "--test-matrix", "t.csv"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["ingest", "m.csv", "--seed", "3"],
         ["ingest", "m.csv", "--outdir", "out"],
         ["diversity", "--matrix", "m.csv", "--seed", "3"],
-        ["cluster", "--dissimilarity", "d.csv", "--seed", "3"],
+        ["cluster", "--matrix", "m.csv", "--seed", "3"],
         ["stack", "--validation-matrix", "v.csv", "--test-matrix", "t.csv",
          "--members", "A-X", "--seed", "3"],
         ["run", "--corpus", "c.csv", "--conversion", "complement"],
-        ["compare", "--corpus", "c.csv", "--conversion", "complement"],
+        [*_COMPARE, "--conversion", "complement"],
         ["select", "--matrix", "m.csv", "--conversion", "complement"],
         ["diversity", "--matrix", "m.csv", "--conversion", "complement"],
         ["diversity", "--matrix", "m.csv", "--out", "d.csv"],
-        ["cluster", "--dissimilarity", "d.csv", "--out", "t.txt"],
+        ["cluster", "--matrix", "m.csv", "--out", "t.txt"],
         ["stack", "--validation-matrix", "v.csv", "--test-matrix", "t.csv",
          "--members", "A-X", "--out", "s.json"],
         ["select", "--matrix", "m.csv", "--out", "r.json"],
         ["ingest", "m.csv", "--meta-file", "m.json"],
         ["diversity", "--matrix", "m.csv", "--meta-file", "m.json"],
         ["select", "--matrix", "m.csv", "--meta-file", "m.json"],
+        # compare reads prediction matrices only, and cluster computes its
+        # distances from one.
+        [*_COMPARE, "--corpus", "c.csv"],
+        [*_COMPARE, "--ratios", "0.6,0.2,0.2"],
+        [*_COMPARE, "--extractors", "COUNT"],
+        [*_COMPARE, "--algorithms", "NB"],
+        ["cluster", "--matrix", "m.csv", "--dissimilarity", "d.csv"],
         # Options match by their full name only.
         ["run", "--corpus", "c.csv", "--see", "3"],
         ["select", "--matrix", "m.csv", "--outd", "out"],
@@ -711,26 +741,21 @@ def test_alpha_outside_unit_interval_rejected(command, value, capsys):
         assert build_parser().parse_args(command + ["--alpha", bound]).alpha == float(bound)
 
 
-_RUN, _COMPARE = ["run", "--corpus", "c.csv"], ["compare", "--corpus", "c.csv"]
-_SELECT = ["select", "--matrix", "m.csv"]
-_STACK = ["stack", "--validation-matrix", "v.csv", "--test-matrix", "t.csv"]
-
-
 @pytest.mark.parametrize("command, flag, value, message, distinct", [
     (_RUN, "--metrics", "f1,accuracy,f1", "metric 'f1' is repeated", "f1,accuracy"),
     (_SELECT, "--metrics", "f1,accuracy,f1", "metric 'f1' is repeated", "f1,accuracy"),
     (_RUN, "--metrics", "precision,precision", "metric 'precision' is repeated", "f1,accuracy"),
     (_SELECT, "--metrics", "precision,precision", "metric 'precision' is repeated", "f1"),
     (_RUN, "--extractors", "COUNT,CV", "extractor 'CV' is repeated", "CV,TFIDF"),
-    (_COMPARE, "--extractors", "tfidf,TF-IDF", "extractor 'TF-IDF' is repeated", "cv,HASHED"),
+    (_RUN, "--extractors", "tfidf,TF-IDF", "extractor 'TF-IDF' is repeated", "cv,HASHED"),
     (_RUN, "--algorithms", "NB,nb", "algorithm 'nb' is repeated", "NB,lr"),
-    (_COMPARE, "--algorithms", "knn,LR, KNN", "algorithm 'KNN' is repeated", "knn,nc"),
+    (_RUN, "--algorithms", "knn,LR, KNN", "algorithm 'KNN' is repeated", "knn,nc"),
     (_STACK, "--members", "COUNT-NB,count-nb", "member 'count-nb' is repeated", "CV-NB,cv-lr"),
     (_SELECT, "--metrics", "f1,auc", "unknown metric 'auc'", "recall"),
     (_RUN, "--extractors", "COUNT,FOO", "unknown extractor token 'FOO'", "hashed-dense"),
-    (_COMPARE, "--extractors", "glove", "unknown extractor token 'glove'", "tf-idf"),
+    (_RUN, "--extractors", "glove", "unknown extractor token 'glove'", "tf-idf"),
     (_RUN, "--algorithms", "NB,SVM", "unknown algorithm token 'SVM'", "nb,Knn"),
-    (_COMPARE, "--algorithms", "xgb", "unknown algorithm token 'XGB'", "NC"),
+    (_RUN, "--algorithms", "xgb", "unknown algorithm token 'XGB'", "NC"),
     (_STACK, "--members", "COUNT-NB,X", "cannot parse classifier id 'X'", "FOO-NB"),
     (_STACK, "--members", "CV-LR,NB-", "cannot parse classifier id 'NB-'", "A-B-NB"),
 ])
@@ -750,26 +775,24 @@ def test_bad_token_rejected_at_parse_time(command, flag, value, message, distinc
 @pytest.mark.parametrize("value", ["a,b,c", "nan,0.5,0.5", "0.5,inf,0.5", "0.5,0.5",
                                    "0.2,0.2,0.2,0.4", "0.5,0.5,0.5", "0.6,0.2,0.2000001",
                                    "0.3,0.3,0.3"])
-@pytest.mark.parametrize("command", [_RUN, _COMPARE])
-def test_ratios_must_be_three_finite_fractions(command, value, capsys):
+def test_ratios_must_be_three_finite_fractions(value, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(command + ["--ratios", value])
+        main(_RUN + ["--ratios", value])
     assert exc.value.code == 2
     message = f"ratios must be three comma-separated fractions that sum to 1, got {value!r}"
     assert message in capsys.readouterr().err
     # 0.7 + 0.2 + 0.1 is not 1 in floats, but within split_corpus's tolerance.
     for accepted in ("0.5,0.25,0.25", "0.7,0.2,0.1"):
-        ratios = build_parser().parse_args(command + ["--ratios", accepted]).ratios
+        ratios = build_parser().parse_args(_RUN + ["--ratios", accepted]).ratios
         assert ratios == tuple(float(part) for part in accepted.split(","))
 
 
 @pytest.mark.parametrize("value", ["-0.5,1,0.5", "0.5,0,0.5", "0.5,0.5,-0.0", "0.6,0.6,-inf"])
-@pytest.mark.parametrize("command", [["run", "--corpus", "c.csv"], ["compare", "--corpus", "c.csv"]])
-def test_non_positive_ratios_rejected_at_parse_time(command, value, capsys):
+def test_non_positive_ratios_rejected_at_parse_time(value, capsys):
     # Like --alpha, a fraction of 0 or less is an argparse error (exit 2),
     # raised before the corpus is opened, not an "error [split]" exit 1.
     with pytest.raises(SystemExit) as exc:
-        main(command + [f"--ratios={value}"])
+        main(_RUN + [f"--ratios={value}"])
     assert exc.value.code == 2
     message = f"ratios must be three comma-separated fractions that sum to 1, got {value!r}"
     assert message in capsys.readouterr().err

@@ -1,21 +1,16 @@
 """Double-fault distances and dissimilarity matrix construction."""
 
-import re
+import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from hsel.core import ClassifierId
-from hsel.diversity import (
-    DissimilarityMatrix,
-    dissimilarity_matrix,
-    read_dissimilarity_csv,
-    write_dissimilarity_csv,
-)
+from hsel.diversity import DissimilarityMatrix, dissimilarity_matrix, write_dissimilarity_csv
 
-from conftest import mutated_bytes, pm_of
+from conftest import pm_of
 from oracles import double_fault_oracle
 
 
@@ -146,89 +141,25 @@ class TestDissimilarityMatrix:
         with pytest.raises(ValueError, match=message):
             DissimilarityMatrix(ids=ids, values=np.array(values))
 
-    def test_csv_roundtrip_full_precision(self, tmp_path):
+    def test_csv_export_full_precision(self, tmp_path):
+        # The export is an id header row and column around repr floats, so
+        # the distances parse back exactly.
         rng = np.random.default_rng(11)
         truth = rng.integers(0, 2, 50)
         cols = [rng.integers(0, 2, 50) for _ in range(3)]
         matrix = dissimilarity_matrix(pm_of(cols, truth))
-        path = str(tmp_path / "m.csv")
-        write_dissimilarity_csv(matrix, path)
-        back = read_dissimilarity_csv(path)
-        assert back.ids == matrix.ids
-        assert np.array_equal(back.values, matrix.values)
+        path = tmp_path / "m.csv"
+        write_dissimilarity_csv(matrix, str(path))
+        rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+        names = [cid.canonical for cid in matrix.ids]
+        assert rows[0] == ["id"] + names
+        assert [row[0] for row in rows[1:]] == names
+        back = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+        assert np.array_equal(back, matrix.values)
 
-    def test_nan_distance_is_out_of_range(self, tmp_path):
+    def test_nan_distance_is_out_of_range(self):
         # NaN != NaN, so a symmetric NaN pair also fails the symmetry check;
-        # the range check runs first and names NaN's row.
+        # the range check runs first.
         ids = (ClassifierId("E0", "A"), ClassifierId("E1", "A"))
         with pytest.raises(ValueError, match=r"distances must lie in \[0, 1\]"):
             DissimilarityMatrix(ids=ids, values=np.array([[0.0, np.nan], [np.nan, 0.0]]))
-        path = tmp_path / "m.csv"
-        path.write_text("id,A-X,B-X,C-X\nA-X,0,1,1\nB-X,1,0,nan\nC-X,1,nan,0\n")
-        with pytest.raises(ValueError, match=r"m.csv: line 3: distances must lie in \[0, 1\]"):
-            read_dissimilarity_csv(str(path))
-
-    @pytest.mark.parametrize(
-        "text, line",
-        [
-            ("id,A-X,B-X\nA-X,0,1\nB-X,1,0\nC-X,1,1\n", 4),  # extra row
-            ("id,A-X,B-X\nA-X,0,x\nB-X,1,0\n", 2),  # non-numeric cell
-            ("id,A-X,B-X\nA-X,0,1\n", 3),  # fewer rows than ids
-            ('id,A-X,B-X\n"A-X\n\n",0,1\n', 5),  # ... the last one spanning lines 2-4
-            ("id,A-X,BX\nA-X,0,1\nBX,1,0\n", 1),  # unparseable id
-            ("id,A-X,a-x\nA-X,0,1\na-x,1,0\n", 1),  # ids equal up to case
-            ("id,A-X,B-X,C-X\nA-X,0,1,1\nB-X,1,0,0.5\nC-X,1,0.25,0\n", 3),  # asymmetric
-            ("id,A-X,B-X\nA-X,0,-0.5\nB-X,-0.5,0\n", 2),  # outside [0, 1]
-            ("id,A-X,B-X,C-X\nA-X,0,1,1\nB-X,1,0,1\nC-X,1,1,0.5\n", 4),  # nonzero diagonal
-            ("id\n", 1),  # no classifier columns
-        ],
-    )
-    def test_malformed_csv_names_path_and_line(self, tmp_path, text, line):
-        path = tmp_path / "m.csv"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=f"m.csv: line {line}:"):
-            read_dissimilarity_csv(str(path))
-
-    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_bytes(b"\xef\xbb\xbfid,A-X,B-X\r\nA-X,0,0.25\r\nB-X,0.25,0\r\n")
-        matrix = read_dissimilarity_csv(str(path))
-        assert [cid.canonical for cid in matrix.ids] == ["A-X", "B-X"]
-        assert matrix.values.tolist() == [[0.0, 0.25], [0.25, 0.0]]
-
-    def test_undecodable_bytes_name_path_and_line(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_bytes(b"id,A-X,B-X\r\nA-X,0,1\r\nB-X,1,\xff0\r\n")
-        with pytest.raises(ValueError, match="m.csv: line 3: byte 0xff is not UTF-8 text"):
-            read_dissimilarity_csv(str(path))
-
-    def test_oversized_field_names_path_and_line(self, tmp_path):
-        # An unclosed quote runs to the end of the file, past the csv field limit.
-        path = tmp_path / "m.csv"
-        path.write_text('id,A-X,B-X\nA-X,0,"1\n' + "0," * 70000 + "\n")
-        with pytest.raises(ValueError, match=r"m.csv: line \d+: field larger than field limit"):
-            read_dissimilarity_csv(str(path))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_truncated_or_mutated_csv_reads_or_names_its_line(tmp_path_factory, data):
-    """A valid dissimilarity file cut short, or with bytes replaced, inserted
-    or deleted, reads as a matrix or fails with ``ValueError`` naming
-    ``path: line N``; no other exception escapes."""
-    p = data.draw(st.integers(1, 5), label="p")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    truth = rng.integers(0, 3, 40)
-    cols = [rng.integers(0, 3, 40) for _ in range(max(p, 2))]
-    matrix = dissimilarity_matrix(pm_of(cols, truth, 3))
-    if p == 1:
-        matrix = DissimilarityMatrix(matrix.ids[:1], np.zeros((1, 1)))
-    path = tmp_path_factory.mktemp("dsv") / "m.csv"
-    write_dissimilarity_csv(matrix, str(path))
-    path.write_bytes(mutated_bytes(data, path.read_bytes()))
-    try:
-        back = read_dissimilarity_csv(str(path))
-    except ValueError as exc:
-        assert re.match(rf"{re.escape(str(path))}: line \d+: ", str(exc)), str(exc)
-    else:
-        assert isinstance(back, DissimilarityMatrix)

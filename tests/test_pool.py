@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -19,7 +20,7 @@ from hsel.pool import (
 )
 import hsel.pool as pool_module
 import hsel.preprocess as preprocess_module
-from conftest import BUNDLED_CORPUS, pm_of
+from conftest import BUNDLED_CORPUS, mutated_bytes, pm_of
 from oracles import read_prediction_matrix_oracle
 
 
@@ -284,6 +285,36 @@ class TestWireFormat:
         with pytest.raises(ValueError, match=rf"pm\.csv: line 1: {message}"):
             read_prediction_matrix(str(path))
 
+    @pytest.mark.parametrize("text, message", [
+        ("truth,A-X,B-X\n0,1,x\n", "line 2: non-integer label"),
+        ("truth,A-X,B-X\n0,1,\n", "line 2: non-integer label"),  # empty cell
+        ("truth,A-X,B-X\n0,1,1.0\n", "line 2: non-integer label"),
+        ("truth,A-X,B-X\n0,1,2,0\n", "line 2: expected 3 fields, found 4"),  # every row wide
+        ("truth,A-X,B-X\n0,1,2\n1,-1,0\n", r"line 3: label -1 out of range \(num_classes=3\)"),
+        ("truth,A-X,B-X\n0,1,2\n\n\n1,x,0\n", "line 5: non-integer label"),  # blank lines count
+        ("truth,A-X,B-X\r0,1,2\r\r1,1,x\r", "line 4: non-integer label"),  # lone carriage returns
+        ('truth,A-X,B-X\n"0\n\n",1,2\n1,1,x\n', "line 5: non-integer label"),  # after lines 2-4
+        ("label,A-X,B-X\n0,1,2\n", "line 1: first header field must be 'truth'"),
+        ("truth,A-X,B-X\n", "matrix has no instance rows"),
+    ])
+    @pytest.mark.parametrize("separator", [",", ", "], ids=["plain", "spaced"])
+    def test_malformed_matrix_names_path_and_line(self, tmp_path, text, message, separator):
+        # A table of plain digits goes through np.loadtxt first; a space after
+        # each comma sends it cell by cell. Both name the same fault.
+        path = tmp_path / "pm.csv"
+        path.write_bytes(text.replace(",", separator).encode())
+        (tmp_path / "pm.csv.meta.json").write_text('{"num_classes": 3, "split": "TEST"}')
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
+            read_prediction_matrix(str(path))
+
+    def test_oversized_field_names_path_and_line(self, tmp_path):
+        # An unclosed quote runs to the end of the file, past the csv field limit.
+        path = tmp_path / "pm.csv"
+        path.write_text('truth,A-X,B-X\n0,1,"2\n' + "0," * 70000 + "\n")
+        (tmp_path / "pm.csv.meta.json").write_text('{"num_classes": 3, "split": "TEST"}')
+        with pytest.raises(ValueError, match=r"pm\.csv: line 2: field larger than field limit"):
+            read_prediction_matrix(str(path))
+
     @pytest.mark.parametrize(
         "sidecar, message",
         [
@@ -453,7 +484,33 @@ class TestFastReader:
         path = tmp_path / "pm.csv"
         path.write_bytes(b"truth,X0-A00,X0-A01\r\n0,1,2\r\n2,2,0\r\n")
         (tmp_path / "pm.csv.meta.json").write_text('{"num_classes": 3, "split": "VALIDATION"}')
-        monkeypatch.setattr(pool_module, "read_id_table", None)
+        monkeypatch.setattr(pool_module, "read_records", None)
         pm = read_prediction_matrix(str(path))
         assert pm.truth.tolist() == [0, 2]
         assert pm.predictions.tolist() == [[1, 2], [2, 0]]
+
+
+@pytest.mark.parametrize("mutated", ["matrix", "spaced matrix", "sidecar"])
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_truncated_or_mutated_matrix_reads_or_names_its_file(tmp_path_factory, mutated, data):
+    """A valid matrix file, on the ``np.loadtxt`` path or (with a space after
+    every comma) the cell-by-cell one, or its sidecar, cut short or with
+    bytes replaced, inserted or deleted, reads as a matrix or fails with
+    ``ValueError`` naming the matrix or the sidecar; no other exception
+    escapes. A truncated matrix may fail as its sidecar's row count."""
+    p, n = data.draw(st.integers(1, 4), label="p"), data.draw(st.integers(1, 8), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    pm = pm_of([rng.integers(0, 3, n) for _ in range(p)], rng.integers(0, 3, n), 3)
+    path = tmp_path_factory.mktemp("wire") / "pm.csv"
+    write_prediction_matrix(pm, str(path))
+    if mutated == "spaced matrix":
+        path.write_bytes(path.read_bytes().replace(b",", b", "))
+    target = path.parent / "pm.csv.meta.json" if mutated == "sidecar" else path
+    target.write_bytes(mutated_bytes(data, target.read_bytes()))
+    try:
+        back = read_prediction_matrix(str(path))
+    except ValueError as exc:
+        assert str(exc).startswith((f"{path}: ", f"{path}.meta.json: ")), str(exc)
+    else:
+        assert isinstance(back, PredictionMatrix)

@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 
 from hsel.cli import RunConfig, _selection_report_doc
 from hsel.core import ClassifierId, EvalEntry, PredictionMatrix, Split, evaluate_matrix
-from hsel.diversity import (
-    DissimilarityMatrix,
-    dissimilarity_matrix,
-    read_dissimilarity_csv,
-    write_dissimilarity_csv,
-)
+from hsel.diversity import DissimilarityMatrix, dissimilarity_matrix
 from hsel.hiercluster import LINKAGE_METHODS, linkage
 from hsel.selection import (
     EnsembleCandidate,
@@ -278,10 +273,9 @@ class TestSweepDistances:
             ]
             assert choose_final(fast, rule).level_k == choose_final(oracle, rule).level_k
 
-    def test_matrix_without_counts_is_rejected(self, tmp_path, golden_scenario_pm):
-        path = str(tmp_path / "d.csv")
-        write_dissimilarity_csv(dissimilarity_matrix(golden_scenario_pm), path)
-        matrix = read_dissimilarity_csv(path)
+    def test_matrix_without_counts_is_rejected(self, golden_scenario_pm):
+        built = dissimilarity_matrix(golden_scenario_pm)
+        matrix = DissimilarityMatrix(built.ids, built.values)
         dendro = linkage(matrix, "complete")
         with pytest.raises(ValueError, match="co-failure counts"):
             hierarchy_select(dendro, matrix, evaluate_matrix(golden_scenario_pm))
