@@ -10,7 +10,10 @@ prior as bias; VOTE's are identity blocks with zero bias (plurality vote).
 
 ``fit_stacks`` fits many member lists at once: LR meta-classifiers over one
 one-hot matrix of the union of their members, trained together in one
-gradient descent (``learners.fit_softmax_models``). The CLI fits every
+gradient descent (``learners.fit_softmax_models``) on the distinct rows of
+the union's votes plus truth, each weighted by how often it occurs: the
+loss and gradient depend on the rows only through those counts, so every
+model stays within 1e-12 of the fit on all rows. The CLI fits every
 distinct candidate of a level sweep this way and keeps the ensembles, so
 the deployed and compared ensembles reuse those fits."""
 
@@ -109,6 +112,20 @@ def _vote_weights(members: int, num_classes: int) -> tuple[np.ndarray, np.ndarra
     return np.tile(np.eye(num_classes), (members, 1)), np.zeros(num_classes)
 
 
+def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of each distinct row's first occurrence in ``table``,
+    ascending, and how often that row occurs. One stable ``lexsort`` puts
+    equal rows next to each other, earliest first (``np.unique`` would
+    import ``numpy.ma`` on a cold run)."""
+    order = np.lexsort(table.T)
+    ranked = table[order]
+    starts = np.flatnonzero(np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)]))
+    counts = np.zeros(len(table), dtype=np.intp)
+    counts[order[starts]] = np.diff(starts, append=len(table))
+    first = np.flatnonzero(counts)
+    return first, counts[first]
+
+
 def fit_stacks(
     validation_pm: PredictionMatrix,
     member_lists: Sequence[Sequence[ClassifierId | str]],
@@ -120,10 +137,11 @@ def fit_stacks(
     epochs, L2 1e-4, zero init). All LR lists are fitted together by
     ``fit_softmax_models`` over one one-hot matrix of the union of their
     members, each list on its own members' blocks in its own order, in
-    one descent: ``compare`` passes its group A/B/C lists with the sweep's
-    candidates, so they share it. NB (categorical naive Bayes) and VOTE
-    (plurality) weights are closed-form and computed once for the union;
-    each list takes its members' rows.
+    one descent over the distinct rows of the union's labels plus truth,
+    weighted by their counts: ``compare`` passes its group A/B/C lists
+    with the sweep's candidates, so they share it. NB (categorical naive
+    Bayes) and VOTE (plurality) weights are closed-form and computed once
+    for the union; each list takes its members' rows.
     None of the three consumes randomness, so each fit is a pure function
     of its inputs.
     """
@@ -149,8 +167,12 @@ def fit_stacks(
     models = [SoftmaxRegression(step=0.1, epochs=500, l2=1e-4) for _ in lists]
     if meta_kind == "LR":
         union_ids = [validation_pm.classifier_ids[j] for j in union]
-        X = meta_features(validation_pm, union_ids, num_classes)
-        fit_softmax_models(models, X, validation_pm.truth, num_classes, rows)
+        table = np.column_stack([validation_pm.predictions[:, union], validation_pm.truth])
+        first, counts = _distinct_rows(table)
+        distinct = PredictionMatrix(union_ids, table[first, :-1], table[first, -1],
+                                    num_classes, validation_pm.split_tag)
+        X = meta_features(distinct, union_ids, num_classes)
+        fit_softmax_models(models, X, distinct.truth, num_classes, rows, counts)
     else:
         weights, bias = (_nb_weights(validation_pm, union) if meta_kind == "NB"
                          else _vote_weights(len(union), num_classes))

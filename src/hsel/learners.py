@@ -20,7 +20,10 @@ weights are redundant up to a per-class shift (Böhning 1992), and from
 zero the weights and biases of each column sum to zero over classes, so
 only C−1 class slabs descend and the last is minus their sum. Every model
 stays within 1e-12 of the one-model row-major descent in the tests'
-oracle and diverges at the same epoch.
+oracle and diverges at the same epoch. A design row may stand for
+``counts`` identical rows: its weight counts/Σcounts replaces 1/n, so
+stacking descends on distinct vote patterns only.
+``CosineKNN`` finds its k nearest by partial selection, not a full sort.
 ``SoftmaxRegression`` also holds the closed-form NB and VOTE
 meta-classifier weights, and ``top_class`` is the one tie rule for linear
 scores.
@@ -128,6 +131,7 @@ def fit_softmax_models(
     y: np.ndarray,
     num_classes: int,
     columns: Sequence[np.ndarray],
+    counts: np.ndarray | None = None,
 ) -> None:
     """Train ``models[m]`` on ``X[:, columns[m]]`` for every m, together.
 
@@ -136,18 +140,22 @@ def fit_softmax_models(
     are class-major, shape (C, M, N) for scores and (C, M, D + 1) for the
     weights [W | b]: the softmax max and sum over classes run elementwise
     across C contiguous slabs, and the scores, bias included, are one
-    product with the basis [Xᵀ; 1]. An epoch exponentiates the max-shifted
-    scores s̃ once, in place; the loss, mean(log Z − s̃_y) + ½λ‖W‖², and
-    the gradient's softmax part G = exp(s̃)/(n·Z)·[X | 1] both follow. The
-    label part (Y/n)·[X | 1] is constant, so each step is
-    [W | b]·decay − rates·G + pull with ``pull`` = rates·(Y/n)·[X | 1]
-    computed once; ``decay`` = 1 − rates·λ spares the bias, and all three
-    have the weights' full shape, so no step broadcasts. Every gradient row
-    sums to zero over classes, so only the first C − 1 class slabs go
-    through the gradient product and the step; the last is set to minus
-    their sum, class 0 first. Each step writes the spare buffer, which then
-    swaps in, so the spare holds the previous epoch's weights for a
-    revert. Model m's weights outside ``columns[m]`` get a step size of
+    product with the basis [Xᵀ; 1]. Row i of X stands for ``counts[i]``
+    identical rows (default: one each), so its weight w_i = counts_i/Σcounts
+    takes the place of 1/n throughout, and a fit on the distinct rows of a
+    design with their counts is the fit on all of them up to summation
+    order. An epoch exponentiates the max-shifted scores s̃ once, in place;
+    the loss, Σ w·(log Z − s̃_y) + ½λ‖W‖², and the gradient's softmax part
+    G = (exp(s̃)·w/Z)·[X | 1] both follow. The label part (Y·w)·[X | 1] is
+    constant, so each step is [W | b]·decay − rates·G + pull with ``pull``
+    = rates·(Y·w)·[X | 1] computed once; ``decay`` = 1 − rates·λ spares the
+    bias, and all three have the weights' full shape, as w has the scores',
+    so no step broadcasts. With all counts 1, w is exactly 1/n. Every
+    gradient row sums to zero over classes, so only the first C − 1 class
+    slabs go through the gradient product and the step; the last is set to
+    minus their sum, class 0 first. Each step writes the spare buffer,
+    which then swaps in, so the spare holds the previous epoch's weights
+    for a revert. Model m's weights outside ``columns[m]`` get a step size of
     zero and stay zero, so it computes what a fit on its own columns
     computes, up to float summation order. The Gram form descends in
     [A | b] (C, M, N + 1) over [K; 1] instead, with G = [P | ΣP] for the
@@ -192,10 +200,13 @@ def fit_softmax_models(
     rates[:, :, width] = step
     decay = 1.0 - l2 * rates
     decay[:, :, width] = 1.0
-    # The gradient's label term, (Y/n)·[X | 1] or [Y/n | Σ Y/n], is constant:
+    # Row weights w, held per model so that no epoch ufunc broadcasts.
+    counts = np.ones(n) if counts is None else np.asarray(counts, dtype=np.float64)
+    share = np.repeat((counts / counts.sum())[None], m, axis=0)
+    # The gradient's label term, (Y·w)·[X | 1] or [Y·w | Σ Y·w], is constant:
     # each step adds it, times the rates, as ``pull``.
     onehot = np.zeros((c, n))
-    onehot[y, np.arange(n)] = 1.0 / n
+    onehot[y, np.arange(n)] = share[0]
     if gram:
         label_term = np.hstack([onehot, onehot.sum(axis=1, keepdims=True)])
     else:
@@ -234,15 +245,16 @@ def fit_softmax_models(
             squares -= np.einsum("cm,cmk->m", bias, coef)
         np.maximum.reduce(scores, axis=0, out=top)
         scores -= top
-        np.take(scores, label_at, out=label, mode="clip")
+        scores.take(label_at, out=label, mode="clip")
         np.exp(scores, out=scores)
         np.add.reduce(scores, axis=0, out=norm)
         np.log(norm, out=top)
         top -= label
-        loss = np.add.reduce(top, axis=1) / n + 0.5 * l2 * squares
-        # scores becomes P = exp(s̃)/(n·Z), and G, the gradient less its
+        top *= share
+        loss = np.add.reduce(top, axis=1) + 0.5 * l2 * squares
+        # scores becomes P = exp(s̃)·w/Z, and G, the gradient less its
         # label and L2 terms, is P·[X | 1], or [P | ΣP] in the Gram form.
-        np.divide(1.0 / n, norm, out=norm)
+        np.divide(share, norm, out=norm)
         scores *= norm
         if gram:
             np.copyto(grad_coef, head_s)
@@ -251,7 +263,7 @@ def fit_softmax_models(
             np.matmul(head_rows, basis.T, out=flat_g)
         if epoch:
             rising = active & (loss > losses[epoch - 1] + 1e-12)
-            if rising.any():
+            if np.logical_or.reduce(rising):
                 weights[:, rising] = previous[:, rising]
                 rates[:, rising] = 0.0
                 decay[:, rising] = 1.0
@@ -309,18 +321,33 @@ class CosineKNN:
         return X / norms
 
     def fit(self, X: np.ndarray, y: np.ndarray, num_classes: int) -> "CosineKNN":
+        if not len(X):
+            raise ValueError("CosineKNN needs at least one training row")
         self._unit_train = self._unit_rows(X)
         self._labels = np.asarray(y, dtype=np.int64)
         self._num_classes = num_classes
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """The k nearest are every training row strictly closer than the
+        k-th smallest distance, found by partial selection, then the
+        lowest-index rows at that distance up to k: what a stable sort's
+        first k would hold, without sorting."""
         distances = 1.0 - self._unit_rows(X) @ self._unit_train.T
-        k = min(self.k, self._unit_train.shape[0])
-        nearest = self._labels[np.argsort(distances, kind="stable", axis=1)[:, :k]]
-        votes = np.zeros((distances.shape[0], self._num_classes), dtype=np.int64)
-        np.add.at(votes, (np.arange(distances.shape[0])[:, None], nearest), 1)
-        return np.argmax(votes, axis=1).astype(np.int64)
+        q, n = distances.shape
+        k = min(self.k, n)
+        kth = np.partition(distances, k - 1, axis=1)[:, [k - 1]]
+        nearest = distances < kth
+        tied = distances == kth
+        # Tie ranks and places left share the smallest dtype that counts to
+        # n, so the comparison casts no (q, n) array.
+        rank = np.min_scalar_type(n)
+        short = (k - np.add.reduce(nearest, axis=1)).astype(rank)[:, None]
+        nearest |= tied & (np.add.accumulate(tied, axis=1, dtype=rank) <= short)
+        rows, cols = np.nonzero(nearest)
+        c = self._num_classes
+        votes = np.bincount(rows * c + self._labels[cols], minlength=q * c)
+        return np.argmax(votes.reshape(q, c), axis=1)
 
 
 class NearestCentroid:

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsel.combine import (
     StackedEnsemble,
@@ -116,6 +118,38 @@ class TestFitStack:
             assert ensemble.model.diverged_epoch == alone.model.diverged_epoch
             assert len(ensemble.model.loss_history_) == len(alone.model.loss_history_)
             assert np.array_equal(predict_stack(ensemble, pm), predict_stack(alone, pm))
+
+    def test_lr_matches_the_fit_on_every_validation_row(self):
+        # fit_stacks descends on distinct rows only; every LR model stays
+        # within 1e-12 of softmax regression on the full one-hot design.
+        for seed in range(24):
+            pm, rng = _pool(seed)
+            members = [pm.classifier_ids[j] for j in rng.permutation(pm.n_classifiers)]
+            lists = [members, members[: (len(members) + 1) // 2]]
+            for ensemble in fit_stacks(pm, lists):
+                X = meta_features(pm, ensemble.members, pm.num_classes)
+                full = SoftmaxRegression(step=0.1, epochs=500, l2=1e-4)
+                full.fit(X, pm.truth, pm.num_classes)
+                assert np.allclose(ensemble.model.weights_, full.weights_, rtol=0, atol=1e-12), seed
+                assert np.allclose(ensemble.model.bias_, full.bias_, rtol=0, atol=1e-12), seed
+                assert ensemble.model.diverged_epoch == full.diverged_epoch, seed
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 5))
+    def test_repeated_validation_rows_fit_the_same_bits(self, seed, r):
+        # LR descends on the distinct (vote pattern, label) rows weighted by
+        # count/total, and repeating every row r times leaves those weights
+        # exactly as they were.
+        pm, rng = _pool(seed)
+        members = [pm.classifier_ids[j] for j in rng.permutation(pm.n_classifiers)]
+        lists = [members[:k] for k in range(1, len(members) + 1)] + [members[::-1]]
+        repeated = pm_of(list(np.repeat(pm.predictions, r, axis=0).T), np.repeat(pm.truth, r),
+                         num_classes=pm.num_classes, names=[m.canonical for m in pm.classifier_ids])
+        for once, many in zip(fit_stacks(pm, lists), fit_stacks(repeated, lists)):
+            assert np.array_equal(once.model.weights_, many.model.weights_)
+            assert np.array_equal(once.model.bias_, many.model.bias_)
+            assert np.array_equal(once.model.loss_history_, many.model.loss_history_)
+            assert once.model.diverged_epoch == many.model.diverged_epoch
 
     def test_fit_stacks_rejects_repeated_member(self):
         pm = _correct_wrong_pm()

@@ -196,6 +196,61 @@ class TestSoftmaxRegression:
                 assert len(model.loss_history_) == len(history), (step, i)
                 assert np.allclose(model.loss_history_, history, rtol=0, atol=1e-12), (step, i)
 
+    def test_counts_match_expanded_rows_and_row_major_oracle(self, monkeypatch):
+        # Distinct rows with counts against the same rows repeated that
+        # often (shuffled): one-hot designs fitted as batches over column
+        # subsets in the primal form, or one model on all columns of a wide
+        # design with few distinct rows in the Gram form; step 50.0 diverges.
+        rng = np.random.default_rng(17)
+        diverged = {True: 0, False: 0}
+        for case in range(60):
+            gram, c = case % 2 == 1, int(rng.integers(2, 5))
+            distinct, p = int(rng.integers(c, 12)), int(rng.integers(2, 6))
+            if gram:
+                Xd = rng.poisson(0.5, (distinct, int(rng.integers(60, 120)))).astype(np.float64)
+                columns = [np.arange(Xd.shape[1])]
+            else:
+                Xd = np.zeros((distinct, p * c))
+                for j in range(p):
+                    Xd[np.arange(distinct), j * c + rng.integers(0, c, distinct)] = 1.0
+                columns = [rng.permutation(p * c)[: rng.integers(1, p * c + 1)] for _ in range(3)]
+            yd = rng.integers(0, c, distinct)
+            counts = rng.integers(1, 6, distinct)
+            shuffle = rng.permutation(counts.sum())
+            X, y = np.repeat(Xd, counts, axis=0)[shuffle], np.repeat(yd, counts)[shuffle]
+            step = float(rng.choice([0.1, 0.5, 50.0]))
+            epochs = int(rng.integers(1, 80))
+            monkeypatch.setattr(learners, "gram_form_pays", lambda *shape: gram)
+            weighted = [SoftmaxRegression(step=step, epochs=epochs) for _ in columns]
+            fit_softmax_models(weighted, Xd, yd, c, columns, counts)
+            expanded = [SoftmaxRegression(step=step, epochs=epochs) for _ in columns]
+            fit_softmax_models(expanded, X, y, c, columns)
+            for model, twin, cols in zip(weighted, expanded, columns):
+                weights, bias, history, diverged_epoch = softmax_gd_oracle(
+                    X[:, cols], y, c, step, epochs, 1e-4
+                )
+                for fitted in (model.weights_, twin.weights_):
+                    assert np.allclose(fitted, weights, rtol=0, atol=1e-12), case
+                for fitted in (model.bias_, twin.bias_):
+                    assert np.allclose(fitted, bias, rtol=0, atol=1e-12), case
+                for fitted in (model.loss_history_, twin.loss_history_):
+                    assert len(fitted) == len(history), case
+                    assert np.allclose(fitted, history, rtol=0, atol=1e-12), case
+                assert model.diverged_epoch == twin.diverged_epoch == diverged_epoch, case
+                diverged[gram] += model.diverged
+        assert diverged[True] >= 3 and diverged[False] >= 3, diverged
+
+    def test_unit_counts_are_the_default_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        X, y = rng.random((30, 6)), rng.integers(0, 3, 30)
+        columns = [np.arange(6), np.array([4, 1])]
+        default, unit = ([SoftmaxRegression(epochs=40) for _ in columns] for _ in range(2))
+        fit_softmax_models(default, X, y, 3, columns)
+        fit_softmax_models(unit, X, y, 3, columns, np.ones(30, dtype=np.intp))
+        for a, b in zip(default, unit):
+            for array in ("weights_", "bias_", "loss_history_"):
+                assert np.array_equal(getattr(a, array), getattr(b, array)), array
+
     def test_last_class_is_minus_the_sum_of_the_others(self, monkeypatch):
         # The descent updates c - 1 class slabs and sets the last one to
         # minus their sum, class 0 first, after every step, so each fitted
@@ -227,7 +282,8 @@ class TestSoftmaxRegression:
         # 20 epochs the peak may exceed that of a call that runs no epoch
         # (the same buffers) only by the loss table and the histories it
         # hands out, plus 16 KB of small temporaries. numpy's buffered
-        # broadcast loops would add 30-60 KB.
+        # broadcast loops would add 30-60 KB. Rows weighted by counts other
+        # than 1 run the same epoch.
         rng = np.random.default_rng(3)
         c, m, n, p = 4, 24, 300, 16
         y = rng.integers(0, c, n)
@@ -235,17 +291,18 @@ class TestSoftmaxRegression:
         for j in range(p):
             X[np.arange(n), j * c + np.where(rng.random(n) < 0.6, y, rng.integers(0, c, n))] = 1.0
         columns = [(np.arange(k % p + 1)[:, None] * c + np.arange(c)).ravel() for k in range(m)]
-        peaks = {}
-        for epochs in (20, 0, 20):
-            models = [SoftmaxRegression(epochs=epochs) for _ in columns]
-            tracemalloc.start()
-            try:
-                fit_softmax_models(models, X, y, c, columns)
-                peaks[epochs] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        loss_bytes = 2 * 20 * m * 8
-        assert peaks[20] - peaks[0] - loss_bytes <= 16 * 1024, peaks
+        for counts in (None, rng.integers(1, 5, n)):
+            peaks = {}
+            for epochs in (20, 0, 20):
+                models = [SoftmaxRegression(epochs=epochs) for _ in columns]
+                tracemalloc.start()
+                try:
+                    fit_softmax_models(models, X, y, c, columns, counts)
+                    peaks[epochs] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            loss_bytes = 2 * 20 * m * 8
+            assert peaks[20] - peaks[0] - loss_bytes <= 16 * 1024, (counts is None, peaks)
 
     def test_score_ties_break_to_smallest_class(self):
         model = SoftmaxRegression()
@@ -302,6 +359,8 @@ class TestCosineKNN:
         y = np.array([1])
         model = CosineKNN(k=5).fit(X, y, 2)
         assert model.predict(np.array([[0.5, 0.5]])).tolist() == [1]
+        with pytest.raises(ValueError, match="at least one training row"):
+            CosineKNN(k=5).fit(X[:0], y[:0], 2)
 
     def test_matches_per_row_oracle_on_integer_grids(self):
         # Small integer rows repeat directions, so neighbour distances tie at
@@ -325,6 +384,32 @@ class TestCosineKNN:
                 d = np.sort(distances, axis=1)
                 distance_ties += int(np.sum(d[:, k - 1] == d[:, k]))
         assert distance_ties > 0 and vote_ties > 0
+
+    def test_matches_per_row_oracle_on_duplicated_rows(self):
+        # Training rows repeat, so whole groups tie at the k-th distance
+        # and the lowest indices among them must fill the k places; zero
+        # training and query rows tie with everything, and k reaches or
+        # passes the training size.
+        rng = np.random.default_rng(31)
+        kth_ties = large_k = 0
+        for case in range(80):
+            v, c = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+            base = rng.integers(-1, 2, (int(rng.integers(1, 8)), v)).astype(np.float64)
+            base[rng.random(len(base)) < 0.2] = 0.0
+            X = np.repeat(base, rng.integers(1, 5, len(base)), axis=0)
+            X = X[rng.permutation(len(X))]
+            y = rng.integers(0, c, len(X))
+            k = int(rng.integers(1, len(X) + 3))
+            queries = np.vstack([base, rng.integers(-1, 2, (10, v)), np.zeros((1, v))])
+            model = CosineKNN(k=k).fit(X, y, c)
+            expected = cosine_knn_oracle(X, y, c, k, queries)
+            assert np.array_equal(model.predict(queries), expected), case
+            if k < len(X):
+                d = np.sort(1.0 - model._unit_rows(queries) @ model._unit_rows(X).T, axis=1)
+                kth_ties += int(np.sum(d[:, k - 1] == d[:, k]))
+            else:
+                large_k += 1
+        assert kth_ties > 0 and large_k > 0
 
 
 class TestNearestCentroid:
