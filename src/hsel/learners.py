@@ -23,6 +23,14 @@ stays within 1e-12 of the one-model row-major descent in the tests'
 oracle and diverges at the same epoch. A design row may stand for
 ``counts`` identical rows: its weight counts/Σcounts replaces 1/n, so
 stacking descends on distinct vote patterns only.
+Where an epoch's numpy calls outweigh its products (``CALL_BOUND_WORK``),
+the loss-rise test that stops a diverging model runs once per chunk of
+epochs (chunks of 1, 2, 4, ... epochs); a chunk where a loss rose runs
+again from a checkpoint of the weights, testing every epoch, so weights,
+histories and the epoch of a stop are bit for bit those of a test after
+every epoch. By the same budget, ``shared_descent_pays`` decides when a
+pool's primal LR members, each on its own features, train as one batch
+over their features side by side.
 ``CosineKNN`` finds its k nearest by partial selection, not a full sort.
 ``SoftmaxRegression`` also holds the closed-form NB and VOTE
 meta-classifier weights, and ``top_class`` is the one tie rule for linear
@@ -38,6 +46,9 @@ import numpy as np
 ALGORITHM_TOKENS = ("NB", "LR", "KNN", "NC")
 NB_SMOOTHING = 1.0  # Laplace
 KNN_K = 5
+# Multiply-adds per model and epoch, C·N·width, up to which an epoch's
+# fixed numpy calls rather than its products set its cost.
+CALL_BOUND_WORK = 2**17
 
 
 def top_class(scores: np.ndarray) -> np.ndarray:
@@ -125,6 +136,16 @@ def gram_form_pays(n: int, d: int, c: int, m: int, epochs: int) -> bool:
     return n * (d + epochs * c * m) < 2 * epochs * c * m * d
 
 
+def shared_descent_pays(n: int, widths: Sequence[int], c: int) -> bool:
+    """Whether models of ``widths`` columns each, all on the same N rows, pay
+    less as one primal descent over their columns side by side than as one
+    descent each. The batch saves each model's fixed numpy calls per epoch
+    but gives every model's product all Σd columns, and that pays while
+    C·N·Σd, the multiply-adds each model adds per epoch, stays within
+    ``CALL_BOUND_WORK``."""
+    return c * n * sum(widths) <= CALL_BOUND_WORK
+
+
 def fit_softmax_models(
     models: Sequence[SoftmaxRegression],
     X: np.ndarray,
@@ -165,9 +186,17 @@ def fit_softmax_models(
     Each model keeps its own divergence rule: when its loss rises by more
     than 1e-12, its weights revert to the previous epoch's, ``diverged``
     and ``diverged_epoch`` are set, and it stops updating while the others
-    continue. The models must share ``step``, ``epochs`` and ``l2``. Each
-    gets ``weights_`` of shape (len(columns[m]), C) in column order and
-    ``loss_history_``, an array with the loss of every epoch it kept.
+    continue. Each epoch writes its data loss and ‖W‖² to a row of two
+    tables. While C·N·width is within ``CALL_BOUND_WORK``, epochs run in
+    chunks of 1, 2, 4, ... (epochs 0, 1-2, 3-6, ...), and the L2 term and
+    the rise test apply once per chunk. A chunk in which an active model's
+    loss rose runs again from a copy of both weight buffers taken at its
+    start, testing every epoch, so every result is bit for bit that of a
+    test after each epoch. Past the budget a replay would cost more than
+    the tests it saves, and every epoch is tested. The models must share
+    ``step``, ``epochs`` and ``l2``. Each gets ``weights_`` of shape
+    (len(columns[m]), C) in column order and ``loss_history_``, an array
+    with the loss of every epoch it kept.
     """
     if not models:
         return
@@ -230,58 +259,98 @@ def fit_softmax_models(
     flat_s = scores.reshape(c * m, n)
     head_s, head_rows = scores[:h], flat_s[: h * m]
     top, norm, label = np.empty((m, n)), np.empty((m, n)), np.empty((m, n))
-    losses = np.empty((epochs, m))
+    # Each epoch writes its data loss to ``losses`` and its ‖W‖² to
+    # ``penalties``; the loss is complete once ½λ‖W‖² is added.
+    losses, penalties = np.empty((epochs, m)), np.empty((epochs, m))
     stopped_at = np.full(m, -1)
     active = np.ones(m, dtype=bool)
 
-    for epoch in range(epochs):
-        weights, flat_w, head, _, coef, bias = current
-        previous, _, step_head, step_last, _, _ = spare
-        np.matmul(flat_w, basis, out=flat_s)
-        # ‖W‖² per model: Σ W ⊙ W, or Σ A ⊙ (A·K), that is Σ A ⊙ scores
-        # less each class's b·ΣA.
-        squares = np.einsum("cmk,cmk->m", coef, scores if gram else coef)
-        if gram:
-            squares -= np.einsum("cm,cmk->m", bias, coef)
-        np.maximum.reduce(scores, axis=0, out=top)
-        scores -= top
-        scores.take(label_at, out=label, mode="clip")
-        np.exp(scores, out=scores)
-        np.add.reduce(scores, axis=0, out=norm)
-        np.log(norm, out=top)
-        top -= label
-        top *= share
-        loss = np.add.reduce(top, axis=1) + 0.5 * l2 * squares
-        # scores becomes P = exp(s̃)·w/Z, and G, the gradient less its
-        # label and L2 terms, is P·[X | 1], or [P | ΣP] in the Gram form.
-        np.divide(share, norm, out=norm)
-        scores *= norm
-        if gram:
-            np.copyto(grad_coef, head_s)
-            np.add.reduce(head_s, axis=2, out=grad_bias)
-        else:
-            np.matmul(head_rows, basis.T, out=flat_g)
-        if epoch:
-            rising = active & (loss > losses[epoch - 1] + 1e-12)
-            if np.logical_or.reduce(rising):
-                weights[:, rising] = previous[:, rising]
-                rates[:, rising] = 0.0
-                decay[:, rising] = 1.0
-                pull[:, rising] = 0.0
-                stopped_at[rising] = epoch
-                active &= ~rising
-                if not active.any():
-                    break
-        losses[epoch] = loss
-        # W·decay − rates·G + pull, then the last slab is minus the others'
-        # sum: 0 − Σ, so that a coefficient no class moves stays +0.0.
-        grad *= rates
-        np.multiply(head, decay, out=step_head)
-        step_head -= grad
-        step_head += pull
-        np.add.reduce(step_head, axis=0, out=step_last)
-        np.subtract(0.0, step_last, out=step_last)
-        current, spare = spare, current
+    def descend(start, stop, checked):
+        # Epochs start to stop - 1; ``checked`` completes each epoch's loss
+        # and applies the rise test, else the caller does so for the chunk.
+        nonlocal current, spare
+        for epoch in range(start, stop):
+            weights, flat_w, head, _, coef, bias = current
+            previous, _, step_head, step_last, _, _ = spare
+            np.matmul(flat_w, basis, out=flat_s)
+            # ‖W‖² per model: Σ W ⊙ W, or Σ A ⊙ (A·K), that is Σ A ⊙ scores
+            # less each class's b·ΣA.
+            squares = penalties[epoch]
+            np.einsum("cmk,cmk->m", coef, scores if gram else coef, out=squares)
+            if gram:
+                squares -= np.einsum("cm,cmk->m", bias, coef)
+            np.maximum.reduce(scores, axis=0, out=top)
+            np.subtract(scores, top, out=scores)
+            scores.take(label_at, out=label, mode="clip")
+            np.exp(scores, out=scores)
+            np.add.reduce(scores, axis=0, out=norm)
+            np.log(norm, out=top)
+            np.subtract(top, label, out=top)
+            np.multiply(top, share, out=top)
+            np.add.reduce(top, axis=1, out=losses[epoch])
+            # scores becomes P = exp(s̃)·w/Z, and G, the gradient less its
+            # label and L2 terms, is P·[X | 1], or [P | ΣP] in the Gram form.
+            np.divide(share, norm, out=norm)
+            np.multiply(scores, norm, out=scores)
+            if gram:
+                np.copyto(grad_coef, head_s)
+                np.add.reduce(head_s, axis=2, out=grad_bias)
+            else:
+                np.matmul(head_rows, basis.T, out=flat_g)
+            if checked:
+                loss = losses[epoch]
+                squares *= 0.5 * l2
+                loss += squares
+            if checked and epoch:
+                rising = active & (loss > losses[epoch - 1] + 1e-12)
+                if np.logical_or.reduce(rising):
+                    weights[:, rising] = previous[:, rising]
+                    rates[:, rising] = 0.0
+                    decay[:, rising] = 1.0
+                    pull[:, rising] = 0.0
+                    stopped_at[rising] = epoch
+                    active[rising] = False
+                    if not np.logical_or.reduce(active):
+                        return
+            # W·decay − rates·G + pull, then the last slab is minus the others'
+            # sum: 0 − Σ, so that a coefficient no class moves stays +0.0.
+            np.multiply(grad, rates, out=grad)
+            np.multiply(head, decay, out=step_head)
+            step_head -= grad
+            step_head += pull
+            np.add.reduce(step_head, axis=0, out=step_last)
+            np.subtract(0.0, step_last, out=step_last)
+            current, spare = spare, current
+
+    if c * n * width > CALL_BOUND_WORK:
+        # The products outweigh the test, and a replayed chunk would cost
+        # more than the tests it saves.
+        descend(0, epochs, checked=True)
+    else:
+        # Chunks of 1, 2, 4, ... epochs run unchecked; then one test finds
+        # whether any active model's loss rose by more than 1e-12 in the
+        # chunk. If one did, the chunk runs again from its checkpoint,
+        # testing every epoch, so each model stops where an epoch-by-epoch
+        # test stops it.
+        checkpoint = np.empty((2, c, m, width + 1))
+        start, length = 0, 1
+        while start < epochs and np.logical_or.reduce(active):
+            stop = min(start + length, epochs)
+            buffers = current, spare
+            np.copyto(checkpoint[0], current[0])
+            np.copyto(checkpoint[1], spare[0])
+            descend(start, stop, checked=False)
+            rows = penalties[start:stop]
+            rows *= 0.5 * l2
+            losses[start:stop] += rows
+            first = max(start, 1)
+            rising = (losses[first:stop] > losses[first - 1:stop - 1] + 1e-12) & active
+            if np.logical_or.reduce(rising, axis=None):
+                current, spare = buffers
+                np.copyto(current[0], checkpoint[0])
+                np.copyto(spare[0], checkpoint[1])
+                descend(start, stop, checked=True)
+            start, length = stop, 2 * length
 
     _, _, _, _, coef, bias = current
     if gram:

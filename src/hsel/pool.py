@@ -25,7 +25,13 @@ from .features import (
     fit_feature_space,
     normalize_extractor_token,
 )
-from .learners import make_learner, normalize_algorithm_token
+from .learners import (
+    fit_softmax_models,
+    gram_form_pays,
+    make_learner,
+    normalize_algorithm_token,
+    shared_descent_pays,
+)
 from .preprocess import TokenPipeline, fit_token_pipeline
 
 MATRIX_FORMAT = "hsel-prediction-matrix"
@@ -59,6 +65,14 @@ def train_pool(
     Ids form the full cross product in the given order (extractors outer).
     Per-component seeds derive from the global seed and the component name,
     so results do not depend on training order.
+
+    Every member fits on its own extractor's features, by its own ``fit``,
+    except the LR members that take the primal form (``gram_form_pays``
+    refuses) and that ``shared_descent_pays`` admits on their own: when two
+    or more qualify and it admits their widths together (C·N·Σd within
+    ``learners.CALL_BOUND_WORK``), they train as one ``fit_softmax_models`` batch over their
+    features side by side, each on its own block of columns, within 1e-12
+    of fitting alone.
     """
     if not extractors or not algorithms:
         raise ValueError("extractor and algorithm lists must be non-empty")
@@ -73,15 +87,32 @@ def train_pool(
     vocabulary = build_vocabulary(train_docs)
     train_counts = count_matrix(train_docs, vocabulary)
 
-    ids, models, spaces = [], [], {}
+    n = len(train_labels)
+    ids, models, spaces, shared = [], [], {}, []
     for ext in ext_tokens:
         space = fit_feature_space(vocabulary, train_counts, ext, derive_seed(seed, "space", ext))
         spaces[ext], train_features = space, space.transform(train_counts)
+        d = train_features.shape[1]
         for alg in alg_tokens:
             learner = make_learner(alg)
-            learner.fit(train_features, train_labels, num_classes)
+            # A member too wide to share fits at once, so its features are
+            # not held past its extractor.
+            if (alg == "LR" and not gram_form_pays(n, d, num_classes, 1, learner.epochs)
+                    and shared_descent_pays(n, [d], num_classes)):
+                shared.append((learner, train_features))
+            else:
+                learner.fit(train_features, train_labels, num_classes)
             ids.append(ClassifierId(ext, alg))
             models.append(learner)
+    widths = [features.shape[1] for _, features in shared]
+    if len(shared) > 1 and shared_descent_pays(n, widths, num_classes):
+        offsets = np.cumsum([0] + widths)
+        fit_softmax_models([learner for learner, _ in shared],
+                           np.hstack([features for _, features in shared]), train_labels,
+                           num_classes, [np.arange(a, b) for a, b in zip(offsets, offsets[1:])])
+    else:
+        for learner, features in shared:
+            learner.fit(features, train_labels, num_classes)
     return ClassifierPool(ids=tuple(ids), models=tuple(models), spaces=spaces,
                           pipeline=pipeline, vocabulary=vocabulary, num_classes=num_classes)
 

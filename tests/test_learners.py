@@ -196,6 +196,48 @@ class TestSoftmaxRegression:
                 assert len(model.loss_history_) == len(history), (step, i)
                 assert np.allclose(model.loss_history_, history, rtol=0, atol=1e-12), (step, i)
 
+    @pytest.mark.parametrize("bound", [learners.CALL_BOUND_WORK, 0])
+    def test_divergence_within_chunks_matches_row_major_oracle(self, bound, monkeypatch):
+        # Within the work bound the descent tests for a loss rise once per
+        # chunk of epochs (0, 1-2, 3-6, ...) and replays a chunk that holds
+        # one epoch by epoch; at bound 0 it tests every epoch. Batches of
+        # models, each on its own block of columns scaled apart, overshoot
+        # at different epochs: on a chunk's first epoch, inside a chunk,
+        # several models at different epochs of one chunk, and every model
+        # of a batch.
+        monkeypatch.setattr(learners, "CALL_BOUND_WORK", bound)
+        rng = np.random.default_rng(37)
+        seen = {"first": 0, "inside": 0, "several": 0, "every": 0}
+        for case in range(80):
+            n, c, d, m = (int(rng.integers(10, 40)), int(rng.integers(2, 5)),
+                          int(rng.integers(2, 8)), int(rng.integers(2, 5)))
+            X = np.hstack([rng.random((n, d)) * rng.uniform(1.0, 3.0) for _ in range(m)])
+            y = rng.integers(0, c, n)
+            columns = [np.arange(j * d, (j + 1) * d) for j in range(m)]
+            step = float(rng.uniform(0.5, 2.0))
+            batch = [SoftmaxRegression(step=step, epochs=120) for _ in columns]
+            fit_softmax_models(batch, X, y, c, columns)
+            for model, cols in zip(batch, columns):
+                weights, bias, history, diverged_epoch = softmax_gd_oracle(
+                    X[:, cols], y, c, step, 120, 1e-4
+                )
+                assert np.allclose(model.weights_, weights, rtol=0, atol=1e-12), case
+                assert np.allclose(model.bias_, bias, rtol=0, atol=1e-12), case
+                assert model.diverged_epoch == diverged_epoch, case
+                assert len(model.loss_history_) == len(history), case
+                assert np.allclose(model.loss_history_, history, rtol=0, atol=1e-12), case
+            stops = [model.diverged_epoch for model in batch if model.diverged]
+            for epoch in stops:
+                # Epoch e opens its chunk exactly when e + 1 is a power of 2;
+                # epoch 1, where most overshoots land, is not counted.
+                if epoch > 1:
+                    seen["first" if (epoch + 1) & epoch == 0 else "inside"] += 1
+            chunk_of = [(epoch + 1).bit_length() for epoch in stops]
+            seen["several"] += any(len({e for e, k in zip(stops, chunk_of) if k == chunk}) > 1
+                                   for chunk in chunk_of)
+            seen["every"] += len(stops) == m
+        assert min(seen.values()) >= 5, seen
+
     def test_counts_match_expanded_rows_and_row_major_oracle(self, monkeypatch):
         # Distinct rows with counts against the same rows repeated that
         # often (shuffled): one-hot designs fitted as batches over column

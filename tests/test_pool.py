@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsel.core import ClassifierId, PredictionMatrix, Split, load_corpus_csv, split_corpus
-from hsel.learners import CosineKNN
+from hsel.features import count_matrix
+from hsel.learners import CosineKNN, SoftmaxRegression, gram_form_pays, shared_descent_pays
 from hsel.pool import (
     predict_matrix,
     read_prediction_matrix,
@@ -120,6 +121,104 @@ class TestFixedPipeline:
         assert pool.ids[3].canonical == "HASHED-KNN"
         assert pool.spaces["HASHED"].projection.shape == (36, 64)
         assert pool.models[3].k == 5
+
+
+def _bundled_corpus():
+    rows, _ = load_corpus_csv(BUNDLED_CORPUS)
+    return split_corpus(rows, seed=7)
+
+
+def _train_features(pool, corpus):
+    # Each extractor's TRAIN features, as train_pool fits its members on.
+    counts = count_matrix(pool.pipeline.tokenize_all(corpus[Split.TRAIN][0]), pool.vocabulary)
+    return {kind: space.transform(counts) for kind, space in pool.spaces.items()}
+
+
+def _fit_alone(pool, corpus):
+    # Every LR member of the pool refitted by its own ``fit``, by canonical id.
+    features, labels = _train_features(pool, corpus), corpus[Split.TRAIN][1]
+    return {cid.canonical: SoftmaxRegression().fit(features[cid.extractor], labels,
+                                                   pool.num_classes)
+            for cid in pool.ids if cid.algorithm == "LR"}
+
+
+class TestSharedDescent:
+    """Primal LR members small enough for ``shared_descent_pays`` train as one
+    ``fit_softmax_models`` batch over their features side by side."""
+
+    POOL = (["COUNT", "TFIDF", "HASHED"], ["NB", "LR", "KNN", "NC"])
+
+    @staticmethod
+    def _record_batches(monkeypatch):
+        batches = []
+        original = pool_module.fit_softmax_models
+
+        def recording(models, *args):
+            batches.append([id(model) for model in models])
+            return original(models, *args)
+
+        monkeypatch.setattr(pool_module, "fit_softmax_models", recording)
+        return batches
+
+    def test_rule_admits_the_quick_start_pool_and_refuses_a_wide_one(self):
+        assert shared_descent_pays(240, [36, 36, 64], 2)  # C·N·Σd = 65 280
+        assert not shared_descent_pays(1200, [2600, 2600, 64], 2)  # 12.6 M
+        assert shared_descent_pays(4, [2**14], 2)
+        assert not shared_descent_pays(4, [2**14 + 1], 2)
+
+    def test_small_primal_members_share_one_descent(self, monkeypatch):
+        batches = self._record_batches(monkeypatch)
+        corpus = _bundled_corpus()
+        pool = train_pool(corpus, *self.POOL, seed=7)
+        widths = [features.shape[1] for features in _train_features(pool, corpus).values()]
+        assert (len(corpus[Split.TRAIN][1]), widths) == (240, [36, 36, 64])
+        lr = {cid.canonical: model for cid, model in zip(pool.ids, pool.models)
+              if cid.algorithm == "LR"}
+        assert batches == [[id(model) for model in lr.values()]]
+        for canonical, alone in _fit_alone(pool, corpus).items():
+            model = lr[canonical]
+            assert np.allclose(model.weights_, alone.weights_, rtol=0, atol=1e-12), canonical
+            assert np.allclose(model.bias_, alone.bias_, rtol=0, atol=1e-12), canonical
+            assert len(model.loss_history_) == len(alone.loss_history_), canonical
+            assert model.diverged == alone.diverged, canonical
+
+    def test_shared_pool_predicts_as_members_fitted_alone(self, monkeypatch):
+        corpus = _bundled_corpus()
+        shared = train_pool(corpus, *self.POOL, seed=7)
+        monkeypatch.setattr(pool_module, "shared_descent_pays", lambda *shape: False)
+        alone = train_pool(corpus, *self.POOL, seed=7)
+        for split in (Split.VALIDATION, Split.TEST):
+            assert np.array_equal(predict_matrix(shared, corpus, split).predictions,
+                                  predict_matrix(alone, corpus, split).predictions), split
+
+    def test_refused_rule_fits_every_member_alone_bit_for_bit(self, monkeypatch):
+        batches = self._record_batches(monkeypatch)
+        monkeypatch.setattr(pool_module, "shared_descent_pays", lambda *shape: False)
+        corpus = _bundled_corpus()
+        pool = train_pool(corpus, *self.POOL, seed=7)
+        assert batches == []
+        lr = dict(zip((cid.canonical for cid in pool.ids), pool.models))
+        for canonical, alone in _fit_alone(pool, corpus).items():
+            for array in ("weights_", "bias_", "loss_history_"):
+                assert np.array_equal(getattr(lr[canonical], array), getattr(alone, array))
+            assert lr[canonical].diverged_epoch == alone.diverged_epoch
+
+    def test_gram_form_and_lone_members_fit_alone(self, monkeypatch):
+        # On the small synthetic corpus HASHED's 64 columns outnumber the 24
+        # training rows, so HASHED-LR descends in the Gram form on its own;
+        # a pool with one primal LR member has no one to share with.
+        batches = self._record_batches(monkeypatch)
+        corpus = _toy_corpus()
+        pool = train_pool(corpus, ["COUNT", "HASHED", "TFIDF"], ["LR"])
+        assert gram_form_pays(24, 64, 2, 1, 300)
+        assert batches == [[id(pool.models[0]), id(pool.models[2])]]
+        hashed = _fit_alone(pool, corpus)["HASHED-LR"]
+        for array in ("weights_", "bias_", "loss_history_"):
+            assert np.array_equal(getattr(pool.models[1], array), getattr(hashed, array))
+        del batches[:]
+        lone = train_pool(corpus, ["COUNT", "HASHED"], ["NB", "LR"])
+        assert batches == []
+        assert len(lone.models[1].loss_history_) == 300
 
 
 class TestPredictMatrix:
