@@ -23,14 +23,14 @@ stays within 1e-12 of the one-model row-major descent in the tests'
 oracle and diverges at the same epoch. A design row may stand for
 ``counts`` identical rows: its weight counts/Σcounts replaces 1/n, so
 stacking descends on distinct vote patterns only.
-Where an epoch's numpy calls outweigh its products (``CALL_BOUND_WORK``),
-the loss-rise test that stops a diverging model runs once per chunk of
-epochs (chunks of 1, 2, 4, ... epochs); a chunk where a loss rose runs
-again from a checkpoint of the weights, testing every epoch, so weights,
-histories and the epoch of a stop are bit for bit those of a test after
-every epoch. By the same budget, ``shared_descent_pays`` decides when a
-pool's primal LR members, each on its own features, train as one batch
-over their features side by side.
+Where a batch's epoch is cheap (``CHUNKED_TEST_WORK``), the loss-rise
+test that stops a diverging model runs once per chunk of epochs (chunks
+of 1, 2, 4, ... epochs); a chunk where a loss rose runs again from a
+checkpoint of the weights, testing every epoch, so weights, histories and
+the epoch of a stop are bit for bit those of a test after every epoch.
+``shared_descent_pays`` (``SHARED_DESCENT_WORK``) decides when a pool's
+primal LR members, each on its own features, train as one batch over
+their features side by side.
 ``CosineKNN`` finds its k nearest by partial selection, not a full sort.
 ``SoftmaxRegression`` also holds the closed-form NB and VOTE
 meta-classifier weights, and ``top_class`` is the one tie rule for linear
@@ -46,9 +46,19 @@ import numpy as np
 ALGORITHM_TOKENS = ("NB", "LR", "KNN", "NC")
 NB_SMOOTHING = 1.0  # Laplace
 KNN_K = 5
-# Multiply-adds per model and epoch, C·N·width, up to which an epoch's
-# fixed numpy calls rather than its products set its cost.
-CALL_BOUND_WORK = 2**17
+# Multiply-adds, C·N·Σd, up to which primal models on the same N rows pay
+# less as one descent over their columns side by side than one each: three
+# members, C=2, took 0.85× of separate fits at 1.8e5 and 1.6× at 3.2e5
+# (one BLAS thread, 2-CPU x86-64 KVM guest).
+SHARED_DESCENT_WORK = 2**17
+# Multiply-adds of a batch's forward product per epoch, C·M·N·(width + 1),
+# up to which testing for a loss rise once per chunk of epochs pays. A
+# chunked descent saves a fixed 1-2 ms over 300 epochs, while a stop replays
+# up to a chunk of epochs at a cost that grows with the work: one stopping
+# at epoch 1 lost 0.35 ms at 5e5, 1.0 ms at 1e6, 1.7 ms at 2e6 and 6 ms at
+# 6.2e6, and past 1e6 the saving fell below 2% of a full descent (one
+# BLAS thread, 2-CPU x86-64 KVM guest).
+CHUNKED_TEST_WORK = 2**20
 
 
 def top_class(scores: np.ndarray) -> np.ndarray:
@@ -142,8 +152,8 @@ def shared_descent_pays(n: int, widths: Sequence[int], c: int) -> bool:
     descent each. The batch saves each model's fixed numpy calls per epoch
     but gives every model's product all Σd columns, and that pays while
     C·N·Σd, the multiply-adds each model adds per epoch, stays within
-    ``CALL_BOUND_WORK``."""
-    return c * n * sum(widths) <= CALL_BOUND_WORK
+    ``SHARED_DESCENT_WORK``."""
+    return c * n * sum(widths) <= SHARED_DESCENT_WORK
 
 
 def fit_softmax_models(
@@ -186,14 +196,16 @@ def fit_softmax_models(
     Each model keeps its own divergence rule: when its loss rises by more
     than 1e-12, its weights revert to the previous epoch's, ``diverged``
     and ``diverged_epoch`` are set, and it stops updating while the others
-    continue. Each epoch writes its data loss and ‖W‖² to a row of two
-    tables. While C·N·width is within ``CALL_BOUND_WORK``, epochs run in
-    chunks of 1, 2, 4, ... (epochs 0, 1-2, 3-6, ...), and the L2 term and
-    the rise test apply once per chunk. A chunk in which an active model's
-    loss rose runs again from a copy of both weight buffers taken at its
-    start, testing every epoch, so every result is bit for bit that of a
-    test after each epoch. Past the budget a replay would cost more than
-    the tests it saves, and every epoch is tested. The models must share
+    continue. While the batch's forward product, C·M·N·(width + 1)
+    multiply-adds, is within ``CHUNKED_TEST_WORK``, epochs run in chunks of
+    1, 2, 4, ... (epochs 0, 1-2, 3-6, ...): each writes its data loss and
+    ‖W‖² to a row of two tables, and the L2 term and the rise test apply
+    once per chunk. A chunk in which an active model's loss rose runs
+    again from a copy of both weight buffers taken at its start, testing
+    every epoch, so every result is bit for bit that of a test after each
+    epoch. Past the budget a replay would cost more than the tests it
+    saves: every epoch is tested, and neither the ‖W‖² table nor the
+    checkpoint is held. The models must share
     ``step``, ``epochs`` and ``l2``. Each gets ``weights_`` of shape
     (len(columns[m]), C) in column order and ``loss_history_``, an array
     with the loss of every epoch it kept.
@@ -260,8 +272,11 @@ def fit_softmax_models(
     head_s, head_rows = scores[:h], flat_s[: h * m]
     top, norm, label = np.empty((m, n)), np.empty((m, n)), np.empty((m, n))
     # Each epoch writes its data loss to ``losses`` and its ‖W‖² to
-    # ``penalties``; the loss is complete once ½λ‖W‖² is added.
-    losses, penalties = np.empty((epochs, m)), np.empty((epochs, m))
+    # ``squares``, a row of ``penalties`` when its test waits for the end
+    # of its chunk; the loss is complete once ½λ‖W‖² is added.
+    losses, squares = np.empty((epochs, m)), np.empty(m)
+    chunked = c * m * n * (width + 1) <= CHUNKED_TEST_WORK
+    penalties = np.empty((epochs, m)) if chunked else None
     stopped_at = np.full(m, -1)
     active = np.ones(m, dtype=bool)
 
@@ -275,10 +290,10 @@ def fit_softmax_models(
             np.matmul(flat_w, basis, out=flat_s)
             # ‖W‖² per model: Σ W ⊙ W, or Σ A ⊙ (A·K), that is Σ A ⊙ scores
             # less each class's b·ΣA.
-            squares = penalties[epoch]
-            np.einsum("cmk,cmk->m", coef, scores if gram else coef, out=squares)
+            row = squares if checked else penalties[epoch]
+            np.einsum("cmk,cmk->m", coef, scores if gram else coef, out=row)
             if gram:
-                squares -= np.einsum("cm,cmk->m", bias, coef)
+                row -= np.einsum("cm,cmk->m", bias, coef)
             np.maximum.reduce(scores, axis=0, out=top)
             np.subtract(scores, top, out=scores)
             scores.take(label_at, out=label, mode="clip")
@@ -299,8 +314,8 @@ def fit_softmax_models(
                 np.matmul(head_rows, basis.T, out=flat_g)
             if checked:
                 loss = losses[epoch]
-                squares *= 0.5 * l2
-                loss += squares
+                row *= 0.5 * l2
+                loss += row
             if checked and epoch:
                 rising = active & (loss > losses[epoch - 1] + 1e-12)
                 if np.logical_or.reduce(rising):
@@ -322,7 +337,7 @@ def fit_softmax_models(
             np.subtract(0.0, step_last, out=step_last)
             current, spare = spare, current
 
-    if c * n * width > CALL_BOUND_WORK:
+    if not chunked:
         # The products outweigh the test, and a replayed chunk would cost
         # more than the tests it saves.
         descend(0, epochs, checked=True)

@@ -70,9 +70,9 @@ def train_pool(
     except the LR members that take the primal form (``gram_form_pays``
     refuses) and that ``shared_descent_pays`` admits on their own: when two
     or more qualify and it admits their widths together (C·N·Σd within
-    ``learners.CALL_BOUND_WORK``), they train as one ``fit_softmax_models`` batch over their
-    features side by side, each on its own block of columns, within 1e-12
-    of fitting alone.
+    ``learners.SHARED_DESCENT_WORK``), they train as one
+    ``fit_softmax_models`` batch over their features side by side, each on
+    its own block of columns, within 1e-12 of fitting alone.
     """
     if not extractors or not algorithms:
         raise ValueError("extractor and algorithm lists must be non-empty")

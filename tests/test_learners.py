@@ -196,7 +196,7 @@ class TestSoftmaxRegression:
                 assert len(model.loss_history_) == len(history), (step, i)
                 assert np.allclose(model.loss_history_, history, rtol=0, atol=1e-12), (step, i)
 
-    @pytest.mark.parametrize("bound", [learners.CALL_BOUND_WORK, 0])
+    @pytest.mark.parametrize("bound", [learners.CHUNKED_TEST_WORK, 0])
     def test_divergence_within_chunks_matches_row_major_oracle(self, bound, monkeypatch):
         # Within the work bound the descent tests for a loss rise once per
         # chunk of epochs (0, 1-2, 3-6, ...) and replays a chunk that holds
@@ -205,7 +205,7 @@ class TestSoftmaxRegression:
         # at different epochs: on a chunk's first epoch, inside a chunk,
         # several models at different epochs of one chunk, and every model
         # of a batch.
-        monkeypatch.setattr(learners, "CALL_BOUND_WORK", bound)
+        monkeypatch.setattr(learners, "CHUNKED_TEST_WORK", bound)
         rng = np.random.default_rng(37)
         seen = {"first": 0, "inside": 0, "several": 0, "every": 0}
         for case in range(80):
@@ -345,6 +345,35 @@ class TestSoftmaxRegression:
                     tracemalloc.stop()
             loss_bytes = 2 * 20 * m * 8
             assert peaks[20] - peaks[0] - loss_bytes <= 16 * 1024, (counts is None, peaks)
+
+    def test_batch_past_the_chunk_budget_holds_no_chunk_tables(self, monkeypatch):
+        # pool-stack's meta batch, (c, M, N) = (4, 24, 300) on 64 one-hot
+        # columns, is past ``CHUNKED_TEST_WORK``: it tests every epoch and
+        # allocates neither the per-epoch ‖W‖² table nor the checkpoint, so
+        # its peak is that of a descent with chunking off. Chunked, the
+        # same batch holds both.
+        rng = np.random.default_rng(4)
+        c, m, n, p, epochs = 4, 24, 300, 16, 100
+        y = rng.integers(0, c, n)
+        X = np.zeros((n, p * c))
+        for j in range(p):
+            X[np.arange(n), j * c + np.where(rng.random(n) < 0.6, y, rng.integers(0, c, n))] = 1.0
+        columns = [(np.arange(k % p + 1)[:, None] * c + np.arange(c)).ravel() for k in range(m)]
+        budget = learners.CHUNKED_TEST_WORK
+        assert c * m * n * (p * c + 1) > budget
+        peaks = {}
+        for bound in (budget, 0, 2**62):
+            monkeypatch.setattr(learners, "CHUNKED_TEST_WORK", bound)
+            models = [SoftmaxRegression(epochs=epochs) for _ in columns]
+            tracemalloc.start()
+            try:
+                fit_softmax_models(models, X, y, c, columns)
+                peaks[bound] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        tables = epochs * m * 8 + 2 * c * m * (p * c + 1) * 8
+        assert abs(peaks[budget] - peaks[0]) <= 4 * 1024, peaks
+        assert peaks[2**62] - peaks[0] >= tables - 4 * 1024, peaks
 
     def test_score_ties_break_to_smallest_class(self):
         model = SoftmaxRegression()
