@@ -28,14 +28,11 @@ TFIDF = "TFIDF"
 HASHED = "HASHED"
 EXTRACTOR_KINDS = (COUNT, TFIDF, HASHED)
 
-_KIND_ALIASES = {"HASHED-DENSE": HASHED, "CV": COUNT, "TF-IDF": TFIDF}
-
 HASHED_DIM = 64
 
 
 def normalize_extractor_token(token: str) -> str:
     tok = token.strip().upper()
-    tok = _KIND_ALIASES.get(tok, tok)
     if tok not in EXTRACTOR_KINDS:
         raise ValueError(f"unknown extractor token {token!r}; expected one of {EXTRACTOR_KINDS}")
     return tok

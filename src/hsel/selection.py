@@ -60,9 +60,6 @@ def _merge_pairs(dendrogram: Dendrogram) -> Iterator[tuple[int, int]]:
 
 def _exact_counts(matrix: DissimilarityMatrix) -> tuple[np.ndarray, int]:
     """Co-failure counts and N; each level divides integers up to pairs·N < 2**53 once."""
-    if matrix.co_failures is None:
-        raise ValueError("level means need co-failure counts;"
-                         " a matrix built from values alone has none")
     p, n = matrix.size, matrix.n_instances
     if p * (p - 1) // 2 * n >= 2**53:
         raise ValueError(f"{p} classifiers x {n} instances reach 2**53: means would not be exact")

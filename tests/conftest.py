@@ -124,10 +124,11 @@ def pm_of(columns, truth, num_classes=2, names=None, split=Split.VALIDATION) -> 
                             np.asarray(truth, dtype=np.int64), num_classes, split)
 
 
-def dissimilarity(values) -> DissimilarityMatrix:
-    """``values`` as a ``DissimilarityMatrix`` over the leaves ``ITEM-N{i}``."""
-    return DissimilarityMatrix(tuple(ClassifierId("ITEM", f"N{i}") for i in range(len(values))),
-                               values)
+def dissimilarity(counts, n) -> DissimilarityMatrix:
+    """Co-failure ``counts`` over ``n`` instances as a ``DissimilarityMatrix``
+    over the leaves ``ITEM-N{i}``: distance ``1 - counts[i][j] / n``."""
+    return DissimilarityMatrix(tuple(ClassifierId("ITEM", f"N{i}") for i in range(len(counts))),
+                               counts, n)
 
 
 _TOPIC_A = [

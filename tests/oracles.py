@@ -169,13 +169,18 @@ def scan_linkage_oracle(values: np.ndarray, method: str):
     return merges
 
 
-def random_symmetric_matrix(rng: np.random.Generator, p: int) -> np.ndarray:
-    """Random distances in [0, 1] with zero diagonal, exactly symmetric."""
-    values = np.zeros((p, p), dtype=np.float64)
+RANDOM_N = 2**30
+
+
+def random_symmetric_matrix(rng: np.random.Generator, p: int, n: int = RANDOM_N) -> np.ndarray:
+    """Random co-failure counts in 0..n, exactly symmetric with a zero
+    diagonal. At the default N = 2**30 the distances 1 - c/N are dyadic and
+    almost never tie; a small n puts them on a grid of n + 1 values."""
+    counts = np.zeros((p, p), dtype=np.int64)
     for i in range(p):
         for j in range(i + 1, p):
-            values[i, j] = values[j, i] = float(rng.random())
-    return values
+            counts[i, j] = counts[j, i] = rng.integers(0, n + 1)
+    return counts
 
 
 def exact_distance_oracle(pm) -> list[list[Fraction]]:

@@ -19,6 +19,7 @@ from hsel.selection import choose_final, hierarchy_select, random_baseline
 
 from conftest import BUNDLED_CORPUS, dissimilarity, make_redundant_matrix, pm_of
 from oracles import (
+    RANDOM_N,
     brute_force_linkage,
     double_fault_oracle,
     f_cluster,
@@ -33,7 +34,7 @@ def _oracle_matrices(count=200, max_p=8, seed=2024):
     rng = np.random.default_rng(seed)
     for _ in range(count):
         p = int(rng.integers(2, max_p + 1))
-        yield random_symmetric_matrix(rng, p)
+        yield dissimilarity(random_symmetric_matrix(rng, p), RANDOM_N)
 
 
 def test_criterion_01_double_fault_exactness():
@@ -56,10 +57,10 @@ def test_criterion_01_double_fault_exactness():
 
 def test_criterion_02_clustering_oracle_equivalence():
     started = time.monotonic()
-    for values in _oracle_matrices():
+    for matrix in _oracle_matrices():
         for method in ALL_METHODS:
-            dendro = linkage(dissimilarity(values), method)
-            reference = brute_force_linkage(values, method)
+            dendro = linkage(matrix, method)
+            reference = brute_force_linkage(matrix.values, method)
             impl = [(s.left, s.right, s.size) for s in dendro.merges]
             ref = [(l, r, size) for l, r, _, size, _ in reference]
             assert impl == ref, method
@@ -72,10 +73,10 @@ def test_criterion_02_clustering_oracle_equivalence():
 
 
 def test_criterion_03_f_cluster_contract():
-    for values in _oracle_matrices():
-        p = values.shape[0]
+    for matrix in _oracle_matrices():
+        p = matrix.size
         for method in ALL_METHODS:
-            dendro = linkage(dissimilarity(values), method)
+            dendro = linkage(matrix, method)
             previous = None
             for k in range(1, p + 1):
                 labels = f_cluster(dendro, k)

@@ -746,14 +746,17 @@ def test_alpha_outside_unit_interval_rejected(command, value, capsys):
     (_SELECT, "--metrics", "f1,accuracy,f1", "metric 'f1' is repeated", "f1,accuracy"),
     (_RUN, "--metrics", "precision,precision", "metric 'precision' is repeated", "f1,accuracy"),
     (_SELECT, "--metrics", "precision,precision", "metric 'precision' is repeated", "f1"),
-    (_RUN, "--extractors", "COUNT,CV", "extractor 'CV' is repeated", "CV,TFIDF"),
-    (_RUN, "--extractors", "tfidf,TF-IDF", "extractor 'TF-IDF' is repeated", "cv,HASHED"),
+    (_RUN, "--extractors", "COUNT,count", "extractor 'count' is repeated", "count,TFIDF"),
+    (_RUN, "--extractors", "tfidf,TFIDF", "extractor 'TFIDF' is repeated", "Count,HASHED"),
     (_RUN, "--algorithms", "NB,nb", "algorithm 'nb' is repeated", "NB,lr"),
     (_RUN, "--algorithms", "knn,LR, KNN", "algorithm 'KNN' is repeated", "knn,nc"),
     (_STACK, "--members", "COUNT-NB,count-nb", "member 'count-nb' is repeated", "CV-NB,cv-lr"),
     (_SELECT, "--metrics", "f1,auc", "unknown metric 'auc'", "recall"),
-    (_RUN, "--extractors", "COUNT,FOO", "unknown extractor token 'FOO'", "hashed-dense"),
-    (_RUN, "--extractors", "glove", "unknown extractor token 'glove'", "tf-idf"),
+    (_RUN, "--extractors", "COUNT,FOO", "unknown extractor token 'FOO'", "hashed"),
+    (_RUN, "--extractors", "glove", "unknown extractor token 'glove'", "tfidf"),
+    (_RUN, "--extractors", "COUNT,CV", "unknown extractor token 'CV'", "COUNT"),
+    (_RUN, "--extractors", "TF-IDF", "unknown extractor token 'TF-IDF'", "TFIDF"),
+    (_RUN, "--extractors", "hashed-dense", "unknown extractor token 'hashed-dense'", "HASHED"),
     (_RUN, "--algorithms", "NB,SVM", "unknown algorithm token 'SVM'", "nb,Knn"),
     (_RUN, "--algorithms", "xgb", "unknown algorithm token 'XGB'", "NC"),
     (_STACK, "--members", "COUNT-NB,X", "cannot parse classifier id 'X'", "FOO-NB"),
@@ -761,9 +764,10 @@ def test_alpha_outside_unit_interval_rejected(command, value, capsys):
 ])
 def test_bad_token_rejected_at_parse_time(command, flag, value, message, distinct, capsys):
     # A token that its stage would reject as unknown, or that repeats another
-    # once normalized as the stage reads it (case, extractor aliases,
-    # canonical ids), is an argparse error (exit 2), raised before any file
-    # is opened; distinct known tokens stay as typed.
+    # once normalized as the stage reads it (case, canonical ids), is an
+    # argparse error (exit 2), raised before any file is opened; each
+    # extractor has one spelling, so the former aliases CV, TF-IDF and
+    # HASHED-DENSE are unknown tokens; distinct known tokens stay as typed.
     with pytest.raises(SystemExit) as exc:
         main(command + [flag, value])
     assert exc.value.code == 2

@@ -93,11 +93,12 @@ def test_empty_vocabulary_rejected():
             build_vocabulary(docs)
 
 
-def test_alias_and_unknown_tokens():
-    assert normalize_extractor_token("hashed-dense") == "HASHED"
-    assert normalize_extractor_token("cv") == "COUNT"
-    with pytest.raises(ValueError, match="BERT"):
-        normalize_extractor_token("BERT")
+def test_one_spelling_per_extractor_and_unknown_tokens():
+    assert normalize_extractor_token(" hashed ") == "HASHED"
+    assert normalize_extractor_token("Count") == "COUNT"
+    for token in ("BERT", "cv", "TF-IDF", "hashed-dense"):
+        with pytest.raises(ValueError, match=f"unknown extractor token {token!r}"):
+            normalize_extractor_token(token)
 
 
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1)

@@ -10,55 +10,64 @@ from hsel.diversity import DissimilarityMatrix, dissimilarity_matrix
 from hsel.hiercluster import LINKAGE_METHODS, Dendrogram, MergeStep, linkage, write_dendrogram
 
 from conftest import dissimilarity
-from oracles import brute_force_linkage, f_cluster, random_symmetric_matrix, scan_linkage_oracle
+from oracles import (
+    RANDOM_N,
+    brute_force_linkage,
+    f_cluster,
+    random_symmetric_matrix,
+    scan_linkage_oracle,
+)
 
 
-def _matrix3(d01, d02, d12):
-    return np.array([[0.0, d01, d02], [d01, 0.0, d12], [d02, d12, 0.0]])
+def _counts3(c01, c02, c12):
+    return np.array([[0, c01, c02], [c01, 0, c12], [c02, c12, 0]])
+
+
+def _random_matrix(rng, p, n=RANDOM_N):
+    """Random co-failure counts in 0..n as a matrix over ``n`` instances."""
+    return dissimilarity(random_symmetric_matrix(rng, p, n), n)
+
+
+# Over N = 8 instances, the distances 0.125, 0.875 and 0.75.
+_THREE = _counts3(7, 1, 2), 8
 
 
 class TestLinkageSmallCases:
     def test_leaf_ids_come_from_the_matrix(self):
         ids = tuple(ClassifierId.parse(s) for s in ("CV-NB", "CV-LR", "TFIDF-NB"))
-        assert linkage(DissimilarityMatrix(ids, _matrix3(0.1, 0.9, 0.8))).leaf_ids == ids
+        assert linkage(DissimilarityMatrix(ids, *_THREE)).leaf_ids == ids
 
     def test_single_linkage_three_points(self):
-        dendro = linkage(dissimilarity(_matrix3(0.1, 0.9, 0.8)), "single")
+        dendro = linkage(dissimilarity(*_THREE), "single")
         assert (dendro.merges[0].left, dendro.merges[0].right) == (0, 1)
-        assert dendro.merges[0].distance == 0.1
-        # Cluster {0,1} is node 3; nearest under min-linkage is leaf 2 at 0.8.
+        assert dendro.merges[0].distance == 0.125
+        # Cluster {0,1} is node 3; nearest under min-linkage is leaf 2 at 0.75.
         assert (dendro.merges[1].left, dendro.merges[1].right) == (2, 3)
-        assert dendro.merges[1].distance == 0.8
+        assert dendro.merges[1].distance == 0.75
 
     def test_complete_linkage_three_points(self):
-        dendro = linkage(dissimilarity(_matrix3(0.1, 0.9, 0.8)), "complete")
-        assert dendro.merges[1].distance == 0.9
+        dendro = linkage(dissimilarity(*_THREE), "complete")
+        assert dendro.merges[1].distance == 0.875
 
     def test_average_linkage_three_points(self):
-        dendro = linkage(dissimilarity(_matrix3(0.1, 0.9, 0.8)), "average")
-        assert dendro.merges[1].distance == pytest.approx((0.9 + 0.8) / 2)
+        dendro = linkage(dissimilarity(*_THREE), "average")
+        assert dendro.merges[1].distance == pytest.approx((0.875 + 0.75) / 2)
 
     def test_two_points_single_merge_every_method(self):
-        m = dissimilarity([[0.0, 0.4], [0.4, 0.0]])
+        m = dissimilarity([[0, 3], [3, 0]], 5)
         for method in ("single", "complete", "average", "centroid"):
             dendro = linkage(m, method)
             assert len(dendro.merges) == 1
             assert dendro.merges[0] == MergeStep(left=0, right=1, distance=0.4, size=2)
 
-    def test_rejects_nonsquare_and_asymmetric(self):
-        with pytest.raises(ValueError, match="shape"):
-            linkage(dissimilarity(np.zeros((2, 3))), "single")
-        with pytest.raises(ValueError, match="symmetric"):
-            linkage(dissimilarity([[0.0, 0.1], [0.2, 0.0]]), "single")
-
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="ward"):
-            linkage(dissimilarity(np.zeros((2, 2))), "ward")
+            linkage(dissimilarity(np.zeros((2, 2), dtype=np.int64), 1), "ward")
 
     def test_centroid_may_invert(self):
         # Merging the close pair pulls the merged centroid nearer to the
         # remaining point than the first merge distance: an inversion.
-        dendro = linkage(dissimilarity(_matrix3(0.5, 0.5, 0.48)), "centroid")
+        dendro = linkage(dissimilarity(_counts3(25, 25, 26), 50), "centroid")
         assert dendro.merges[0].distance == 0.48
         assert dendro.merges[1].distance == pytest.approx(0.5 - 0.48 / 4)
         assert dendro.merges[1].distance < dendro.merges[0].distance
@@ -67,17 +76,14 @@ class TestLinkageSmallCases:
         rng = np.random.default_rng(12)
         for _ in range(20):
             p = int(rng.integers(3, 9))
-            values = random_symmetric_matrix(rng, p)
+            matrix = _random_matrix(rng, p)
             for method in ("single", "complete", "average"):
-                distances = [s.distance for s in linkage(dissimilarity(values), method).merges]
+                distances = [s.distance for s in linkage(matrix, method).merges]
                 assert all(b >= a for a, b in zip(distances, distances[1:])), method
 
     def test_deterministic_tie_break_on_equal_matrix(self):
         # All distances equal: merges pair the smallest node indices first.
-        p = 6
-        values = np.full((p, p), 0.5)
-        np.fill_diagonal(values, 0.0)
-        dendro = linkage(dissimilarity(values), "complete")
+        dendro = linkage(dissimilarity(np.ones((6, 6), dtype=np.int64), 2), "complete")
         pairs = [(s.left, s.right) for s in dendro.merges]
         assert pairs == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
 
@@ -88,9 +94,9 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(100)
         for _ in range(30):
             p = int(rng.integers(2, 9))
-            values = random_symmetric_matrix(rng, p)
-            dendro = linkage(dissimilarity(values), method)
-            reference = brute_force_linkage(values, method)
+            matrix = _random_matrix(rng, p)
+            dendro = linkage(matrix, method)
+            reference = brute_force_linkage(matrix.values, method)
             assert len(dendro.merges) == len(reference)
             for step, (left, right, distance, size, _) in zip(dendro.merges, reference):
                 assert (step.left, step.right) == (left, right)
@@ -98,12 +104,10 @@ class TestOracleEquivalence:
                 assert step.distance == pytest.approx(distance, abs=1e-12)
 
     def test_equal_matrix_matches_reference_exactly(self):
-        p = 7
-        values = np.full((p, p), 0.5)
-        np.fill_diagonal(values, 0.0)
+        matrix = dissimilarity(np.ones((7, 7), dtype=np.int64), 2)
         for method in ("single", "complete", "average"):
-            dendro = linkage(dissimilarity(values), method)
-            reference = brute_force_linkage(values, method)
+            dendro = linkage(matrix, method)
+            reference = brute_force_linkage(matrix.values, method)
             assert [(s.left, s.right, s.distance) for s in dendro.merges] == [
                 (l, r, d) for l, r, d, _, _ in reference
             ]
@@ -116,9 +120,9 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(900)
         for _ in range(10):
             p = int(rng.integers(3, 8))
-            values = random_symmetric_matrix(rng, p)
+            counts = random_symmetric_matrix(rng, p)
             perm = rng.permutation(p)
-            permuted = values[np.ix_(perm, perm)]
+            permuted = counts[np.ix_(perm, perm)]
 
             def leaf_sets(dendro, p):
                 members = {i: frozenset([i]) for i in range(p)}
@@ -129,12 +133,12 @@ class TestOracleEquivalence:
                     out.append((merged, step.distance))
                 return out
 
-            base = leaf_sets(linkage(dissimilarity(values), method), p)
+            base = leaf_sets(linkage(dissimilarity(counts, RANDOM_N), method), p)
             # Row i of the permuted matrix is original item perm[i]: map the
             # permuted dendrogram's leaf sets back through perm.
             mapped = [
                 (frozenset(int(perm[i]) for i in leaves), d)
-                for leaves, d in leaf_sets(linkage(dissimilarity(permuted), method), p)
+                for leaves, d in leaf_sets(linkage(dissimilarity(permuted, RANDOM_N), method), p)
             ]
             key = lambda pair: tuple(sorted(pair[0]))
             for (leaves_a, d_a), (leaves_b, d_b) in zip(
@@ -154,12 +158,11 @@ class TestScanOracle:
         rng = np.random.default_rng(4242)
         for trial in range(60):
             p = int(rng.integers(2, 31))
-            values = random_symmetric_matrix(rng, p)
-            if trial % 2:
-                values = np.round(values * 4) / 4  # a 0.25 grid: ties are common
-            merges = linkage(dissimilarity(values), method).merges
+            # Odd trials put the distances on a 0.25 grid: ties are common.
+            matrix = _random_matrix(rng, p, 4 if trial % 2 else RANDOM_N)
+            merges = linkage(matrix, method).merges
             got = [(s.left, s.right, s.distance, s.size) for s in merges]
-            assert got == scan_linkage_oracle(values, method), (trial, p)
+            assert got == scan_linkage_oracle(matrix.values, method), (trial, p)
 
     @pytest.mark.parametrize("method", ["single", "complete", "average"])
     def test_heights_match_scipy_on_tie_free_matrices(self, method):
@@ -169,28 +172,29 @@ class TestScanOracle:
         rng = np.random.default_rng(31)
         for _ in range(20):
             p = int(rng.integers(2, 40))
-            values = random_symmetric_matrix(rng, p)
-            reference = hierarchy.linkage(squareform(values), method=method)
-            merges = linkage(dissimilarity(values), method).merges
+            matrix = _random_matrix(rng, p)
+            reference = hierarchy.linkage(squareform(matrix.values), method=method)
+            merges = linkage(matrix, method).merges
             assert [s.distance for s in merges] == pytest.approx(reference[:, 2], abs=1e-12)
             assert [s.size for s in merges] == reference[:, 3].astype(int).tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_matches_scan_oracle_on_tie_heavy_matrices(self, data):
-        # Distances on a grid of 1-4 steps: most rows hold several equal
-        # minima, so the cached row minima and the rescans decide ties.
+        # Counts over N = 1-4 instances put the distances on a grid of 1-4
+        # steps: most rows hold several equal minima, so the cached row
+        # minima and the rescans decide ties.
         p = data.draw(st.integers(2, 40), label="p")
         grid = data.draw(st.integers(1, 4), label="grid")
         upper = data.draw(st.lists(st.integers(0, grid), min_size=p * (p - 1) // 2,
                                    max_size=p * (p - 1) // 2), label="cells")
-        values = np.zeros((p, p))
-        values[np.triu_indices(p, 1)] = np.array(upper) / grid
-        values += values.T
+        counts = np.zeros((p, p), dtype=np.int64)
+        counts[np.triu_indices(p, 1)] = upper
+        matrix = dissimilarity(counts + counts.T, grid)
         for method in ("single", "complete", "average", "centroid"):
-            merges = linkage(dissimilarity(values), method).merges
+            merges = linkage(matrix, method).merges
             got = [(s.left, s.right, s.distance, s.size) for s in merges]
-            assert got == scan_linkage_oracle(values, method), method
+            assert got == scan_linkage_oracle(matrix.values, method), method
 
     @pytest.mark.parametrize("method", LINKAGE_METHODS)
     @pytest.mark.parametrize("shape", ["absorbing-core", "tie-heavy"])
@@ -200,31 +204,28 @@ class TestScanOracle:
         # linkage the core merges first and its slot is then the nearest
         # column of every shell row, so each shell point it absorbs makes
         # those rows stale: they keep their old minimum as a lower bound and
-        # are rescanned only when it is the least. Tie-heavy: a 0.25 grid,
-        # where many rows share each minimum.
+        # are rescanned only when it is the least; the squared distances,
+        # scaled into [0, 1], are quantised to counts over N = 2**30.
+        # Tie-heavy: a 0.25 grid, where many rows share each minimum.
         rng = np.random.default_rng(36)
         p = 200
         if shape == "absorbing-core":
             shell = rng.normal(size=(p - 20, 50))
             points = np.vstack([rng.normal(scale=0.05, size=(20, 50)),
                                 shell / np.linalg.norm(shell, axis=1, keepdims=True)])
-            values = ((points[:, None] - points[None]) ** 2).sum(axis=2)
-            values /= values.max()
+            squared = ((points[:, None] - points[None]) ** 2).sum(axis=2)
+            counts = np.round((1.0 - squared / squared.max()) * RANDOM_N).astype(np.int64)
+            matrix = dissimilarity(counts, RANDOM_N)
         else:
-            values = np.round(random_symmetric_matrix(rng, p) * 4) / 4
-        merges = linkage(dissimilarity(values), method).merges
+            matrix = _random_matrix(rng, p, 4)
+        merges = linkage(matrix, method).merges
         got = [(s.left, s.right, s.distance, s.size) for s in merges]
-        assert got == scan_linkage_oracle(values, method)
-
-    def test_rejects_non_finite_distances(self):
-        values = np.array([[0.0, np.inf], [np.inf, 0.0]])
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            linkage(dissimilarity(values), "single")
+        assert got == scan_linkage_oracle(matrix.values, method)
 
 
 class TestFCluster:
     def _dendro(self):
-        return linkage(dissimilarity(_matrix3(0.1, 0.9, 0.8)), "complete")
+        return linkage(dissimilarity(*_THREE), "complete")
 
     def test_k_one_single_cluster(self):
         assert f_cluster(self._dendro(), 1).tolist() == [1, 1, 1]
@@ -244,24 +245,19 @@ class TestFCluster:
 
     def test_labels_ordered_by_smallest_leaf(self):
         # Leaves 2 and 3 merge first, but leaf 0 still anchors label 1.
-        values = np.array(
-            [
-                [0.0, 0.9, 0.8, 0.8],
-                [0.9, 0.0, 0.7, 0.7],
-                [0.8, 0.7, 0.0, 0.1],
-                [0.8, 0.7, 0.1, 0.0],
-            ]
-        )
-        labels = f_cluster(linkage(dissimilarity(values), "complete"), 3)
+        # Over N = 10 instances: leaves 2 and 3 sit about 0.1 apart, the
+        # other pairs 0.7-0.9.
+        counts = np.array([[0, 1, 2, 2], [1, 0, 3, 3], [2, 3, 0, 9], [2, 3, 9, 0]])
+        labels = f_cluster(linkage(dissimilarity(counts, 10), "complete"), 3)
         assert labels.tolist() == [1, 2, 3, 3]
 
     def test_exactly_k_clusters_and_refinement(self):
         rng = np.random.default_rng(50)
         for _ in range(10):
             p = int(rng.integers(2, 9))
-            values = random_symmetric_matrix(rng, p)
+            matrix = _random_matrix(rng, p)
             for method in ("single", "complete", "average", "centroid"):
-                dendro = linkage(dissimilarity(values), method)
+                dendro = linkage(matrix, method)
                 previous = None
                 for k in range(p, 0, -1):
                     labels = f_cluster(dendro, k)
@@ -297,7 +293,8 @@ class TestDendrogramExport:
         ("single", "0.5"), ("complete", "0.75"), ("average", "0.625"), ("centroid", "0.5625")])
     def test_full_text_of_three_leaf_example(self, tmp_path, method, root):
         ids = tuple(ClassifierId.parse(s) for s in ("CV-NB", "CV-LR", "TFIDF-NB"))
-        dendro = linkage(DissimilarityMatrix(ids, _matrix3(0.25, 0.5, 0.75)), method)
+        # Over N = 4 instances, the distances 0.25, 0.5 and 0.75.
+        dendro = linkage(DissimilarityMatrix(ids, _counts3(3, 2, 1), 4), method)
         path = tmp_path / "dendro.txt"
         write_dendrogram(dendro, str(path))
         assert path.read_text(encoding="utf-8") == (
@@ -317,7 +314,7 @@ class TestDendrogramExport:
         path = tmp_path / "dendro.txt"
         for _ in range(10):
             p = int(rng.integers(2, 12))
-            dendro = linkage(dissimilarity(random_symmetric_matrix(rng, p)), method)
+            dendro = linkage(_random_matrix(rng, p), method)
             write_dendrogram(dendro, str(path))
             lines = path.read_text(encoding="utf-8").splitlines()
             assert lines[:2] == ["hsel-dendrogram v1", f"leaves {p}"]

@@ -273,31 +273,17 @@ class TestSweepDistances:
             ]
             assert choose_final(fast, rule).level_k == choose_final(oracle, rule).level_k
 
-    def test_matrix_without_counts_is_rejected(self, golden_scenario_pm):
-        built = dissimilarity_matrix(golden_scenario_pm)
-        matrix = DissimilarityMatrix(built.ids, built.values)
-        dendro = linkage(matrix, "complete")
-        with pytest.raises(ValueError, match="co-failure counts"):
-            hierarchy_select(dendro, matrix, evaluate_matrix(golden_scenario_pm))
-        with pytest.raises(ValueError, match="co-failure counts"):
-            elbow_select(dendro, matrix)
-
     def test_counts_beyond_two_to_the_53_raise(self):
         # Three classifiers have three pairs: 3·N must stay below 2**53.
         ids = tuple(ClassifierId(f"E{i}", "A") for i in range(3))
         counts = np.array([[5, 1, 2], [1, 6, 3], [2, 3, 7]])
         scores = {cid.canonical: _entry(0.5) for cid in ids}
 
-        def matrix(n):
-            values = 1.0 - counts / n
-            np.fill_diagonal(values, 0.0)
-            return DissimilarityMatrix(ids, values, counts, n)
-
-        below = matrix((2**53 - 1) // 3)
+        below = DissimilarityMatrix(ids, counts, (2**53 - 1) // 3)
         dendro = linkage(below, "complete")
         exact = float(1 - Fraction(1 + 2 + 3, 3 * below.n_instances))
         assert hierarchy_select(dendro, below, scores)[-1].mean_pairwise_distance == exact
-        beyond = matrix(2**52)
+        beyond = DissimilarityMatrix(ids, counts, 2**52)
         for select in (lambda m: hierarchy_select(dendro, m, scores),
                        lambda m: elbow_select(dendro, m)):
             with pytest.raises(ValueError, match="2\\*\\*53"):
