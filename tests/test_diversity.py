@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsel.diversity import dissimilarity_matrix, write_dissimilarity_csv
+from hsel.core import ClassifierId
+from hsel.diversity import DissimilarityMatrix, dissimilarity_matrix, write_dissimilarity_csv
 from hsel.hiercluster import LINKAGE_METHODS, linkage
 
 from conftest import pm_of
@@ -126,6 +127,61 @@ class TestDissimilarityMatrix:
         pm = pm_of([[0, 1]], [0, 1])
         with pytest.raises(ValueError):
             dissimilarity_matrix(pm)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_counts_hold_their_rules_by_construction(self, data):
+        # One count product makes the counts symmetric and within 0..N, with
+        # each column's own error count on the diagonal; the distances then
+        # lie in [0, 1], exactly symmetric, with a zero diagonal.
+        p = data.draw(st.integers(2, 8), label="p")
+        n = data.draw(st.integers(1, 40), label="n")
+        c = data.draw(st.integers(2, 4), label="c")
+        labels = st.lists(st.integers(0, c - 1), min_size=n, max_size=n)
+        truth = np.array(data.draw(labels, label="truth"))
+        cols = [np.array(data.draw(labels, label=f"col{j}")) for j in range(p)]
+        matrix = dissimilarity_matrix(pm_of(cols, truth, c))
+        counts = matrix.co_failures
+        assert counts.dtype == np.int64 and counts.shape == (p, p)
+        assert np.array_equal(counts, counts.T)
+        assert counts.min() >= 0 and counts.max() <= n == matrix.n_instances
+        assert np.diag(counts).tolist() == [int(np.sum(col != truth)) for col in cols]
+        values = matrix.values
+        assert values.shape == (p, p) and np.array_equal(values, values.T)
+        assert np.all(np.diag(values) == 0.0)
+        assert values.min() >= 0.0 and values.max() <= 1.0
+
+    @pytest.mark.parametrize("counts, n, expected", [
+        # The quarter grid; the diagonal's own error counts are never read.
+        ([[3, 1, 2], [1, 2, 3], [2, 3, 4]], 4,
+         [[0.0, 0.75, 0.5], [0.75, 0.0, 0.25], [0.5, 0.25, 0.0]]),
+        # A third rounds in the division and again in the subtraction.
+        ([[2, 1], [1, 1]], 3, [[0.0, 1.0 - 1 / 3], [1.0 - 1 / 3, 0.0]]),
+        # One instance: each pair either shares its fault or does not.
+        ([[1, 1, 0], [1, 1, 0], [0, 0, 0]], 1,
+         [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+    ], ids=["quarters", "thirds", "one-instance"])
+    def test_values_derived_from_counts(self, counts, n, expected):
+        ids = tuple(ClassifierId(f"E{i}", "A") for i in range(len(counts)))
+        matrix = DissimilarityMatrix(ids, np.array(counts), n)
+        assert matrix.values.tolist() == expected
+        assert matrix.co_failures.tolist() == counts and matrix.n_instances == n
+
+    def test_fields_are_read_only(self):
+        ids = [ClassifierId("E0", "A"), ClassifierId("E1", "A")]
+        matrix = DissimilarityMatrix(ids, [[1, 0], [0, 2]], 2)
+        assert matrix.ids == tuple(ids)
+        assert matrix.co_failures.dtype == np.int64
+        for array in (matrix.co_failures, matrix.values):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 1] = 1
+
+    def test_counts_and_instance_count_are_required(self):
+        ids = (ClassifierId("E0", "A"), ClassifierId("E1", "A"))
+        with pytest.raises(TypeError):
+            DissimilarityMatrix(ids, np.zeros((2, 2), dtype=np.int64))
+        with pytest.raises(TypeError):
+            DissimilarityMatrix(ids, values=np.zeros((2, 2)))
 
     def test_named_conversion_equals_per_pair_double_fault(self):
         rng = np.random.default_rng(53)

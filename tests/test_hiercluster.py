@@ -87,6 +87,17 @@ class TestLinkageSmallCases:
         pairs = [(s.left, s.right) for s in dendro.merges]
         assert pairs == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
 
+    @pytest.mark.parametrize("method", LINKAGE_METHODS)
+    def test_diagonal_counts_do_not_move_merges(self, method):
+        # A count table's diagonal holds each classifier's own error count,
+        # which no distance reads: any diagonal gives the same dendrogram.
+        rng = np.random.default_rng(31)
+        counts = random_symmetric_matrix(rng, 7)
+        errors = counts.copy()
+        np.fill_diagonal(errors, rng.integers(0, RANDOM_N + 1, 7))
+        assert linkage(dissimilarity(errors, RANDOM_N), method) == \
+            linkage(dissimilarity(counts, RANDOM_N), method)
+
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("method", ["single", "complete", "average", "centroid"])
