@@ -133,8 +133,9 @@ def fit_stacks(
 ) -> list[StackedEnsemble]:
     """Train one meta-classifier per member list on validation predictions.
 
-    LR is softmax regression on the one-hot meta-features (step 0.1, 500
-    epochs, L2 1e-4, zero init). All LR lists are fitted together by
+    LR is softmax regression on the one-hot meta-features (500 epochs, L2
+    1e-4, zero init) at step 0.1, or at 1/L where the curvature bound L is
+    ½(P + 1) + 1e-4 for P members and 1/L is smaller: past 18 members. All LR lists are fitted together by
     ``fit_softmax_models`` over one one-hot matrix of the union of their
     members, each list on its own members' blocks in its own order, in
     one descent over the distinct rows of the union's labels plus truth,
@@ -256,7 +257,7 @@ def stack_to_json(ensemble: StackedEnsemble) -> str:
         doc["params"] = {
             "weights": model.weights_.tolist(),
             "bias": model.bias_.tolist(),
-            "step": model.step,
+            "step": model.step_,
             "epochs": model.epochs,
             "l2": model.l2,
         }

@@ -8,8 +8,8 @@ Softmax regression has one training routine, ``fit_softmax_models``: it
 trains any number of models that share one design matrix, each on its own
 column subset, in one class-major gradient descent. A single fit is the
 batch of one; the stacking layer fits every LR meta-classifier of a
-command as one batch. An epoch runs one exp and copies no weights: each
-step writes a spare buffer that swaps in. The bias rides the products as
+command as one batch. An epoch runs one exp and updates the weights in
+place. The bias rides the products as
 one more coefficient over a row of ones. The primal form descends in
 [W | b], two products with [X | 1] per epoch. Descent from zero never
 leaves the row space of X, so the Gram form descends in [A | b] with
@@ -20,14 +20,12 @@ weights are redundant up to a per-class shift (Böhning 1992), and from
 zero the weights and biases of each column sum to zero over classes, so
 only C−1 class slabs descend and the last is minus their sum. Every model
 stays within 1e-12 of the one-model row-major descent in the tests'
-oracle and diverges at the same epoch. A design row may stand for
-``counts`` identical rows: its weight counts/Σcounts replaces 1/n, so
-stacking descends on distinct vote patterns only.
-Where a batch's epoch is cheap (``CHUNKED_TEST_WORK``), the loss-rise
-test that stops a diverging model runs once per chunk of epochs (chunks
-of 1, 2, 4, ... epochs); a chunk where a loss rose runs again from a
-checkpoint of the weights, testing every epoch, so weights, histories and
-the epoch of a stop are bit for bit those of a test after every epoch.
+oracle. A design row may stand for ``counts`` identical rows: its weight
+counts/Σcounts replaces 1/n, so stacking descends on distinct vote
+patterns only. Each model's step is its configured ``step`` capped at
+1/L, where L is Böhning's bound on the curvature of its loss over its own
+columns, so no step overshoots and the loss is computed only once, in the
+last epoch, to record how the fit ended.
 ``shared_descent_pays`` (``SHARED_DESCENT_WORK``) decides when a pool's
 primal LR members, each on its own features, train as one batch over
 their features side by side.
@@ -48,17 +46,10 @@ NB_SMOOTHING = 1.0  # Laplace
 KNN_K = 5
 # Multiply-adds, C·N·Σd, up to which primal models on the same N rows pay
 # less as one descent over their columns side by side than one each: three
-# members, C=2, took 0.85× of separate fits at 1.8e5 and 1.6× at 3.2e5
-# (one BLAS thread, 2-CPU x86-64 KVM guest).
+# members, C=2, 300 epochs of 14 numpy calls, took 0.58-0.75× the time of
+# separate fits at 6.5e4, 0.86-0.88× at 1.3e5, 0.84-0.87× at 1.8e5,
+# 1.2× at 2.6e5 and 1.7× at 3.4e5 (one BLAS thread, 2-CPU x86-64 KVM guest).
 SHARED_DESCENT_WORK = 2**17
-# Multiply-adds of a batch's forward product per epoch, C·M·N·(width + 1),
-# up to which testing for a loss rise once per chunk of epochs pays. A
-# chunked descent saves a fixed 1-2 ms over 300 epochs, while a stop replays
-# up to a chunk of epochs at a cost that grows with the work: one stopping
-# at epoch 1 lost 0.35 ms at 5e5, 1.0 ms at 1e6, 1.7 ms at 2e6 and 6 ms at
-# 6.2e6, and past 1e6 the saving fell below 2% of a full descent (one
-# BLAS thread, 2-CPU x86-64 KVM guest).
-CHUNKED_TEST_WORK = 2**20
 
 
 def top_class(scores: np.ndarray) -> np.ndarray:
@@ -114,22 +105,23 @@ class MultinomialNB:
 class SoftmaxRegression:
     """Multiclass logistic regression trained by full-batch gradient descent.
 
-    The regularized cross-entropy objective is tracked per epoch; if a step
-    ever increases it, the step is reverted and training halts with the
-    ``diverged`` flag set, so callers can diagnose a bad step size instead of
-    silently training on garbage. ``fit`` is ``fit_softmax_models`` with one
-    model over all columns.
+    ``step`` is a ceiling: the fit steps at ``step_``, the smaller of it and
+    1/L for Böhning's curvature bound L of the training loss, so a step
+    cannot raise the loss. ``loss_history_`` holds the loss the last epoch
+    starts from, and ``diverged`` records a final loss that is not finite
+    or lies above the starting loss. ``fit`` is ``fit_softmax_models`` with
+    one model over all columns.
     """
 
     def __init__(self, step: float = 0.1, epochs: int = 300, l2: float = 1e-4):
         self.step = step
         self.epochs = epochs
         self.l2 = l2
+        self.step_: float | None = None
         self.weights_: np.ndarray | None = None
         self.bias_: np.ndarray | None = None
         self.loss_history_ = np.empty(0)
         self.diverged = False
-        self.diverged_epoch: int | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, num_classes: int) -> "SoftmaxRegression":
         X = np.asarray(X, dtype=np.float64)
@@ -175,46 +167,38 @@ def fit_softmax_models(
     identical rows (default: one each), so its weight w_i = counts_i/Σcounts
     takes the place of 1/n throughout, and a fit on the distinct rows of a
     design with their counts is the fit on all of them up to summation
-    order. An epoch exponentiates the max-shifted scores s̃ once, in place;
-    the loss, Σ w·(log Z − s̃_y) + ½λ‖W‖², and the gradient's softmax part
-    G = (exp(s̃)·w/Z)·[X | 1] both follow. The label part (Y·w)·[X | 1] is
-    constant, so each step is [W | b]·decay − rates·G + pull with ``pull``
-    = rates·(Y·w)·[X | 1] computed once; ``decay`` = 1 − rates·λ spares the
-    bias, and all three have the weights' full shape, as w has the scores',
-    so no step broadcasts. With all counts 1, w is exactly 1/n. Every
-    gradient row sums to zero over classes, so only the first C − 1 class
-    slabs go through the gradient product and the step; the last is set to
-    minus their sum, class 0 first. Each step writes the spare buffer,
-    which then swaps in, so the spare holds the previous epoch's weights
-    for a revert. Model m's weights outside ``columns[m]`` get a step size of
+    order. An epoch exponentiates the max-shifted scores s̃ once, in place,
+    and the gradient's softmax part G = (exp(s̃)·w/Z)·[X | 1] follows. The
+    label part (Y·w)·[X | 1] is constant, so each step is
+    [W | b]·decay − rates·G + pull with ``pull`` = rates·(Y·w)·[X | 1]
+    computed once; ``decay`` = 1 − rates·λ spares the bias, and all three
+    have the weights' full shape, as w has the scores', so no step
+    broadcasts. With all counts 1, w is exactly 1/n. Every gradient row
+    sums to zero over classes, so only the first C − 1 class slabs go
+    through the gradient product and the step; the last is set to minus
+    their sum, class 0 first. Each step updates the weights in place.
+    Model m's weights outside ``columns[m]`` get a step size of
     zero and stay zero, so it computes what a fit on its own columns
     computes, up to float summation order. The Gram form descends in
     [A | b] (C, M, N + 1) over [K; 1] instead, with G = [P | ΣP] for the
     softmax part P, and the weights are A·X in column order (the last
     class again minus the others' sum).
 
-    Each model keeps its own divergence rule: when its loss rises by more
-    than 1e-12, its weights revert to the previous epoch's, ``diverged``
-    and ``diverged_epoch`` are set, and it stops updating while the others
-    continue. While the batch's forward product, C·M·N·(width + 1)
-    multiply-adds, is within ``CHUNKED_TEST_WORK``, epochs run in chunks of
-    1, 2, 4, ... (epochs 0, 1-2, 3-6, ...): each writes its data loss and
-    ‖W‖² to a row of two tables, and the L2 term and the rise test apply
-    once per chunk. A chunk in which an active model's loss rose runs
-    again from a copy of both weight buffers taken at its start, testing
-    every epoch, so every result is bit for bit that of a test after each
-    epoch. Past the budget a replay would cost more than the tests it
-    saves: every epoch is tested, and neither the ‖W‖² table nor the
-    checkpoint is held. The models must share
-    ``step``, ``epochs`` and ``l2``. Each gets ``weights_`` of shape
-    (len(columns[m]), C) in column order and ``loss_history_``, an array
-    with the loss of every epoch it kept.
+    Model m steps at ``step_`` = min(``step``, 1/L_m), where
+    L_m = ½ Σ w_i(‖x_i‖² + 1) + λ over its own columns bounds the
+    curvature of its loss (Böhning 1992), so in exact arithmetic no step
+    raises the loss (the descent lemma). The loss, Σ w·(log Z − s̃_y) +
+    ½λ‖W‖², is computed once, in the last epoch, for the weights that
+    epoch starts from: ``loss_history_`` holds it (empty after 0 epochs),
+    and ``diverged`` is set when it is not finite or lies above the
+    starting loss log C. The models must share ``epochs`` and ``l2``. Each
+    gets ``weights_`` of shape (len(columns[m]), C) in column order.
     """
     if not models:
         return
-    step, epochs, l2 = models[0].step, models[0].epochs, models[0].l2
-    if any((model.step, model.epochs, model.l2) != (step, epochs, l2) for model in models):
-        raise ValueError("models trained together must share step, epochs and l2")
+    epochs, l2 = models[0].epochs, models[0].l2
+    if any((model.epochs, model.l2) != (epochs, l2) for model in models):
+        raise ValueError("models trained together must share epochs and l2")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n, d = X.shape
@@ -232,18 +216,25 @@ def fit_softmax_models(
         np.matmul(X, X.T, out=basis[:width])
     else:
         basis[:width] = X.T
-    # Step size per model and coefficient: 0 outside the model's own
-    # columns, and 0 everywhere once the model has stopped. L2 decays the
-    # coefficients, not the bias.
-    rates = np.zeros((h, m, width + 1))
-    for i, cols in enumerate(columns):
-        rates[:, i, slice(None) if gram else cols] = step
-    rates[:, :, width] = step
-    decay = 1.0 - l2 * rates
-    decay[:, :, width] = 1.0
     # Row weights w, held per model so that no epoch ufunc broadcasts.
     counts = np.ones(n) if counts is None else np.asarray(counts, dtype=np.float64)
     share = np.repeat((counts / counts.sum())[None], m, axis=0)
+    # Σ w_i‖x_i‖² over each model's columns: diag(K) in the Gram form, else
+    # Σ w_i x_ij² per column j, summed without squaring a copy of X.
+    if gram:
+        sums = np.full(m, share[0] @ np.diagonal(basis))
+    else:
+        by_column = np.einsum("jn,jn,n->j", basis[:width], basis[:width], share[0])
+        sums = [by_column[cols].sum() for cols in columns]
+    # Step size per model and coefficient, 0 outside the model's own
+    # columns. L2 decays the coefficients, not the bias.
+    rates = np.zeros((h, m, width + 1))
+    for i, (model, cols, total) in enumerate(zip(models, columns, sums)):
+        model.step_ = min(model.step, 1.0 / (0.5 * (total + 1.0) + l2))
+        rates[:, i, slice(None) if gram else cols] = model.step_
+        rates[:, i, width] = model.step_
+    decay = 1.0 - l2 * rates
+    decay[:, :, width] = 1.0
     # The gradient's label term, (Y·w)·[X | 1] or [Y·w | Σ Y·w], is constant:
     # each step adds it, times the rates, as ``pull``.
     onehot = np.zeros((c, n))
@@ -256,14 +247,12 @@ def fit_softmax_models(
     # Flat index of score (y_i, m, i); mode "clip" lets ``take`` fill ``out`` unbuffered.
     label_at = y * (m * n) + np.arange(n) + (np.arange(m) * n)[:, None]
 
-    def views(buffer):
-        # The buffer, its rows for the forward product, the slabs that
-        # descend, the last slab, the coefficients and the bias.
-        return (buffer, buffer.reshape(c * m, width + 1), buffer[:h], buffer[h],
-                buffer[:, :, :width], buffer[:, :, width])
-
-    # Preallocated buffers; ``spare`` holds the last epoch's weights.
-    current, spare = views(np.zeros((c, m, width + 1))), views(np.zeros((c, m, width + 1)))
+    # Preallocated buffers, so that an epoch allocates nothing: the weights
+    # as rows for the forward product, the slabs that descend, the last
+    # slab, the coefficients and the bias.
+    weights = np.zeros((c, m, width + 1))
+    flat_w, head, last_slab = weights.reshape(c * m, width + 1), weights[:h], weights[h]
+    coef, bias = weights[:, :, :width], weights[:, :, width]
     grad = np.empty((h, m, width + 1))
     flat_g = grad.reshape(h * m, width + 1)
     grad_coef, grad_bias = grad[:, :, :width], grad[:, :, width]
@@ -271,116 +260,59 @@ def fit_softmax_models(
     flat_s = scores.reshape(c * m, n)
     head_s, head_rows = scores[:h], flat_s[: h * m]
     top, norm, label = np.empty((m, n)), np.empty((m, n)), np.empty((m, n))
-    # Each epoch writes its data loss to ``losses`` and its ‖W‖² to
-    # ``squares``, a row of ``penalties`` when its test waits for the end
-    # of its chunk; the loss is complete once ½λ‖W‖² is added.
-    losses, squares = np.empty((epochs, m)), np.empty(m)
-    chunked = c * m * n * (width + 1) <= CHUNKED_TEST_WORK
-    penalties = np.empty((epochs, m)) if chunked else None
-    stopped_at = np.full(m, -1)
-    active = np.ones(m, dtype=bool)
-
-    def descend(start, stop, checked):
-        # Epochs start to stop - 1; ``checked`` completes each epoch's loss
-        # and applies the rise test, else the caller does so for the chunk.
-        nonlocal current, spare
-        for epoch in range(start, stop):
-            weights, flat_w, head, _, coef, bias = current
-            previous, _, step_head, step_last, _, _ = spare
-            np.matmul(flat_w, basis, out=flat_s)
+    loss, squares = np.empty(m), np.empty(m)
+    for epoch in range(epochs):
+        last = epoch == epochs - 1
+        np.matmul(flat_w, basis, out=flat_s)
+        if last:
             # ‖W‖² per model: Σ W ⊙ W, or Σ A ⊙ (A·K), that is Σ A ⊙ scores
             # less each class's b·ΣA.
-            row = squares if checked else penalties[epoch]
-            np.einsum("cmk,cmk->m", coef, scores if gram else coef, out=row)
+            np.einsum("cmk,cmk->m", coef, scores if gram else coef, out=squares)
             if gram:
-                row -= np.einsum("cm,cmk->m", bias, coef)
-            np.maximum.reduce(scores, axis=0, out=top)
-            np.subtract(scores, top, out=scores)
+                squares -= np.einsum("cm,cmk->m", bias, coef)
+        np.maximum.reduce(scores, axis=0, out=top)
+        np.subtract(scores, top, out=scores)
+        if last:
             scores.take(label_at, out=label, mode="clip")
-            np.exp(scores, out=scores)
-            np.add.reduce(scores, axis=0, out=norm)
+        np.exp(scores, out=scores)
+        np.add.reduce(scores, axis=0, out=norm)
+        if last:
             np.log(norm, out=top)
             np.subtract(top, label, out=top)
             np.multiply(top, share, out=top)
-            np.add.reduce(top, axis=1, out=losses[epoch])
-            # scores becomes P = exp(s̃)·w/Z, and G, the gradient less its
-            # label and L2 terms, is P·[X | 1], or [P | ΣP] in the Gram form.
-            np.divide(share, norm, out=norm)
-            np.multiply(scores, norm, out=scores)
-            if gram:
-                np.copyto(grad_coef, head_s)
-                np.add.reduce(head_s, axis=2, out=grad_bias)
-            else:
-                np.matmul(head_rows, basis.T, out=flat_g)
-            if checked:
-                loss = losses[epoch]
-                row *= 0.5 * l2
-                loss += row
-            if checked and epoch:
-                rising = active & (loss > losses[epoch - 1] + 1e-12)
-                if np.logical_or.reduce(rising):
-                    weights[:, rising] = previous[:, rising]
-                    rates[:, rising] = 0.0
-                    decay[:, rising] = 1.0
-                    pull[:, rising] = 0.0
-                    stopped_at[rising] = epoch
-                    active[rising] = False
-                    if not np.logical_or.reduce(active):
-                        return
-            # W·decay − rates·G + pull, then the last slab is minus the others'
-            # sum: 0 − Σ, so that a coefficient no class moves stays +0.0.
-            np.multiply(grad, rates, out=grad)
-            np.multiply(head, decay, out=step_head)
-            step_head -= grad
-            step_head += pull
-            np.add.reduce(step_head, axis=0, out=step_last)
-            np.subtract(0.0, step_last, out=step_last)
-            current, spare = spare, current
+            np.add.reduce(top, axis=1, out=loss)
+            squares *= 0.5 * l2
+            loss += squares
+        # scores becomes P = exp(s̃)·w/Z, and G, the gradient less its label
+        # and L2 terms, is P·[X | 1], or [P | ΣP] in the Gram form.
+        np.divide(share, norm, out=norm)
+        np.multiply(scores, norm, out=scores)
+        if gram:
+            np.copyto(grad_coef, head_s)
+            np.add.reduce(head_s, axis=2, out=grad_bias)
+        else:
+            np.matmul(head_rows, basis.T, out=flat_g)
+        # W·decay − rates·G + pull, then the last slab is minus the others'
+        # sum: 0 − Σ, so that a coefficient no class moves stays +0.0.
+        np.multiply(grad, rates, out=grad)
+        head *= decay
+        head -= grad
+        head += pull
+        np.add.reduce(head, axis=0, out=last_slab)
+        np.subtract(0.0, last_slab, out=last_slab)
 
-    if not chunked:
-        # The products outweigh the test, and a replayed chunk would cost
-        # more than the tests it saves.
-        descend(0, epochs, checked=True)
-    else:
-        # Chunks of 1, 2, 4, ... epochs run unchecked; then one test finds
-        # whether any active model's loss rose by more than 1e-12 in the
-        # chunk. If one did, the chunk runs again from its checkpoint,
-        # testing every epoch, so each model stops where an epoch-by-epoch
-        # test stops it.
-        checkpoint = np.empty((2, c, m, width + 1))
-        start, length = 0, 1
-        while start < epochs and np.logical_or.reduce(active):
-            stop = min(start + length, epochs)
-            buffers = current, spare
-            np.copyto(checkpoint[0], current[0])
-            np.copyto(checkpoint[1], spare[0])
-            descend(start, stop, checked=False)
-            rows = penalties[start:stop]
-            rows *= 0.5 * l2
-            losses[start:stop] += rows
-            first = max(start, 1)
-            rising = (losses[first:stop] > losses[first - 1:stop - 1] + 1e-12) & active
-            if np.logical_or.reduce(rising, axis=None):
-                current, spare = buffers
-                np.copyto(current[0], checkpoint[0])
-                np.copyto(spare[0], checkpoint[1])
-                descend(start, stop, checked=True)
-            start, length = stop, 2 * length
-
-    _, _, _, _, coef, bias = current
     if gram:
-        weights = np.empty((c, m, d))
-        np.matmul(coef[:h], X, out=weights[:h])
-        np.add.reduce(weights[:h], axis=0, out=weights[h])
-        np.subtract(0.0, weights[h], out=weights[h])
-        coef = weights
-    kept = np.where(stopped_at >= 0, stopped_at, epochs)
+        coef = np.empty((c, m, d))
+        np.matmul(weights[:h, :, :width], X, out=coef[:h])
+        np.add.reduce(coef[:h], axis=0, out=coef[h])
+        np.subtract(0.0, coef[h], out=coef[h])
+    histories = loss[:, None] if epochs else np.empty((m, 0))
     for i, (model, cols) in enumerate(zip(models, columns)):
         model.weights_ = coef[:, i, cols].T.copy()
         model.bias_ = bias[:, i].copy()
-        model.loss_history_ = losses[: kept[i], i].copy()
-        model.diverged = bool(stopped_at[i] >= 0)
-        model.diverged_epoch = int(stopped_at[i]) if model.diverged else None
+        model.loss_history_ = histories[i].copy()
+        # From zero weights the loss starts at log C; NaN fails the test too.
+        model.diverged = not np.all(histories[i] <= np.log(c) + 1e-12)
 
 
 class CosineKNN:

@@ -269,9 +269,8 @@ def _log_softmax_rows(scores: np.ndarray) -> np.ndarray:
 def softmax_gd_oracle(X, y, num_classes, step, epochs, l2):
     """One softmax regression by full-batch gradient descent, N x C layout.
 
-    Returns (weights (D, C), bias (C,), loss history, diverged epoch or
-    None). On a loss rise of more than 1e-12 the step is reverted and
-    training stops.
+    Returns (weights (D, C), bias (C,), the loss of every epoch's starting
+    weights).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -281,25 +280,17 @@ def softmax_gd_oracle(X, y, num_classes, step, epochs, l2):
     weights = np.zeros((d, num_classes), dtype=np.float64)
     bias = np.zeros(num_classes, dtype=np.float64)
     history: list[float] = []
-    diverged_epoch = None
-
-    prev_w = prev_b = None
-    for epoch in range(epochs):
+    for _ in range(epochs):
         scores = X @ weights + bias
         log_probs = _log_softmax_rows(scores)
         loss = -log_probs[np.arange(n), y].mean() + 0.5 * l2 * float((weights ** 2).sum())
         delta = (np.exp(log_probs) - Y) / n
         grad_w = X.T @ delta + l2 * weights
         grad_b = delta.sum(axis=0)
-        if history and loss > history[-1] + 1e-12:
-            weights, bias = prev_w, prev_b
-            diverged_epoch = epoch
-            break
         history.append(float(loss))
-        prev_w, prev_b = weights.copy(), bias.copy()
         weights = weights - step * grad_w
         bias = bias - step * grad_b
-    return weights, bias, history, diverged_epoch
+    return weights, bias, history
 
 
 def categorical_nb_oracle(columns, y, num_classes, alpha=1.0):
@@ -475,3 +466,13 @@ def read_prediction_matrix_oracle(path):
         num_classes=num_classes,
         split_tag=split,
     )
+
+
+def softmax_step_oracle(X, step, l2, counts=None):
+    """min(step, 1/L) for Böhning's bound L = ½ Σ wᵢ(‖xᵢ‖² + 1) + λ on the
+    softmax loss's curvature, wᵢ = countsᵢ/Σcounts, summed row by row."""
+    X = np.asarray(X, dtype=np.float64)
+    counts = [1] * len(X) if counts is None else [int(k) for k in counts]
+    total = sum(counts)
+    bound = 0.5 * sum(k / total * (float(x @ x) + 1.0) for x, k in zip(X, counts)) + l2
+    return min(step, 1.0 / bound)

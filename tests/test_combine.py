@@ -68,8 +68,9 @@ class TestFitStack:
         preds = predict_stack(ensemble, pm)
         assert (preds == pm.truth).mean() == 1.0
         assert not ensemble.model.diverged
-        losses = ensemble.model.loss_history_
-        assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+        assert ensemble.model.step_ == 0.1
+        assert ensemble.model.loss_history_.shape == (1,)
+        assert ensemble.model.loss_history_[0] < np.log(pm.num_classes)
 
     def test_vote_majority_correct(self):
         # Any two of three members agree on the truth for every row.
@@ -99,8 +100,9 @@ class TestFitStack:
         assert np.array_equal(a.model.bias_, b.model.bias_)
 
     def test_fit_stacks_matches_standalone_fits(self):
-        # Sixty members that always say 0 make a step of 0.1 overshoot, so
-        # that list diverges while the others train on in the same batch.
+        # Sixty members that always say 0 would make a step of 0.1
+        # overshoot: that list steps at 1/L for its 60 members,
+        # 1/(½·61 + 1e-4), while the others keep 0.1 in the same batch.
         rng = np.random.default_rng(3)
         truth = rng.integers(0, 2, 40)
         columns = [truth, 1 - truth] + [np.where(rng.random(40) < 0.8, 0, 1) for _ in range(3)]
@@ -109,14 +111,17 @@ class TestFitStack:
         pm = pm_of(columns, truth, names=names)
         lists = [names[:1], names[:3], names[5:], names[4:1:-1], names[1:2] + names[3:5]]
         batch = fit_stacks(pm, lists)
-        assert [e.model.diverged for e in batch] == [False, False, True, False, False]
+        assert not any(e.model.diverged for e in batch)
+        steps = [e.model.step_ for e in batch]
+        assert steps == [0.1, 0.1, pytest.approx(1 / (0.5 * 61 + 1e-4), rel=1e-15), 0.1, 0.1]
         for members, ensemble in zip(lists, batch):
             alone = fit_stack(pm, members)
             assert ensemble.members == alone.members
             assert np.allclose(ensemble.model.weights_, alone.model.weights_, rtol=0, atol=1e-12)
             assert np.allclose(ensemble.model.bias_, alone.model.bias_, rtol=0, atol=1e-12)
-            assert ensemble.model.diverged_epoch == alone.model.diverged_epoch
-            assert len(ensemble.model.loss_history_) == len(alone.model.loss_history_)
+            assert ensemble.model.step_ == alone.model.step_
+            assert np.allclose(ensemble.model.loss_history_, alone.model.loss_history_,
+                               rtol=0, atol=1e-12)
             assert np.array_equal(predict_stack(ensemble, pm), predict_stack(alone, pm))
 
     def test_lr_matches_the_fit_on_every_validation_row(self):
@@ -132,7 +137,8 @@ class TestFitStack:
                 full.fit(X, pm.truth, pm.num_classes)
                 assert np.allclose(ensemble.model.weights_, full.weights_, rtol=0, atol=1e-12), seed
                 assert np.allclose(ensemble.model.bias_, full.bias_, rtol=0, atol=1e-12), seed
-                assert ensemble.model.diverged_epoch == full.diverged_epoch, seed
+                assert ensemble.model.step_ == full.step_ == 0.1, seed
+                assert not ensemble.model.diverged, seed
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 5))
@@ -149,7 +155,7 @@ class TestFitStack:
             assert np.array_equal(once.model.weights_, many.model.weights_)
             assert np.array_equal(once.model.bias_, many.model.bias_)
             assert np.array_equal(once.model.loss_history_, many.model.loss_history_)
-            assert once.model.diverged_epoch == many.model.diverged_epoch
+            assert once.model.step_ == many.model.step_
 
     def test_fit_stacks_rejects_repeated_member(self):
         pm = _correct_wrong_pm()
@@ -374,7 +380,7 @@ class TestSerialization:
             assert params["weights"] == model.weights_.tolist()
             assert params["bias"] == model.bias_.tolist()
             assert (params["step"], params["epochs"], params["l2"]) == (
-                model.step, model.epochs, model.l2)
+                model.step_, model.epochs, model.l2)
             rebuilt.weights_, rebuilt.bias_ = np.array(params["weights"]), np.array(params["bias"])
         elif meta_kind == "NB":
             like = np.array(params["log_likelihood"])

@@ -21,7 +21,7 @@ from hsel.pool import (
 )
 import hsel.pool as pool_module
 import hsel.preprocess as preprocess_module
-from conftest import BUNDLED_CORPUS, mutated_bytes, pm_of
+from conftest import BUNDLED_CORPUS, mutated_bytes, pm_of, synthetic_news_corpus
 from oracles import read_prediction_matrix_oracle
 
 
@@ -73,10 +73,25 @@ class TestTrainPool:
         for cid, model, column in zip(pool.ids, pool.models, train.predictions.T):
             acc = (column == train_labels).mean()
             assert acc >= 0.99, cid.canonical
-            # Cross-entropy must fall monotonically under the default step.
-            losses = model.loss_history_
+            # The capped step leaves the last loss below the starting log C.
             assert not model.diverged
-            assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+            assert model.loss_history_[0] < np.log(pool.num_classes), cid.canonical
+
+    def test_lr_members_beat_chance_where_step_01_overshoots(self):
+        # Each text of a synthetic corpus four times over: HASHED rows are
+        # ±1 projections of counts with norms in the tens, where a step of
+        # 0.1 raises the loss at once and HASHED-LR used to stop there at
+        # chance (0.5). Capped at 1/L, every LR member trains all its epochs.
+        rows = [(" ".join([text] * 4), int(label == "fake"))
+                for text, label in synthetic_news_corpus(150, seed=11)]
+        corpus = split_corpus(rows, seed=7)
+        pool = train_pool(corpus, ["COUNT", "TFIDF", "HASHED"], ["LR"], seed=7)
+        vpm = predict_matrix(pool, corpus, Split.VALIDATION)
+        hashed = pool.models[2]
+        assert hashed.step_ < 0.1
+        for cid, model, column in zip(pool.ids, pool.models, vpm.predictions.T):
+            assert (column == vpm.truth).mean() > 1 / pool.num_classes, cid.canonical
+            assert not model.diverged, cid.canonical
 
     def test_no_test_leakage(self):
         # Swapping out every TEST text must leave validation predictions
@@ -179,7 +194,9 @@ class TestSharedDescent:
             model = lr[canonical]
             assert np.allclose(model.weights_, alone.weights_, rtol=0, atol=1e-12), canonical
             assert np.allclose(model.bias_, alone.bias_, rtol=0, atol=1e-12), canonical
-            assert len(model.loss_history_) == len(alone.loss_history_), canonical
+            assert model.step_ == pytest.approx(alone.step_, rel=1e-12), canonical
+            assert np.allclose(model.loss_history_, alone.loss_history_,
+                               rtol=0, atol=1e-12), canonical
             assert model.diverged == alone.diverged, canonical
 
     def test_shared_pool_predicts_as_members_fitted_alone(self, monkeypatch):
@@ -201,7 +218,7 @@ class TestSharedDescent:
         for canonical, alone in _fit_alone(pool, corpus).items():
             for array in ("weights_", "bias_", "loss_history_"):
                 assert np.array_equal(getattr(lr[canonical], array), getattr(alone, array))
-            assert lr[canonical].diverged_epoch == alone.diverged_epoch
+            assert lr[canonical].step_ == alone.step_
 
     def test_gram_form_and_lone_members_fit_alone(self, monkeypatch):
         # On the small synthetic corpus HASHED's 64 columns outnumber the 24
@@ -218,7 +235,8 @@ class TestSharedDescent:
         del batches[:]
         lone = train_pool(corpus, ["COUNT", "HASHED"], ["NB", "LR"])
         assert batches == []
-        assert len(lone.models[1].loss_history_) == 300
+        assert lone.models[1].loss_history_.shape == (1,)
+        assert not lone.models[1].diverged
 
 
 class TestPredictMatrix:
