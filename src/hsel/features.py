@@ -94,11 +94,13 @@ def build_vocabulary(train_docs: Sequence[Sequence[str]]) -> dict[str, int]:
 
 def count_matrix(docs: Sequence[Sequence[str]], vocabulary: dict[str, int]) -> np.ndarray:
     """(len(docs), V) float64 token counts; tokens outside ``vocabulary`` are
-    dropped. One ``bincount`` over the flat ``row * V + column`` ids."""
+    dropped. One ``bincount`` over the flat ``row * V + column`` ids sums
+    float64 unit weights (no ids give int64 zeros, hence the cast)."""
     width, column = len(vocabulary), vocabulary.get
     flat = [i * width + j for i, doc in enumerate(docs) for j in map(column, doc) if j is not None]
-    counts = np.bincount(np.array(flat, dtype=np.int64), minlength=len(docs) * width)
-    return counts.reshape(len(docs), width).astype(np.float64)
+    counts = np.bincount(np.array(flat, dtype=np.int64), np.ones(len(flat)),
+                         minlength=len(docs) * width)
+    return counts.reshape(len(docs), width).astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True)

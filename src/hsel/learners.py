@@ -73,15 +73,20 @@ class MultinomialNB:
 
     Negative feature values (possible under the signed dense projection) are
     clamped to zero, since multinomial likelihoods are defined over
-    non-negative counts.
+    non-negative counts; only a matrix holding a negative is copied.
     """
 
     def __init__(self):
         self.class_log_prior_: np.ndarray | None = None
         self.feature_log_prob_: np.ndarray | None = None
 
+    @staticmethod
+    def _clamped(X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        return np.clip(X, 0.0, None) if X.size and X.min() < 0.0 else X
+
     def fit(self, X: np.ndarray, y: np.ndarray, num_classes: int) -> "MultinomialNB":
-        X = np.clip(np.asarray(X, dtype=np.float64), 0.0, None)
+        X = self._clamped(X)
         y = np.asarray(y, dtype=np.int64)
         counts = np.zeros(num_classes, dtype=np.float64)
         totals = np.zeros((num_classes, X.shape[1]), dtype=np.float64)
@@ -98,7 +103,7 @@ class MultinomialNB:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.clip(np.asarray(X, dtype=np.float64), 0.0, None)
+        X = self._clamped(X)
         return np.argmax(X @ self.feature_log_prob_.T + self.class_log_prior_, axis=1)
 
 
@@ -244,8 +249,6 @@ def fit_softmax_models(
     else:
         label_term = onehot @ basis.T
     pull = rates * label_term[:h, None, :]
-    # Flat index of score (y_i, m, i); mode "clip" lets ``take`` fill ``out`` unbuffered.
-    label_at = y * (m * n) + np.arange(n) + (np.arange(m) * n)[:, None]
 
     # Preallocated buffers, so that an epoch allocates nothing: the weights
     # as rows for the forward product, the slabs that descend, the last
@@ -258,8 +261,8 @@ def fit_softmax_models(
     grad_coef, grad_bias = grad[:, :, :width], grad[:, :, width]
     scores = np.empty((c, m, n))
     flat_s = scores.reshape(c * m, n)
-    head_s, head_rows = scores[:h], flat_s[: h * m]
-    top, norm, label = np.empty((m, n)), np.empty((m, n)), np.empty((m, n))
+    head_s, head_rows, last_s = scores[:h], flat_s[: h * m], scores[h]
+    top, norm = np.empty((m, n)), np.empty((m, n))
     loss, squares = np.empty(m), np.empty(m)
     for epoch in range(epochs):
         last = epoch == epochs - 1
@@ -273,14 +276,19 @@ def fit_softmax_models(
         np.maximum.reduce(scores, axis=0, out=top)
         np.subtract(scores, top, out=scores)
         if last:
-            scores.take(label_at, out=label, mode="clip")
+            # s̃_y into ``top``, model k's at flat index y·M·N + row + k·N
+            # (mode "clip" fills ``out`` unbuffered); the last slab, which no
+            # gradient reads, then holds log Z − s̃_y.
+            label_at = y * (m * n) + np.arange(n)
+            for k in range(m):
+                scores.ravel()[k * n:].take(label_at, out=top[k], mode="clip")
         np.exp(scores, out=scores)
         np.add.reduce(scores, axis=0, out=norm)
         if last:
-            np.log(norm, out=top)
-            np.subtract(top, label, out=top)
-            np.multiply(top, share, out=top)
-            np.add.reduce(top, axis=1, out=loss)
+            np.log(norm, out=last_s)
+            np.subtract(last_s, top, out=last_s)
+            np.multiply(last_s, share, out=last_s)
+            np.add.reduce(last_s, axis=1, out=loss)
             squares *= 0.5 * l2
             loss += squares
         # scores becomes P = exp(s̃)·w/Z, and G, the gradient less its label

@@ -19,6 +19,7 @@ import numpy as np
 from .core import ClassifierId, PredictionMatrix, Split, SplitCorpus, derive_seed
 from .core import check_header, read_records, read_utf8
 from .features import (
+    COUNT,
     FeatureSpace,
     build_vocabulary,
     count_matrix,
@@ -64,7 +65,11 @@ def train_pool(
 
     Ids form the full cross product in the given order (extractors outer).
     Per-component seeds derive from the global seed and the component name,
-    so results do not depend on training order.
+    so results do not depend on training order. Extractors train in the
+    given order but COUNT last, each dropping its features once its members
+    are fitted, so at most three (N, V) matrices are live: during TFIDF the
+    counts, the TFIDF features and TFIDF-KNN's unit rows; during COUNT the
+    counts and both KNN members' unit rows.
 
     Every member fits on its own extractor's features, by its own ``fit``,
     except the LR members that take the primal form (``gram_form_pays``
@@ -88,22 +93,26 @@ def train_pool(
     train_counts = count_matrix(train_docs, vocabulary)
 
     n = len(train_labels)
-    ids, models, spaces, shared = [], [], {}, []
-    for ext in ext_tokens:
+    ids = [ClassifierId(ext, alg) for ext in ext_tokens for alg in alg_tokens]
+    models, spaces, shared = [None] * len(ids), dict.fromkeys(ext_tokens), []
+    # COUNT last: its features are the count matrix itself, which every
+    # other transform reads, so no extractor's features outlive its members.
+    for e in sorted(range(len(ext_tokens)), key=lambda e: ext_tokens[e] == COUNT):
+        ext = ext_tokens[e]
         space = fit_feature_space(vocabulary, train_counts, ext, derive_seed(seed, "space", ext))
         spaces[ext], train_features = space, space.transform(train_counts)
         d = train_features.shape[1]
-        for alg in alg_tokens:
-            learner = make_learner(alg)
+        for a, alg in enumerate(alg_tokens):
+            learner = models[e * len(alg_tokens) + a] = make_learner(alg)
             # A member too wide to share fits at once, so its features are
             # not held past its extractor.
             if (alg == "LR" and not gram_form_pays(n, d, num_classes, 1, learner.epochs)
                     and shared_descent_pays(n, [d], num_classes)):
-                shared.append((learner, train_features))
+                shared.append((e, learner, train_features))
             else:
                 learner.fit(train_features, train_labels, num_classes)
-            ids.append(ClassifierId(ext, alg))
-            models.append(learner)
+        del train_features
+    shared = [member[1:] for member in sorted(shared, key=lambda member: member[0])]  # pool order
     widths = [features.shape[1] for _, features in shared]
     if len(shared) > 1 and shared_descent_pays(n, widths, num_classes):
         offsets = np.cumsum([0] + widths)

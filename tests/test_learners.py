@@ -55,6 +55,42 @@ class TestMultinomialNB:
         preds = model.predict(np.array([[-3.0, 4.0]]))
         assert preds[0] in (0, 1)
 
+    def test_non_negative_input_is_read_without_a_copy(self):
+        # Counts and TFIDF weights hold no negative, so neither call copies
+        # the (N, V) matrix: fit copies one class's rows at a time (a
+        # quarter of it here), predict makes (N, C) scores.
+        rng = np.random.default_rng(5)
+        X = rng.integers(0, 3, size=(400, 500)).astype(np.float64)
+        y = np.arange(400) % 4
+        model = MultinomialNB()
+        for call in (lambda: model.fit(X, y, 4), lambda: model.predict(X)):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                call()
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert peak < X.nbytes / 2, peak
+
+    def test_signed_input_fits_as_its_clamped_copy(self):
+        # HASHED features are signed: NB fits and predicts them exactly as
+        # the matrix with every negative set to zero.
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(60, 16))
+        y = np.arange(60) % 3
+        signed, clamped = MultinomialNB().fit(X, y, 3), MultinomialNB().fit(np.clip(X, 0, None), y, 3)
+        for array in ("class_log_prior_", "feature_log_prob_"):
+            assert np.array_equal(getattr(signed, array), getattr(clamped, array))
+        query = rng.normal(size=(30, 16))
+        assert np.array_equal(signed.predict(query), clamped.predict(np.clip(query, 0, None)))
+
+    def test_all_zero_matrix_is_accepted(self):
+        # Every class's smoothed counts are uniform, so the prior decides.
+        model = MultinomialNB().fit(np.zeros((5, 3)), np.array([0, 1, 1, 1, 0]), 2)
+        assert np.allclose(np.exp(model.feature_log_prob_), 1 / 3)
+        assert model.predict(np.zeros((2, 3))).tolist() == [1, 1]
+
 
 def _assert_matches_oracle(model, X, y, c, step, epochs, case):
     """``model``, fitted with ceiling ``step`` on the columns ``X`` for

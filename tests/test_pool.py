@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsel.core import ClassifierId, PredictionMatrix, Split, load_corpus_csv, split_corpus
-from hsel.features import count_matrix
+from hsel.features import HASHED_DIM, count_matrix
 from hsel.learners import CosineKNN, SoftmaxRegression, gram_form_pays, shared_descent_pays
 from hsel.pool import (
     predict_matrix,
@@ -237,6 +238,68 @@ class TestSharedDescent:
         assert batches == []
         assert lone.models[1].loss_history_.shape == (1,)
         assert not lone.models[1].diverged
+
+
+class TestTrainingOrder:
+    """``train_pool`` trains COUNT after the other extractors and drops each
+    extractor's features once its members are fitted; the pool still lists
+    its members in the given order."""
+
+    POOL = (["COUNT", "TFIDF", "HASHED"], ["NB", "LR", "KNN", "NC"])
+
+    @staticmethod
+    def _params(model):
+        return {name: (value.dtype, value.shape, value.tobytes())
+                if isinstance(value, np.ndarray) else value
+                for name, value in vars(model).items()}
+
+    def test_training_peak_holds_three_document_term_matrices(self):
+        # 400 training rows over a 1000-token vocabulary, five classes. The
+        # peak, while COUNT's members fit, holds the count matrix and both
+        # KNN members' unit rows. The slack covers HASHED's (V, 64)
+        # projection, one class's rows (NB and NC sum each class from a
+        # copy of its rows) and half a matrix for the tokens, the
+        # vocabulary, the fitted members and the HASHED features that the
+        # shared LR batch holds. Trained in list order, keeping every
+        # extractor's features until the next is built, the peak was about
+        # 4.7 matrices here.
+        rows = [(" ".join(f"w{(2 * i + j) % 1000:04d}x" for j in range(16)), i % 5)
+                for i in range(500)]
+        corpus = split_corpus(rows, ratios=(0.8, 0.1, 0.1), seed=3)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            pool = train_pool(corpus, *self.POOL, seed=3)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        n, v = len(corpus[Split.TRAIN][1]), len(pool.vocabulary)
+        assert (n, v) == (400, 1000)
+        matrix = n * v * 8
+        slack = v * HASHED_DIM * 8 + matrix / pool.num_classes + matrix / 2
+        assert peak <= 3 * matrix + slack, peak / matrix
+
+    def test_members_do_not_depend_on_list_order(self):
+        # Permuted lists reorder the pool, the columns of the shared LR batch
+        # and the order in which members train, but no member's parameters
+        # or predictions.
+        corpus = _bundled_corpus()
+        default = train_pool(corpus, *self.POOL, seed=7)
+        params = {cid: self._params(model) for cid, model in zip(default.ids, default.models)}
+        columns = {split: dict(zip(default.ids, predict_matrix(default, corpus, split).predictions.T))
+                   for split in (Split.VALIDATION, Split.TEST)}
+        for extractors, algorithms in ((["HASHED", "TFIDF", "COUNT"], ["NC", "KNN", "LR", "NB"]),
+                                       (["TFIDF", "COUNT", "HASHED"], ["LR", "NB", "NC", "KNN"])):
+            pool = train_pool(corpus, extractors, algorithms, seed=7)
+            assert [cid.canonical for cid in pool.ids] == [
+                f"{ext}-{alg}" for ext in extractors for alg in algorithms]
+            assert list(pool.spaces) == extractors
+            for cid, model in zip(pool.ids, pool.models):
+                assert self._params(model) == params[cid], cid.canonical
+            for split, by_id in columns.items():
+                pm = predict_matrix(pool, corpus, split)
+                for cid, column in zip(pool.ids, pm.predictions.T):
+                    assert np.array_equal(column, by_id[cid]), (split, cid.canonical)
 
 
 class TestPredictMatrix:
