@@ -15,7 +15,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
-from importlib import resources
 from typing import Callable, Sequence
 
 import numpy as np
@@ -106,6 +105,7 @@ def _now() -> str:
 
 def _load_schema(name: str) -> dict:
     """The shipped JSON Schema of the ``name`` report."""
+    from importlib import resources  # no command reads a schema
     text = resources.files("hsel").joinpath(f"schemas/{name}.schema.json").read_text("utf-8")
     return json.loads(text)
 

@@ -4,7 +4,6 @@ matrices, and classification metrics."""
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 import random
 from dataclasses import dataclass
@@ -13,6 +12,11 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+try:  # hashlib.blake2b is this builtin, and importing hashlib loads OpenSSL
+    from _blake2 import blake2b
+except ImportError:  # a CPython build may leave _blake2 out
+    from hashlib import blake2b
 
 METRIC_NAMES = ("accuracy", "precision", "recall", "f1")
 
@@ -26,13 +30,13 @@ class Split(str, Enum):
 def derive_seed(*parts: object) -> int:
     """Stable 63-bit integer derived from the given parts.
 
-    Uses a keyed-free blake2b digest so the value does not depend on
-    interpreter hash randomization. Every seeded component derives its own
-    stream from the global seed plus its own name, never from scheduling
-    order.
+    Uses an unkeyed BLAKE2b digest, CPython's builtin ``_blake2``, so the
+    value does not depend on interpreter hash randomization. Every seeded
+    component derives its own stream from the global seed plus its own
+    name, never from scheduling order.
     """
     text = ":".join(str(p) for p in parts)
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+    digest = blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") >> 1
 
 

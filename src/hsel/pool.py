@@ -91,6 +91,7 @@ def train_pool(
     pipeline, train_docs = fit_token_pipeline(train_texts)
     vocabulary = build_vocabulary(train_docs)
     train_counts = count_matrix(train_docs, vocabulary)
+    del train_docs  # nothing past the count matrix reads the token lists
 
     n = len(train_labels)
     ids = [ClassifierId(ext, alg) for ext in ext_tokens for alg in alg_tokens]

@@ -122,20 +122,32 @@ def test_importing_cli_leaves_jsonschema_unloaded():
     subprocess.run([sys.executable, "-c", code], env=_env(), check=True)
 
 
-def test_run_loads_no_numpy_ma(tmp_path):
-    # np.unique imports numpy.ma under numpy 2.4, and a numpy.random generator
-    # costs its import on first use: both are cold-start costs of every run. A
-    # run must load nothing of either that importing numpy did not.
+def test_commands_load_no_openssl_or_lazy_modules(tmp_path):
+    # Importing hashlib loads _hashlib and OpenSSL's libcrypto (3.6 MiB of
+    # every call's peak RSS), though BLAKE2b is CPython's builtin _blake2.
+    # np.unique imports numpy.ma under numpy 2.4, a numpy.random generator
+    # costs its import on first use, and only the tests read the shipped
+    # schemas through importlib.resources. run, select and compare must load
+    # none of them that the interpreter and numpy had not loaded already.
     script = """
 import json, sys
-import hsel.cli
-modules = ("numpy.ma", "numpy.random")
+import numpy
+modules = ("numpy.ma", "numpy.random", "importlib.resources")
 before = {name: name in sys.modules for name in modules}
-code = hsel.cli.main(["run", "--corpus", sys.argv[1], "--outdir", sys.argv[2]])
-print(json.dumps([code, before, {name: name in sys.modules for name in modules}]))
+import hsel.cli
+out = sys.argv[2]
+runs = [["run", "--corpus", sys.argv[1], "--outdir", out],
+        ["select", "--matrix", out + "/validation_matrix.csv", "--outdir", out + "/select"],
+        ["compare", "--validation-matrix", out + "/validation_matrix.csv",
+         "--test-matrix", out + "/test_matrix.csv", "--outdir", out + "/compare"]]
+steps = [["import", 0, "_hashlib" in sys.modules]]
+for argv in runs:
+    steps.append([argv[0], hsel.cli.main(argv), "_hashlib" in sys.modules])
+print(json.dumps([steps, before, {name: name in sys.modules for name in modules}]))
 """
     out = subprocess.run([sys.executable, "-c", script, TOY_CORPUS, str(tmp_path / "run")],
                          capture_output=True, text=True, env=_env(), check=True)
-    code, before, after = json.loads(out.stdout.strip().splitlines()[-1])
-    assert code == 0
+    steps, before, after = json.loads(out.stdout.strip().splitlines()[-1])
+    assert steps == [["import", 0, False], ["run", 0, False], ["select", 0, False],
+                     ["compare", 0, False]]
     assert after == before
