@@ -6,17 +6,13 @@ from __future__ import annotations
 import csv
 import math
 import random
+from _blake2 import blake2b  # hashlib's BLAKE2b; importing hashlib loads OpenSSL
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-
-try:  # hashlib.blake2b is this builtin, and importing hashlib loads OpenSSL
-    from _blake2 import blake2b
-except ImportError:  # a CPython build may leave _blake2 out
-    from hashlib import blake2b
 
 METRIC_NAMES = ("accuracy", "precision", "recall", "f1")
 
