@@ -24,8 +24,8 @@ oracle. A design row may stand for ``counts`` identical rows: its weight
 counts/Σcounts replaces 1/n, so stacking descends on distinct vote
 patterns only. Each model's step is its configured ``step`` capped at
 1/L, where L is Böhning's bound on the curvature of its loss over its own
-columns, so no step overshoots and the loss is computed only once, in the
-last epoch, to record how the fit ended.
+columns, so no step overshoots, every epoch runs the same steps, and the
+loss is computed once, for the final weights, to record how the fit ended.
 ``shared_descent_pays`` (``SHARED_DESCENT_WORK``) decides when a pool's
 primal LR members, each on its own features, train as one batch over
 their features side by side.
@@ -68,6 +68,14 @@ def top_class(scores: np.ndarray) -> np.ndarray:
     return (c - (near_top * ranks).max(axis=0).astype(np.intp)) % c
 
 
+def _class_sums(X: np.ndarray, y: np.ndarray, num_classes: int) -> np.ndarray:
+    """The (C, V) sum of each class's rows of X, from one (C, N)·(N, V)
+    one-hot product, so no class's rows are copied out of X."""
+    onehot = np.zeros((num_classes, len(y)))
+    onehot[y, np.arange(len(y))] = 1.0
+    return onehot @ X
+
+
 class MultinomialNB:
     """Multinomial naive Bayes with Laplace smoothing (``NB_SMOOTHING``).
 
@@ -86,19 +94,12 @@ class MultinomialNB:
         return np.clip(X, 0.0, None) if X.size and X.min() < 0.0 else X
 
     def fit(self, X: np.ndarray, y: np.ndarray, num_classes: int) -> "MultinomialNB":
-        X = self._clamped(X)
         y = np.asarray(y, dtype=np.int64)
-        counts = np.zeros(num_classes, dtype=np.float64)
-        totals = np.zeros((num_classes, X.shape[1]), dtype=np.float64)
-        for c in range(num_classes):
-            mask = y == c
-            counts[c] = mask.sum()
-            if counts[c]:
-                totals[c] = X[mask].sum(axis=0)
+        counts = np.bincount(y, minlength=num_classes)
         # Unseen classes keep a tiny prior so log() stays finite.
         priors = np.where(counts > 0, counts, 1e-12) / max(len(y), 1)
         self.class_log_prior_ = np.log(priors)
-        smoothed = totals + NB_SMOOTHING
+        smoothed = _class_sums(self._clamped(X), y, num_classes) + NB_SMOOTHING
         self.feature_log_prob_ = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
         return self
 
@@ -112,10 +113,10 @@ class SoftmaxRegression:
 
     ``step`` is a ceiling: the fit steps at ``step_``, the smaller of it and
     1/L for Böhning's curvature bound L of the training loss, so a step
-    cannot raise the loss. ``loss_history_`` holds the loss the last epoch
-    starts from, and ``diverged`` records a final loss that is not finite
-    or lies above the starting loss. ``fit`` is ``fit_softmax_models`` with
-    one model over all columns.
+    cannot raise the loss. ``loss_history_`` holds the loss of the final
+    weights, and ``diverged`` records one that is not finite or lies above
+    the starting loss. ``fit`` is ``fit_softmax_models`` with one model over
+    all columns.
     """
 
     def __init__(self, step: float = 0.1, epochs: int = 300, l2: float = 1e-4):
@@ -192,10 +193,10 @@ def fit_softmax_models(
     Model m steps at ``step_`` = min(``step``, 1/L_m), where
     L_m = ½ Σ w_i(‖x_i‖² + 1) + λ over its own columns bounds the
     curvature of its loss (Böhning 1992), so in exact arithmetic no step
-    raises the loss (the descent lemma). The loss, Σ w·(log Z − s̃_y) +
-    ½λ‖W‖², is computed once, in the last epoch, for the weights that
-    epoch starts from: ``loss_history_`` holds it (empty after 0 epochs),
-    and ``diverged`` is set when it is not finite or lies above the
+    raises the loss (the descent lemma). The loss, Σ w·(log Z − s_y) +
+    ½λ‖W‖², never feeds a step: one forward pass after the last epoch takes
+    it for the final weights. ``loss_history_`` holds it (empty after 0
+    epochs), and ``diverged`` is set when it is not finite or lies above the
     starting loss log C. The models must share ``epochs`` and ``l2``. Each
     gets ``weights_`` of shape (len(columns[m]), C) in column order.
     """
@@ -261,36 +262,14 @@ def fit_softmax_models(
     grad_coef, grad_bias = grad[:, :, :width], grad[:, :, width]
     scores = np.empty((c, m, n))
     flat_s = scores.reshape(c * m, n)
-    head_s, head_rows, last_s = scores[:h], flat_s[: h * m], scores[h]
+    head_s, head_rows = scores[:h], flat_s[: h * m]
     top, norm = np.empty((m, n)), np.empty((m, n))
-    loss, squares = np.empty(m), np.empty(m)
-    for epoch in range(epochs):
-        last = epoch == epochs - 1
+    for _ in range(epochs):
         np.matmul(flat_w, basis, out=flat_s)
-        if last:
-            # ‖W‖² per model: Σ W ⊙ W, or Σ A ⊙ (A·K), that is Σ A ⊙ scores
-            # less each class's b·ΣA.
-            np.einsum("cmk,cmk->m", coef, scores if gram else coef, out=squares)
-            if gram:
-                squares -= np.einsum("cm,cmk->m", bias, coef)
         np.maximum.reduce(scores, axis=0, out=top)
         np.subtract(scores, top, out=scores)
-        if last:
-            # s̃_y into ``top``, model k's at flat index y·M·N + row + k·N
-            # (mode "clip" fills ``out`` unbuffered); the last slab, which no
-            # gradient reads, then holds log Z − s̃_y.
-            label_at = y * (m * n) + np.arange(n)
-            for k in range(m):
-                scores.ravel()[k * n:].take(label_at, out=top[k], mode="clip")
         np.exp(scores, out=scores)
         np.add.reduce(scores, axis=0, out=norm)
-        if last:
-            np.log(norm, out=last_s)
-            np.subtract(last_s, top, out=last_s)
-            np.multiply(last_s, share, out=last_s)
-            np.add.reduce(last_s, axis=1, out=loss)
-            squares *= 0.5 * l2
-            loss += squares
         # scores becomes P = exp(s̃)·w/Z, and G, the gradient less its label
         # and L2 terms, is P·[X | 1], or [P | ΣP] in the Gram form.
         np.divide(share, norm, out=norm)
@@ -314,13 +293,18 @@ def fit_softmax_models(
         np.matmul(weights[:h, :, :width], X, out=coef[:h])
         np.add.reduce(coef[:h], axis=0, out=coef[h])
         np.subtract(0.0, coef[h], out=coef[h])
-    histories = loss[:, None] if epochs else np.empty((m, 0))
+    # The loss of the final weights, Σ w·(log Z − s_y) + ½λ‖W‖², from one
+    # more forward pass: Σ w·s_y weighs the scores by the one-hot row weights.
+    np.matmul(flat_w, basis, out=flat_s)
+    np.logaddexp.reduce(scores, axis=0, out=norm)
+    loss = np.einsum("mn,mn->m", norm, share) - np.einsum("cn,cmn->m", onehot, scores)
+    loss += 0.5 * l2 * np.einsum("cmk,cmk->m", coef, coef)
     for i, (model, cols) in enumerate(zip(models, columns)):
         model.weights_ = coef[:, i, cols].T.copy()
         model.bias_ = bias[:, i].copy()
-        model.loss_history_ = histories[i].copy()
+        model.loss_history_ = loss[i:i + 1].copy() if epochs else np.empty(0)
         # From zero weights the loss starts at log C; NaN fails the test too.
-        model.diverged = not np.all(histories[i] <= np.log(c) + 1e-12)
+        model.diverged = not np.all(model.loss_history_ <= np.log(c) + 1e-12)
 
 
 class CosineKNN:
@@ -382,11 +366,12 @@ class NearestCentroid:
         self._classes: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, num_classes: int) -> "NearestCentroid":
-        X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         # Not np.unique: under numpy 2.4 it imports numpy.ma on every cold run.
-        self._classes = np.flatnonzero(np.bincount(y, minlength=num_classes))
-        self._centroids = np.vstack([X[y == c].mean(axis=0) for c in self._classes])
+        counts = np.bincount(y, minlength=num_classes)
+        self._classes = np.flatnonzero(counts)
+        sums = _class_sums(np.asarray(X, dtype=np.float64), y, num_classes)
+        self._centroids = sums[self._classes] / counts[self._classes, None]
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -185,33 +185,19 @@ def _chord_knee(w: Sequence[float]) -> int:
 def within_cluster_totals(dendrogram: Dendrogram, matrix: DissimilarityMatrix) -> list[float]:
     """W(k) for k = 1..P: total within-cluster pairwise distance at level k.
 
-    In dendrogram leaf order, where each node's leaves are contiguous and its
-    left child's come first, every merge joins two adjacent ranges, and its
-    co-failures across them are one rectangle of a 2-D int64 prefix sum of
-    the reordered counts. From W(P) = 0 each merge adds pairs·N minus that
-    sum to the integer N·W(k), and each level is divided by N once."""
+    One replay of the merges adds, from W(P) = 0, pairs·N less the
+    co-failures across each merge's two clusters to the integer N·W(k), then
+    folds the retired cluster's row and column of an int64 copy of the
+    counts into the kept cluster's. Each level is divided by N once."""
     counts, n = _exact_counts(matrix)
-    p, merges = dendrogram.num_leaves, dendrogram.merges
-    # Top down: a node's leaves start where its parent's do, or after its sibling's.
-    start, sizes = [0] * (2 * p - 1), [1] * p + [step.size for step in merges]
-    for node in range(2 * p - 2, p - 1, -1):
-        step = merges[node - p]
-        start[step.left] = start[node]
-        start[step.right] = start[node] + sizes[step.left]
-    start, sizes = np.array(start), np.array(sizes)
-    order = np.empty(p, dtype=np.intp)
-    order[start[:p]] = np.arange(p)
-    # Row by row, so the reordered counts are never held whole, and an
-    # axis-0 cumsum does not stride down each column.
-    prefix = np.zeros((p + 1, p + 1), dtype=np.int64)
-    for r, leaf in enumerate(order, start=1):
-        np.cumsum(counts[leaf].take(order), out=prefix[r, 1:])
-        prefix[r] += prefix[r - 1]
-    left = np.array([step.left for step in merges], dtype=np.intp)
-    lo = start[left]
-    mid, hi = lo + sizes[left], lo + sizes[p:]
-    across = prefix[mid, hi] - prefix[lo, hi] - prefix[mid, mid] + prefix[lo, mid]
-    totals = np.cumsum((mid - lo) * (hi - mid) * n - across)
+    sums, size = counts.astype(np.int64), [1] * dendrogram.num_leaves
+    added = []
+    for kept, retired in _merge_pairs(dendrogram):
+        added.append(size[kept] * size[retired] * n - sums[kept, retired])
+        size[kept] += size[retired]
+        sums[kept] += sums[retired]
+        sums[:, kept] += sums[:, retired]
+    totals = np.cumsum(added, dtype=np.int64)
     return (totals[::-1] / n).tolist() + [0.0]
 
 

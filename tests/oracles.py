@@ -270,7 +270,7 @@ def softmax_gd_oracle(X, y, num_classes, step, epochs, l2):
     """One softmax regression by full-batch gradient descent, N x C layout.
 
     Returns (weights (D, C), bias (C,), the loss of every epoch's starting
-    weights).
+    weights followed by that of the final weights).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -281,16 +281,24 @@ def softmax_gd_oracle(X, y, num_classes, step, epochs, l2):
     bias = np.zeros(num_classes, dtype=np.float64)
     history: list[float] = []
     for _ in range(epochs):
-        scores = X @ weights + bias
-        log_probs = _log_softmax_rows(scores)
-        loss = -log_probs[np.arange(n), y].mean() + 0.5 * l2 * float((weights ** 2).sum())
+        log_probs = _log_softmax_rows(X @ weights + bias)
+        history.append(softmax_loss_oracle(X, y, weights, bias, l2))
         delta = (np.exp(log_probs) - Y) / n
         grad_w = X.T @ delta + l2 * weights
         grad_b = delta.sum(axis=0)
-        history.append(float(loss))
         weights = weights - step * grad_w
         bias = bias - step * grad_b
+    history.append(softmax_loss_oracle(X, y, weights, bias, l2))
     return weights, bias, history
+
+
+def softmax_loss_oracle(X, y, weights, bias, l2):
+    """Mean negative log-likelihood of the labels under (D, C) ``weights``
+    and (C,) ``bias``, plus ½·l2·‖weights‖²."""
+    X = np.asarray(X, dtype=np.float64)
+    log_probs = _log_softmax_rows(X @ weights + bias)
+    nll = -log_probs[np.arange(len(X)), np.asarray(y, dtype=np.int64)].mean()
+    return float(nll + 0.5 * l2 * float((weights ** 2).sum()))
 
 
 def categorical_nb_oracle(columns, y, num_classes, alpha=1.0):

@@ -20,6 +20,7 @@ from oracles import (
     cosine_knn_oracle,
     nearest_centroid_oracle,
     softmax_gd_oracle,
+    softmax_loss_oracle,
     softmax_step_oracle,
     top_class_oracle,
 )
@@ -56,14 +57,16 @@ class TestMultinomialNB:
         assert preds[0] in (0, 1)
 
     def test_non_negative_input_is_read_without_a_copy(self):
-        # Counts and TFIDF weights hold no negative, so neither call copies
-        # the (N, V) matrix: fit copies one class's rows at a time (a
-        # quarter of it here), predict makes (N, C) scores.
+        # Counts and TFIDF weights hold no negative, so no call copies the
+        # (N, V) matrix, nor even one class's rows of it: NB and NC fits sum
+        # the classes by one one-hot product, and NB's predict makes (N, C)
+        # scores.
         rng = np.random.default_rng(5)
+        c = 4
         X = rng.integers(0, 3, size=(400, 500)).astype(np.float64)
-        y = np.arange(400) % 4
-        model = MultinomialNB()
-        for call in (lambda: model.fit(X, y, 4), lambda: model.predict(X)):
+        y = np.arange(400) % c
+        nb, nc = MultinomialNB(), NearestCentroid()
+        for call in (lambda: nb.fit(X, y, c), lambda: nb.predict(X), lambda: nc.fit(X, y, c)):
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]
@@ -71,7 +74,7 @@ class TestMultinomialNB:
                 peak = tracemalloc.get_traced_memory()[1] - start
             finally:
                 tracemalloc.stop()
-            assert peak < X.nbytes / 2, peak
+            assert peak < X.nbytes / c, peak
 
     def test_signed_input_fits_as_its_clamped_copy(self):
         # HASHED features are signed: NB fits and predicts them exactly as
@@ -95,14 +98,17 @@ class TestMultinomialNB:
 def _assert_matches_oracle(model, X, y, c, step, epochs, case):
     """``model``, fitted with ceiling ``step`` on the columns ``X`` for
     ``epochs``, took the brute-force step min(step, 1/L) and holds the
-    oracle's weights, bias and last loss at that step; the oracle's loss
-    never rose on the way. Returns whether the step was capped."""
+    oracle's weights, bias and final loss at that step, and that loss is
+    the loss of its own weights; the oracle's loss never rose on the way.
+    Returns whether the step was capped."""
     assert model.step_ == pytest.approx(softmax_step_oracle(X, step, 1e-4), rel=1e-12), case
     weights, bias, history = softmax_gd_oracle(X, y, c, model.step_, epochs, 1e-4)
     assert np.allclose(model.weights_, weights, rtol=0, atol=1e-12), case
     assert np.allclose(model.bias_, bias, rtol=0, atol=1e-12), case
     assert model.loss_history_.shape == (1,), case
     assert np.allclose(model.loss_history_, history[-1:], rtol=0, atol=1e-12), case
+    own = softmax_loss_oracle(X, y, model.weights_, model.bias_, 1e-4)
+    assert abs(model.loss_history_[0] - own) <= 1e-12, case
     assert all(b <= a + 1e-12 for a, b in zip(history, history[1:])), case
     assert not model.diverged, case
     return model.step_ < step
@@ -507,6 +513,8 @@ class TestNearestCentroid:
         # Small integer grids and midpoints between centroids make equal
         # distances, so ties are decided by the exact bits of the
         # distances; class 1 of 4 is absent from every other training set.
+        # Each centroid is its class's mean row: exactly on the integer
+        # grids, within 1e-15 relative once the columns are scaled.
         rng = np.random.default_rng(31)
         for case in range(40):
             n, v, c = int(rng.integers(2, 40)), int(rng.integers(1, 30)), 4
@@ -516,6 +524,11 @@ class TestNearestCentroid:
             y = rng.choice([0, 2, 3] if case % 2 else range(c), n)
             model = NearestCentroid().fit(X, y, c)
             centroids = model._centroids
+            means = np.vstack([X[y == k].mean(axis=0) for k in model._classes])
+            if case % 2:
+                assert np.allclose(centroids, means, rtol=1e-15, atol=0), case
+            else:
+                assert np.array_equal(centroids, means), case
             a, b = rng.integers(0, len(centroids), (2, 20))
             queries = np.vstack([X, rng.integers(0, 3, (20, v)) * rng.random(v),
                                  (centroids[a] + centroids[b]) / 2])

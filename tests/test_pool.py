@@ -257,12 +257,10 @@ class TestTrainingOrder:
         # 400 training rows over a 1000-token vocabulary, five classes. The
         # peak, while COUNT's members fit, holds the count matrix and both
         # KNN members' unit rows. The slack covers HASHED's (V, 64)
-        # projection, one class's rows (NB and NC sum each class from a
-        # copy of its rows) and half a matrix for the tokens, the
-        # vocabulary, the fitted members and the HASHED features that the
-        # shared LR batch holds. Trained in list order, keeping every
-        # extractor's features until the next is built, the peak was about
-        # 4.7 matrices here.
+        # projection and half a matrix for the tokens, the vocabulary, the
+        # fitted members and the HASHED features that the shared LR batch
+        # holds. Trained in list order, keeping every extractor's features
+        # until the next is built, the peak was about 4.7 matrices here.
         rows = [(" ".join(f"w{(2 * i + j) % 1000:04d}x" for j in range(16)), i % 5)
                 for i in range(500)]
         corpus = split_corpus(rows, ratios=(0.8, 0.1, 0.1), seed=3)
@@ -276,7 +274,7 @@ class TestTrainingOrder:
         n, v = len(corpus[Split.TRAIN][1]), len(pool.vocabulary)
         assert (n, v) == (400, 1000)
         matrix = n * v * 8
-        slack = v * HASHED_DIM * 8 + matrix / pool.num_classes + matrix / 2
+        slack = v * HASHED_DIM * 8 + matrix / 2
         assert peak <= 3 * matrix + slack, peak / matrix
 
     def test_members_do_not_depend_on_list_order(self):
